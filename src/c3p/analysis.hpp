@@ -91,6 +91,40 @@ void analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
                            const ConvLayer &layer, int64_t capacity_bytes,
                            ReuseResult &out);
 
+/**
+ * One step of a buffer's fill function: every capacity of at least
+ * @p minCapacity bytes (and below the previous step's) fills
+ * @p fillBytes from the parent level.
+ */
+struct FillStep
+{
+    int64_t minCapacity;
+    int64_t fillBytes;
+};
+
+/**
+ * Append @p tensor's fills through @p nest as a step function of the
+ * buffer capacity: the paper's critical capacities, taken from the same
+ * boundary-footprint scan analyzeBufferFast() runs.  Steps are emitted
+ * in descending minCapacity, one per boundary whose footprint undercuts
+ * every outer one.  The last step has minCapacity INT64_MIN: it also
+ * covers capacities below every footprint, where analyzeBuffer()
+ * retains at the atom boundary.  fillAtCapacity() over the steps equals
+ * analyzeBuffer(nest, tensor, layer, c).fillBytes for every c.
+ */
+void appendFillSteps(const LoopNest &nest, Tensor tensor,
+                     const ConvLayer &layer, std::vector<FillStep> &out);
+
+/** Fill bytes at @p capacity_bytes of the step function starting at
+ *  @p steps (as appendFillSteps() emitted it). */
+inline int64_t
+fillAtCapacity(const FillStep *steps, int64_t capacity_bytes)
+{
+    while (steps->minCapacity > capacity_bytes)
+        ++steps;
+    return steps->fillBytes;
+}
+
 } // namespace nnbaton
 
 #endif // NNBATON_C3P_ANALYSIS_HPP

@@ -27,6 +27,18 @@ roundUp(int64_t a, int64_t b)
     return ceilDiv(a, b) * b;
 }
 
+/**
+ * Resident bytes of one heap allocation of @p n bytes: the request
+ * plus the allocator's 8-byte header, rounded to its 16-byte granule
+ * with a 32-byte minimum (glibc malloc's chunk layout).  0 for n <= 0.
+ * Byte-capped caches count their contents with this.
+ */
+constexpr int64_t
+heapBlockBytes(int64_t n)
+{
+    return n <= 0 ? 0 : (n + 8 < 32 ? 32 : roundUp(n + 8, 16));
+}
+
 /** True if @p v is a power of two (v > 0). */
 constexpr bool
 isPow2(int64_t v)

@@ -65,6 +65,8 @@ struct WorkShape
     {
         return static_cast<int64_t>(ho) * wo * co;
     }
+
+    bool operator==(const WorkShape &) const = default;
 };
 
 /** A complete per-layer mapping specification. */
@@ -94,6 +96,8 @@ struct Mapping
 
     /** The spatial-combo label used on the x-axis of figure 11. */
     std::string spatialLabel() const;
+
+    bool operator==(const Mapping &) const = default;
 };
 
 /**

@@ -8,31 +8,61 @@
 
 namespace nnbaton {
 
-std::vector<SweepTask>
-enumerateSweepTasks(const DseOptions &options)
+SweepTaskSpace::SweepTaskSpace(const DseOptions &options)
+    : computes_(enumerateCompute(options.totalMacs)),
+      proportional_(options.proportionalMem)
 {
-    NNBATON_TRACE_SCOPE("dse.enumerate_space");
-    std::vector<SweepTask> tasks;
-    const auto computes = enumerateCompute(options.totalMacs);
-    if (computes.empty()) {
+    if (computes_.empty()) {
         throwStatus(errInvalidArgument(
             "explore: no table II compute allocation yields %lld MACs",
             static_cast<long long>(options.totalMacs)));
     }
+    if (!proportional_)
+        memories_ = enumerateMemory();
+}
 
-    std::vector<MemoryAllocation> memories;
-    if (!options.proportionalMem)
-        memories = enumerateMemory();
+int64_t
+SweepTaskSpace::size() const
+{
+    const int64_t computes = static_cast<int64_t>(computes_.size());
+    return proportional_
+               ? computes
+               : computes * static_cast<int64_t>(memories_.size());
+}
 
-    for (const ComputeAllocation &compute : computes) {
-        if (options.proportionalMem) {
+std::vector<SweepTask>
+SweepTaskSpace::range(int64_t begin, int64_t end) const
+{
+    if (begin < 0 || end < begin || end > size()) {
+        throwStatus(errInvalidArgument(
+            "sweep tasks [%lld, %lld) out of range for %lld tasks",
+            static_cast<long long>(begin), static_cast<long long>(end),
+            static_cast<long long>(size())));
+    }
+    // Compute-major: every memory allocation of one compute
+    // allocation, then the next.
+    std::vector<SweepTask> tasks;
+    tasks.reserve(static_cast<size_t>(end - begin));
+    const int64_t m = static_cast<int64_t>(memories_.size());
+    for (int64_t i = begin; i < end; ++i) {
+        if (proportional_) {
+            const ComputeAllocation &compute =
+                computes_[static_cast<size_t>(i)];
             tasks.push_back({compute, proportionalMemory(compute)});
-            continue;
+        } else {
+            tasks.push_back({computes_[static_cast<size_t>(i / m)],
+                             memories_[static_cast<size_t>(i % m)]});
         }
-        for (const MemoryAllocation &memory : memories)
-            tasks.push_back({compute, memory});
     }
     return tasks;
+}
+
+std::vector<SweepTask>
+enumerateSweepTasks(const DseOptions &options)
+{
+    NNBATON_TRACE_SCOPE("dse.enumerate_space");
+    const SweepTaskSpace space(options);
+    return space.range(0, space.size());
 }
 
 SweepPointOutcome
@@ -87,19 +117,11 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
-                   const std::vector<SweepTask> &tasks, int64_t begin,
-                   int64_t end, MappingCache &cache)
+                   std::span<const SweepTask> slice, int64_t begin,
+                   MappingCache &cache)
 {
-    if (begin < 0 || end < begin ||
-        end > static_cast<int64_t>(tasks.size())) {
-        throwStatus(errInvalidArgument(
-            "evaluateSweepSlice: [%lld, %lld) out of range for %zu "
-            "tasks",
-            static_cast<long long>(begin), static_cast<long long>(end),
-            tasks.size()));
-    }
-    std::vector<SweepPointOutcome> outcomes(
-        static_cast<size_t>(end - begin));
+    const int64_t end = begin + static_cast<int64_t>(slice.size());
+    std::vector<SweepPointOutcome> outcomes(slice.size());
     for (int64_t i = begin; i < end; ++i) {
         SweepPointOutcome &out = outcomes[static_cast<size_t>(i - begin)];
         if (options.cancel && options.cancel->cancelled()) {
@@ -109,7 +131,7 @@ evaluateSweepSlice(const Model &model, const DseOptions &options,
         try {
             verif::injectPointFault(i);
             out = evaluateSweepPoint(model, options, tech,
-                                     tasks[static_cast<size_t>(i)],
+                                     slice[static_cast<size_t>(i - begin)],
                                      cache);
         } catch (const StatusError &e) {
             const StatusCode code = e.status().code();

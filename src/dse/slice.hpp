@@ -21,6 +21,7 @@
 #define NNBATON_DSE_SLICE_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,35 @@ struct SweepTask
 };
 
 /**
- * The full task list for @p options: the table II grid (or the
+ * The sweep's task index space: the table II grid (or the
  * proportional-memory diagonal) flattened in the canonical order that
- * indexes checkpoints, work units and poisoned-point reports.  Throws
- * StatusError(InvalidArgument) when no compute allocation yields the
- * requested MAC count.
+ * indexes checkpoints, work units and poisoned-point reports.  Task i
+ * is found by index arithmetic over the compute x memory grid, so a
+ * fabric worker materialises just its unit.
  */
+class SweepTaskSpace
+{
+  public:
+    /** Throws StatusError(InvalidArgument) when no compute allocation
+     *  yields the requested MAC count. */
+    explicit SweepTaskSpace(const DseOptions &options);
+
+    /** Number of tasks. */
+    int64_t size() const;
+
+    /** Tasks [begin, end): slot k holds task begin + k.  Throws
+     *  StatusError(InvalidArgument) unless 0 <= begin <= end <=
+     *  size(). */
+    std::vector<SweepTask> range(int64_t begin, int64_t end) const;
+
+  private:
+    std::vector<ComputeAllocation> computes_;
+    std::vector<MemoryAllocation> memories_; //!< empty when proportional
+    bool proportional_ = false;
+};
+
+/** The full task list for @p options, SweepTaskSpace order.  Throws
+ *  like SweepTaskSpace's constructor. */
 std::vector<SweepTask> enumerateSweepTasks(const DseOptions &options);
 
 /** Per-design-point evaluation outcome, kept in sweep order so any
@@ -76,20 +100,21 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      MappingCache &cache);
 
 /**
- * Evaluate the contiguous slice [begin, end) of @p tasks serially,
- * returning end-begin outcomes (slot i holds task begin+i).  Faults
- * are quarantined as Poisoned (or rethrown under options.strict) and
- * a fired options.cancel marks the remaining slots Skipped — the same
- * policy as explore(), so a slice evaluated remotely merges without
- * translation.  Each point passes through verif::injectPointFault
- * with its absolute sweep index, keeping FaultPlan semantics aligned
- * between local and distributed runs.
+ * Evaluate a contiguous slice of the sweep serially: @p slice holds
+ * tasks [begin, begin + slice.size()), and slot k of the result holds
+ * task begin + k's outcome.  Faults are quarantined as Poisoned (or
+ * rethrown under options.strict) and a fired options.cancel marks the
+ * remaining slots Skipped — the same policy as explore(), so a slice
+ * evaluated remotely merges without translation.  Each point passes
+ * through verif::injectPointFault with its absolute sweep index,
+ * keeping FaultPlan semantics aligned between local and distributed
+ * runs.
  */
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
-                   const std::vector<SweepTask> &tasks, int64_t begin,
-                   int64_t end, MappingCache &cache);
+                   std::span<const SweepTask> slice, int64_t begin,
+                   MappingCache &cache);
 
 /**
  * Fold a full outcome vector (one slot per task, sweep order) into a

@@ -210,8 +210,11 @@ coordinateSweep(const Model &model, const DseOptions &options,
             if (cancelledNow())
                 break;
             std::vector<SweepPointOutcome> local = evaluateSweepSlice(
-                model, options, tech, tasks, unit.begin, unit.end,
-                cache);
+                model, options, tech,
+                std::span<const SweepTask>(tasks).subspan(
+                    static_cast<size_t>(unit.begin),
+                    static_cast<size_t>(unit.points())),
+                unit.begin, cache);
             for (int64_t k = 0; k < unit.points(); ++k) {
                 const int64_t i = unit.begin + k;
                 outcomes[i] =

@@ -176,7 +176,17 @@ scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 const TechnologyModel &tech, const Mapping &mapping,
                 Objective objective, const AnalysisOptions &options)
 {
-    const MappingShapes s = deriveShapes(layer, cfg, mapping);
+    return scoreLowerBound(layer, cfg, tech, mapping,
+                           deriveShapes(layer, cfg, mapping), objective,
+                           options);
+}
+
+double
+scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech, const Mapping &mapping,
+                const MappingShapes &s, Objective objective,
+                const AnalysisOptions &options)
+{
     const EnergyFloor f =
         energyFloorOf(layer, cfg, tech, s, mapping, options);
     if (objective == Objective::MinEnergy)

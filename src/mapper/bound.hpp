@@ -65,6 +65,16 @@ double scoreLowerBound(const ConvLayer &layer,
                        const Mapping &mapping, Objective objective,
                        const AnalysisOptions &options = {});
 
+/** scoreLowerBound() with the mapping's derived shapes supplied
+ *  (@p shapes == deriveShapes(layer, cfg, mapping); the memory-axis
+ *  tables store them).  Same value. */
+double scoreLowerBound(const ConvLayer &layer,
+                       const AcceleratorConfig &cfg,
+                       const TechnologyModel &tech,
+                       const Mapping &mapping,
+                       const MappingShapes &shapes, Objective objective,
+                       const AnalysisOptions &options = {});
+
 /**
  * Lower bound on the score of *every* leaf of @p subtree — the
  * branch-level floor the branch-and-bound search prunes whole

@@ -5,6 +5,7 @@
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "common/util.hpp"
 
 namespace nnbaton {
 
@@ -22,6 +23,12 @@ struct CacheMetrics
     obs::Counter *hits;
     obs::Counter *misses;
     obs::Counter *evicted;
+    // Memory-axis tables: tables built, searches served from a table,
+    // candidates and bytes the tables grew by.
+    obs::Counter *tableBuilds;
+    obs::Counter *tableHits;
+    obs::Counter *tableLeaves;
+    obs::Counter *tableBytes;
     std::array<obs::Counter *, MappingCache::kShards> shardHits;
     std::array<obs::Counter *, MappingCache::kShards> shardMisses;
 
@@ -31,6 +38,10 @@ struct CacheMetrics
         hits = &reg.counter("mapper.cache.hits");
         misses = &reg.counter("mapper.cache.misses");
         evicted = &reg.counter("mapper.cache.evicted");
+        tableBuilds = &reg.counter("mapper.table.builds");
+        tableHits = &reg.counter("mapper.table.hits");
+        tableLeaves = &reg.counter("mapper.table.leaves");
+        tableBytes = &reg.counter("mapper.table.bytes");
         for (size_t s = 0; s < MappingCache::kShards; ++s) {
             shardHits[s] = &reg.counter(
                 strprintf("mapper.cache.shard%02zu.hits", s));
@@ -50,11 +61,8 @@ cacheMetrics()
 } // namespace
 
 MappingCache::Key
-MappingCache::makeKey(const ConvLayer &layer,
-                      const AcceleratorConfig &cfg,
-                      const TechnologyModel &tech, SearchEffort effort,
-                      Objective objective, SearchMode mode,
-                      uint64_t annealSeed)
+MappingCache::tableKey(const ConvLayer &layer,
+                       const AcceleratorConfig &cfg, SearchEffort effort)
 {
     Key k;
     k.ho = layer.ho;
@@ -71,12 +79,23 @@ MappingCache::makeKey(const ConvLayer &layer,
     k.cores = cfg.chiplet.cores;
     k.lanes = cfg.core.lanes;
     k.vectorSize = cfg.core.vectorSize;
+    k.effort = static_cast<int>(effort);
+    return k;
+}
+
+MappingCache::Key
+MappingCache::makeKey(const ConvLayer &layer,
+                      const AcceleratorConfig &cfg,
+                      const TechnologyModel &tech, SearchEffort effort,
+                      Objective objective, SearchMode mode,
+                      uint64_t annealSeed)
+{
+    Key k = tableKey(layer, cfg, effort);
     k.ol1Bytes = cfg.core.ol1Bytes;
     k.al1Bytes = cfg.core.al1Bytes;
     k.wl1Bytes = cfg.core.wl1Bytes;
     k.al2Bytes = cfg.chiplet.al2Bytes;
     k.techFingerprint = tech.fingerprint();
-    k.effort = static_cast<int>(effort);
     k.objective = static_cast<int>(objective);
     // Exhaustive and Bnb share entries (bit-identical winners);
     // Anneal keys separately, per seed.
@@ -122,6 +141,21 @@ MappingCache::KeyHash::operator()(const Key &key) const
     return static_cast<size_t>(h);
 }
 
+size_t
+MappingCache::shardOf(const Key &key)
+{
+    // The key's buffer sizes are KB multiples, so the FNV hash's low
+    // bits barely vary across a sweep's memory axis; a finaliser
+    // (MurmurHash3's fmix64) spreads every bit before the shard pick.
+    uint64_t h = KeyHash{}(key);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return static_cast<size_t>(h % kShards);
+}
+
 std::optional<Mapping>
 MappingCache::findShapeMatch(const Key &key) const
 {
@@ -130,7 +164,10 @@ MappingCache::findShapeMatch(const Key &key) const
         std::lock_guard<std::mutex> lock(shard.m);
         // The LRU list front-to-back gives a deterministic scan order
         // for a given lookup history (recently used siblings first).
-        for (const Key &k : shard.lru) {
+        for (const LruItem &item : shard.lru) {
+            if (item.table)
+                continue;
+            const Key &k = *item.key;
             if (k.ho != key.ho || k.wo != key.wo || k.co != key.co ||
                 k.ci != key.ci || k.kh != key.kh || k.kw != key.kw ||
                 k.stride != key.stride || k.groups != key.groups ||
@@ -157,23 +194,23 @@ MappingCache::lookupOrCompute(
     const std::function<std::optional<MappingChoice>()> &search,
     bool *was_hit)
 {
-    const size_t shard_idx = KeyHash{}(key) % kShards;
+    const size_t shard_idx = shardOf(key);
     Shard &shard = shards_[shard_idx];
     std::shared_ptr<Entry> entry;
     {
         NNBATON_TRACE_SCOPE("mapper.cache_lookup");
         std::lock_guard<std::mutex> lock(shard.m);
-        std::shared_ptr<Entry> &slot = shard.map[key];
-        if (!slot) {
-            slot = std::make_shared<Entry>();
-            shard.lru.push_front(key);
-            slot->lruIt = shard.lru.begin();
+        const auto [slot, inserted] = shard.map.try_emplace(key);
+        if (inserted) {
+            slot->second = std::make_shared<Entry>();
+            shard.lru.push_front({&slot->first, false});
+            slot->second->lruIt = shard.lru.begin();
         } else {
             // Touch: most-recently-used entries live at the front.
             shard.lru.splice(shard.lru.begin(), shard.lru,
-                             slot->lruIt);
+                             slot->second->lruIt);
         }
-        entry = slot;
+        entry = slot->second;
     }
     bool computed = false;
     std::call_once(entry->once, [&] {
@@ -189,7 +226,8 @@ MappingCache::lookupOrCompute(
         auto it = shard.map.find(key);
         if (it != shard.map.end() && it->second == entry) {
             entry->published = true;
-            shard.bytes += kEntryBytes;
+            entry->bytes = entryBytes(*entry);
+            shard.bytes += entry->bytes;
             evictLocked(shard);
         }
     }
@@ -202,24 +240,115 @@ MappingCache::lookupOrCompute(
     return entry->value;
 }
 
+std::shared_ptr<const MemoryAxisTable::View>
+MappingCache::tableView(const ConvLayer &layer,
+                        const AcceleratorConfig &cfg, SearchEffort effort)
+{
+    const Key tkey = tableKey(layer, cfg, effort);
+    Shard &shard = shards_[shardOf(tkey)];
+    std::shared_ptr<MemoryAxisTable> table;
+    {
+        std::lock_guard<std::mutex> lock(shard.m);
+        const auto [it, inserted] = shard.tables.try_emplace(tkey);
+        TableSlot &slot = it->second;
+        if (inserted) {
+            shard.lru.push_front({&it->first, true});
+            slot.lruIt = shard.lru.begin();
+        } else {
+            shard.lru.splice(shard.lru.begin(), shard.lru, slot.lruIt);
+        }
+        if (++slot.misses < 2) {
+            slot.bytes = tableSlotBytes(slot);
+            shard.bytes += slot.bytes;
+            evictLocked(shard);
+            return nullptr;
+        }
+        if (!slot.table) {
+            slot.table = std::make_shared<MemoryAxisTable>(layer, effort);
+            tableBuilds_.fetch_add(1, std::memory_order_relaxed);
+            cacheMetrics().tableBuilds->add();
+        }
+        table = slot.table;
+    }
+
+    // Enumerate outside the shard lock (the table serialises its own
+    // growth), then charge whatever the table grew by.
+    int64_t leaves_added = 0;
+    const MemoryAxisTable::View &view = table->view(cfg, &leaves_added);
+    {
+        std::lock_guard<std::mutex> lock(shard.m);
+        const auto it = shard.tables.find(tkey);
+        if (it != shard.tables.end() && it->second.table == table) {
+            const int64_t now = tableSlotBytes(it->second);
+            cacheMetrics().tableBytes->add(now - it->second.bytes);
+            shard.bytes += now - it->second.bytes;
+            it->second.bytes = now;
+            evictLocked(shard);
+        }
+    }
+    tableHits_.fetch_add(1, std::memory_order_relaxed);
+    cacheMetrics().tableHits->add();
+    cacheMetrics().tableLeaves->add(leaves_added);
+    return std::shared_ptr<const MemoryAxisTable::View>(std::move(table),
+                                                        &view);
+}
+
+int64_t
+MappingCache::entryBytes(const Entry &entry)
+{
+    // The map node (key, value, next pointer, cached hash) and its
+    // bucket, the make_shared block holding the Entry, the LRU node,
+    // and the three reuse analyses' critical-point blocks.
+    int64_t n =
+        heapBlockBytes(sizeof(std::pair<const Key, std::shared_ptr<Entry>>) +
+                       2 * sizeof(void *)) +
+        static_cast<int64_t>(sizeof(void *)) +
+        heapBlockBytes(sizeof(Entry) + 2 * sizeof(void *)) +
+        heapBlockBytes(sizeof(LruItem) + 2 * sizeof(void *));
+    if (entry.value) {
+        const AccessAnalysis &a = entry.value->analysis;
+        for (const ReuseResult *r : {&a.wl1, &a.al1, &a.al2})
+            n += heapBlockBytes(static_cast<int64_t>(
+                r->criticalPoints.capacity() * sizeof(CriticalPoint)));
+    }
+    return n;
+}
+
+int64_t
+MappingCache::tableSlotBytes(const TableSlot &slot)
+{
+    return heapBlockBytes(sizeof(std::pair<const Key, TableSlot>) +
+                          2 * sizeof(void *)) +
+           static_cast<int64_t>(sizeof(void *)) +
+           heapBlockBytes(sizeof(LruItem) + 2 * sizeof(void *)) +
+           (slot.table ? slot.table->bytes() : 0);
+}
+
 void
 MappingCache::evictLocked(Shard &shard)
 {
     const int64_t cap = capacityBytes_.load(std::memory_order_relaxed);
     if (cap <= 0)
         return;
-    const int64_t share =
-        std::max<int64_t>(cap / static_cast<int64_t>(kShards),
-                          kEntryBytes);
+    const int64_t share = cap / static_cast<int64_t>(kShards);
     auto it = shard.lru.end();
     while (shard.bytes > share && it != shard.lru.begin()) {
         --it;
-        auto slot = shard.map.find(*it);
-        if (slot == shard.map.end() || !slot->second->published)
-            continue; // still being computed (or stale); skip
-        shard.map.erase(slot);
+        if (it->table) {
+            // Searches holding a view keep the table alive; the miss
+            // count starts over.
+            const auto slot = shard.tables.find(*it->key);
+            shard.bytes -= slot->second.bytes;
+            it = shard.lru.erase(it);
+            shard.tables.erase(slot);
+            continue;
+        }
+        const auto slot = shard.map.find(*it->key);
+        if (!slot->second->published)
+            continue; // still being computed; skip
+        shard.bytes -= slot->second->bytes;
         it = shard.lru.erase(it);
-        shard.bytes -= kEntryBytes;
+        shard.map.erase(slot);
         evictions_.fetch_add(1, std::memory_order_relaxed);
         cacheMetrics().evicted->add();
     }

@@ -23,12 +23,21 @@
  * and bit-identical between serial and parallel runs (the sweep
  * engine relies on this).
  *
- * setCapacity() arms least-recently-used eviction under an
- * approximate byte cap for long-lived caches (the serving daemon):
- * each shard owns an LRU list and sheds published entries from its
- * tail once the resident estimate exceeds its share of the cap.
- * Evicted keys are simply recomputed on the next miss — results never
- * change, only the amount of work saved.
+ * The cache also owns the sweep's memory-axis tables
+ * (mapper/memory_table.hpp): tableView() counts misses per (layer
+ * shape, compute geometry, effort) and builds that shape's table on
+ * its second miss, so a search repeated across memory allocations
+ * stops re-enumerating candidates while a one-shot search never pays
+ * for a table.
+ *
+ * setCapacity() arms least-recently-used eviction under a byte cap
+ * for long-lived caches (the serving daemon): each shard owns one LRU
+ * list of its entries and tables and sheds published ones from its
+ * tail once its resident bytes exceed its share of the cap.  Entries
+ * and tables are counted from what they hold (nodes, values and heap
+ * blocks), so bytes() tracks the process's real growth.  Evicted keys
+ * are simply recomputed on the next miss — results never change, only
+ * the amount of work saved.
  *
  * The map is sharded by key hash to keep lock hold times short; entry
  * values are immutable after publication and handed out by value, so
@@ -50,6 +59,7 @@
 #include <unordered_map>
 
 #include "arch/config.hpp"
+#include "mapper/memory_table.hpp"
 #include "mapper/search.hpp"
 #include "nn/layer.hpp"
 #include "tech/technology.hpp"
@@ -124,10 +134,36 @@ class MappingCache
     std::optional<Mapping> findShapeMatch(const Key &key) const;
 
     /**
-     * Arm LRU eviction: keep the resident-byte estimate under
-     * @p max_bytes (split evenly across shards); 0 restores the
-     * default unbounded behaviour.  Entries already resident stay
-     * until a subsequent insertion pushes their shard over its share.
+     * The memory-axis table view for an Exhaustive-mode search of
+     * @p layer on @p cfg at @p effort, or null.  Call it on a cache
+     * miss only: it counts the miss against the (layer shape, compute
+     * geometry, effort) table key and returns null on that key's
+     * first miss, so one-shot searches keep the enumerate-and-analyse
+     * path.  From the second miss on, the key's table is built (once
+     * while resident) and its candidate order for @p cfg's legality
+     * key is returned; the view keeps its table alive.
+     */
+    std::shared_ptr<const MemoryAxisTable::View>
+    tableView(const ConvLayer &layer, const AcceleratorConfig &cfg,
+              SearchEffort effort);
+
+    /** Tables built so far (lifetime; rebuilt ones count again). */
+    int64_t tableBuilds() const
+    {
+        return tableBuilds_.load(std::memory_order_relaxed);
+    }
+
+    /** Searches handed a table view so far (lifetime). */
+    int64_t tableHits() const
+    {
+        return tableHits_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Arm LRU eviction: keep resident bytes under @p max_bytes (split
+     * evenly across shards); 0 restores the default unbounded
+     * behaviour.  Shards already over their share shed their tails
+     * at once.
      */
     void setCapacity(int64_t max_bytes);
 
@@ -140,7 +176,7 @@ class MappingCache
     /** Number of distinct keys currently cached. */
     size_t size() const;
 
-    /** Approximate resident bytes (fixed per-entry estimate). */
+    /** Resident bytes of the published entries and the tables. */
     int64_t bytes() const;
 
     /** Entries evicted so far (0 while unbounded). */
@@ -156,24 +192,37 @@ class MappingCache
         return misses_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Per-entry resident-byte estimate.  MappingChoice is a flat
-     * aggregate (no heap members), so entry weight is dominated by the
-     * key, the value and the map/list node overhead.
-     */
-    static constexpr int64_t kEntryBytes = 512;
-
     /** Shard count (public so metrics can name per-shard counters). */
     static constexpr size_t kShards = 16;
 
   private:
+    /** One LRU position: an entry or a table slot, named by a pointer
+     *  to its key inside the owning map's node (stable until erased). */
+    struct LruItem
+    {
+        const Key *key;
+        bool table;
+    };
+    using LruList = std::list<LruItem>;
+
     struct Entry
     {
         std::once_flag once;
         std::optional<MappingChoice> value;
-        bool published = false;      //!< set under the shard lock after
-                                     //!< the search finished
-        std::list<Key>::iterator lruIt; //!< position in the shard LRU
+        bool published = false;  //!< set under the shard lock after
+                                 //!< the search finished
+        int64_t bytes = 0;       //!< charged to the shard at publish
+        LruList::iterator lruIt; //!< position in the shard LRU
+    };
+
+    /** Miss count and (from the second miss) the table of one
+     *  (layer shape, compute geometry, effort) key. */
+    struct TableSlot
+    {
+        int64_t misses = 0;
+        std::shared_ptr<MemoryAxisTable> table;
+        int64_t bytes = 0; //!< charged to the shard
+        LruList::iterator lruIt;
     };
 
     struct KeyHash
@@ -185,12 +234,29 @@ class MappingCache
     {
         mutable std::mutex m;
         std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> map;
-        std::list<Key> lru; //!< most-recently-used first
-        int64_t bytes = 0;  //!< published entries * kEntryBytes
+        std::unordered_map<Key, TableSlot, KeyHash> tables;
+        LruList lru;       //!< most-recently-used first
+        int64_t bytes = 0; //!< published entries + table slots
     };
 
-    /** Drop published tail entries until @p shard fits its share of
-     *  the cap.  Caller holds the shard lock. */
+    /** The memory-axis table key: the layer shape, the compute
+     *  geometry and the effort — everything candidate enumeration
+     *  reads except the buffer sizes, which the table's legality keys
+     *  cover.  makeKey() adds the rest of a search's key to it. */
+    static Key tableKey(const ConvLayer &layer,
+                        const AcceleratorConfig &cfg, SearchEffort effort);
+
+    /** The shard owning @p key. */
+    static size_t shardOf(const Key &key);
+
+    /** Resident bytes of a published entry. */
+    static int64_t entryBytes(const Entry &entry);
+
+    /** Resident bytes of a table slot, its table included. */
+    static int64_t tableSlotBytes(const TableSlot &slot);
+
+    /** Drop published tail entries and tables until @p shard fits
+     *  its share of the cap.  Caller holds the shard lock. */
     void evictLocked(Shard &shard);
 
     std::array<Shard, kShards> shards_;
@@ -198,6 +264,8 @@ class MappingCache
     std::atomic<int64_t> evictions_{0};
     std::atomic<int64_t> hits_{0};
     std::atomic<int64_t> misses_{0};
+    std::atomic<int64_t> tableBuilds_{0};
+    std::atomic<int64_t> tableHits_{0};
 };
 
 } // namespace nnbaton

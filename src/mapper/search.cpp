@@ -95,11 +95,77 @@ scoreOf(const MappingChoice &c, Objective objective)
                                              : c.edp();
 }
 
+/**
+ * The score of table candidate @p c at @p cfg's buffer sizes.  The
+ * three fills come from the candidate's step functions; everything
+ * after them is the evaluation's own composeAccessAnalysisInto ->
+ * computeEnergy -> estimateRuntime chain on the stored shapes, so the
+ * score equals scoreOf(evaluateMapping(...)) bit for bit.  With
+ * @p cross_check every score is re-derived through the full analysis
+ * and a divergence panics.
+ */
+double
+tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
+           const TechnologyModel &tech,
+           const MemoryAxisTable::Candidate &c, Objective objective,
+           bool cross_check)
+{
+    ReuseResult wl1, al1, al2;
+    wl1.fillBytes =
+        c.wl1Fill(cfg.core.wl1Bytes * c.mapping.chipSplit.parts());
+    al1.fillBytes = c.al1Fill(cfg.core.al1Bytes);
+    al2.fillBytes = c.al2Fill(cfg.chiplet.al2Bytes);
+    AccessAnalysis analysis;
+    composeAccessAnalysisInto(layer, cfg, c.mapping, AnalysisOptions{},
+                              c.shapes, wl1, al1, al2, analysis);
+    const EnergyBreakdown energy =
+        computeEnergy(analysis.counts, cfg, tech);
+    const RuntimeResult runtime =
+        estimateRuntime(layer, cfg, analysis, tech);
+    const double score = objective == Objective::MinEnergy
+                             ? energy.total()
+                             : energy.total() * runtime.cycles;
+    if (cross_check) {
+        const MappingChoice full =
+            evaluateMapping(layer, cfg, tech, c.mapping);
+        if (full.analysis.wl1.fillBytes != wl1.fillBytes ||
+            full.analysis.al1.fillBytes != al1.fillBytes ||
+            full.analysis.al2.fillBytes != al2.fillBytes ||
+            full.runtime.cycles != runtime.cycles ||
+            scoreOf(full, objective) != score) {
+            panic("memory-axis table cross-check divergence on %s %s "
+                  "(%s):\n  table: fills %lld/%lld/%lld, %lld cycles, "
+                  "score %.17g\n  full:  fills %lld/%lld/%lld, %lld "
+                  "cycles, score %.17g",
+                  layer.name.c_str(), c.mapping.toString().c_str(),
+                  cfg.toString().c_str(),
+                  static_cast<long long>(wl1.fillBytes),
+                  static_cast<long long>(al1.fillBytes),
+                  static_cast<long long>(al2.fillBytes),
+                  static_cast<long long>(runtime.cycles), score,
+                  static_cast<long long>(full.analysis.wl1.fillBytes),
+                  static_cast<long long>(full.analysis.al1.fillBytes),
+                  static_cast<long long>(full.analysis.al2.fillBytes),
+                  static_cast<long long>(full.runtime.cycles),
+                  scoreOf(full, objective));
+        }
+    }
+    return score;
+}
+
+/**
+ * The exhaustive search over one candidate sequence: @p table's view
+ * when the cache supplied one, else @p candidates.  Table candidates
+ * are scored from their fill step functions and only the winner is
+ * materialised through evaluateMapping(), so both sources return the
+ * same winner and the same work counters.
+ */
 std::optional<MappingChoice>
 pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
          const TechnologyModel &tech, const CandidateBlock &candidates,
-         Objective objective, const SearchOptions &search,
-         ThreadPool *pool, SearchStats *stats)
+         const MemoryAxisTable::View *table, Objective objective,
+         const SearchOptions &search, ThreadPool *pool,
+         SearchStats *stats)
 {
     NNBATON_TRACE_SCOPE("mapper.pick_best");
 
@@ -110,6 +176,8 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     int64_t pruned_here = 0;
 
     std::optional<MappingChoice> best;
+    bool found = false;
+    size_t best_index = 0;
     double best_score = std::numeric_limits<double>::max();
 
     // The serial lane walks the block in ascending-ordinal order — an
@@ -117,13 +185,17 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // delta-aware incremental analyzer.  The parallel lanes hand out
     // indices nondeterministically and keep the full evaluation
     // (results are bit-identical either way, so the serial/parallel
-    // determinism contract is unaffected).
+    // determinism contract is unaffected).  Table candidates need
+    // neither.
     std::optional<IncrementalAnalyzer> inc;
-    if (!pool)
+    if (!pool && !table)
         inc.emplace(layer, cfg);
+    const bool cross_check =
+        table && IncrementalAnalyzer::crossCheckFromEnv();
 
-    const size_t n = candidates.size();
-    std::vector<MappingChoice> slots(std::min(n, kPruneBlock));
+    const size_t n = table ? table->size() : candidates.size();
+    std::vector<MappingChoice> slots(table ? 0 : std::min(n, kPruneBlock));
+    std::vector<double> scores(std::min(n, kPruneBlock));
     std::vector<size_t> survivors;
     survivors.reserve(kPruneBlock);
 
@@ -145,38 +217,54 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
             NNBATON_TRACE_SCOPE("mapper.bound_prune");
             survivors.clear();
             for (size_t i = 0; i < count; ++i) {
-                if (prune && best &&
-                    scoreLowerBound(layer, cfg, tech,
-                                    candidates.mapping(base + i),
-                                    objective) >=
-                        best_score * kPruneMargin) {
-                    ++pruned_here;
-                    continue;
+                if (prune && found) {
+                    const double bound =
+                        table
+                            ? scoreLowerBound(layer, cfg, tech,
+                                              (*table)[base + i]->mapping,
+                                              (*table)[base + i]->shapes,
+                                              objective)
+                            : scoreLowerBound(layer, cfg, tech,
+                                              candidates.mapping(base + i),
+                                              objective);
+                    if (bound >= best_score * kPruneMargin) {
+                        ++pruned_here;
+                        continue;
+                    }
                 }
                 survivors.push_back(i);
             }
         }
 
-        // Full evaluation of the survivors, parallel when a pool is
-        // available (indices write disjoint slots; no ordering).
+        // Score the survivors, in parallel when a pool is available
+        // (indices write disjoint slots; no ordering).
         {
             NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
+            const auto evaluate = [&](size_t i) {
+                if (table) {
+                    scores[i] = tableScore(layer, cfg, tech,
+                                           *(*table)[base + i],
+                                           objective, cross_check);
+                } else if (inc) {
+                    evaluateMappingIncrementalInto(
+                        layer, cfg, tech, candidates.mapping(base + i),
+                        *inc, slots[i]);
+                    scores[i] = scoreOf(slots[i], objective);
+                } else {
+                    slots[i] = evaluateMapping(
+                        layer, cfg, tech, candidates.mapping(base + i));
+                    scores[i] = scoreOf(slots[i], objective);
+                }
+            };
             if (pool) {
                 pool->parallelFor(
                     static_cast<int64_t>(survivors.size()),
                     [&](int64_t j) {
-                        const size_t i =
-                            survivors[static_cast<size_t>(j)];
-                        slots[i] = evaluateMapping(
-                            layer, cfg, tech,
-                            candidates.mapping(base + i));
+                        evaluate(survivors[static_cast<size_t>(j)]);
                     });
             } else {
-                for (const size_t i : survivors) {
-                    evaluateMappingIncrementalInto(
-                        layer, cfg, tech, candidates.mapping(base + i),
-                        *inc, slots[i]);
-                }
+                for (const size_t i : survivors)
+                    evaluate(i);
             }
         }
         evaluated_here += static_cast<int64_t>(survivors.size());
@@ -185,12 +273,18 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
         // keeps the earliest candidate on score ties, matching the
         // serial search.
         for (const size_t i : survivors) {
-            const double score = scoreOf(slots[i], objective);
-            if (!best || score < best_score) {
-                best = std::move(slots[i]);
-                best_score = score;
+            if (!found || scores[i] < best_score) {
+                found = true;
+                best_index = base + i;
+                best_score = scores[i];
+                if (!table)
+                    best = std::move(slots[i]);
             }
         }
+    }
+    if (table && found) {
+        best = evaluateMapping(layer, cfg, tech,
+                               (*table)[best_index]->mapping);
     }
 
     st.evaluated += evaluated_here;
@@ -221,23 +315,26 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
 
 /**
  * Strategy dispatch for one layer search.  @p warm_hint (Bnb only) is
- * a cached winner from a sibling configuration, or null.
+ * a cached winner from a sibling configuration, or null; @p table
+ * (Exhaustive only) is the cache's memory-axis view for this search,
+ * or null to enumerate.
  */
 std::optional<MappingChoice>
 runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
                const TechnologyModel &tech, SearchEffort effort,
                Objective objective, const SearchOptions &search,
                ThreadPool *pool, SearchStats *stats,
-               const Mapping *warm_hint)
+               const Mapping *warm_hint,
+               const MemoryAxisTable::View *table)
 {
     switch (search.mode) {
       case SearchMode::Exhaustive: {
         CandidateBlock candidates;
-        {
+        if (!table) {
             NNBATON_TRACE_SCOPE("mapper.candidates");
             enumerateCandidatesInto(layer, cfg, effort, candidates);
         }
-        return pickBest(layer, cfg, tech, candidates, objective,
+        return pickBest(layer, cfg, tech, candidates, table, objective,
                         search, pool, stats);
       }
       case SearchMode::Bnb: {
@@ -275,7 +372,8 @@ searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
     if (search.threads > 1 && !ThreadPool::inParallelRegion())
         pool = std::make_unique<ThreadPool>(search.threads);
     return runLayerSearch(layer, cfg, tech, effort, objective, search,
-                          pool.get(), stats, /*warm_hint=*/nullptr);
+                          pool.get(), stats, /*warm_hint=*/nullptr,
+                          /*table=*/nullptr);
 }
 
 std::optional<MappingChoice>
@@ -288,8 +386,8 @@ searchLayerWithSpatial(const ConvLayer &layer,
     CandidateBlock candidates;
     enumerateCandidatesInto(CandidateSpace(layer, cfg, effort, pkg, chip),
                             candidates);
-    return pickBest(layer, cfg, tech, candidates, objective,
-                    SearchOptions{}, /*pool=*/nullptr,
+    return pickBest(layer, cfg, tech, candidates, /*table=*/nullptr,
+                    objective, SearchOptions{}, /*pool=*/nullptr,
                     /*stats=*/nullptr);
 }
 
@@ -347,10 +445,18 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
                     if (search.warmStart &&
                         search.mode == SearchMode::Bnb)
                         hint = shared.findShapeMatch(key);
+                    // From the second miss of this (shape, geometry,
+                    // effort) on, an exhaustive search reads its
+                    // candidates and fills from the cache's
+                    // memory-axis table.
+                    std::shared_ptr<const MemoryAxisTable::View> table;
+                    if (search.mode == SearchMode::Exhaustive)
+                        table = shared.tableView(layer, cfg, effort);
                     return runLayerSearch(layer, cfg, tech, effort,
                                           objective, search, pool.get(),
                                           &result.stats,
-                                          hint ? &*hint : nullptr);
+                                          hint ? &*hint : nullptr,
+                                          table.get());
                 },
                 &hit);
         ++(hit ? result.stats.cacheHits : result.stats.cacheMisses);

@@ -444,19 +444,22 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
             req.techFp.c_str()));
     }
 
-    const std::vector<SweepTask> tasks = enumerateSweepTasks(opt);
-    if (req.unitEnd > static_cast<int64_t>(tasks.size())) {
+    // Only the unit's own tasks are materialised; the range is still
+    // checked against the whole sweep.
+    const SweepTaskSpace space(opt);
+    if (req.unitEnd > space.size()) {
         throwStatus(errFailedPrecondition(
-            "sweepUnit %lld: range [%lld, %lld) exceeds the %zu-task "
+            "sweepUnit %lld: range [%lld, %lld) exceeds the %lld-task "
             "enumeration",
             static_cast<long long>(req.unitId),
             static_cast<long long>(req.unitBegin),
-            static_cast<long long>(req.unitEnd), tasks.size()));
+            static_cast<long long>(req.unitEnd),
+            static_cast<long long>(space.size())));
     }
 
-    std::vector<SweepPointOutcome> outcomes =
-        evaluateSweepSlice(model, opt, req.tech, tasks, req.unitBegin,
-                           req.unitEnd, cache_);
+    std::vector<SweepPointOutcome> outcomes = evaluateSweepSlice(
+        model, opt, req.tech, space.range(req.unitBegin, req.unitEnd),
+        req.unitBegin, cache_);
 
     // A unit is atomic: all points or none.  When the deadline or a
     // shutdown interrupted the slice, answer with the (retryable)

@@ -10,6 +10,7 @@
 #include "common/util.hpp"
 #include "dse/explorer.hpp"
 #include "dse/progress.hpp"
+#include "dse/slice.hpp"
 #include "dse/space.hpp"
 #include "nn/model.hpp"
 
@@ -155,6 +156,44 @@ TEST(Explore, BestPointsAreOptimalWithinSweep)
     for (const auto &p : r.points) {
         EXPECT_GE(p.edp(), best_edp - 1e-6);
         EXPECT_GE(p.cost.energy.total(), best_e - 1e-6);
+    }
+}
+
+TEST(SweepTaskSpace, RangeMatchesFullEnumeration)
+{
+    for (const bool proportional : {false, true}) {
+        SCOPED_TRACE(proportional);
+        DseOptions opt;
+        opt.totalMacs = 2048;
+        opt.proportionalMem = proportional;
+        const std::vector<SweepTask> all = enumerateSweepTasks(opt);
+        const SweepTaskSpace space(opt);
+        const int64_t n = space.size();
+        ASSERT_EQ(n, static_cast<int64_t>(all.size()));
+        ASSERT_GE(n, 32);
+        for (const auto &[begin, end] :
+             std::vector<std::pair<int64_t, int64_t>>{
+                 {0, 1}, {0, 16}, {5, 21}, {n / 2, n / 2 + 3},
+                 {n - 16, n}, {n - 1, n}, {17, 17}, {0, n}}) {
+            const std::vector<SweepTask> slice = space.range(begin, end);
+            ASSERT_EQ(static_cast<int64_t>(slice.size()), end - begin);
+            for (int64_t i = begin; i < end; ++i) {
+                const SweepTask &a = slice[static_cast<size_t>(i - begin)];
+                const SweepTask &b = all[static_cast<size_t>(i)];
+                EXPECT_EQ(a.compute.chiplets, b.compute.chiplets) << i;
+                EXPECT_EQ(a.compute.cores, b.compute.cores) << i;
+                EXPECT_EQ(a.compute.lanes, b.compute.lanes) << i;
+                EXPECT_EQ(a.compute.vectorSize, b.compute.vectorSize) << i;
+                EXPECT_EQ(a.memory.ol1Bytes, b.memory.ol1Bytes) << i;
+                EXPECT_EQ(a.memory.al1Bytes, b.memory.al1Bytes) << i;
+                EXPECT_EQ(a.memory.wl1Bytes, b.memory.wl1Bytes) << i;
+                EXPECT_EQ(a.memory.al2Bytes, b.memory.al2Bytes) << i;
+            }
+        }
+        expectStatusThrow([&] { (void)space.range(n - 1, n + 1); },
+                          "out of range");
+        expectStatusThrow([&] { (void)space.range(3, 2); },
+                          "out of range");
     }
 }
 

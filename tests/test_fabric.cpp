@@ -32,6 +32,7 @@
 #include "common/net.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
+#include "dse/slice.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/lease.hpp"
 #include "fabric/wire.hpp"
@@ -448,6 +449,36 @@ TEST(FabricWire, ParseValidatesIdentityAndShape)
     ASSERT_EQ(good.value().outcomes.size(), 1u);
     EXPECT_EQ(good.value().outcomes[0].kind,
               SweepPointOutcome::AreaRejected);
+}
+
+TEST(FabricWire, SweepUnitMaterialisesOnlyItsRangeAndChecksTheTotal)
+{
+    serve::EvalService service{serve::ServiceOptions{}};
+    const Model model = tinyModel();
+    const DseOptions opt = sweepOptions();
+    const int64_t total = SweepTaskSpace(opt).size();
+    const std::string fp = sweepFingerprint(model, opt);
+    const std::string tfp = techFingerprintHex(defaultTech());
+    const auto request = [&](const WorkUnit &unit) {
+        return service
+            .handleLine(encodeSweepUnitRequest(writeModelText(model), opt,
+                                               defaultTech(), unit, fp,
+                                               tfp))
+            .response;
+    };
+
+    // The last unit of the sweep answers with exactly its points.
+    const WorkUnit last{1, total - 2, total};
+    const auto parsed = parseSweepUnitResponse(request(last), last, fp, tfp);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(parsed.value().outcomes.size(), 2u);
+
+    // A unit reaching past the enumeration is refused, non-retryably.
+    const std::string beyond = request(WorkUnit{2, total - 1, total + 1});
+    EXPECT_EQ(beyond.rfind("{\"ok\":false", 0), 0u) << beyond;
+    EXPECT_NE(beyond.find("\"code\":\"FAILED_PRECONDITION\""),
+              std::string::npos)
+        << beyond;
 }
 
 // ---------------------------------------------------------------------

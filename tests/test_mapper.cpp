@@ -10,6 +10,7 @@
 #include <set>
 
 #include "c3p/access.hpp"
+#include "dse/space.hpp"
 #include "mapper/cache.hpp"
 #include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
@@ -381,12 +382,6 @@ TEST(MappingCache, SharedCacheServesTwoTechModelsCorrectly)
 
 TEST(MappingCache, LruEvictionHonoursByteCapacity)
 {
-    MappingCache cache;
-    // Room for 4 entries per shard.
-    const int64_t cap =
-        4 * MappingCache::kEntryBytes * MappingCache::kShards;
-    cache.setCapacity(cap);
-
     const ConvLayer base = makeConv("t", 28, 28, 128, 64, 3, 3, 1);
     const AcceleratorConfig cfg = caseStudyConfig();
     auto keyFor = [&](int ho) {
@@ -402,14 +397,26 @@ TEST(MappingCache, LruEvictionHonoursByteCapacity)
         ++computed;
         return std::nullopt; // value content is irrelevant here
     };
+
+    // Entries are counted from what they hold; every entry here holds
+    // the same, so one probe entry sizes the cap.
+    MappingCache probe;
+    (void)probe.lookupOrCompute(keyFor(0), compute);
+    const int64_t per_entry = probe.bytes();
+    ASSERT_GT(per_entry, 0);
+    computed = 0;
+
+    MappingCache cache;
+    // Room for 4 entries per shard.
+    const int64_t cap = 4 * per_entry * MappingCache::kShards;
+    cache.setCapacity(cap);
     const int kMany = 4 * static_cast<int>(MappingCache::kShards) * 8;
     for (int i = 0; i < kMany; ++i)
         (void)cache.lookupOrCompute(keyFor(i), compute);
     EXPECT_EQ(computed, kMany);
     EXPECT_GT(cache.evictions(), 0);
     EXPECT_LE(cache.bytes(), cap);
-    EXPECT_LE(cache.size(),
-              static_cast<size_t>(cap / MappingCache::kEntryBytes));
+    EXPECT_LE(cache.size(), static_cast<size_t>(cap / per_entry));
 
     // An evicted key recomputes (same result), a resident one hits.
     bool hit = true;
@@ -438,4 +445,49 @@ TEST(MappingCache, UnboundedByDefaultNeverEvicts)
     }
     EXPECT_EQ(cache.size(), 200u);
     EXPECT_EQ(cache.evictions(), 0);
+}
+
+TEST(MappingCache, CappedCacheOfRealSearchesStaysUnderItsCap)
+{
+    // Real search results and memory-axis tables, counted from what
+    // they hold, under a cap far below the sweep's working set: every
+    // search must leave bytes() within the cap and return what an
+    // unbounded cache returns.
+    const Model model = [] {
+        Model m("capped", 56);
+        m.addLayer(makeConv("a", 14, 14, 128, 64, 3, 3, 1));
+        m.addLayer(makeConv("b", 7, 7, 256, 128, 1, 1, 1));
+        return m;
+    }();
+    const std::vector<MemoryAllocation> memories = enumerateMemory();
+    const std::vector<ComputeAllocation> computes = enumerateCompute(512);
+    ASSERT_GE(computes.size(), 2u);
+
+    MappingCache unbounded;
+    MappingCache capped;
+    const int64_t cap = 96 << 10;
+    capped.setCapacity(cap);
+    for (size_t c = 0; c < 2; ++c) {
+        for (size_t i = 0; i < memories.size(); i += 9) {
+            const AcceleratorConfig cfg =
+                makeConfig(computes[c], memories[i]);
+            const ModelMappingResult a =
+                mapModel(model, cfg, defaultTech(), SearchEffort::Sketch,
+                         Objective::MinEdp, SearchOptions{}, &unbounded);
+            const ModelMappingResult b =
+                mapModel(model, cfg, defaultTech(), SearchEffort::Sketch,
+                         Objective::MinEdp, SearchOptions{}, &capped);
+            ASSERT_LE(capped.bytes(), cap) << cfg.toString();
+            ASSERT_EQ(a.feasible, b.feasible);
+            EXPECT_EQ(a.cost.energy.total(), b.cost.energy.total());
+            EXPECT_EQ(a.cost.cycles, b.cost.cycles);
+        }
+    }
+    EXPECT_GT(capped.evictions(), 0);
+    EXPECT_GT(unbounded.tableHits(), 0);
+    // Each entry holds at least its key and its search result.
+    EXPECT_GE(unbounded.bytes(),
+              static_cast<int64_t>(unbounded.size() *
+                                   (sizeof(MappingCache::Key) +
+                                    sizeof(MappingChoice))));
 }
