@@ -11,7 +11,8 @@
  * chiplet count (the figure's colour classes) plus the optimum design
  * per model, then times the same sweep serially and with the parallel
  * engine, verifies the two produce bit-identical results, and writes
- * the timings and search counters to BENCH_dse.json.
+ * the timings and search counters to BENCH_dse.json, next to anneal's
+ * energy gap and wall-clock against the exhaustive search.
  */
 
 #include <benchmark/benchmark.h>
@@ -119,9 +120,7 @@ printFigure(int threads)
         "DarkNet@224) (paper section VI-B.2).\n\n");
 }
 
-/** Same sweep classification and bit-identical design points.  This
- *  is what every search mode that promises exhaustive-equivalent
- *  winners must preserve; work counters are checked separately. */
+/** Same sweep classification and bit-identical design points. */
 bool
 samePoints(const DseResult &a, const DseResult &b)
 {
@@ -158,31 +157,6 @@ identicalResults(const DseResult &a, const DseResult &b)
            a.search.pruned == b.search.pruned &&
            a.search.cacheHits == b.search.cacheHits &&
            a.search.cacheMisses == b.search.cacheMisses;
-}
-
-double
-pointsPerSecond(const DseResult &r)
-{
-    return r.elapsedSeconds > 0.0
-               ? static_cast<double>(r.swept) / r.elapsedSeconds
-               : 0.0;
-}
-
-/** One search mode's entry in the BENCH_dse.json "modes" block. */
-void
-writeModeEntry(JsonWriter &j, const char *name, const DseResult &r)
-{
-    j.key(name).beginObject();
-    j.field("seconds", r.elapsedSeconds);
-    j.field("points_per_sec", pointsPerSecond(r));
-    j.field("evaluated", r.search.evaluated);
-    j.field("pruned", r.search.pruned);
-    j.field("nodes_opened", r.search.nodesOpened);
-    j.field("subtrees_pruned", r.search.subtreesPruned);
-    j.field("incumbent_updates", r.search.incumbentUpdates);
-    j.field("refined", r.search.refined);
-    j.field("refined_pruned", r.search.refinedPruned);
-    j.endObject();
 }
 
 /** Timings and reuse counters of the incremental-evaluation
@@ -284,6 +258,54 @@ benchIncremental()
     return r;
 }
 
+/** Anneal's quality against its wall-clock (the BENCH_dse.json
+ *  "anneal" block): one serial mapModel per mode. */
+struct AnnealBench
+{
+    double exhaustiveSeconds = 0.0;
+    double exhaustiveEnergy = 0.0; //!< pJ
+    double annealSeconds = 0.0;
+    double annealEnergy = 0.0; //!< pJ
+
+    /** Relative energy anneal gives up (>= 0: it never beats the
+     *  optimum). */
+    double energyGap() const
+    {
+        return exhaustiveEnergy > 0.0
+                   ? annealEnergy / exhaustiveEnergy - 1.0
+                   : 0.0;
+    }
+};
+
+/**
+ * DarkNet-19@224 mapped once at Exhaustive effort on the case-study
+ * hardware (what `post` runs), by the exhaustive search and by anneal
+ * at its defaults (seed 1, 400 moves per layer search).
+ */
+AnnealBench
+benchAnneal()
+{
+    const Model model = makeDarkNet19(224);
+    const auto run = [&](SearchMode mode, double &seconds,
+                         double &energy) {
+        SearchOptions search;
+        search.mode = mode;
+        const auto t0 = std::chrono::steady_clock::now();
+        const ModelMappingResult r =
+            mapModel(model, caseStudyConfig(), defaultTech(),
+                     SearchEffort::Exhaustive, Objective::MinEnergy,
+                     search);
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        energy = r.cost.energy.total();
+    };
+    AnnealBench r;
+    run(SearchMode::Exhaustive, r.exhaustiveSeconds, r.exhaustiveEnergy);
+    run(SearchMode::Anneal, r.annealSeconds, r.annealEnergy);
+    return r;
+}
+
 /**
  * Serial-vs-parallel timing on the DarkNet@224 sweep (the smallest of
  * the three), with the determinism cross-check the parallel engine
@@ -295,12 +317,13 @@ benchSweep(int threads)
     const Model model = makeDarkNet19(224);
     DseOptions opt = figureOptions();
 
-    // The incremental-vs-full micro-benchmark runs first: its passes
-    // are tens of milliseconds, so measuring them after minutes of
-    // all-core sweeps would fold whatever load the machine has
-    // accumulated by then into a 300 ns/candidate signal.  Both of its
-    // passes still share identical conditions.
+    // The incremental-vs-full micro-benchmark and the anneal comparison
+    // run first: their passes are tens of milliseconds, so measuring
+    // them after minutes of all-core sweeps would fold whatever load
+    // the machine has accumulated by then into a 300 ns/candidate
+    // signal.  Each pair of passes still shares identical conditions.
     const IncrementalBench inc = benchIncremental();
+    const AnnealBench anneal = benchAnneal();
 
     // The timed serial and parallel sweeps run with tracing disabled
     // (its cost there is one relaxed load per span site), keeping the
@@ -321,25 +344,6 @@ benchSweep(int threads)
                 spans.begin() + static_cast<int64_t>(std::min(
                                     spansBefore, spans.size())));
     const obs::ProfileReport profile = obs::buildProfile(spans);
-
-    // Search-mode shoot-out on the same sweep, both serial so the
-    // points/sec ratio isolates the search strategy itself.  The
-    // branch-and-bound mode must reproduce the exhaustive winners
-    // bit-for-bit while doing far fewer full C3P evaluations.
-    opt.threads = 1;
-    opt.searchMode = SearchMode::Bnb;
-    const DseResult bnb = explore(model, opt, defaultTech());
-    opt.searchMode = SearchMode::Exhaustive;
-    const bool modes_identical = samePoints(serial, bnb);
-    const double eval_ratio =
-        bnb.search.evaluated > 0
-            ? static_cast<double>(serial.search.evaluated) /
-                  static_cast<double>(bnb.search.evaluated)
-            : 0.0;
-    const double pps_ratio =
-        pointsPerSecond(serial) > 0.0
-            ? pointsPerSecond(bnb) / pointsPerSecond(serial)
-            : 0.0;
 
     const bool identical = identicalResults(serial, parallel) &&
                            identicalResults(parallel, traced);
@@ -362,21 +366,13 @@ benchSweep(int threads)
                 traced.elapsedSeconds, 100.0 * trace_overhead);
     std::printf("results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
-    std::printf("\n=== search modes: exhaustive vs branch-and-bound "
-                "(serial) ===\n");
-    std::printf("exhaustive: %.2f s, %.0f points/s, %lld evaluated\n",
-                serial.elapsedSeconds, pointsPerSecond(serial),
-                static_cast<long long>(serial.search.evaluated));
-    std::printf("bnb:        %.2f s, %.0f points/s, %lld evaluated "
-                "(%lld nodes, %lld subtrees pruned)\n",
-                bnb.elapsedSeconds, pointsPerSecond(bnb),
-                static_cast<long long>(bnb.search.evaluated),
-                static_cast<long long>(bnb.search.nodesOpened),
-                static_cast<long long>(bnb.search.subtreesPruned));
-    std::printf("evaluation ratio: %.1fx fewer, points/sec ratio: "
-                "%.2fx, winners identical: %s\n",
-                eval_ratio, pps_ratio,
-                modes_identical ? "yes" : "NO (BUG)");
+    std::printf("\n=== anneal vs exhaustive (darknet19@224, one serial "
+                "mapModel, Exhaustive effort) ===\n");
+    std::printf("exhaustive: %.3f s, %.4f mJ\n", anneal.exhaustiveSeconds,
+                anneal.exhaustiveEnergy * 1e-9);
+    std::printf("anneal:     %.3f s, %.4f mJ (energy gap %+.2f%%)\n",
+                anneal.annealSeconds, anneal.annealEnergy * 1e-9,
+                100.0 * anneal.energyGap());
 
     // Incremental evaluator vs the full path on the same candidate
     // streams (both serial, same enumeration order; measured up top
@@ -432,12 +428,19 @@ benchSweep(int threads)
     j.field("cache_misses", serial.search.cacheMisses);
     j.field("cache_entries", serial.cacheEntries);
     j.endObject();
-    j.key("modes").beginObject();
-    writeModeEntry(j, "exhaustive", serial);
-    writeModeEntry(j, "bnb", bnb);
-    j.field("winners_identical", modes_identical);
-    j.field("eval_ratio", eval_ratio);
-    j.field("points_per_sec_ratio", pps_ratio);
+    j.key("anneal").beginObject();
+    j.field("model", "darknet19@224");
+    j.key("exhaustive").beginObject();
+    j.field("seconds", anneal.exhaustiveSeconds);
+    j.field("energy_mj", anneal.exhaustiveEnergy * 1e-9);
+    j.endObject();
+    j.key("anneal").beginObject();
+    j.field("seconds", anneal.annealSeconds);
+    j.field("energy_mj", anneal.annealEnergy * 1e-9);
+    j.field("seed", static_cast<int64_t>(SearchOptions{}.annealSeed));
+    j.field("iterations", SearchOptions{}.annealIterations);
+    j.endObject();
+    j.field("energy_gap", anneal.energyGap());
     j.endObject();
     j.key("incremental").beginObject();
     j.field("candidates", inc.candidates);

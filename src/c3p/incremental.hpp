@@ -118,8 +118,8 @@ struct IncrementalStats
  * Stateful per-(layer, config) incremental evaluator.  Feed it a
  * candidate stream via analyze(); consecutive enumeration neighbours
  * take the delta path, anything else falls back to the full analysis.
- * Mappings must be legal (checkMapping-clean), exactly like
- * analyzeMappingUnchecked().  Not thread-safe; use one analyzer per
+ * Mappings must be legal (checkMapping-clean); unlike analyzeMapping()
+ * the analyzer does not check.  Not thread-safe; use one analyzer per
  * serial evaluation lane.
  */
 class IncrementalAnalyzer

@@ -367,6 +367,14 @@ loadSweepCheckpoint(const std::string &path)
     }
     out.fingerprint = fingerprint->string;
     out.complete = complete->boolean;
+    // Sweeps run under the retired "bnb" mode (whose unused seed field
+    // is 0) returned exhaustive search's winners bit for bit, and
+    // "bnb" now parses to Exhaustive, so they resume as that sweep.
+    const std::string bnb = "|bnb|0";
+    if (out.fingerprint.ends_with(bnb)) {
+        out.fingerprint.replace(out.fingerprint.size() - bnb.size(),
+                                bnb.size(), "|exhaustive|0");
+    }
 
     for (const JsonValue &ev : entries->array) {
         if (!ev.isObject())

@@ -58,21 +58,13 @@ struct DseOptions
     /** Score-bound pruning inside the mapping search (sound). */
     bool boundPruning = true;
 
-    /** Per-layer search strategy (docs/search.md).  Bnb sweeps visit
-     *  the same winners as Exhaustive with far fewer evaluations;
-     *  Anneal is approximate and seeded. */
+    /** Per-layer search strategy (docs/search.md); Anneal is
+     *  approximate and seeded. */
     SearchMode searchMode = SearchMode::Exhaustive;
 
     /** RNG seed / move budget for SearchMode::Anneal. */
     uint64_t annealSeed = 1;
     int annealIterations = 400;
-
-    /** Seed each Bnb layer search from a resident same-shape cache
-     *  entry (SearchOptions::warmStart).  Winners never change, but
-     *  the evaluated/pruned split then depends on cache history, so
-     *  deterministic-counter sweeps must leave this off; the serving
-     *  daemon turns it on. */
-    bool warmStart = false;
 
     /** Record latency histograms (per design point and per layer
      *  search) into the obs metrics registry (the --metrics CLI

@@ -86,7 +86,6 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     search.mode = options.searchMode;
     search.annealSeed = options.annealSeed;
     search.annealIterations = options.annealIterations;
-    search.warmStart = options.warmStart;
     search.detailedMetrics = options.detailedMetrics;
     search.cancel = options.cancel;
     const uint64_t t0 = options.detailedMetrics ? obs::traceNowNs() : 0;

@@ -248,12 +248,6 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
         {"pruned", &SearchStats::pruned},
         {"cacheHits", &SearchStats::cacheHits},
         {"cacheMisses", &SearchStats::cacheMisses},
-        {"nodesOpened", &SearchStats::nodesOpened},
-        {"subtreesPruned", &SearchStats::subtreesPruned},
-        {"incumbentUpdates", &SearchStats::incumbentUpdates},
-        {"warmStarts", &SearchStats::warmStarts},
-        {"refined", &SearchStats::refined},
-        {"refinedPruned", &SearchStats::refinedPruned},
     };
     for (const auto &member : kStatMembers) {
         StatusOr<int64_t> v = statInt(*stats, member.name);

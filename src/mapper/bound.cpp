@@ -38,10 +38,10 @@ actFootprintBits(const ConvLayer &layer, const WorkShape &shape)
 }
 
 /**
- * Cycle floor shared by both EDP bounds.  estimateRuntime() streams
- * each chiplet's DRAM share through its PHY and its ring share
- * through its link (tile latency is the max of the phases, summed
- * over tiles), so total cycles >= traffic / (N_P * port width) for
+ * Cycle floor of the EDP bound.  estimateRuntime() streams each
+ * chiplet's DRAM share through its PHY and its ring share through
+ * its link (tile latency is the max of the phases, summed over
+ * tiles), so total cycles >= traffic / (N_P * port width) for
  * either port — and >= the exact compute cycles.  Feeding the
  * *bounded* traffic (never more than the accounted bits) keeps the
  * floor sound.
@@ -60,10 +60,6 @@ cycleFloor(const AcceleratorConfig &cfg, const TechnologyModel &tech,
             : 0.0;
     return std::max({compute_cycles, dram, ring});
 }
-
-} // namespace
-
-namespace {
 
 /** Energy floor plus the DRAM / ring traffic floors it was built
  *  from (the EDP bound reuses the traffic for its cycle floor). */
@@ -195,155 +191,6 @@ scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
            cycleFloor(cfg, tech,
                       static_cast<double>(computeCycles(layer, cfg, s)),
                       f.dramBits, f.d2dBits);
-}
-
-double
-subtreeScoreLowerBound(const ConvLayer &layer,
-                       const AcceleratorConfig &cfg,
-                       const TechnologyModel &tech,
-                       const CandidateSpace::Subtree &st,
-                       Objective objective,
-                       const AnalysisOptions &options)
-{
-    const int np = cfg.package.chiplets;
-    const int nc = cfg.chiplet.cores;
-    const int cw = st.cw;
-    const int pw = st.chipSplit.parts();
-    const bool chan = st.pkg == PackagePartition::Channel;
-
-    const double w_bits = layer.weightVolume() * 8.0;
-    const double out_bits = layer.outputVolume() * 8.0;
-    const int64_t macs = layer.macs();
-
-    // Reachable chiplet-tile range: ladders ascend and tiles clamp to
-    // the macro, so the componentwise extremes are the first and last
-    // rungs.  Every term below takes its minimum over [tile_min,
-    // tile_max]; the ladder-dependent quantities are all monotone in
-    // the tile, so the extremes bound the whole grid.
-    const auto clampTile = [&](int rh, int rw, int rc) {
-        return WorkShape{std::min(st.baseH * rh, st.macro.ho),
-                         std::min(st.baseW * rw, st.macro.wo),
-                         std::min(st.baseC * rc, st.macro.co)};
-    };
-    const WorkShape tile_min =
-        clampTile(st.ladderH.front(), st.ladderW.front(),
-                  st.ladderC.front());
-    const WorkShape tile_max =
-        clampTile(st.ladderH.back(), st.ladderW.back(),
-                  st.ladderC.back());
-    const auto coreMacroOf = [&](const WorkShape &t) {
-        return WorkShape{
-            static_cast<int>(ceilDiv(t.ho, st.chipSplit.fh)),
-            static_cast<int>(ceilDiv(t.wo, st.chipSplit.fw)),
-            static_cast<int>(ceilDiv(t.co, cw))};
-    };
-    const WorkShape cm_min = coreMacroOf(tile_min);
-    const WorkShape cm_max = coreMacroOf(tile_max);
-
-    // The macro workload is fixed across the subtree, so the DRAM and
-    // ring terms are the same floors as the per-candidate bound; the
-    // per-core fills are floored at the smallest reachable core macro.
-    const double chip_act = actFootprintBits(layer, st.macro);
-    const double core_act_min = actFootprintBits(layer, cm_min);
-
-    const bool acts_shared = options.rotationSharing && chan && np > 1;
-    const bool weights_shared =
-        options.rotationSharing && !chan && np > 1;
-
-    EnergyBreakdown e;
-    const double dram_act = acts_shared ? chip_act : chip_act * np;
-    e.dram = (dram_act + w_bits + out_bits) * tech.dramEnergyPerBit;
-
-    double d2d = 0.0;
-    if (acts_shared)
-        d2d = chip_act * (np - 1);
-    else if (weights_shared)
-        d2d = w_bits * (np - 1);
-    e.d2d = d2d * tech.d2dEnergyPerBit;
-
-    e.al2 = (chip_act * np + core_act_min * pw * np) *
-            tech.sramEnergyPerBit(cfg.chiplet.al2Bytes);
-
-    // A-L1 reads shrink as the per-core channel span widens, so the
-    // widest reachable span floors them (integer division as in the
-    // accounting).
-    const double al1_w = core_act_min * nc * np;
-    const int co_max =
-        std::max(1, std::min<int>(cfg.core.lanes, cm_max.co));
-    const double al1_r = static_cast<double>(macs * 8 / co_max);
-    e.al1 = (al1_w + al1_r) * tech.sramEnergyPerBit(cfg.core.al1Bytes);
-
-    // W-L1 reads: the trip-count product telescopes to at least one
-    // pass over the chiplet macro's weights per chiplet
-    // (coreTilesPerChiplet * cw * coreTile.co >= macro.co for every
-    // ladder point), which is the compulsory floor.
-    const double wl1_w = w_bits * ((!chan && np > 1) ? np : 1);
-    const double wl1_r = static_cast<double>(st.macro.co) *
-                         layer.ciPerGroup() * layer.kh * layer.kw *
-                         8.0 * np;
-    e.wl1 = (wl1_w + wl1_r) * tech.sramEnergyPerBit(cfg.core.wl1Bytes);
-
-    const int p = std::min<int>(cfg.core.vectorSize, layer.ciPerGroup());
-    e.ol1 = (ceilDiv(macs, p) * 24.0 + layer.outputVolume() * 24.0) *
-            tech.rfEnergyPerBitRmw;
-    // The SRAM fit is affine in the buffer size, so the cheaper of
-    // the two extreme tile volumes floors the O-L2 energy per bit
-    // whatever the slope's sign.
-    e.ol2 = 2.0 * out_bits *
-            std::min(tech.sramEnergyPerBit(std::max<int64_t>(
-                         tile_min.volume(), 1024)),
-                     tech.sramEnergyPerBit(std::max<int64_t>(
-                         tile_max.volume(), 1024)));
-
-    e.mac = static_cast<double>(macs) * tech.macEnergyPerOp;
-    e.vector = static_cast<double>(layer.vectorOps()) *
-               tech.vectorOpEnergyPerOp;
-    const double energy = e.total();
-    if (objective == Objective::MinEnergy)
-        return energy;
-
-    // Compute-cycle floor: the H/W trip-count products telescope to
-    // macro extent over the chiplet planar split (the C trips are >=
-    // 1), and the per-tile kernel factor is mapping-independent.
-    double per_tile;
-    if (layer.isDepthwise()) {
-        per_tile = static_cast<double>(
-            ceilDiv(static_cast<int64_t>(layer.kh) * layer.kw,
-                    cfg.core.vectorSize));
-    } else {
-        per_tile = static_cast<double>(layer.kh) * layer.kw *
-                   static_cast<double>(ceilDiv(layer.ciPerGroup(), p));
-    }
-    const double cycles_floor =
-        (static_cast<double>(st.macro.ho) / st.chipSplit.fh) *
-        (static_cast<double>(st.macro.wo) / st.chipSplit.fw) * per_tile;
-    return energy * cycleFloor(cfg, tech, cycles_floor,
-                               dram_act + w_bits + out_bits, d2d);
-}
-
-double
-refinedScoreLowerBound(const ConvLayer &layer,
-                       const AcceleratorConfig &cfg,
-                       const TechnologyModel &tech,
-                       const Mapping &mapping, Objective objective,
-                       const AnalysisOptions &options)
-{
-    // Exact fills and counts from the real accounting, so the energy
-    // term equals the evaluation's bit-for-bit; only the cycle term
-    // stays a floor (see the header).  The estimator's cycles are
-    // tiles * max(phases) + fill >= each phase total, so the un-ceiled
-    // per-port traffic quotients below can never exceed them.
-    const AccessAnalysis a =
-        analyzeMappingUnchecked(layer, cfg, mapping, options);
-    const double energy = computeEnergy(a.counts, cfg, tech).total();
-    if (objective == Objective::MinEnergy)
-        return energy;
-    return energy *
-           cycleFloor(
-               cfg, tech,
-               static_cast<double>(computeCycles(layer, cfg, a.shapes)),
-               static_cast<double>(a.counts.dramBits()),
-               static_cast<double>(a.counts.d2dBits));
 }
 
 } // namespace nnbaton

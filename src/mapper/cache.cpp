@@ -97,8 +97,7 @@ MappingCache::makeKey(const ConvLayer &layer,
     k.al2Bytes = cfg.chiplet.al2Bytes;
     k.techFingerprint = tech.fingerprint();
     k.objective = static_cast<int>(objective);
-    // Exhaustive and Bnb share entries (bit-identical winners);
-    // Anneal keys separately, per seed.
+    // Anneal keys separately from Exhaustive, per seed.
     if (mode == SearchMode::Anneal) {
         k.mode = 1;
         k.annealSeed = annealSeed;
@@ -154,38 +153,6 @@ MappingCache::shardOf(const Key &key)
     h *= 0xc4ceb9fe1a85ec53ull;
     h ^= h >> 33;
     return static_cast<size_t>(h % kShards);
-}
-
-std::optional<Mapping>
-MappingCache::findShapeMatch(const Key &key) const
-{
-    NNBATON_TRACE_SCOPE("mapper.cache_shape_match");
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.m);
-        // The LRU list front-to-back gives a deterministic scan order
-        // for a given lookup history (recently used siblings first).
-        for (const LruItem &item : shard.lru) {
-            if (item.table)
-                continue;
-            const Key &k = *item.key;
-            if (k.ho != key.ho || k.wo != key.wo || k.co != key.co ||
-                k.ci != key.ci || k.kh != key.kh || k.kw != key.kw ||
-                k.stride != key.stride || k.groups != key.groups ||
-                k.batch != key.batch || k.postOps != key.postOps)
-                continue;
-            if (k.techFingerprint != key.techFingerprint ||
-                k.objective != key.objective || k.mode != 0)
-                continue;
-            if (k == key)
-                continue; // the caller's own key is a plain hit
-            const auto it = shard.map.find(k);
-            if (it == shard.map.end() || !it->second->published ||
-                !it->second->value)
-                continue;
-            return it->second->value->mapping;
-        }
-    }
-    return std::nullopt;
 }
 
 std::optional<MappingChoice>

@@ -89,11 +89,9 @@ class MappingCache
         int64_t ol1Bytes = 0, al1Bytes = 0, wl1Bytes = 0, al2Bytes = 0;
         // Technology model (energy anchors, fits, clock, widths).
         uint64_t techFingerprint = 0;
-        // Search parameters.  `mode` is 0 for Exhaustive *and* Bnb —
-        // they return bit-identical winners by contract, so sharing
-        // entries across the two is sound (and lets a bnb run reuse
-        // an exhaustive run's work).  Anneal results depend on the
-        // seed, so they key as mode 1 plus the seed.
+        // Search parameters.  `mode` is 0 for Exhaustive; Anneal
+        // results depend on the seed, so they key as mode 1 plus the
+        // seed.
         int effort = 0, objective = 0;
         int mode = 0;
         uint64_t annealSeed = 0;
@@ -120,18 +118,6 @@ class MappingCache
         const Key &key,
         const std::function<std::optional<MappingChoice>()> &search,
         bool *was_hit = nullptr);
-
-    /**
-     * Warm-start lookup: the winning mapping of some *published*
-     * deterministic-mode entry with the same layer shape, technology
-     * and objective as @p key but a different configuration or
-     * effort, or std::nullopt when none is resident.  Best-effort by
-     * design — what it finds depends on the cache's current contents
-     * — so callers must treat the result as a search-order hint only,
-     * never as an answer (mapper/bnb.hpp's warm start re-derives
-     * legality and membership in its own grid).
-     */
-    std::optional<Mapping> findShapeMatch(const Key &key) const;
 
     /**
      * The memory-axis table view for an Exhaustive-mode search of

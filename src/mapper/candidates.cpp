@@ -258,10 +258,6 @@ CandidateSpace::CandidateSpace(const ConvLayer &layer,
                               PackagePartition::Channel, false,
                               ChipletPartition::Channel))
 {
-    if (!subtrees_.empty()) {
-        const Subtree &last = subtrees_.back();
-        gridLeaves_ = last.firstOrdinal + last.gridLeaves();
-    }
 }
 
 CandidateSpace::CandidateSpace(const ConvLayer &layer,
@@ -272,10 +268,6 @@ CandidateSpace::CandidateSpace(const ConvLayer &layer,
       subtrees_(
           buildSubtrees(layer, cfg, effort, true, pkg, true, chip))
 {
-    if (!subtrees_.empty()) {
-        const Subtree &last = subtrees_.back();
-        gridLeaves_ = last.firstOrdinal + last.gridLeaves();
-    }
 }
 
 std::optional<CandidateSpace::Leaf>
@@ -312,19 +304,6 @@ CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
     return leaf;
 }
 
-std::vector<CandidateSpace::Leaf>
-CandidateSpace::expand(size_t i) const
-{
-    CandidateBlock block;
-    expandInto(i, block);
-    std::vector<Leaf> out;
-    out.reserve(block.size());
-    for (size_t k = 0; k < block.size(); ++k)
-        out.push_back(
-            {block.mapping(k), block.ordinal(k), block.fullLane(k)});
-    return out;
-}
-
 void
 CandidateSpace::expandInto(size_t i, CandidateBlock &out) const
 {
@@ -342,50 +321,6 @@ CandidateSpace::expandInto(size_t i, CandidateBlock &out) const
             }
         }
     }
-}
-
-std::optional<CandidateSpace::Leaf>
-CandidateSpace::locate(const Mapping &mapping) const
-{
-    const auto sameSplit = [](const PlanarSplit &a,
-                              const PlanarSplit &b) {
-        return a.fh == b.fh && a.fw == b.fw;
-    };
-    const size_t order =
-        (mapping.pkgOrder == LoopOrder::PlanePriority ? 2u : 0u) +
-        (mapping.chipOrder == LoopOrder::PlanePriority ? 1u : 0u);
-    for (size_t i = 0; i < subtrees_.size(); ++i) {
-        const Subtree &st = subtrees_[i];
-        if (st.pkg != mapping.pkgSpatial ||
-            !sameSplit(st.pkgSplit, mapping.pkgSplit) ||
-            st.chip != mapping.chipSpatial ||
-            st.cw != mapping.chipChannelWays ||
-            !sameSplit(st.chipSplit, mapping.chipSplit) ||
-            st.hoC != mapping.hoC || st.woC != mapping.woC)
-            continue;
-        // Ladder rungs can clamp to the same tile extent; the first
-        // match is the one flat enumeration emits first (smallest
-        // ordinal), which is what first-wins tie-breaking preserves.
-        for (size_t ih = 0; ih < st.ladderH.size(); ++ih) {
-            if (std::min(st.baseH * st.ladderH[ih], st.macro.ho) !=
-                mapping.chipletTile.ho)
-                continue;
-            for (size_t iw = 0; iw < st.ladderW.size(); ++iw) {
-                if (std::min(st.baseW * st.ladderW[iw],
-                             st.macro.wo) != mapping.chipletTile.wo)
-                    continue;
-                for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
-                    if (std::min(st.baseC * st.ladderC[ic],
-                                 st.macro.co) !=
-                        mapping.chipletTile.co)
-                        continue;
-                    if (auto leaf = makeLeaf(i, ih, iw, ic, order))
-                        return leaf;
-                }
-            }
-        }
-    }
-    return std::nullopt;
 }
 
 void

@@ -33,9 +33,9 @@ enum class SearchEffort
  * A batch of enumerated candidates in structure-of-arrays layout: the
  * mappings, their flat-enumeration ordinals and their lane-class flags
  * live in three parallel arrays.  Blocks are reused across refills —
- * clear() keeps the capacity — so a search that expands subtrees one
- * after another pays the candidate-storage allocation once instead of
- * once per subtree (the per-expand vector<Leaf> it replaces).
+ * clear() keeps the capacity — so enumeration, which expands subtrees
+ * one after another, pays the candidate-storage allocation once
+ * instead of once per subtree.
  * Candidates keep ascending-ordinal (enumeration-neighbour) order,
  * which is what makes the incremental evaluator's delta path hit.
  */
@@ -130,24 +130,21 @@ void enumerateCandidatesInto(const ConvLayer &layer,
                              SearchEffort effort, CandidateBlock &out);
 
 /**
- * The candidate space as a lazily expanded tree (the generator/cursor
- * behind the branch-and-bound search, docs/search.md).
+ * The candidate space as a two-level grid (docs/search.md).
  *
  * Level 1 fixes a *subtree*: one spatial skeleton (package and
  * chiplet partition primitives with their planar splits and channel
- * ways) plus one (hoC, woC) core-tile plane.  Everything the subtree
- * shares — the per-chiplet macro workload, the tile-ladder bases and
- * rungs — is precomputed so mapper/bound can floor the whole subtree
- * without materialising a single leaf.  Level 2 expands a subtree
- * into *leaves*: the chiplet-tile ladder cross the four temporal
- * order pairs, legality-checked on demand.
+ * ways) plus one (hoC, woC) core-tile plane, with the per-chiplet
+ * macro workload and the tile-ladder bases and rungs precomputed.
+ * Level 2 is the subtree's *leaves*: the chiplet-tile ladder cross
+ * the four temporal order pairs, legality-checked on demand.
  *
  * Every potential leaf — legal or not — owns a unique *ordinal*, its
  * position in the flat enumeration order (subtree-major, then
  * fh → fw → fc → pkgOrder → chipOrder).  enumerateCandidates() emits
  * legal leaves in exactly ascending-ordinal order, so "smallest
  * ordinal wins score ties" reproduces the flat search's first-wins
- * tie-breaking no matter in which order a search visits the tree.
+ * tie-breaking no matter in which order a search visits the grid.
  */
 class CandidateSpace
 {
@@ -198,14 +195,8 @@ class CandidateSpace
     size_t size() const { return subtrees_.size(); }
     const Subtree &subtree(size_t i) const { return subtrees_[i]; }
 
-    /** Total grid leaves over all subtrees. */
-    int64_t gridLeaves() const { return gridLeaves_; }
-
-    /** Expand subtree @p i into its legal leaves, ascending ordinal.
-     *  Both lane classes are returned; callers filter. */
-    std::vector<Leaf> expand(size_t i) const;
-
-    /** expand() into a caller-owned block: @p out is cleared and
+    /** Expand subtree @p i into its legal leaves, ascending ordinal,
+     *  both lane classes (callers filter).  @p out is cleared and
      *  refilled in place (capacity retained across calls). */
     void expandInto(size_t i, CandidateBlock &out) const;
 
@@ -215,16 +206,10 @@ class CandidateSpace
     std::optional<Leaf> makeLeaf(size_t i, size_t ih, size_t iw,
                                  size_t ic, size_t order) const;
 
-    /** Find @p mapping in the grid (warm-start membership test):
-     *  the leaf with identical mapping fields, or std::nullopt when
-     *  this space never enumerates it. */
-    std::optional<Leaf> locate(const Mapping &mapping) const;
-
   private:
     const ConvLayer layer_;
     const AcceleratorConfig cfg_;
     std::vector<Subtree> subtrees_;
-    int64_t gridLeaves_ = 0;
 };
 
 } // namespace nnbaton

@@ -10,7 +10,7 @@
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
-#include "mapper/bnb.hpp"
+#include "mapper/anneal.hpp"
 #include "mapper/bound.hpp"
 #include "mapper/cache.hpp"
 #include "verif/fault.hpp"
@@ -23,8 +23,6 @@ toString(SearchMode mode)
     switch (mode) {
       case SearchMode::Exhaustive:
         return "exhaustive";
-      case SearchMode::Bnb:
-        return "bnb";
       case SearchMode::Anneal:
         return "anneal";
     }
@@ -41,19 +39,6 @@ evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     choice.analysis = analyzeMapping(layer, cfg, mapping, options);
     choice.energy = computeEnergy(choice.analysis.counts, cfg, tech);
     choice.runtime = estimateRuntime(layer, cfg, choice.analysis, tech);
-    return choice;
-}
-
-MappingChoice
-evaluateMappingIncremental(const ConvLayer &layer,
-                           const AcceleratorConfig &cfg,
-                           const TechnologyModel &tech,
-                           const Mapping &mapping,
-                           IncrementalAnalyzer &state)
-{
-    MappingChoice choice;
-    evaluateMappingIncrementalInto(layer, cfg, tech, mapping, state,
-                                   choice);
     return choice;
 }
 
@@ -314,17 +299,15 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
 }
 
 /**
- * Strategy dispatch for one layer search.  @p warm_hint (Bnb only) is
- * a cached winner from a sibling configuration, or null; @p table
- * (Exhaustive only) is the cache's memory-axis view for this search,
- * or null to enumerate.
+ * Strategy dispatch for one layer search.  @p table (Exhaustive only)
+ * is the cache's memory-axis view for this search, or null to
+ * enumerate.
  */
 std::optional<MappingChoice>
 runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
                const TechnologyModel &tech, SearchEffort effort,
                Objective objective, const SearchOptions &search,
                ThreadPool *pool, SearchStats *stats,
-               const Mapping *warm_hint,
                const MemoryAxisTable::View *table)
 {
     switch (search.mode) {
@@ -336,11 +319,6 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
         }
         return pickBest(layer, cfg, tech, candidates, table, objective,
                         search, pool, stats);
-      }
-      case SearchMode::Bnb: {
-        const CandidateSpace space(layer, cfg, effort);
-        return searchBranchAndBound(layer, cfg, tech, space, objective,
-                                    search, pool, stats, warm_hint);
       }
       case SearchMode::Anneal: {
         const CandidateSpace space(layer, cfg, effort);
@@ -372,8 +350,7 @@ searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
     if (search.threads > 1 && !ThreadPool::inParallelRegion())
         pool = std::make_unique<ThreadPool>(search.threads);
     return runLayerSearch(layer, cfg, tech, effort, objective, search,
-                          pool.get(), stats, /*warm_hint=*/nullptr,
-                          /*table=*/nullptr);
+                          pool.get(), stats, /*table=*/nullptr);
 }
 
 std::optional<MappingChoice>
@@ -438,13 +415,6 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
             shared.lookupOrCompute(
                 key,
                 [&] {
-                    // Warm start (opt-in): seed the B&B incumbent from
-                    // a published sibling-config winner for this layer
-                    // shape.  Hint only — the winner never changes.
-                    std::optional<Mapping> hint;
-                    if (search.warmStart &&
-                        search.mode == SearchMode::Bnb)
-                        hint = shared.findShapeMatch(key);
                     // From the second miss of this (shape, geometry,
                     // effort) on, an exhaustive search reads its
                     // candidates and fills from the cache's
@@ -454,9 +424,7 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
                         table = shared.tableView(layer, cfg, effort);
                     return runLayerSearch(layer, cfg, tech, effort,
                                           objective, search, pool.get(),
-                                          &result.stats,
-                                          hint ? &*hint : nullptr,
-                                          table.get());
+                                          &result.stats, table.get());
                 },
                 &hit);
         ++(hit ? result.stats.cacheHits : result.stats.cacheMisses);

@@ -37,20 +37,16 @@ enum class Objective
 };
 
 /**
- * Search strategy over the candidate tree (docs/search.md).
- *
- * Exhaustive and Bnb return bit-identical winners: the branch-and-
- * bound search only skips candidates its lower bound proves cannot
- * win, and ties break on the candidate's position in enumeration
- * order in both modes.  Anneal is an opt-in stochastic mode whose
- * result depends on SearchOptions::annealSeed.
+ * Search strategy over the candidate grid (docs/search.md).
+ * Exhaustive is the reference; Anneal is an opt-in stochastic mode
+ * whose result depends on SearchOptions::annealSeed.  The retired
+ * "bnb" name parses to Exhaustive, which returns the winners bnb was
+ * required to match bit for bit.
  */
 enum class SearchMode
 {
     Exhaustive, //!< flat enumerate-then-evaluate with per-candidate
-                //!< bound pruning (the historical default)
-    Bnb,        //!< best-bound-first branch and bound over the lazy
-                //!< candidate tree; same winner, far fewer evaluations
+                //!< bound pruning (the default)
     Anneal,     //!< seeded simulated annealing; approximate
 };
 
@@ -70,26 +66,12 @@ struct SearchStats
     int64_t cacheHits = 0;   //!< layer searches served from the cache
     int64_t cacheMisses = 0; //!< layer searches actually run
 
-    // Branch-and-bound tree counters (zero in the other modes).
-    int64_t nodesOpened = 0;      //!< subtrees expanded into leaves
-    int64_t subtreesPruned = 0;   //!< subtrees discarded unexpanded
-    int64_t incumbentUpdates = 0; //!< times the best-so-far improved
-    int64_t warmStarts = 0;       //!< searches seeded from a cache hit
-    int64_t refined = 0;          //!< tier-2 refined bounds computed
-    int64_t refinedPruned = 0;    //!< candidates cut by the tier-2 bound
-
     SearchStats &operator+=(const SearchStats &other)
     {
         evaluated += other.evaluated;
         pruned += other.pruned;
         cacheHits += other.cacheHits;
         cacheMisses += other.cacheMisses;
-        nodesOpened += other.nodesOpened;
-        subtreesPruned += other.subtreesPruned;
-        incumbentUpdates += other.incumbentUpdates;
-        warmStarts += other.warmStarts;
-        refined += other.refined;
-        refinedPruned += other.refinedPruned;
         return *this;
     }
 };
@@ -106,21 +88,9 @@ struct SearchOptions
      *  the selected mapping. */
     bool boundPruning = true;
 
-    /** Search strategy (docs/search.md).  Bnb matches Exhaustive's
-     *  winner bit for bit; Anneal is approximate and seeded. */
+    /** Search strategy (docs/search.md); Anneal is approximate and
+     *  seeded. */
     SearchMode mode = SearchMode::Exhaustive;
-
-    /**
-     * Seed the branch-and-bound incumbent from a cache entry for the
-     * same layer shape under a different configuration when one is
-     * resident (the hinted mapping is located in this search's own
-     * candidate grid and evaluated first, so the returned winner
-     * never changes).  Off by default: a tighter early incumbent
-     * shifts the evaluated/pruned split by whatever happens to be
-     * cached, so deterministic-counter contexts (the parallel sweep)
-     * must leave this off.  The serving daemon turns it on.
-     */
-    bool warmStart = false;
 
     /** RNG seed for SearchMode::Anneal; the per-layer RNG mixes this
      *  with the layer/config fingerprint so equal seeds reproduce
@@ -163,21 +133,12 @@ MappingChoice evaluateMapping(const ConvLayer &layer,
                               const AnalysisOptions &options = {});
 
 /**
- * evaluateMapping() through the delta-aware incremental evaluator:
- * @p state carries the previous candidate's cached per-level C3P
- * terms, so enumeration-neighbour candidates skip most of the
- * analysis.  Bit-identical to evaluateMapping() on legal mappings
- * (the serial search lanes use this; see c3p/incremental.hpp).
- */
-MappingChoice evaluateMappingIncremental(const ConvLayer &layer,
-                                         const AcceleratorConfig &cfg,
-                                         const TechnologyModel &tech,
-                                         const Mapping &mapping,
-                                         IncrementalAnalyzer &state);
-
-/**
- * evaluateMappingIncremental() writing into caller-owned storage, so
- * a hot evaluation loop that feeds the same @p out slot back in keeps
+ * evaluateMapping() through the delta-aware incremental evaluator,
+ * writing into caller-owned storage.  @p state carries the previous
+ * candidate's cached per-level C3P terms, so enumeration-neighbour
+ * candidates skip most of the analysis; bit-identical to
+ * evaluateMapping() on legal mappings (see c3p/incremental.hpp).  A
+ * hot evaluation loop that feeds the same @p out slot back in keeps
  * the analysis vectors' capacity and allocates nothing in the steady
  * state.  All fields are fully (re)assigned.
  */

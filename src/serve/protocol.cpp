@@ -267,16 +267,16 @@ parseRequest(const std::string &line)
                 return errInvalidArgument(
                     "'search' must be a string");
             }
-            if (value.string == "exhaustive") {
+            // "bnb" is the retired branch-and-bound mode, whose
+            // winners were exhaustive search's bit for bit.
+            if (value.string == "exhaustive" || value.string == "bnb") {
                 req.searchMode = SearchMode::Exhaustive;
-            } else if (value.string == "bnb") {
-                req.searchMode = SearchMode::Bnb;
             } else if (value.string == "anneal") {
                 req.searchMode = SearchMode::Anneal;
             } else {
                 return errInvalidArgument(
-                    "'search' must be \"exhaustive\", \"bnb\" or "
-                    "\"anneal\", got '%s'",
+                    "'search' must be \"exhaustive\" or \"anneal\", "
+                    "got '%s'",
                     value.string.c_str());
             }
         } else if (key == "annealSeed") {

@@ -33,7 +33,8 @@
  *              "al2Bytes":65536},   // post: hardware overrides
  *    "tech":{"macEnergyPerOp":0.024,"frequencyGhz":0.5,...},
  *    "objective":"energy" | "edp",
- *    "search":"exhaustive" | "bnb" | "anneal",  // docs/search.md
+ *    "search":"exhaustive" | "anneal",  // docs/search.md; "bnb"
+ *                                       // is read as "exhaustive"
  *    "annealSeed":1,"annealIterations":400,     // anneal only
  *    "deadlineSeconds":30,          // per-request budget
  *    "macs":2048,"areaMm2":3.0,"proportional":false,  // pre only

@@ -198,12 +198,14 @@ TEST(Incremental, EnumerationStreamMatchesFullEvaluation)
         enumerateCandidatesInto(layer, cfg, SearchEffort::Fast, block);
         ASSERT_FALSE(block.empty()) << layer.toString();
         IncrementalAnalyzer inc(layer, cfg);
+        MappingChoice via_inc;
         for (size_t i = 0; i < block.size(); ++i) {
             const Mapping &m = block.mapping(i);
-            expectChoicesIdentical(
-                evaluateMappingIncremental(layer, cfg, tech, m, inc),
-                evaluateMapping(layer, cfg, tech, m),
-                layer.name + " " + m.toString());
+            evaluateMappingIncrementalInto(layer, cfg, tech, m, inc,
+                                           via_inc);
+            expectChoicesIdentical(via_inc,
+                                   evaluateMapping(layer, cfg, tech, m),
+                                   layer.name + " " + m.toString());
         }
         const IncrementalStats &st = inc.stats();
         EXPECT_EQ(st.evaluations,
@@ -261,6 +263,7 @@ TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
     };
 
     IncrementalAnalyzer inc(layer, cfg);
+    MappingChoice via_inc;
     Mapping cur = *start;
     int accepted = 0;
     for (int step = 0; step < 120; ++step) {
@@ -268,8 +271,8 @@ TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
         if (!checkMapping(layer, cfg, next).empty())
             continue; // illegal mutation; draw again from cur
         ++accepted;
-        const MappingChoice via_inc =
-            evaluateMappingIncremental(layer, cfg, tech, next, inc);
+        evaluateMappingIncrementalInto(layer, cfg, tech, next, inc,
+                                       via_inc);
         const MappingChoice via_full =
             evaluateMapping(layer, cfg, tech, next);
         const bool same =
@@ -368,27 +371,6 @@ TEST(CandidateBlocks, BlockEnumerationMatchesVectorEnumeration)
                     EXPECT_LT(block.ordinal(i - 1), block.ordinal(i));
                 }
             }
-        }
-    }
-}
-
-TEST(CandidateBlocks, ExpandIntoMatchesExpandAndReusesStorage)
-{
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const ConvLayer layer = representativeLayers(224).common;
-    const CandidateSpace space(layer, cfg, SearchEffort::Fast);
-    ASSERT_GT(space.size(), 0u);
-    CandidateBlock block; // one block reused across every subtree
-    for (size_t i = 0; i < space.size(); ++i) {
-        const std::vector<CandidateSpace::Leaf> leaves =
-            space.expand(i);
-        space.expandInto(i, block);
-        ASSERT_EQ(block.size(), leaves.size()) << i;
-        for (size_t k = 0; k < leaves.size(); ++k) {
-            EXPECT_EQ(block.ordinal(k), leaves[k].ordinal);
-            EXPECT_EQ(block.fullLane(k), leaves[k].fullLane);
-            EXPECT_EQ(block.mapping(k).toString(),
-                      leaves[k].mapping.toString());
         }
     }
 }

@@ -161,6 +161,15 @@ TEST(ServeProtocol, ParsesFullPostRequest)
     EXPECT_DOUBLE_EQ(req.deadlineSeconds, 12.5);
 }
 
+TEST(ServeProtocol, BnbSearchParsesToExhaustive)
+{
+    // The retired branch-and-bound mode returned exhaustive search's
+    // winners bit for bit, so its name stays accepted as an alias.
+    const auto r = parseRequest("{\"op\":\"post\",\"search\":\"bnb\"}");
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    EXPECT_EQ(r.value().searchMode, SearchMode::Exhaustive);
+}
+
 TEST(ServeProtocol, RejectsMalformedAndUnknown)
 {
     EXPECT_FALSE(parseRequest("{not json").ok());
@@ -261,6 +270,24 @@ TEST(EvalService, PostMatchesOneShotFlowBitForBit)
     EXPECT_EQ(again, served);
     EXPECT_GT(service.cache().hits(), 0);
     EXPECT_EQ(service.cache().misses(), missesAfterFirst);
+}
+
+TEST(EvalService, BnbPostAnswersLikeExhaustive)
+{
+    EvalService service{ServiceOptions{}};
+    const std::string base =
+        std::string("{\"op\":\"post\",\"modelText\":\"") + kTinyModel +
+        "\",\"search\":";
+    const std::string bnb = service.handleLine(base + "\"bnb\"}").response;
+    EXPECT_EQ(bnb, expectedPost(kTinyModelRaw, defaultTech()));
+
+    // Same search, same cache entries: the exhaustive request is
+    // answered from the bnb request's work with the same bytes.
+    const int64_t misses = service.cache().misses();
+    const std::string exhaustive =
+        service.handleLine(base + "\"exhaustive\"}").response;
+    EXPECT_EQ(exhaustive, bnb);
+    EXPECT_EQ(service.cache().misses(), misses);
 }
 
 TEST(EvalService, SharedCacheKeepsTechModelsApart)

@@ -2,7 +2,7 @@
  * @file
  * Transformer-era workloads: native GEMM layers, the lowered
  * attention block, and the batch dimension, verified from layer
- * construction through C3P accounting, energy, both search modes and
+ * construction through C3P accounting, energy, the mapping search and
  * the coordinate-level differential replay.
  */
 
@@ -24,13 +24,11 @@ namespace {
 
 /** A mapping-search winner for @p layer on the case-study hardware. */
 MappingChoice
-winnerOf(const ConvLayer &layer, SearchMode mode = SearchMode::Exhaustive)
+winnerOf(const ConvLayer &layer)
 {
-    SearchOptions opts;
-    opts.mode = mode;
     const auto choice =
         searchLayer(layer, caseStudyConfig(), defaultTech(),
-                    SearchEffort::Fast, Objective::MinEnergy, opts);
+                    SearchEffort::Fast, Objective::MinEnergy);
     EXPECT_TRUE(choice.has_value()) << layer.toString();
     return choice.value();
 }
@@ -158,29 +156,6 @@ TEST(WorkloadsReplay, ExactEqualityUnderAblatedOptions)
         EXPECT_TRUE(report.ok()) << "mask " << mask << "\n"
                                  << report.toString();
     }
-}
-
-TEST(WorkloadsSearch, ExhaustiveAndBnbAgreeOnTransformerLayers)
-{
-    // The branch-and-bound contract (bit-identical winners) must hold
-    // on the new shapes: batched, plane-degenerate (prime M) and
-    // vector-op-carrying layers all stress the bound's soundness.
-    for (const ConvLayer &layer : transformerLayers()) {
-        const MappingChoice ex = winnerOf(layer, SearchMode::Exhaustive);
-        const MappingChoice bnb = winnerOf(layer, SearchMode::Bnb);
-        EXPECT_EQ(ex.mapping.toString(), bnb.mapping.toString())
-            << layer.toString();
-        EXPECT_EQ(ex.energy.total(), bnb.energy.total())
-            << layer.toString();
-        EXPECT_EQ(ex.runtime.cycles, bnb.runtime.cycles)
-            << layer.toString();
-    }
-    const MappingChoice prime =
-        winnerOf(makeGemm("prime", 197, 64, 96));
-    const MappingChoice prime_bnb =
-        winnerOf(makeGemm("prime", 197, 64, 96), SearchMode::Bnb);
-    EXPECT_EQ(prime.mapping.toString(), prime_bnb.mapping.toString());
-    EXPECT_EQ(prime.energy.total(), prime_bnb.energy.total());
 }
 
 TEST(WorkloadsEnergy, VectorTermIsExactAndZeroForConv)

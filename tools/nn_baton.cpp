@@ -141,11 +141,11 @@ usage()
         "  --area <mm2>          pre: chiplet area budget [none]\n"
         "  --proportional        pre: memory proportional to compute\n"
         "  --edp                 optimise EDP instead of energy\n"
-        "  --search <mode>       mapping search strategy: exhaustive,\n"
-        "                        bnb (branch and bound; same winners,\n"
-        "                        far fewer evaluations) or anneal\n"
-        "                        (seeded simulated annealing,\n"
-        "                        approximate) [exhaustive]\n"
+        "  --search <mode>       mapping search strategy: exhaustive\n"
+        "                        or anneal (seeded simulated\n"
+        "                        annealing: faster, approximate)\n"
+        "                        [exhaustive]; bnb is an alias of\n"
+        "                        exhaustive\n"
         "  --anneal-seed <n>     anneal: RNG seed [1]\n"
         "  --anneal-iters <n>    anneal: moves per layer search [400]\n"
         "  --threads <n>         worker threads (1 = serial; results\n"
@@ -254,13 +254,14 @@ parseArgs(int argc, char **argv, Args &args)
             if (mode == "exhaustive") {
                 args.searchMode = SearchMode::Exhaustive;
             } else if (mode == "bnb") {
-                args.searchMode = SearchMode::Bnb;
+                warn("--search bnb was retired; running exhaustive, "
+                     "which returns the same winners");
+                args.searchMode = SearchMode::Exhaustive;
             } else if (mode == "anneal") {
                 args.searchMode = SearchMode::Anneal;
             } else {
                 throwStatus(errInvalidArgument(
-                    "--search expects exhaustive, bnb or anneal, "
-                    "got '%s'",
+                    "--search expects exhaustive or anneal, got '%s'",
                     mode.c_str()));
             }
         } else if (opt == "--anneal-seed") {
