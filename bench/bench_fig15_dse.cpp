@@ -25,8 +25,6 @@
 #include <string>
 
 #include "baton/baton.hpp"
-#include "c3p/incremental.hpp"
-#include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -159,105 +157,6 @@ identicalResults(const DseResult &a, const DseResult &b)
            a.search.cacheMisses == b.search.cacheMisses;
 }
 
-/** Timings and reuse counters of the incremental-evaluation
- *  micro-benchmark (the BENCH_dse.json "incremental" block). */
-struct IncrementalBench
-{
-    int64_t candidates = 0;
-    double fullSeconds = 0.0;
-    double incrementalSeconds = 0.0;
-    double deltaHitRatio = 0.0;
-    double fallbackRatio = 0.0;
-    double nestReuseRatio = 0.0;
-    bool winnersIdentical = true;
-
-    double speedup() const
-    {
-        return incrementalSeconds > 0.0
-                   ? fullSeconds / incrementalSeconds
-                   : 0.0;
-    }
-};
-
-/**
- * The incremental evaluator against the full path on the exact
- * candidate streams the serial sweep evaluates: every Sketch-effort
- * candidate of every unique DarkNet@224 layer on the figure's optimal
- * configuration, in enumeration order.  Both paths must pick the same
- * winner per layer with a bit-identical score — the speedup is only
- * worth reporting if the answers cannot drift.
- */
-IncrementalBench
-benchIncremental()
-{
-    const Model model = makeDarkNet19(224);
-    const AcceleratorConfig cfg =
-        makeConfig({2, 8, 16, 16},
-                   MemoryAllocation{96, 32_KB, 144_KB, 128_KB});
-    const TechnologyModel &tech = defaultTech();
-    constexpr int kReps = 5;
-
-    IncrementalBench r;
-    IncrementalStats totals;
-    CandidateBlock block;
-    for (const ConvLayer &layer : model.layers()) {
-        enumerateCandidatesInto(layer, cfg, SearchEffort::Sketch,
-                                block);
-        if (block.empty())
-            continue;
-        r.candidates += static_cast<int64_t>(block.size()) * kReps;
-
-        double best_full = 0.0, best_inc = 0.0;
-        size_t win_full = 0, win_inc = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int rep = 0; rep < kReps; ++rep) {
-            for (size_t i = 0; i < block.size(); ++i) {
-                const MappingChoice c = evaluateMapping(
-                    layer, cfg, tech, block.mapping(i));
-                const double edp = c.edp();
-                benchmark::DoNotOptimize(edp);
-                if (i == 0 || edp < best_full) {
-                    best_full = edp;
-                    win_full = i;
-                }
-            }
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        MappingChoice c;
-        for (int rep = 0; rep < kReps; ++rep) {
-            IncrementalAnalyzer inc(layer, cfg);
-            for (size_t i = 0; i < block.size(); ++i) {
-                evaluateMappingIncrementalInto(layer, cfg, tech,
-                                               block.mapping(i), inc, c);
-                const double edp = c.edp();
-                benchmark::DoNotOptimize(edp);
-                if (i == 0 || edp < best_inc) {
-                    best_inc = edp;
-                    win_inc = i;
-                }
-            }
-            if (rep == 0) {
-                totals += inc.stats();
-            }
-        }
-        const auto t2 = std::chrono::steady_clock::now();
-        r.fullSeconds +=
-            std::chrono::duration<double>(t1 - t0).count();
-        r.incrementalSeconds +=
-            std::chrono::duration<double>(t2 - t1).count();
-        // Bit-identical winner per layer: same index, same score.
-        if (win_full != win_inc || best_full != best_inc)
-            r.winnersIdentical = false;
-    }
-    r.deltaHitRatio = totals.deltaHitRatio();
-    r.fallbackRatio = totals.fallbackRatio();
-    const int64_t terms = totals.nestReuses + totals.nestScans;
-    r.nestReuseRatio =
-        terms > 0 ? static_cast<double>(totals.nestReuses) / terms
-                  : 0.0;
-    return r;
-}
-
 /** Anneal's quality against its wall-clock (the BENCH_dse.json
  *  "anneal" block): one serial mapModel per mode. */
 struct AnnealBench
@@ -317,12 +216,10 @@ benchSweep(int threads)
     const Model model = makeDarkNet19(224);
     DseOptions opt = figureOptions();
 
-    // The incremental-vs-full micro-benchmark and the anneal comparison
-    // run first: their passes are tens of milliseconds, so measuring
-    // them after minutes of all-core sweeps would fold whatever load
-    // the machine has accumulated by then into a 300 ns/candidate
-    // signal.  Each pair of passes still shares identical conditions.
-    const IncrementalBench inc = benchIncremental();
+    // The anneal comparison runs first: its passes are fractions of a
+    // second, so measuring them after minutes of all-core sweeps would
+    // fold whatever load the machine has accumulated by then into the
+    // signal.  Both passes still share identical conditions.
     const AnnealBench anneal = benchAnneal();
 
     // The timed serial and parallel sweeps run with tracing disabled
@@ -374,32 +271,6 @@ benchSweep(int threads)
                 anneal.annealSeconds, anneal.annealEnergy * 1e-9,
                 100.0 * anneal.energyGap());
 
-    // Incremental evaluator vs the full path on the same candidate
-    // streams (both serial, same enumeration order; measured up top
-    // before the sweeps).
-    const double inc_pps_full =
-        inc.fullSeconds > 0.0
-            ? static_cast<double>(inc.candidates) / inc.fullSeconds
-            : 0.0;
-    const double inc_pps =
-        inc.incrementalSeconds > 0.0
-            ? static_cast<double>(inc.candidates) /
-                  inc.incrementalSeconds
-            : 0.0;
-    std::printf("\n=== incremental C3P evaluation vs full (serial, "
-                "same candidate stream) ===\n");
-    std::printf("full:        %.3f s, %.0f points/s (%lld "
-                "candidates)\n",
-                inc.fullSeconds, inc_pps_full,
-                static_cast<long long>(inc.candidates));
-    std::printf("incremental: %.3f s, %.0f points/s (speedup "
-                "%.2fx)\n",
-                inc.incrementalSeconds, inc_pps, inc.speedup());
-    std::printf("delta hits %.1f%%, fallbacks %.1f%%, nest reuse "
-                "%.1f%%, winners identical: %s\n",
-                100.0 * inc.deltaHitRatio, 100.0 * inc.fallbackRatio,
-                100.0 * inc.nestReuseRatio,
-                inc.winnersIdentical ? "yes" : "NO (BUG)");
     std::printf("%s", obs::formatProfile(profile).c_str());
 
     std::ofstream out("BENCH_dse.json");
@@ -441,18 +312,6 @@ benchSweep(int threads)
     j.field("iterations", SearchOptions{}.annealIterations);
     j.endObject();
     j.field("energy_gap", anneal.energyGap());
-    j.endObject();
-    j.key("incremental").beginObject();
-    j.field("candidates", inc.candidates);
-    j.field("full_seconds", inc.fullSeconds);
-    j.field("incremental_seconds", inc.incrementalSeconds);
-    j.field("points_per_sec_full", inc_pps_full);
-    j.field("points_per_sec_incremental", inc_pps);
-    j.field("speedup", inc.speedup());
-    j.field("delta_hit_ratio", inc.deltaHitRatio);
-    j.field("fallback_ratio", inc.fallbackRatio);
-    j.field("nest_reuse_ratio", inc.nestReuseRatio);
-    j.field("winners_identical", inc.winnersIdentical);
     j.endObject();
     j.key("profile");
     obs::writeProfileJson(j, profile);

@@ -35,7 +35,8 @@ AccessAnalysis
 analyzeMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
                const Mapping &mapping, const AnalysisOptions &options)
 {
-    const std::string reason = checkMapping(layer, cfg, mapping);
+    MappingShapes shapes;
+    const std::string reason = checkMapping(layer, cfg, mapping, shapes);
     if (!reason.empty()) {
         throwStatus(errInvalidArgument(
             "analyzeMapping(%s, %s): illegal mapping: %s",
@@ -43,8 +44,12 @@ analyzeMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
             reason.c_str()));
     }
 
-    const MappingShapes shapes = deriveShapes(layer, cfg, mapping);
-    const NestSet nests = buildNests(layer, cfg, mapping, shapes);
+    // The nests live in per-thread scratch: their loop vectors keep
+    // their capacity from one analysis to the next on a lane, so the
+    // steady state allocates nothing.  buildNestsInto() reassigns
+    // every field, so no state carries over between calls.
+    thread_local NestSet nests;
+    buildNestsInto(layer, cfg, mapping, shapes, nests);
 
     // C3P buffer analyses.  W-L1 buffers of the pw cores sharing one
     // weight stream are merged into one pool (paper section III-A.2).
@@ -71,24 +76,6 @@ composeAccessAnalysis(const ConvLayer &layer,
                       const ReuseResult &al1, const ReuseResult &al2)
 {
     AccessAnalysis out;
-    composeAccessAnalysisInto(layer, cfg, mapping, options, shapes, wl1,
-                              al1, al2, out);
-    return out;
-}
-
-void
-composeAccessAnalysisInto(const ConvLayer &layer,
-                          const AcceleratorConfig &cfg,
-                          const Mapping &mapping,
-                          const AnalysisOptions &options,
-                          const MappingShapes &shapes,
-                          const ReuseResult &wl1, const ReuseResult &al1,
-                          const ReuseResult &al2, AccessAnalysis &out)
-{
-    // Reset the POD parts; the ReuseResult assignments below reuse any
-    // criticalPoints capacity @p out already carries (the evaluation
-    // hot loops feed the same AccessAnalysis back in every call).
-    out.counts = AccessCounts{};
     out.shapes = shapes;
     out.wl1 = wl1;
     out.al1 = al1;
@@ -115,7 +102,7 @@ composeAccessAnalysisInto(const ConvLayer &layer,
     // cw distinct weight streams per chiplet; each stream fills its
     // merged W-L1 pool once per analysis.
     const int64_t w_streams = options.wl1Pooling ? cw : nc;
-    const int64_t w_chip_bits = out.wl1.fillBytes * w_streams * 8;
+    const int64_t w_chip_bits = wl1.fillBytes * w_streams * 8;
     if (weights_shared) {
         c.dramReadWeightBits += w_chip_bits;
         c.d2dBits += w_chip_bits * (np - 1);
@@ -132,7 +119,7 @@ composeAccessAnalysisInto(const ConvLayer &layer,
         s.coreTilesPerChiplet() * cw * w_per_tile * 8 * np;
 
     // --- activations: DRAM -> (ring) -> A-L2 -> A-L1 -> PE ----------
-    const int64_t a2_chip_bits = out.al2.fillBytes * 8;
+    const int64_t a2_chip_bits = al2.fillBytes * 8;
     if (acts_shared) {
         c.dramReadActBits += a2_chip_bits;
         c.d2dBits += a2_chip_bits * (np - 1);
@@ -143,8 +130,8 @@ composeAccessAnalysisInto(const ConvLayer &layer,
     // pw distinct planar streams per chiplet; the cw cores of a
     // channel group receive the same stream via bus multicast.
     c.al2ReadBits +=
-        out.al1.fillBytes * (options.al2Multicast ? pw : nc) * 8 * np;
-    c.al1WriteBits += out.al1.fillBytes * nc * 8 * np;
+        al1.fillBytes * (options.al2Multicast ? pw : nc) * 8 * np;
+    c.al1WriteBits += al1.fillBytes * nc * 8 * np;
 
     const int64_t macs = layer.macs();
     c.macOps = macs;
@@ -176,6 +163,7 @@ composeAccessAnalysisInto(const ConvLayer &layer,
         static_cast<double>(vec_work) /
         static_cast<double>(ceilDiv(vec_work, cfg.core.vectorSize) *
                             cfg.core.vectorSize);
+    return out;
 }
 
 } // namespace nnbaton

@@ -103,10 +103,10 @@ AccessAnalysis analyzeMapping(const ConvLayer &layer,
 /**
  * The closed-form composition step of the accounting: turn the three
  * buffer reuse analyses plus the derived shapes into whole-package
- * access counts.  analyzeMapping() and the incremental evaluator
- * (c3p/incremental.hpp) both call this one function, so the
- * incremental path is bit-identical to the full one by construction —
- * the only inputs are the (integer-exact) ReuseResults and shapes.
+ * access counts.  analyzeMapping() and the memory-axis table score
+ * (mapper/search.cpp) both call this one function, so a table score
+ * equals the full evaluation's bit for bit — the only inputs are the
+ * (integer-exact) ReuseResults and shapes.
  */
 AccessAnalysis composeAccessAnalysis(const ConvLayer &layer,
                                      const AcceleratorConfig &cfg,
@@ -116,22 +116,6 @@ AccessAnalysis composeAccessAnalysis(const ConvLayer &layer,
                                      const ReuseResult &wl1,
                                      const ReuseResult &al1,
                                      const ReuseResult &al2);
-
-/**
- * composeAccessAnalysis() writing into caller-owned storage.  The
- * evaluation hot loops feed the same @p out back in every call so the
- * criticalPoints vectors keep their capacity; all scalar fields are
- * fully (re)assigned, so no stale state survives.
- */
-void composeAccessAnalysisInto(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               const Mapping &mapping,
-                               const AnalysisOptions &options,
-                               const MappingShapes &shapes,
-                               const ReuseResult &wl1,
-                               const ReuseResult &al1,
-                               const ReuseResult &al2,
-                               AccessAnalysis &out);
 
 } // namespace nnbaton
 

@@ -1,61 +1,16 @@
 #include "c3p/analysis.hpp"
 
-#include <bit>
 #include <limits>
 
 #include "common/logging.hpp"
 
 namespace nnbaton {
 
-ReuseResult
-analyzeBuffer(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
-              int64_t capacity_bytes)
-{
-    ReuseResult r;
-    const size_t nb = nest.loops.size();
-    r.intrinsicBytes = footprintBytes(tensor, nest.spanBelow(0), layer);
-
-    // Record critical positions: boundaries above relevant loops,
-    // innermost first, with the footprint (critical capacity) enclosed
-    // below the *next outer* boundary once the loop is crossed.
-    for (size_t i = nb; i-- > 0;) {
-        if (isRelevant(tensor, nest.loops[i].dim, layer)) {
-            r.criticalPoints.push_back(
-                {i, footprintBytes(tensor, nest.spanBelow(i), layer)});
-        }
-    }
-
-    // Retention scan: outermost boundary whose footprint fits.
-    // Footprints are non-decreasing toward boundary 0, so scan from
-    // the top down until one fits.
-    size_t fit = nb;
-    for (size_t b = 0; b <= nb; ++b) {
-        if (footprintBytes(tensor, nest.spanBelow(b), layer) <=
-            capacity_bytes) {
-            fit = b;
-            break;
-        }
-    }
-    r.fitBoundary = fit;
-    r.footprintAtFit = footprintBytes(tensor, nest.spanBelow(fit), layer);
-    r.fillBytes = r.footprintAtFit * nest.tripsAbove(fit);
-    return r;
-}
-
-ReuseResult
-analyzeBufferFast(const LoopNest &nest, Tensor tensor,
-                  const ConvLayer &layer, int64_t capacity_bytes)
-{
-    ReuseResult r;
-    analyzeBufferFastInto(nest, tensor, layer, capacity_bytes, r);
-    return r;
-}
-
 namespace {
 
 /** The deepest nest buildNests() emits is B + 3 package-temporal +
- *  3 chiplet-temporal + IC + KH + KW + OH + OW = 12 loops; anything
- *  deeper is a foreign nest. */
+ *  3 chiplet-temporal + IC + KH + KW + OH + OW = 12 loops, and the
+ *  Simba baseline's is 8; anything past this is a foreign nest. */
 constexpr size_t kMaxDepth = 31;
 
 /**
@@ -65,55 +20,43 @@ constexpr size_t kMaxDepth = 31;
  * irrelevant loop never grows the footprint (the C3P reuse-region
  * property: footprintBytes() reads none of the dims isRelevant()
  * rejects), so those boundaries carry the inner value over instead of
- * recomputing it.  Returns the relevant-loop mask (bit i for loop i,
- * loops below kMaxDepth only).
+ * recomputing it.  @p fp holds kMaxDepth + 1 entries; a deeper nest
+ * panics.
  */
-uint32_t
+void
 boundaryFootprints(const LoopNest &nest, Tensor tensor,
                    const ConvLayer &layer, int64_t *fp)
 {
     const size_t nb = nest.loops.size();
-    uint32_t rel_mask = 0;
+    if (nb > kMaxDepth) {
+        panic("C3P scan: a %zu-loop nest exceeds the %zu-loop limit "
+              "(%s)",
+              nb, kMaxDepth, nest.toString().c_str());
+    }
     TileSpan span = nest.atom;
     fp[nb] = footprintBytes(tensor, span, layer);
     for (size_t i = nb; i-- > 0;) {
         const Dim d = nest.loops[i].dim;
         span.at(d) *= nest.loops[i].trips;
-        if (isRelevant(tensor, d, layer)) {
-            if (i < kMaxDepth)
-                rel_mask |= uint32_t{1} << i;
-            fp[i] = footprintBytes(tensor, span, layer);
-        } else {
-            fp[i] = fp[i + 1];
-        }
+        fp[i] = isRelevant(tensor, d, layer)
+                    ? footprintBytes(tensor, span, layer)
+                    : fp[i + 1];
     }
-    return rel_mask;
 }
 
 } // namespace
 
-void
-analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
-                      const ConvLayer &layer, int64_t capacity_bytes,
-                      ReuseResult &out)
+ReuseResult
+analyzeBuffer(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
+              int64_t capacity_bytes)
 {
-    const size_t nb = nest.loops.size();
-    if (nb > kMaxDepth) {
-        out = analyzeBuffer(nest, tensor, layer, capacity_bytes);
-        return;
-    }
-
     int64_t fp[kMaxDepth + 1];
-    const uint32_t rel_mask = boundaryFootprints(nest, tensor, layer, fp);
-    const size_t relevant = static_cast<size_t>(std::popcount(rel_mask));
+    boundaryFootprints(nest, tensor, layer, fp);
 
-    out.intrinsicBytes = fp[0];
-    out.criticalPoints.clear();
-    out.criticalPoints.reserve(relevant);
-    for (size_t i = nb; i-- > 0;) {
-        if (rel_mask & (uint32_t{1} << i))
-            out.criticalPoints.push_back({i, fp[i]});
-    }
+    // Retention scan: outermost boundary whose footprint fits.
+    // Footprints are non-decreasing toward boundary 0, so scan from
+    // the top down until one fits; the atom retains when none does.
+    const size_t nb = nest.loops.size();
     size_t fit = nb;
     for (size_t b = 0; b <= nb; ++b) {
         if (fp[b] <= capacity_bytes) {
@@ -121,9 +64,12 @@ analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
             break;
         }
     }
-    out.fitBoundary = fit;
-    out.footprintAtFit = fp[fit];
-    out.fillBytes = out.footprintAtFit * nest.tripsAbove(fit);
+    ReuseResult r;
+    r.intrinsicBytes = fp[0];
+    r.fitBoundary = fit;
+    r.footprintAtFit = fp[fit];
+    r.fillBytes = r.footprintAtFit * nest.tripsAbove(fit);
+    return r;
 }
 
 void
@@ -131,13 +77,7 @@ appendFillSteps(const LoopNest &nest, Tensor tensor,
                 const ConvLayer &layer, std::vector<FillStep> &out)
 {
     const size_t nb = nest.loops.size();
-    int64_t local[kMaxDepth + 1];
-    std::vector<int64_t> deep;
-    int64_t *fp = local;
-    if (nb > kMaxDepth) {
-        deep.resize(nb + 1);
-        fp = deep.data();
-    }
+    int64_t fp[kMaxDepth + 1];
     boundaryFootprints(nest, tensor, layer, fp);
 
     // analyzeBuffer() retains at the first (outermost) boundary whose

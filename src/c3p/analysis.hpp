@@ -23,7 +23,6 @@
 #define NNBATON_C3P_ANALYSIS_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "c3p/footprint.hpp"
@@ -31,21 +30,14 @@
 
 namespace nnbaton {
 
-/** One critical position found by the scan (reported for inspection). */
-struct CriticalPoint
-{
-    size_t boundary;          //!< nest boundary index (above loops[b])
-    int64_t criticalCapacity; //!< bytes needed to retain across it
-};
-
-/** Result of analysing one buffer for one tensor. */
+/** Result of analysing one buffer for one tensor.  Plain data: no
+ *  heap state, so copying a result per candidate costs no allocation. */
 struct ReuseResult
 {
     int64_t fillBytes = 0;      //!< traffic from the parent level
     int64_t footprintAtFit = 0; //!< retained working set in bytes
     size_t fitBoundary = 0;     //!< retention boundary index
     int64_t intrinsicBytes = 0; //!< A0: footprint of the whole nest
-    std::vector<CriticalPoint> criticalPoints;
 
     /** Penalty factor fills / A0 (1.0 when the buffer is large enough). */
     double penalty() const
@@ -59,37 +51,15 @@ struct ReuseResult
 /**
  * Analyse @p tensor through @p nest for a buffer of @p capacity_bytes.
  *
- * The atom footprint is assumed to fit (legality-checked by the
- * mapper); if it does not, fills degenerate to atom * total trips and
- * a warning flag is set in the result via fitBoundary == loops.size().
+ * One inward-to-outward pass produces every boundary footprint from a
+ * running span, so the scan is linear in the nest depth; a nest deeper
+ * than 31 loops panics.  The atom footprint is assumed to fit
+ * (legality-checked by the mapper); if it does not, fills degenerate
+ * to atom * total trips and the result flags it with
+ * fitBoundary == loops.size().
  */
 ReuseResult analyzeBuffer(const LoopNest &nest, Tensor tensor,
                           const ConvLayer &layer, int64_t capacity_bytes);
-
-/**
- * analyzeBuffer() in a single inward-to-outward pass: every boundary
- * footprint is produced by one running span accumulation instead of an
- * O(n) spanBelow() walk per boundary, cutting the scan from quadratic
- * to linear in the nest depth.  Span products are the same exact
- * int64 multiplications in a different (commutative) order, so the
- * result is bit-identical to analyzeBuffer() on every field — the
- * incremental evaluator's hot path relies on that, and the C3P fuzz
- * suite pins it.
- */
-ReuseResult analyzeBufferFast(const LoopNest &nest, Tensor tensor,
-                              const ConvLayer &layer,
-                              int64_t capacity_bytes);
-
-/**
- * analyzeBufferFast() writing into caller-owned storage: @p out's
- * criticalPoints vector keeps its capacity across calls, so a hot loop
- * feeding the same result slot back in allocates nothing in the steady
- * state (the incremental evaluator's memo fills its ring entries this
- * way).  All fields are fully (re)assigned.
- */
-void analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
-                           const ConvLayer &layer, int64_t capacity_bytes,
-                           ReuseResult &out);
 
 /**
  * One step of a buffer's fill function: every capacity of at least
@@ -105,7 +75,7 @@ struct FillStep
 /**
  * Append @p tensor's fills through @p nest as a step function of the
  * buffer capacity: the paper's critical capacities, taken from the same
- * boundary-footprint scan analyzeBufferFast() runs.  Steps are emitted
+ * boundary-footprint scan analyzeBuffer() runs.  Steps are emitted
  * in descending minCapacity, one per boundary whose footprint undercuts
  * every outer one.  The last step has minCapacity INT64_MIN: it also
  * covers capacities below every footprint, where analyzeBuffer()

@@ -104,8 +104,8 @@ NestSet buildNests(const ConvLayer &layer, const AcceleratorConfig &cfg,
 /**
  * buildNests() into caller-owned storage: @p out's loop vectors are
  * cleared and refilled in place, so a caller evaluating a candidate
- * stream (the incremental evaluator) pays the allocation once and
- * reuses the capacity for every subsequent rebuild.
+ * stream (analyzeMapping()'s per-thread scratch) pays the allocation
+ * once and reuses the capacity for every subsequent rebuild.
  */
 void buildNestsInto(const ConvLayer &layer, const AcceleratorConfig &cfg,
                     const Mapping &mapping, const MappingShapes &shapes,

@@ -124,6 +124,14 @@ std::string
 checkMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
              const Mapping &m, int psum_bits)
 {
+    MappingShapes shapes;
+    return checkMapping(layer, cfg, m, shapes, psum_bits);
+}
+
+std::string
+checkMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
+             const Mapping &m, MappingShapes &s, int psum_bits)
+{
     const int np = cfg.package.chiplets;
     const int nc = cfg.chiplet.cores;
     const int cw = m.chipChannelWays;
@@ -157,7 +165,7 @@ checkMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
         break;
     }
 
-    MappingShapes s = deriveShapes(layer, cfg, m);
+    s = deriveShapes(layer, cfg, m);
     if (s.chipletTile.co < cw)
         return "chiplet tile has fewer channels than channel ways";
     if (s.chipletTile.ho < m.chipSplit.fh ||

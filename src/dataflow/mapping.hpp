@@ -165,6 +165,14 @@ std::string checkMapping(const ConvLayer &layer,
                          const AcceleratorConfig &cfg,
                          const Mapping &mapping, int psum_bits = 24);
 
+/** checkMapping() that also hands back the derived shapes (assigned
+ *  whenever the spatial split is well formed, so always when the
+ *  mapping is legal), for callers that go on to use them. */
+std::string checkMapping(const ConvLayer &layer,
+                         const AcceleratorConfig &cfg,
+                         const Mapping &mapping, MappingShapes &shapes,
+                         int psum_bits = 24);
+
 } // namespace nnbaton
 
 #endif // NNBATON_DATAFLOW_MAPPING_HPP

@@ -11,6 +11,7 @@
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "nn/parser.hpp"
 #include "verif/fault.hpp"
 
 namespace nnbaton {
@@ -242,15 +243,29 @@ designPointKey(const ComputeAllocation &compute,
                      static_cast<long long>(memory.al2Bytes));
 }
 
-std::string
-sweepFingerprint(const Model &model, const DseOptions &options)
+namespace {
+
+/** 64-bit FNV-1a of @p text. */
+uint64_t
+textDigest(const std::string &text)
 {
-    // The anneal seed only matters when that mode is active; keying
-    // it unconditionally would reject resumes between deterministic
-    // sweeps that merely carried different (unused) seeds.
+    uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** The options part of a fingerprint, ending "|mode|seed".  The
+ *  anneal seed only matters when that mode is active; keying it
+ *  unconditionally would reject resumes between deterministic sweeps
+ *  that merely carried different (unused) seeds. */
+std::string
+optionsFingerprint(const DseOptions &options)
+{
     return strprintf(
-        "%s|%d|%lld|%.17g|%d|%d|%d|%s|%llu", model.name().c_str(),
-        model.inputResolution(),
+        "%lld|%.17g|%d|%d|%d|%s|%llu",
         static_cast<long long>(options.totalMacs), options.areaLimitMm2,
         options.proportionalMem ? 1 : 0,
         static_cast<int>(options.effort),
@@ -259,6 +274,97 @@ sweepFingerprint(const Model &model, const DseOptions &options)
         options.searchMode == SearchMode::Anneal
             ? static_cast<unsigned long long>(options.annealSeed)
             : 0ull);
+}
+
+/** The fingerprint checkpoints carried before it digested the model
+ *  text: the model keyed by its name alone. */
+std::string
+legacySweepFingerprint(const Model &model, const DseOptions &options)
+{
+    return strprintf("%s|%d|%s", model.name().c_str(),
+                     model.inputResolution(),
+                     optionsFingerprint(options).c_str());
+}
+
+/** True when @p model is a zoo model exactly as its make* function
+ *  returns it (batch 1, unedited), the only case a name-keyed
+ *  fingerprint identified. */
+bool
+isZooModel(const Model &model)
+{
+    const std::string text = writeModelText(model);
+    for (Model (*build)(int) :
+         {makeAlexNet, makeVgg16, makeResNet50, makeDarkNet19,
+          makeMobileNetV2, makeBertBase, makeVitB16}) {
+        try {
+            if (writeModelText(build(model.inputResolution())) == text)
+                return true;
+        } catch (const StatusError &) {
+            // This zoo model rejects the resolution; not this one.
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+std::string
+sweepFingerprint(const Model &model, const DseOptions &options)
+{
+    // The text digest covers what the name cannot: batch, post-ops,
+    // depthwise and GEMM shapes, and --model-file models that share a
+    // name.
+    return strprintf("%s|%d|%016llx|%s", model.name().c_str(),
+                     model.inputResolution(),
+                     static_cast<unsigned long long>(
+                         textDigest(writeModelText(model))),
+                     optionsFingerprint(options).c_str());
+}
+
+int64_t
+restoreSweepCheckpoint(const std::string &path, const Model &model,
+                       const DseOptions &options,
+                       const std::vector<SweepTask> &tasks,
+                       std::vector<SweepPointOutcome> &outcomes,
+                       CheckpointSink &sink)
+{
+    const SweepCheckpoint restored = loadSweepCheckpoint(path).value();
+    const std::string fingerprint = sweepFingerprint(model, options);
+    const bool legacy_zoo =
+        restored.fingerprint == legacySweepFingerprint(model, options) &&
+        isZooModel(model);
+    if (restored.fingerprint != fingerprint && !legacy_zoo) {
+        throwStatus(errFailedPrecondition(
+            "resume checkpoint %s was written for a different "
+            "sweep (its fingerprint \"%s\" != \"%s\")",
+            path.c_str(), restored.fingerprint.c_str(),
+            fingerprint.c_str()));
+    }
+    int64_t restored_points = 0;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        const std::string key =
+            designPointKey(tasks[i].compute, tasks[i].memory);
+        auto it = restored.entries.find(key);
+        if (it == restored.entries.end())
+            continue;
+        SweepPointOutcome &out = outcomes[i];
+        out.restored = true;
+        switch (it->second.kind) {
+        case CheckpointEntry::Kind::AreaRejected:
+            out.kind = SweepPointOutcome::AreaRejected;
+            break;
+        case CheckpointEntry::Kind::Infeasible:
+            out.kind = SweepPointOutcome::Infeasible;
+            break;
+        case CheckpointEntry::Kind::Valid:
+            out.kind = SweepPointOutcome::Valid;
+            out.point = it->second.point;
+            break;
+        }
+        sink.seed(key, it->second);
+        ++restored_points;
+    }
+    return restored_points;
 }
 
 Status

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/status.hpp"
@@ -68,9 +69,10 @@ struct SweepCheckpoint
 std::string designPointKey(const ComputeAllocation &compute,
                            const MemoryAllocation &memory);
 
-/** Stable identity of a sweep: model plus every option that shapes
+/** Stable identity of a sweep: the model's name, resolution and a
+ *  digest of its writeModelText() form, plus every option that shapes
  *  the space or the scores (threads excluded — results are
- *  thread-count independent). */
+ *  thread-count independent).  Ends "|<search mode>|<anneal seed>". */
 std::string sweepFingerprint(const Model &model,
                              const DseOptions &options);
 
@@ -85,10 +87,29 @@ Status saveSweepCheckpoint(const std::string &path,
 /**
  * Load a checkpoint: errNotFound when @p path cannot be opened,
  * errDataLoss when the contents are not a valid checkpoint document.
- * Fingerprint matching is the caller's job (the explorer rejects a
- * mismatch with errFailedPrecondition).
+ * Fingerprint matching is restoreSweepCheckpoint()'s job.
  */
 StatusOr<SweepCheckpoint> loadSweepCheckpoint(const std::string &path);
+
+class CheckpointSink;
+
+/**
+ * Resume the sweep of @p model under @p options from the checkpoint at
+ * @p path: mark every recorded task of @p tasks restored in
+ * @p outcomes (same indexing) and seed @p sink with its entry.
+ * Returns the number of points restored.  Throws the load's
+ * StatusError, or FAILED_PRECONDITION when the checkpoint belongs to
+ * another sweep.  A fingerprint from before the model-text digest
+ * (keyed by the model's name) is accepted only for an unedited zoo
+ * model at batch 1, the one case the name identified.  explore() and
+ * the fabric coordinator share this.
+ */
+int64_t restoreSweepCheckpoint(const std::string &path,
+                               const Model &model,
+                               const DseOptions &options,
+                               const std::vector<SweepTask> &tasks,
+                               std::vector<SweepPointOutcome> &outcomes,
+                               CheckpointSink &sink);
 
 /**
  * Serialise a full DesignPoint (doubles at %.17g).  One serialisation

@@ -58,38 +58,8 @@ coordinateSweep(const Model &model, const DseOptions &options,
     // and vice versa.
     int64_t resumedPoints = 0;
     if (!options.resumePath.empty()) {
-        SweepCheckpoint restored =
-            loadSweepCheckpoint(options.resumePath).value();
-        if (restored.fingerprint != fingerprint) {
-            throwStatus(errFailedPrecondition(
-                "resume checkpoint %s was written for a different "
-                "sweep (its fingerprint \"%s\" != \"%s\")",
-                options.resumePath.c_str(),
-                restored.fingerprint.c_str(), fingerprint.c_str()));
-        }
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            const std::string key =
-                designPointKey(tasks[i].compute, tasks[i].memory);
-            auto it = restored.entries.find(key);
-            if (it == restored.entries.end())
-                continue;
-            SweepPointOutcome &out = outcomes[i];
-            out.restored = true;
-            switch (it->second.kind) {
-            case CheckpointEntry::Kind::AreaRejected:
-                out.kind = SweepPointOutcome::AreaRejected;
-                break;
-            case CheckpointEntry::Kind::Infeasible:
-                out.kind = SweepPointOutcome::Infeasible;
-                break;
-            case CheckpointEntry::Kind::Valid:
-                out.kind = SweepPointOutcome::Valid;
-                out.point = it->second.point;
-                break;
-            }
-            sink.seed(key, it->second);
-            ++resumedPoints;
-        }
+        resumedPoints = restoreSweepCheckpoint(
+            options.resumePath, model, options, tasks, outcomes, sink);
         inform("fabric: restored %lld of %zu design points from %s",
                static_cast<long long>(resumedPoints), tasks.size(),
                options.resumePath.c_str());

@@ -5,7 +5,6 @@
 #include <random>
 #include <unordered_map>
 
-#include "c3p/incremental.hpp"
 #include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
@@ -64,7 +63,7 @@ searchAnneal(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // Deterministic start state, scanned in enumeration order: the
     // first full-lane leaf, else the first legal leaf (so a
     // zero-iteration anneal still returns something legal, and equal
-    // seeds walk from equal states).  Like enumerateCandidatesInto(),
+    // seeds walk from equal states).  Like enumerateCandidates(),
     // a layer with any full-lane leaf keeps to that class, so the
     // walk never leaves the exhaustive search's candidate set.
     struct Coord
@@ -101,16 +100,10 @@ searchAnneal(const ConvLayer &layer, const AcceleratorConfig &cfg,
     if (!init)
         return std::nullopt;
 
-    // The anneal walk is serial and its moves are single-coordinate —
-    // exactly the diffs the incremental analyzer covers.
-    IncrementalAnalyzer inc(layer, cfg);
     int64_t evaluated = 0;
     const auto evalLeaf = [&](const CandidateSpace::Leaf &leaf) {
         ++evaluated;
-        MappingChoice choice;
-        evaluateMappingIncrementalInto(layer, cfg, tech, leaf.mapping,
-                                       inc, choice);
-        return choice;
+        return evaluateMapping(layer, cfg, tech, leaf.mapping);
     };
 
     MappingChoice cur_choice = evalLeaf(*init);
@@ -210,7 +203,6 @@ searchAnneal(const ConvLayer &layer, const AcceleratorConfig &cfg,
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.evaluated");
     m_evaluated.add(evaluated);
-    mirrorIncrementalMetrics(inc.stats());
     return best_choice;
 }
 

@@ -193,8 +193,7 @@ MappingCache::lookupOrCompute(
         auto it = shard.map.find(key);
         if (it != shard.map.end() && it->second == entry) {
             entry->published = true;
-            entry->bytes = entryBytes(*entry);
-            shard.bytes += entry->bytes;
+            shard.bytes += entryBytes();
             evictLocked(shard);
         }
     }
@@ -261,24 +260,17 @@ MappingCache::tableView(const ConvLayer &layer,
 }
 
 int64_t
-MappingCache::entryBytes(const Entry &entry)
+MappingCache::entryBytes()
 {
     // The map node (key, value, next pointer, cached hash) and its
-    // bucket, the make_shared block holding the Entry, the LRU node,
-    // and the three reuse analyses' critical-point blocks.
-    int64_t n =
-        heapBlockBytes(sizeof(std::pair<const Key, std::shared_ptr<Entry>>) +
-                       2 * sizeof(void *)) +
-        static_cast<int64_t>(sizeof(void *)) +
-        heapBlockBytes(sizeof(Entry) + 2 * sizeof(void *)) +
-        heapBlockBytes(sizeof(LruItem) + 2 * sizeof(void *));
-    if (entry.value) {
-        const AccessAnalysis &a = entry.value->analysis;
-        for (const ReuseResult *r : {&a.wl1, &a.al1, &a.al2})
-            n += heapBlockBytes(static_cast<int64_t>(
-                r->criticalPoints.capacity() * sizeof(CriticalPoint)));
-    }
-    return n;
+    // bucket, the make_shared block holding the Entry, and the LRU
+    // node.
+    return heapBlockBytes(
+               sizeof(std::pair<const Key, std::shared_ptr<Entry>>) +
+               2 * sizeof(void *)) +
+           static_cast<int64_t>(sizeof(void *)) +
+           heapBlockBytes(sizeof(Entry) + 2 * sizeof(void *)) +
+           heapBlockBytes(sizeof(LruItem) + 2 * sizeof(void *));
 }
 
 int64_t
@@ -313,7 +305,7 @@ MappingCache::evictLocked(Shard &shard)
         const auto slot = shard.map.find(*it->key);
         if (!slot->second->published)
             continue; // still being computed; skip
-        shard.bytes -= slot->second->bytes;
+        shard.bytes -= entryBytes();
         it = shard.lru.erase(it);
         shard.map.erase(slot);
         evictions_.fetch_add(1, std::memory_order_relaxed);

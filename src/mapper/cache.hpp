@@ -197,7 +197,6 @@ class MappingCache
         std::optional<MappingChoice> value;
         bool published = false;  //!< set under the shard lock after
                                  //!< the search finished
-        int64_t bytes = 0;       //!< charged to the shard at publish
         LruList::iterator lruIt; //!< position in the shard LRU
     };
 
@@ -235,8 +234,9 @@ class MappingCache
     /** The shard owning @p key. */
     static size_t shardOf(const Key &key);
 
-    /** Resident bytes of a published entry. */
-    static int64_t entryBytes(const Entry &entry);
+    /** Resident bytes of a published entry (the same for every
+     *  entry: a MappingChoice holds no heap state). */
+    static int64_t entryBytes();
 
     /** Resident bytes of a table slot, its table included. */
     static int64_t tableSlotBytes(const TableSlot &slot);

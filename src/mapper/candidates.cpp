@@ -230,26 +230,6 @@ buildSubtrees(const ConvLayer &layer, const AcceleratorConfig &cfg,
 
 } // namespace
 
-void
-CandidateBlock::keepOnly(bool full_lane)
-{
-    const uint8_t want = full_lane ? 1 : 0;
-    size_t w = 0;
-    for (size_t r = 0; r < mappings_.size(); ++r) {
-        if (fullLane_[r] != want)
-            continue;
-        if (w != r) {
-            mappings_[w] = mappings_[r];
-            ordinals_[w] = ordinals_[r];
-            fullLane_[w] = fullLane_[r];
-        }
-        ++w;
-    }
-    mappings_.resize(w);
-    ordinals_.resize(w);
-    fullLane_.resize(w);
-}
-
 CandidateSpace::CandidateSpace(const ConvLayer &layer,
                                const AcceleratorConfig &cfg,
                                SearchEffort effort)
@@ -289,7 +269,8 @@ CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
     m.woC = st.woC;
     m.pkgOrder = kOrders[order / 2];
     m.chipOrder = kOrders[order % 2];
-    if (!checkMapping(layer_, cfg_, m).empty())
+    MappingShapes sh;
+    if (!checkMapping(layer_, cfg_, m, sh).empty())
         return std::nullopt;
     Leaf leaf;
     leaf.mapping = m;
@@ -299,69 +280,40 @@ CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
             ((ih * st.ladderW.size() + iw) * st.ladderC.size() + ic) *
                 4 +
             order);
-    const MappingShapes sh = deriveShapes(layer_, cfg_, m);
     leaf.fullLane = sh.coreMacro.co >= cfg_.core.lanes;
     return leaf;
 }
 
-void
-CandidateSpace::expandInto(size_t i, CandidateBlock &out) const
+namespace {
+
+/** Every legal leaf of @p space in ascending ordinal order, reduced to
+ *  the full-lane class when the layer has any full-lane leaf. */
+std::vector<Mapping>
+collectFromSpace(const CandidateSpace &space)
 {
-    out.clear();
-    const Subtree &st = subtrees_[i];
-    for (size_t ih = 0; ih < st.ladderH.size(); ++ih) {
-        for (size_t iw = 0; iw < st.ladderW.size(); ++iw) {
-            for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
-                for (size_t order = 0; order < 4; ++order) {
-                    if (auto leaf = makeLeaf(i, ih, iw, ic, order)) {
-                        out.push(leaf->mapping, leaf->ordinal,
-                                 leaf->fullLane);
+    std::vector<Mapping> full, degraded;
+    for (size_t i = 0; i < space.size(); ++i) {
+        const CandidateSpace::Subtree &st = space.subtree(i);
+        for (size_t ih = 0; ih < st.ladderH.size(); ++ih) {
+            for (size_t iw = 0; iw < st.ladderW.size(); ++iw) {
+                for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
+                    for (size_t order = 0; order < 4; ++order) {
+                        if (auto leaf = space.makeLeaf(i, ih, iw, ic,
+                                                       order)) {
+                            (leaf->fullLane ? full : degraded)
+                                .push_back(leaf->mapping);
+                        }
                     }
                 }
             }
         }
     }
-}
-
-void
-enumerateCandidatesInto(const CandidateSpace &space, CandidateBlock &out)
-{
-    out.clear();
-    CandidateBlock scratch;
-    for (size_t i = 0; i < space.size(); ++i) {
-        space.expandInto(i, scratch);
-        for (size_t k = 0; k < scratch.size(); ++k) {
-            out.push(scratch.mapping(k), scratch.ordinal(k),
-                     scratch.fullLane(k));
-        }
-    }
     // Prefer candidates that fill the lanes; fall back when the layer
-    // is too narrow for any to exist.  keepOnly preserves ascending
-    // ordinal order, so the block stays an enumeration-neighbour
-    // stream either way.
-    if (out.anyFullLane())
-        out.keepOnly(true);
+    // is too narrow for any to exist.
+    return full.empty() ? degraded : full;
 }
 
-void
-enumerateCandidatesInto(const ConvLayer &layer,
-                        const AcceleratorConfig &cfg, SearchEffort effort,
-                        CandidateBlock &out)
-{
-    enumerateCandidatesInto(CandidateSpace(layer, cfg, effort), out);
-}
-
-static std::vector<Mapping>
-collectFromSpace(const CandidateSpace &space)
-{
-    CandidateBlock block;
-    enumerateCandidatesInto(space, block);
-    std::vector<Mapping> out;
-    out.reserve(block.size());
-    for (size_t i = 0; i < block.size(); ++i)
-        out.push_back(block.mapping(i));
-    return out;
-}
+} // namespace
 
 std::vector<Mapping>
 enumerateCandidates(const ConvLayer &layer, const AcceleratorConfig &cfg,

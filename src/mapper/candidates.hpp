@@ -30,65 +30,6 @@ enum class SearchEffort
 };
 
 /**
- * A batch of enumerated candidates in structure-of-arrays layout: the
- * mappings, their flat-enumeration ordinals and their lane-class flags
- * live in three parallel arrays.  Blocks are reused across refills —
- * clear() keeps the capacity — so enumeration, which expands subtrees
- * one after another, pays the candidate-storage allocation once
- * instead of once per subtree.
- * Candidates keep ascending-ordinal (enumeration-neighbour) order,
- * which is what makes the incremental evaluator's delta path hit.
- */
-class CandidateBlock
-{
-  public:
-    void clear()
-    {
-        mappings_.clear();
-        ordinals_.clear();
-        fullLane_.clear();
-    }
-
-    void reserve(size_t n)
-    {
-        mappings_.reserve(n);
-        ordinals_.reserve(n);
-        fullLane_.reserve(n);
-    }
-
-    size_t size() const { return mappings_.size(); }
-    bool empty() const { return mappings_.empty(); }
-
-    void push(const Mapping &m, int64_t ordinal, bool full_lane)
-    {
-        mappings_.push_back(m);
-        ordinals_.push_back(ordinal);
-        fullLane_.push_back(full_lane ? 1 : 0);
-    }
-
-    const Mapping &mapping(size_t i) const { return mappings_[i]; }
-    int64_t ordinal(size_t i) const { return ordinals_[i]; }
-    bool fullLane(size_t i) const { return fullLane_[i] != 0; }
-
-    bool anyFullLane() const
-    {
-        for (uint8_t f : fullLane_) {
-            if (f)
-                return true;
-        }
-        return false;
-    }
-
-    /** Compact in place to one lane class, preserving order. */
-    void keepOnly(bool full_lane);
-
-  private:
-    std::vector<Mapping> mappings_;
-    std::vector<int64_t> ordinals_;
-    std::vector<uint8_t> fullLane_;
-};
-
-/**
  * Enumerate legal mapping candidates for @p layer on @p cfg.
  *
  * All six spatial combinations (2 package x 3 chiplet types), all four
@@ -111,23 +52,6 @@ std::vector<Mapping>
 enumerateCandidatesFor(const ConvLayer &layer,
                        const AcceleratorConfig &cfg, SearchEffort effort,
                        PackagePartition pkg, ChipletPartition chip);
-
-class CandidateSpace;
-
-/**
- * enumerateCandidates() in block form: all legal leaves of @p space in
- * ascending ordinal order, reduced to the preferred lane class
- * (full-lane when any exists, the degraded class otherwise).  @p out
- * is cleared and refilled; reusing one block across layers amortises
- * the candidate-storage allocation to zero on the search hot path.
- */
-void enumerateCandidatesInto(const CandidateSpace &space,
-                             CandidateBlock &out);
-
-/** Convenience overload constructing the space internally. */
-void enumerateCandidatesInto(const ConvLayer &layer,
-                             const AcceleratorConfig &cfg,
-                             SearchEffort effort, CandidateBlock &out);
 
 /**
  * The candidate space as a two-level grid (docs/search.md).
@@ -194,11 +118,6 @@ class CandidateSpace
 
     size_t size() const { return subtrees_.size(); }
     const Subtree &subtree(size_t i) const { return subtrees_[i]; }
-
-    /** Expand subtree @p i into its legal leaves, ascending ordinal,
-     *  both lane classes (callers filter).  @p out is cleared and
-     *  refilled in place (capacity retained across calls). */
-    void expandInto(size_t i, CandidateBlock &out) const;
 
     /** Materialise one grid coordinate of subtree @p i (indices into
      *  the ladders, @p order in [0,4) as pkgOrder*2 + chipOrder).

@@ -33,14 +33,15 @@ struct MappingHash
     }
 };
 
-/** True when @p view holds exactly @p block's mappings, in order. */
+/** True when @p view holds exactly @p candidates, in order. */
 bool
-sameOrder(const MemoryAxisTable::View &view, const CandidateBlock &block)
+sameOrder(const MemoryAxisTable::View &view,
+          const std::vector<Mapping> &candidates)
 {
-    if (view.size() != block.size())
+    if (view.size() != candidates.size())
         return false;
     for (size_t i = 0; i < view.size(); ++i) {
-        if (view[i]->mapping != block.mapping(i))
+        if (view[i]->mapping != candidates[i])
             return false;
     }
     return true;
@@ -56,7 +57,7 @@ MemoryAxisTable::MemoryAxisTable(const ConvLayer &layer,
 }
 
 MemoryAxisTable::View
-MemoryAxisTable::intern(const CandidateBlock &block,
+MemoryAxisTable::intern(const std::vector<Mapping> &candidates,
                         const AcceleratorConfig &cfg)
 {
     std::unordered_map<Mapping, const Candidate *, MappingHash> stored;
@@ -73,8 +74,7 @@ MemoryAxisTable::intern(const CandidateBlock &block,
     std::vector<Candidate> analysed;
     std::vector<FillStep> steps;
     std::vector<size_t> step_begin;
-    for (size_t i = 0; i < block.size(); ++i) {
-        const Mapping &m = block.mapping(i);
+    for (const Mapping &m : candidates) {
         if (!stored.emplace(m, nullptr).second)
             continue;
         Candidate &c = analysed.emplace_back();
@@ -106,9 +106,9 @@ MemoryAxisTable::intern(const CandidateBlock &block,
     }
 
     View order;
-    order.reserve(block.size());
-    for (size_t i = 0; i < block.size(); ++i)
-        order.push_back(stored.at(block.mapping(i)));
+    order.reserve(candidates.size());
+    for (const Mapping &m : candidates)
+        order.push_back(stored.at(m));
     return order;
 }
 
@@ -130,18 +130,19 @@ MemoryAxisTable::view(const AcceleratorConfig &cfg, int64_t *leaves_added)
     // A new legality key: the ordinary enumerator decides its
     // candidates and their order.  Keys that admit the same sequence
     // (buffer sizes past every legality threshold) share one view.
-    CandidateBlock block;
-    enumerateCandidatesInto(layer_, cfg, effort_, block);
+    const std::vector<Mapping> candidates =
+        enumerateCandidates(layer_, cfg, effort_);
     const View *shared = nullptr;
     for (const auto &v : views_) {
-        if (sameOrder(*v, block)) {
+        if (sameOrder(*v, candidates)) {
             shared = v.get();
             break;
         }
     }
     const size_t chunks = chunks_.size();
     if (!shared) {
-        views_.push_back(std::make_unique<const View>(intern(block, cfg)));
+        views_.push_back(
+            std::make_unique<const View>(intern(candidates, cfg)));
         shared = views_.back().get();
     }
     keys_.emplace_back(key, shared);

@@ -20,7 +20,7 @@
  * three fill step functions: W-L1 (pooled over the pw cores of a
  * weight stream), A-L1 and A-L2.  It also records the candidate order
  * of every legality key it has been asked for, produced by running
- * enumerateCandidatesInto() once for that key, so the enumerator's
+ * enumerateCandidates() once for that key, so the enumerator's
  * ordering rules (the core-tile planes' sort and cap, the full-lane
  * filter, ordinal order) are reused rather than re-derived.
  *
@@ -78,7 +78,7 @@ class MemoryAxisTable
     };
 
     /** The candidate order of one legality key: exactly the sequence
-     *  enumerateCandidatesInto() emits for a configuration with it. */
+     *  enumerateCandidates() returns for a configuration with it. */
     using View = std::vector<const Candidate *>;
 
     /** An empty table for @p layer's shape at @p effort; views fill it
@@ -126,9 +126,10 @@ class MemoryAxisTable
         size_t stepCount = 0;
     };
 
-    /** The candidates of @p block in order: stored ones reused, new
-     *  ones analysed into one new chunk.  Caller holds m_. */
-    View intern(const CandidateBlock &block, const AcceleratorConfig &cfg);
+    /** @p candidates in order: stored ones reused, new ones analysed
+     *  into one new chunk.  Caller holds m_. */
+    View intern(const std::vector<Mapping> &candidates,
+                const AcceleratorConfig &cfg);
 
     /** Recount bytes_ from the containers.  Caller holds m_. */
     void recount();

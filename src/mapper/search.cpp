@@ -1,10 +1,10 @@
 #include "mapper/search.hpp"
 
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "c3p/incremental.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -42,20 +42,6 @@ evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     return choice;
 }
 
-void
-evaluateMappingIncrementalInto(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               const TechnologyModel &tech,
-                               const Mapping &mapping,
-                               IncrementalAnalyzer &state,
-                               MappingChoice &out)
-{
-    out.mapping = mapping;
-    state.analyzeInto(mapping, out.analysis);
-    out.energy = computeEnergy(out.analysis.counts, cfg, tech);
-    out.runtime = estimateRuntime(layer, cfg, out.analysis, tech);
-}
-
 namespace {
 
 /**
@@ -80,13 +66,23 @@ scoreOf(const MappingChoice &c, Objective objective)
                                              : c.edp();
 }
 
+/** True when NNBATON_INCREMENTAL_CHECK is set (and not "0"): every
+ *  table score is then re-derived through evaluateMapping(). */
+bool
+tableCrossCheckFromEnv()
+{
+    const char *v = std::getenv("NNBATON_INCREMENTAL_CHECK");
+    return v != nullptr && v[0] != '\0' &&
+           !(v[0] == '0' && v[1] == '\0');
+}
+
 /**
  * The score of table candidate @p c at @p cfg's buffer sizes.  The
  * three fills come from the candidate's step functions; everything
- * after them is the evaluation's own composeAccessAnalysisInto ->
+ * after them is the evaluation's own composeAccessAnalysis ->
  * computeEnergy -> estimateRuntime chain on the stored shapes, so the
  * score equals scoreOf(evaluateMapping(...)) bit for bit.  With
- * @p cross_check every score is re-derived through the full analysis
+ * @p cross_check every score is re-derived through evaluateMapping()
  * and a divergence panics.
  */
 double
@@ -100,9 +96,9 @@ tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
         c.wl1Fill(cfg.core.wl1Bytes * c.mapping.chipSplit.parts());
     al1.fillBytes = c.al1Fill(cfg.core.al1Bytes);
     al2.fillBytes = c.al2Fill(cfg.chiplet.al2Bytes);
-    AccessAnalysis analysis;
-    composeAccessAnalysisInto(layer, cfg, c.mapping, AnalysisOptions{},
-                              c.shapes, wl1, al1, al2, analysis);
+    const AccessAnalysis analysis =
+        composeAccessAnalysis(layer, cfg, c.mapping, AnalysisOptions{},
+                              c.shapes, wl1, al1, al2);
     const EnergyBreakdown energy =
         computeEnergy(analysis.counts, cfg, tech);
     const RuntimeResult runtime =
@@ -141,13 +137,14 @@ tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
 /**
  * The exhaustive search over one candidate sequence: @p table's view
  * when the cache supplied one, else @p candidates.  Table candidates
- * are scored from their fill step functions and only the winner is
- * materialised through evaluateMapping(), so both sources return the
- * same winner and the same work counters.
+ * are scored from their fill step functions, the others through
+ * evaluateMapping(); either way only the winner is materialised, so
+ * both sources return the same winner and the same work counters.
  */
 std::optional<MappingChoice>
 pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
-         const TechnologyModel &tech, const CandidateBlock &candidates,
+         const TechnologyModel &tech,
+         const std::vector<Mapping> &candidates,
          const MemoryAxisTable::View *table, Objective objective,
          const SearchOptions &search, ThreadPool *pool,
          SearchStats *stats)
@@ -160,26 +157,13 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     int64_t evaluated_here = 0;
     int64_t pruned_here = 0;
 
-    std::optional<MappingChoice> best;
     bool found = false;
     size_t best_index = 0;
     double best_score = std::numeric_limits<double>::max();
 
-    // The serial lane walks the block in ascending-ordinal order — an
-    // enumeration-neighbour stream — so it evaluates through the
-    // delta-aware incremental analyzer.  The parallel lanes hand out
-    // indices nondeterministically and keep the full evaluation
-    // (results are bit-identical either way, so the serial/parallel
-    // determinism contract is unaffected).  Table candidates need
-    // neither.
-    std::optional<IncrementalAnalyzer> inc;
-    if (!pool && !table)
-        inc.emplace(layer, cfg);
-    const bool cross_check =
-        table && IncrementalAnalyzer::crossCheckFromEnv();
+    const bool cross_check = table && tableCrossCheckFromEnv();
 
     const size_t n = table ? table->size() : candidates.size();
-    std::vector<MappingChoice> slots(table ? 0 : std::min(n, kPruneBlock));
     std::vector<double> scores(std::min(n, kPruneBlock));
     std::vector<size_t> survivors;
     survivors.reserve(kPruneBlock);
@@ -210,7 +194,7 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
                                               (*table)[base + i]->shapes,
                                               objective)
                             : scoreLowerBound(layer, cfg, tech,
-                                              candidates.mapping(base + i),
+                                              candidates[base + i],
                                               objective);
                     if (bound >= best_score * kPruneMargin) {
                         ++pruned_here;
@@ -222,24 +206,18 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
         }
 
         // Score the survivors, in parallel when a pool is available
-        // (indices write disjoint slots; no ordering).
+        // (indices write disjoint slots; no ordering: the evaluator is
+        // stateless, so any lane may score any index).
         {
             NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
             const auto evaluate = [&](size_t i) {
-                if (table) {
-                    scores[i] = tableScore(layer, cfg, tech,
-                                           *(*table)[base + i],
-                                           objective, cross_check);
-                } else if (inc) {
-                    evaluateMappingIncrementalInto(
-                        layer, cfg, tech, candidates.mapping(base + i),
-                        *inc, slots[i]);
-                    scores[i] = scoreOf(slots[i], objective);
-                } else {
-                    slots[i] = evaluateMapping(
-                        layer, cfg, tech, candidates.mapping(base + i));
-                    scores[i] = scoreOf(slots[i], objective);
-                }
+                scores[i] =
+                    table ? tableScore(layer, cfg, tech,
+                                       *(*table)[base + i], objective,
+                                       cross_check)
+                          : scoreOf(evaluateMapping(layer, cfg, tech,
+                                                    candidates[base + i]),
+                                    objective);
             };
             if (pool) {
                 pool->parallelFor(
@@ -262,14 +240,14 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 found = true;
                 best_index = base + i;
                 best_score = scores[i];
-                if (!table)
-                    best = std::move(slots[i]);
             }
         }
     }
-    if (table && found) {
+    std::optional<MappingChoice> best;
+    if (found) {
         best = evaluateMapping(layer, cfg, tech,
-                               (*table)[best_index]->mapping);
+                               table ? (*table)[best_index]->mapping
+                                     : candidates[best_index]);
     }
 
     st.evaluated += evaluated_here;
@@ -292,8 +270,6 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     m_pruned.add(pruned_here);
     if (prune)
         m_prune_hist.record(pruned_here);
-    if (inc)
-        mirrorIncrementalMetrics(inc->stats());
 
     return best;
 }
@@ -312,10 +288,10 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
 {
     switch (search.mode) {
       case SearchMode::Exhaustive: {
-        CandidateBlock candidates;
+        std::vector<Mapping> candidates;
         if (!table) {
             NNBATON_TRACE_SCOPE("mapper.candidates");
-            enumerateCandidatesInto(layer, cfg, effort, candidates);
+            candidates = enumerateCandidates(layer, cfg, effort);
         }
         return pickBest(layer, cfg, tech, candidates, table, objective,
                         search, pool, stats);
@@ -360,9 +336,8 @@ searchLayerWithSpatial(const ConvLayer &layer,
                        ChipletPartition chip, SearchEffort effort,
                        Objective objective)
 {
-    CandidateBlock candidates;
-    enumerateCandidatesInto(CandidateSpace(layer, cfg, effort, pkg, chip),
-                            candidates);
+    const std::vector<Mapping> candidates =
+        enumerateCandidatesFor(layer, cfg, effort, pkg, chip);
     return pickBest(layer, cfg, tech, candidates, /*table=*/nullptr,
                     objective, SearchOptions{}, /*pool=*/nullptr,
                     /*stats=*/nullptr);

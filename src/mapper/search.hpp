@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -25,9 +26,8 @@
 
 namespace nnbaton {
 
-class MappingCache;        // mapper/cache.hpp
-class ThreadPool;          // common/parallel.hpp
-class IncrementalAnalyzer; // c3p/incremental.hpp
+class MappingCache; // mapper/cache.hpp
+class ThreadPool;   // common/parallel.hpp
 
 /** Search objective. */
 enum class Objective
@@ -125,29 +125,22 @@ struct MappingChoice
     double edp() const { return energy.total() * runtime.cycles; }
 };
 
-/** Evaluate one specific mapping (no search). */
+// A result is copied per scored candidate and per cache entry, so it
+// holds no heap state: per-buffer critical-point vectors once cost the
+// fig15 sweep about 100 MB of its 610 MB peak RSS.
+static_assert(std::is_trivially_copyable_v<MappingChoice>);
+
+/**
+ * Evaluate one specific mapping (no search): analyzeMapping(), then
+ * computeEnergy() and estimateRuntime().  The one per-mapping
+ * evaluator — a pure function of its arguments that any thread may
+ * call on any mapping in any order.
+ */
 MappingChoice evaluateMapping(const ConvLayer &layer,
                               const AcceleratorConfig &cfg,
                               const TechnologyModel &tech,
                               const Mapping &mapping,
                               const AnalysisOptions &options = {});
-
-/**
- * evaluateMapping() through the delta-aware incremental evaluator,
- * writing into caller-owned storage.  @p state carries the previous
- * candidate's cached per-level C3P terms, so enumeration-neighbour
- * candidates skip most of the analysis; bit-identical to
- * evaluateMapping() on legal mappings (see c3p/incremental.hpp).  A
- * hot evaluation loop that feeds the same @p out slot back in keeps
- * the analysis vectors' capacity and allocates nothing in the steady
- * state.  All fields are fully (re)assigned.
- */
-void evaluateMappingIncrementalInto(const ConvLayer &layer,
-                                    const AcceleratorConfig &cfg,
-                                    const TechnologyModel &tech,
-                                    const Mapping &mapping,
-                                    IncrementalAnalyzer &state,
-                                    MappingChoice &out);
 
 /**
  * Search the best mapping for one layer.  Returns std::nullopt when

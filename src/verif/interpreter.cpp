@@ -242,4 +242,27 @@ referenceFills(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
     return w.result;
 }
 
+ReuseResult
+referenceAnalyzeBuffer(const LoopNest &nest, Tensor tensor,
+                       const ConvLayer &layer, int64_t capacity_bytes)
+{
+    // Footprints are non-decreasing toward boundary 0, so the first
+    // boundary from the top whose footprint fits is the outermost one.
+    const size_t nb = nest.loops.size();
+    size_t fit = nb;
+    for (size_t b = 0; b <= nb; ++b) {
+        if (footprintBytes(tensor, nest.spanBelow(b), layer) <=
+            capacity_bytes) {
+            fit = b;
+            break;
+        }
+    }
+    ReuseResult r;
+    r.intrinsicBytes = footprintBytes(tensor, nest.spanBelow(0), layer);
+    r.fitBoundary = fit;
+    r.footprintAtFit = footprintBytes(tensor, nest.spanBelow(fit), layer);
+    r.fillBytes = r.footprintAtFit * nest.tripsAbove(fit);
+    return r;
+}
+
 } // namespace nnbaton

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "c3p/analysis.hpp"
 #include "c3p/footprint.hpp"
 #include "dataflow/loopnest.hpp"
 #include "nn/layer.hpp"
@@ -41,6 +42,17 @@ struct ReferenceResult
 ReferenceResult referenceFills(const LoopNest &nest, Tensor tensor,
                                const ConvLayer &layer,
                                int64_t capacity_bytes);
+
+/**
+ * The textbook form of analyzeBuffer(): every boundary footprint is
+ * recomputed from LoopNest::spanBelow(), a quadratic scan that shares
+ * no code with the production scan, so tests can hold the production
+ * scan and the fill step functions to it field by field.  No depth
+ * limit.
+ */
+ReuseResult referenceAnalyzeBuffer(const LoopNest &nest, Tensor tensor,
+                                   const ConvLayer &layer,
+                                   int64_t capacity_bytes);
 
 } // namespace nnbaton
 

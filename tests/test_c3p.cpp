@@ -8,6 +8,7 @@
 
 #include "c3p/analysis.hpp"
 #include "c3p/footprint.hpp"
+#include "expect_status.hpp"
 
 using namespace nnbaton;
 
@@ -234,21 +235,26 @@ TEST(C3P, AtomLargerThanBufferDegenerates)
     EXPECT_EQ(r.fillBytes, atom_fp * 4);
 }
 
-TEST(C3P, CriticalPointsReportedInnermostFirst)
+TEST(C3P, NestPastDepthLimitPanics)
 {
+    // buildNests() emits at most 12 loops and the Simba baseline 8; the
+    // scan's fixed footprint buffer holds 31.  A deeper nest is a bug
+    // in its producer and must fail loudly in both entry points.
     const ConvLayer l = layer3x3();
     LoopNest n;
-    n.loops = {{Dim::IC, 2}, {Dim::OH, 3}, {Dim::OC, 4}};
+    n.loops.assign(31, Loop{Dim::IC, 1});
     n.atom = TileSpan{};
-    n.atom.co = 2;
     n.atom.ci = 2;
     const auto r = analyzeBuffer(n, Tensor::Weights, l, 1 << 20);
-    // Weight-relevant loops: IC (level 0) and OC (level 2).
-    ASSERT_EQ(r.criticalPoints.size(), 2u);
-    EXPECT_EQ(r.criticalPoints[0].boundary, 2u);
-    EXPECT_EQ(r.criticalPoints[1].boundary, 0u);
-    EXPECT_LT(r.criticalPoints[0].criticalCapacity,
-              r.criticalPoints[1].criticalCapacity);
+    EXPECT_EQ(r.fitBoundary, 0u);
+    n.loops.push_back({Dim::IC, 1});
+    expectStatusThrow(
+        [&] { analyzeBuffer(n, Tensor::Weights, l, 1 << 20); },
+        "32-loop nest");
+    std::vector<FillStep> steps;
+    expectStatusThrow(
+        [&] { appendFillSteps(n, Tensor::Weights, l, steps); },
+        "32-loop nest");
 }
 
 class C3PMonotone : public ::testing::TestWithParam<int64_t>

@@ -11,7 +11,11 @@
  *    monotonicity);
  *  - the search's score lower bound must never exceed the exact score
  *    of any candidate, and the pruned search must return the same
- *    best mapping as the exhaustive one (pruning soundness).
+ *    best mapping as the exhaustive one (pruning soundness);
+ *  - the linear buffer scan must equal the quadratic reference scan
+ *    field by field, and a walk of single-field mapping mutations
+ *    through one thread's evaluator must equal an evaluation built
+ *    from by-value nests and the reference scan at every step.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +24,11 @@
 #include <random>
 
 #include "c3p/access.hpp"
+#include "cost/energy.hpp"
 #include "mapper/bound.hpp"
 #include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
+#include "sim/runtime.hpp"
 #include "tech/technology.hpp"
 #include "verif/interpreter.hpp"
 #include "verif/random_mapping.hpp"
@@ -443,3 +449,179 @@ TEST_P(ReplayFuzz, FullHierarchyReplayMatchesAnalyticalEngine)
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
                                            8u, 9u, 10u));
+
+class BufferFastFuzz : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(BufferFastFuzz, FastScanMatchesReferenceScan)
+{
+    // The linear scan analyzeBuffer() must equal the quadratic
+    // reference scan on every field, for the nests real mappings lower
+    // to, across all three tensors and a ladder of capacities spanning
+    // never-fits to always-fits.
+    auto &g = rng(GetParam() ^ 0x5eed);
+    const AcceleratorConfig cfg = caseStudyConfig();
+    const ConvLayer layer = randomLayer(g);
+    const std::optional<Mapping> m = randomMapping(g, layer, cfg);
+    if (!m)
+        GTEST_SKIP() << "no legal mapping for " << layer.toString();
+    const MappingShapes shapes = deriveShapes(layer, cfg, *m);
+    const NestSet nests = buildNests(layer, cfg, *m, shapes);
+    for (const LoopNest *nest : {&nests.perCore, &nests.perChiplet}) {
+        for (Tensor t : {Tensor::Weights, Tensor::Activations,
+                         Tensor::Outputs}) {
+            for (int64_t cap = 1; cap <= (int64_t(1) << 40); cap <<= 4) {
+                const ReuseResult ref =
+                    referenceAnalyzeBuffer(*nest, t, layer, cap);
+                const ReuseResult fast =
+                    analyzeBuffer(*nest, t, layer, cap);
+                ASSERT_EQ(fast.fillBytes, ref.fillBytes) << cap;
+                ASSERT_EQ(fast.footprintAtFit, ref.footprintAtFit);
+                ASSERT_EQ(fast.fitBoundary, ref.fitBoundary);
+                ASSERT_EQ(fast.intrinsicBytes, ref.intrinsicBytes);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BufferFastFuzz,
+                         ::testing::Range(0u, 16u));
+
+namespace {
+
+/** Mutate exactly one mapping field: a tile factor, a loop order, the
+ *  core-tile plane or the chiplet split's orientation. */
+Mapping
+mutateOneField(std::mt19937 &g, const Mapping &m)
+{
+    const auto halveOrDouble = [&g](int v) {
+        return std::max(1, pick(g, {0, 1}) ? v * 2 : v / 2);
+    };
+    const auto flip = [](LoopOrder o) {
+        return o == LoopOrder::ChannelPriority ? LoopOrder::PlanePriority
+                                               : LoopOrder::ChannelPriority;
+    };
+    Mapping out = m;
+    switch (g() % 8) {
+      case 0:
+        out.chipletTile.ho = halveOrDouble(m.chipletTile.ho);
+        break;
+      case 1:
+        out.chipletTile.wo = halveOrDouble(m.chipletTile.wo);
+        break;
+      case 2:
+        out.chipletTile.co = halveOrDouble(m.chipletTile.co);
+        break;
+      case 3:
+        out.pkgOrder = flip(m.pkgOrder);
+        break;
+      case 4:
+        out.chipOrder = flip(m.chipOrder);
+        break;
+      case 5:
+        out.hoC = halveOrDouble(m.hoC);
+        break;
+      case 6:
+        out.woC = halveOrDouble(m.woC);
+        break;
+      default:
+        out.chipSplit = {m.chipSplit.fw, m.chipSplit.fh};
+        break;
+    }
+    return out;
+}
+
+/** evaluateMapping()'s answer rebuilt from parts it does not share:
+ *  by-value nests instead of its per-thread scratch, and the quadratic
+ *  reference scan instead of analyzeBuffer(). */
+MappingChoice
+independentEvaluation(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                      const TechnologyModel &tech, const Mapping &m)
+{
+    const MappingShapes shapes = deriveShapes(layer, cfg, m);
+    const NestSet nests = buildNests(layer, cfg, m, shapes);
+    MappingChoice c;
+    c.mapping = m;
+    c.analysis = composeAccessAnalysis(
+        layer, cfg, m, AnalysisOptions{}, shapes,
+        referenceAnalyzeBuffer(nests.perCore, Tensor::Weights, layer,
+                               cfg.core.wl1Bytes * m.chipSplit.parts()),
+        referenceAnalyzeBuffer(nests.perCore, Tensor::Activations, layer,
+                               cfg.core.al1Bytes),
+        referenceAnalyzeBuffer(nests.perChiplet, Tensor::Activations,
+                               layer, cfg.chiplet.al2Bytes));
+    c.energy = computeEnergy(c.analysis.counts, cfg, tech);
+    c.runtime = estimateRuntime(layer, cfg, c.analysis, tech);
+    return c;
+}
+
+bool
+sameReuse(const ReuseResult &a, const ReuseResult &b)
+{
+    return a.fillBytes == b.fillBytes &&
+           a.footprintAtFit == b.footprintAtFit &&
+           a.fitBoundary == b.fitBoundary &&
+           a.intrinsicBytes == b.intrinsicBytes;
+}
+
+bool
+sameChoice(const MappingChoice &a, const MappingChoice &b)
+{
+    return a.analysis.counts.toString() == b.analysis.counts.toString() &&
+           sameReuse(a.analysis.wl1, b.analysis.wl1) &&
+           sameReuse(a.analysis.al1, b.analysis.al1) &&
+           sameReuse(a.analysis.al2, b.analysis.al2) &&
+           a.energy.total() == b.energy.total() &&
+           a.runtime.cycles == b.runtime.cycles && a.edp() == b.edp();
+}
+
+} // namespace
+
+class IncrementalFuzz : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
+{
+    // A walk of incremental (single-field, legality-gated) mapping
+    // mutations, evaluated one after another on this thread, so every
+    // step runs analyzeMapping() on nest scratch the previous step
+    // left behind, often of a different depth.  Each step must equal
+    // the independent evaluation bit for bit; a divergence is shrunk
+    // to a minimal case before it is reported.
+    auto &g = rng(GetParam());
+    const AcceleratorConfig cfg = caseStudyConfig();
+    const TechnologyModel &tech = defaultTech();
+    const ConvLayer layer = randomLayer(g);
+    const std::optional<Mapping> start = randomMapping(g, layer, cfg);
+    if (!start)
+        GTEST_SKIP() << "no legal mapping for " << layer.toString();
+
+    const auto diverges = [&](const DiffCase &dc) {
+        return !sameChoice(
+            evaluateMapping(dc.layer, dc.cfg, tech, dc.mapping),
+            independentEvaluation(dc.layer, dc.cfg, tech, dc.mapping));
+    };
+
+    Mapping cur = *start;
+    int accepted = 0;
+    for (int step = 0; step < 120; ++step) {
+        const Mapping next = mutateOneField(g, cur);
+        if (!checkMapping(layer, cfg, next).empty())
+            continue; // illegal mutation; draw again from cur
+        ++accepted;
+        if (!sameChoice(evaluateMapping(layer, cfg, tech, next),
+                        independentEvaluation(layer, cfg, tech, next))) {
+            const DiffCase shrunk =
+                minimizeFailure({layer, cfg, next}, diverges);
+            FAIL() << "evaluateMapping diverges at step " << step
+                   << "; minimal case " << shrunk.toString();
+        }
+        cur = next;
+    }
+    EXPECT_GT(accepted, 0) << layer.toString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
+                         ::testing::Range(0u, 24u));

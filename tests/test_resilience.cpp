@@ -10,7 +10,9 @@
 #include "expect_status.hpp"
 
 #include <cstdio>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "common/cancel.hpp"
@@ -302,6 +304,101 @@ TEST(Checkpoint, FingerprintMismatchRefusesResume)
     expectStatusThrow(
         [&] { explore(model, other, defaultTech()); },
         "different sweep");
+    std::remove(path.c_str());
+}
+
+/** Expect @p fn to throw FAILED_PRECONDITION naming another sweep. */
+template <typename Fn>
+void
+expectOtherSweep(Fn &&fn)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "resumed a checkpoint of another sweep";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::FailedPrecondition)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("different sweep"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * A checkpoint names its sweep by the model's content, not its name.
+ * Model::scaleBatch() keeps the name, and so can two --model-file
+ * models; resuming either from a batch-1 checkpoint used to restore
+ * its points and recommend their winner.
+ */
+TEST(Checkpoint, SameNameDifferentModelRefusesResume)
+{
+    const Model model = miniModel();
+    const std::string path = tmpPath("ckpt_same_name.json");
+    DseOptions opt = sweepOptions();
+    opt.checkpointPath = path;
+    explore(model, opt, defaultTech());
+
+    DseOptions resume = sweepOptions();
+    resume.resumePath = path;
+    Model batched = miniModel();
+    batched.scaleBatch(2);
+    ASSERT_EQ(batched.name(), model.name());
+    expectOtherSweep([&] { explore(batched, resume, defaultTech()); });
+
+    Model edited("mini", 64);
+    edited.addLayer(makeConv("a", 32, 32, 128, 64, 3, 3, 1));
+    edited.addLayer(makeConv("b", 16, 16, 256, 128, 3, 3, 1));
+    expectOtherSweep([&] { explore(edited, resume, defaultTech()); });
+    std::remove(path.c_str());
+}
+
+/**
+ * Checkpoints from before the model-text digest keyed the model by
+ * name alone ("name|resolution|options...").  They still resume where
+ * the name was unambiguous, an unedited zoo model at batch 1, and
+ * nowhere else.
+ */
+TEST(Checkpoint, LegacyZooCheckpointStillResumes)
+{
+    const Model zoo = makeAlexNet(224);
+    const std::string path = tmpPath("ckpt_legacy.json");
+    DseOptions opt = sweepOptions();
+    opt.checkpointPath = path;
+    const DseResult fresh = explore(zoo, opt, defaultTech());
+
+    // Rewrite the fingerprint to the name-keyed form: drop the third
+    // field, the model-text digest.
+    const std::string fp = sweepFingerprint(zoo, sweepOptions());
+    const size_t digest = fp.find('|', fp.find('|') + 1);
+    const std::string legacy =
+        fp.substr(0, digest) + fp.substr(fp.find('|', digest + 1));
+    std::string text;
+    {
+        std::ifstream in(path);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        text = buf.str();
+    }
+    const size_t at = text.find(fp);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, fp.size(), legacy);
+    std::ofstream(path) << text;
+    ASSERT_EQ(loadSweepCheckpoint(path).value().fingerprint, legacy);
+
+    DseOptions resume = sweepOptions();
+    resume.resumePath = path;
+    const DseResult again = explore(zoo, resume, defaultTech());
+    EXPECT_EQ(again.resumed, fresh.swept);
+    expectSameResult(fresh, again);
+
+    Model batched = makeAlexNet(224);
+    batched.scaleBatch(2);
+    expectOtherSweep([&] { explore(batched, resume, defaultTech()); });
+    Model impostor("AlexNet", 224);
+    const Model mini = miniModel();
+    for (const ConvLayer &l : mini.layers())
+        impostor.addLayer(l);
+    expectOtherSweep([&] { explore(impostor, resume, defaultTech()); });
     std::remove(path.c_str());
 }
 
