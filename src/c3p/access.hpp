@@ -103,10 +103,11 @@ AccessAnalysis analyzeMapping(const ConvLayer &layer,
 /**
  * The closed-form composition step of the accounting: turn the three
  * buffer reuse analyses plus the derived shapes into whole-package
- * access counts.  analyzeMapping() and the memory-axis table score
- * (mapper/search.cpp) both call this one function, so a table score
- * equals the full evaluation's bit for bit — the only inputs are the
- * (integer-exact) ReuseResults and shapes.
+ * access counts.  The counts are exact integer affine functions of
+ * the three fillBytes.  analyzeMapping() calls this per evaluation;
+ * a memory-axis table (mapper/memory_table.hpp) calls it at a few
+ * fill vectors when it stores a candidate, to read the coefficients
+ * off, so the accounting keeps this one home.
  */
 AccessAnalysis composeAccessAnalysis(const ConvLayer &layer,
                                      const AcceleratorConfig &cfg,

@@ -1,7 +1,5 @@
 #include "cost/energy.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace nnbaton {
@@ -50,27 +48,21 @@ EnergyBreakdown::toString() const
         wl1 * mj, ol1 * mj, ol2 * mj, mac * mj, vector * mj);
 }
 
+BufferRates
+bufferRates(const AcceleratorConfig &cfg, const TechnologyModel &tech)
+{
+    BufferRates r;
+    r.al2 = tech.sramEnergyPerBit(cfg.chiplet.al2Bytes);
+    r.al1 = tech.sramEnergyPerBit(cfg.core.al1Bytes);
+    r.wl1 = tech.sramEnergyPerBit(cfg.core.wl1Bytes);
+    return r;
+}
+
 EnergyBreakdown
 computeEnergy(const AccessCounts &counts, const AcceleratorConfig &cfg,
               const TechnologyModel &tech)
 {
-    EnergyBreakdown e;
-    e.dram = counts.dramBits() * tech.dramEnergyPerBit;
-    e.d2d = counts.d2dBits * tech.d2dEnergyPerBit;
-    e.noc = counts.nocBits * tech.nocEnergyPerBit;
-    e.al2 = (counts.al2ReadBits + counts.al2WriteBits) *
-            tech.sramEnergyPerBit(cfg.chiplet.al2Bytes);
-    e.al1 = (counts.al1ReadBits + counts.al1WriteBits) *
-            tech.sramEnergyPerBit(cfg.core.al1Bytes);
-    e.wl1 = (counts.wl1ReadBits + counts.wl1WriteBits) *
-            tech.sramEnergyPerBit(cfg.core.wl1Bytes);
-    e.ol1 = (counts.ol1RmwBits + counts.ol1ReadBits) *
-            tech.rfEnergyPerBitRmw;
-    e.ol2 = (counts.ol2ReadBits + counts.ol2WriteBits) *
-            tech.sramEnergyPerBit(std::max<int64_t>(counts.ol2Bytes, 1024));
-    e.mac = counts.macOps * tech.macEnergyPerOp;
-    e.vector = counts.vectorOps * tech.vectorOpEnergyPerOp;
-    return e;
+    return computeEnergy(counts, bufferRates(cfg, tech), tech);
 }
 
 } // namespace nnbaton

@@ -61,21 +61,13 @@ cycleFloor(const AcceleratorConfig &cfg, const TechnologyModel &tech,
     return std::max({compute_cycles, dram, ring});
 }
 
-/** Energy floor plus the DRAM / ring traffic floors it was built
- *  from (the EDP bound reuses the traffic for its cycle floor). */
-struct EnergyFloor
-{
-    double energy = 0.0;
-    double dramBits = 0.0;
-    double d2dBits = 0.0;
-};
+} // namespace
 
-EnergyFloor
-energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
-              const TechnologyModel &tech, const MappingShapes &s,
-              const Mapping &mapping, const AnalysisOptions &options)
+BoundTerms
+boundTerms(const ConvLayer &layer, const AcceleratorConfig &cfg,
+           const Mapping &mapping, const MappingShapes &s,
+           const AnalysisOptions &options)
 {
-
     const int np = cfg.package.chiplets;
     const int nc = cfg.chiplet.cores;
     const int cw = mapping.chipChannelWays;
@@ -96,7 +88,8 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     const bool weights_shared =
         options.rotationSharing && !chan && np > 1;
 
-    EnergyBreakdown e;
+    BoundTerms t;
+    EnergyCharges &f = t.floor;
 
     // DRAM: outputs are written exactly once; weights are compulsory
     // (>= one read of every weight regardless of sharing); the shared
@@ -104,21 +97,18 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // chiplet only, otherwise every chiplet loads its own need.
     const double dram_act =
         acts_shared ? chip_act : chip_act * np;
-    e.dram = (dram_act + w_bits + out_bits) * tech.dramEnergyPerBit;
+    f.dram = dram_act + w_bits + out_bits;
 
     // Ring: rotation forwards the shared tensor (N_P - 1) times.
-    double d2d = 0.0;
     if (acts_shared)
-        d2d = chip_act * (np - 1);
+        f.d2d = chip_act * (np - 1);
     else if (weights_shared)
-        d2d = w_bits * (np - 1);
-    e.d2d = d2d * tech.d2dEnergyPerBit;
+        f.d2d = w_bits * (np - 1);
 
     // A-L2: each of the N_P chiplets writes its macro's input once;
     // reads are floored by the per-core fills (pw planar streams per
     // chiplet thanks to multicast).
-    e.al2 = (chip_act * np + core_act * pw * np) *
-            tech.sramEnergyPerBit(cfg.chiplet.al2Bytes);
+    f.al2 = chip_act * np + core_act * pw * np;
 
     // A-L1 writes: all N_C cores fill their macro's input at least
     // once.  Reads are exact: the active lanes share one P-wide
@@ -128,7 +118,7 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // here could push the bound above the true score.
     const double al1_r = static_cast<double>(
         macs * 8 / std::max(1, s.coreTile.co));
-    e.al1 = (al1_w + al1_r) * tech.sramEnergyPerBit(cfg.core.al1Bytes);
+    f.al1 = al1_w + al1_r;
 
     // W-L1 writes: every weight enters some pool at least once; a
     // P-type package split replicates the full set per chiplet.
@@ -138,33 +128,34 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
                               layer.ciPerGroup() * layer.kh * layer.kw;
     const double wl1_r = static_cast<double>(s.coreTilesPerChiplet()) *
                          cw * w_per_tile * 8.0 * np;
-    e.wl1 = (wl1_w + wl1_r) * tech.sramEnergyPerBit(cfg.core.wl1Bytes);
+    f.wl1 = wl1_w + wl1_r;
 
     // O-L1 and O-L2 are exact closed forms of the accounting.
     const int p = std::min<int>(cfg.core.vectorSize, layer.ciPerGroup());
-    e.ol1 = (ceilDiv(macs, p) * 24.0 + layer.outputVolume() * 24.0) *
-            tech.rfEnergyPerBitRmw;
-    e.ol2 = 2.0 * out_bits *
-            tech.sramEnergyPerBit(
-                std::max<int64_t>(s.chipletTile.volume(), 1024));
+    f.ol1 = ceilDiv(macs, p) * 24.0 + layer.outputVolume() * 24.0;
+    f.ol2 = 2.0 * out_bits;
+    f.ol2Bytes = s.chipletTile.volume();
 
-    e.mac = static_cast<double>(macs) * tech.macEnergyPerOp;
+    f.mac = static_cast<double>(macs);
     // Vector-ALU passes are mapping-independent, so the exact term is
     // free tightness.
-    e.vector = static_cast<double>(layer.vectorOps()) *
-               tech.vectorOpEnergyPerOp;
-    return EnergyFloor{e.total(), dram_act + w_bits + out_bits, d2d};
+    f.vector = static_cast<double>(layer.vectorOps());
+
+    t.computeCycles = computeCycles(layer, cfg, s);
+    return t;
 }
 
-} // namespace
-
 double
-energyLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
-                 const TechnologyModel &tech, const Mapping &mapping,
-                 const AnalysisOptions &options)
+priceLowerBound(const BoundTerms &terms, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech, const BufferRates &rates,
+                Objective objective)
 {
-    const MappingShapes s = deriveShapes(layer, cfg, mapping);
-    return energyFloorOf(layer, cfg, tech, s, mapping, options).energy;
+    const double energy = priceEnergy(terms.floor, rates, tech).total();
+    if (objective == Objective::MinEnergy)
+        return energy;
+    return energy * cycleFloor(cfg, tech,
+                               static_cast<double>(terms.computeCycles),
+                               terms.floor.dram, terms.floor.d2d);
 }
 
 double
@@ -172,25 +163,10 @@ scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 const TechnologyModel &tech, const Mapping &mapping,
                 Objective objective, const AnalysisOptions &options)
 {
-    return scoreLowerBound(layer, cfg, tech, mapping,
-                           deriveShapes(layer, cfg, mapping), objective,
-                           options);
-}
-
-double
-scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
-                const TechnologyModel &tech, const Mapping &mapping,
-                const MappingShapes &s, Objective objective,
-                const AnalysisOptions &options)
-{
-    const EnergyFloor f =
-        energyFloorOf(layer, cfg, tech, s, mapping, options);
-    if (objective == Objective::MinEnergy)
-        return f.energy;
-    return f.energy *
-           cycleFloor(cfg, tech,
-                      static_cast<double>(computeCycles(layer, cfg, s)),
-                      f.dramBits, f.d2dBits);
+    return priceLowerBound(
+        boundTerms(layer, cfg, mapping, deriveShapes(layer, cfg, mapping),
+                   options),
+        cfg, tech, bufferRates(cfg, tech), objective);
 }
 
 } // namespace nnbaton

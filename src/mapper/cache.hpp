@@ -106,6 +106,13 @@ class MappingCache
                        SearchMode mode = SearchMode::Exhaustive,
                        uint64_t annealSeed = 0);
 
+    /** The memory-axis table key: the layer shape, the compute
+     *  geometry and the effort — everything candidate enumeration
+     *  reads except the buffer sizes, which the table's legality keys
+     *  cover.  makeKey() adds the rest of a search's key to it. */
+    static Key tableKey(const ConvLayer &layer,
+                        const AcceleratorConfig &cfg, SearchEffort effort);
+
     /**
      * Return the cached search result for the key, computing it with
      * @p search on a miss.  While an entry is resident @p search runs
@@ -223,13 +230,6 @@ class MappingCache
         LruList lru;       //!< most-recently-used first
         int64_t bytes = 0; //!< published entries + table slots
     };
-
-    /** The memory-axis table key: the layer shape, the compute
-     *  geometry and the effort — everything candidate enumeration
-     *  reads except the buffer sizes, which the table's legality keys
-     *  cover.  makeKey() adds the rest of a search's key to it. */
-    static Key tableKey(const ConvLayer &layer,
-                        const AcceleratorConfig &cfg, SearchEffort effort);
 
     /** The shard owning @p key. */
     static size_t shardOf(const Key &key);

@@ -1,5 +1,6 @@
 #include "mapper/search.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -67,67 +68,79 @@ scoreOf(const MappingChoice &c, Objective objective)
 }
 
 /** True when NNBATON_INCREMENTAL_CHECK is set (and not "0"): every
- *  table score is then re-derived through evaluateMapping(). */
+ *  table bound and score is then re-derived without the table.  Read
+ *  once per process. */
 bool
-tableCrossCheckFromEnv()
+tableCrossCheck()
 {
-    const char *v = std::getenv("NNBATON_INCREMENTAL_CHECK");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
+    static const bool on = [] {
+        const char *v = std::getenv("NNBATON_INCREMENTAL_CHECK");
+        return v != nullptr && v[0] != '\0' &&
+               !(v[0] == '0' && v[1] == '\0');
+    }();
+    return on;
 }
 
-/**
- * The score of table candidate @p c at @p cfg's buffer sizes.  The
- * three fills come from the candidate's step functions; everything
- * after them is the evaluation's own composeAccessAnalysis ->
- * computeEnergy -> estimateRuntime chain on the stored shapes, so the
- * score equals scoreOf(evaluateMapping(...)) bit for bit.  With
- * @p cross_check every score is re-derived through evaluateMapping()
- * and a divergence panics.
- */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/** Table candidate @p c's lower bound; with @p cross_check it must
+ *  equal scoreLowerBound() bit for bit, or the process panics. */
 double
-tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
-           const TechnologyModel &tech,
+tableBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
+           const TechnologyModel &tech, const BufferRates &rates,
            const MemoryAxisTable::Candidate &c, Objective objective,
            bool cross_check)
 {
-    ReuseResult wl1, al1, al2;
-    wl1.fillBytes =
-        c.wl1Fill(cfg.core.wl1Bytes * c.mapping.chipSplit.parts());
-    al1.fillBytes = c.al1Fill(cfg.core.al1Bytes);
-    al2.fillBytes = c.al2Fill(cfg.chiplet.al2Bytes);
-    const AccessAnalysis analysis =
-        composeAccessAnalysis(layer, cfg, c.mapping, AnalysisOptions{},
-                              c.shapes, wl1, al1, al2);
-    const EnergyBreakdown energy =
-        computeEnergy(analysis.counts, cfg, tech);
-    const RuntimeResult runtime =
-        estimateRuntime(layer, cfg, analysis, tech);
-    const double score = objective == Objective::MinEnergy
-                             ? energy.total()
-                             : energy.total() * runtime.cycles;
+    const double bound =
+        priceLowerBound(c.terms->bound, cfg, tech, rates, objective);
+    if (cross_check) {
+        const double fresh =
+            scoreLowerBound(layer, cfg, tech, c.mapping, objective);
+        if (!sameBits(bound, fresh)) {
+            panic("memory-axis table bound cross-check divergence on %s "
+                  "%s (%s): table %.17g, scoreLowerBound %.17g",
+                  layer.name.c_str(), c.mapping.toString().c_str(),
+                  cfg.toString().c_str(), bound, fresh);
+        }
+    }
+    return bound;
+}
+
+/** Table candidate @p c's score; with @p cross_check it is re-derived
+ *  through evaluateMapping() and must match bit for bit, fills
+ *  included, or the process panics. */
+double
+tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
+           const TechnologyModel &tech, const BufferRates &rates,
+           const MemoryAxisTable::Candidate &c, Objective objective,
+           bool cross_check)
+{
+    const double score = c.score(cfg, tech, rates, objective);
     if (cross_check) {
         const MappingChoice full =
             evaluateMapping(layer, cfg, tech, c.mapping);
-        if (full.analysis.wl1.fillBytes != wl1.fillBytes ||
-            full.analysis.al1.fillBytes != al1.fillBytes ||
-            full.analysis.al2.fillBytes != al2.fillBytes ||
-            full.runtime.cycles != runtime.cycles ||
-            scoreOf(full, objective) != score) {
+        const int64_t wl1 =
+            c.wl1Fill(cfg.core.wl1Bytes * c.mapping.chipSplit.parts());
+        const int64_t al1 = c.al1Fill(cfg.core.al1Bytes);
+        const int64_t al2 = c.al2Fill(cfg.chiplet.al2Bytes);
+        if (full.analysis.wl1.fillBytes != wl1 ||
+            full.analysis.al1.fillBytes != al1 ||
+            full.analysis.al2.fillBytes != al2 ||
+            !sameBits(scoreOf(full, objective), score)) {
             panic("memory-axis table cross-check divergence on %s %s "
-                  "(%s):\n  table: fills %lld/%lld/%lld, %lld cycles, "
-                  "score %.17g\n  full:  fills %lld/%lld/%lld, %lld "
-                  "cycles, score %.17g",
+                  "(%s):\n  table: fills %lld/%lld/%lld, score %.17g\n"
+                  "  full:  fills %lld/%lld/%lld, score %.17g",
                   layer.name.c_str(), c.mapping.toString().c_str(),
-                  cfg.toString().c_str(),
-                  static_cast<long long>(wl1.fillBytes),
-                  static_cast<long long>(al1.fillBytes),
-                  static_cast<long long>(al2.fillBytes),
-                  static_cast<long long>(runtime.cycles), score,
+                  cfg.toString().c_str(), static_cast<long long>(wl1),
+                  static_cast<long long>(al1),
+                  static_cast<long long>(al2), score,
                   static_cast<long long>(full.analysis.wl1.fillBytes),
                   static_cast<long long>(full.analysis.al1.fillBytes),
                   static_cast<long long>(full.analysis.al2.fillBytes),
-                  static_cast<long long>(full.runtime.cycles),
                   scoreOf(full, objective));
         }
     }
@@ -137,7 +150,8 @@ tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
 /**
  * The exhaustive search over one candidate sequence: @p table's view
  * when the cache supplied one, else @p candidates.  Table candidates
- * are scored from their fill step functions, the others through
+ * are bounded and scored from their stored terms at this search's
+ * buffer rates, the others through scoreLowerBound() and
  * evaluateMapping(); either way only the winner is materialised, so
  * both sources return the same winner and the same work counters.
  */
@@ -161,12 +175,13 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     size_t best_index = 0;
     double best_score = std::numeric_limits<double>::max();
 
-    const bool cross_check = table && tableCrossCheckFromEnv();
+    const bool cross_check = table && tableCrossCheck();
+    const BufferRates rates = table ? bufferRates(cfg, tech) : BufferRates{};
 
     const size_t n = table ? table->size() : candidates.size();
-    std::vector<double> scores(std::min(n, kPruneBlock));
-    std::vector<size_t> survivors;
-    survivors.reserve(kPruneBlock);
+    double scores[kPruneBlock];
+    size_t survivors[kPruneBlock];
+    size_t survivor_count = 0;
 
     for (size_t base = 0; base < n; base += kPruneBlock) {
         // Cancellation granularity: one poll per prune block, so a
@@ -184,24 +199,22 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
         // Pruning pass against the block-boundary incumbent.
         {
             NNBATON_TRACE_SCOPE("mapper.bound_prune");
-            survivors.clear();
+            survivor_count = 0;
             for (size_t i = 0; i < count; ++i) {
                 if (prune && found) {
                     const double bound =
-                        table
-                            ? scoreLowerBound(layer, cfg, tech,
-                                              (*table)[base + i]->mapping,
-                                              (*table)[base + i]->shapes,
-                                              objective)
-                            : scoreLowerBound(layer, cfg, tech,
-                                              candidates[base + i],
-                                              objective);
+                        table ? tableBound(layer, cfg, tech, rates,
+                                           *(*table)[base + i], objective,
+                                           cross_check)
+                              : scoreLowerBound(layer, cfg, tech,
+                                                candidates[base + i],
+                                                objective);
                     if (bound >= best_score * kPruneMargin) {
                         ++pruned_here;
                         continue;
                     }
                 }
-                survivors.push_back(i);
+                survivors[survivor_count++] = i;
             }
         }
 
@@ -212,7 +225,7 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
             NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
             const auto evaluate = [&](size_t i) {
                 scores[i] =
-                    table ? tableScore(layer, cfg, tech,
+                    table ? tableScore(layer, cfg, tech, rates,
                                        *(*table)[base + i], objective,
                                        cross_check)
                           : scoreOf(evaluateMapping(layer, cfg, tech,
@@ -221,21 +234,22 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
             };
             if (pool) {
                 pool->parallelFor(
-                    static_cast<int64_t>(survivors.size()),
+                    static_cast<int64_t>(survivor_count),
                     [&](int64_t j) {
                         evaluate(survivors[static_cast<size_t>(j)]);
                     });
             } else {
-                for (const size_t i : survivors)
-                    evaluate(i);
+                for (size_t j = 0; j < survivor_count; ++j)
+                    evaluate(survivors[j]);
             }
         }
-        evaluated_here += static_cast<int64_t>(survivors.size());
+        evaluated_here += static_cast<int64_t>(survivor_count);
 
         // Deterministic reduction in candidate order; strict '<'
         // keeps the earliest candidate on score ties, matching the
         // serial search.
-        for (const size_t i : survivors) {
+        for (size_t j = 0; j < survivor_count; ++j) {
+            const size_t i = survivors[j];
             if (!found || scores[i] < best_score) {
                 found = true;
                 best_index = base + i;

@@ -16,25 +16,35 @@ RuntimeResult::toString() const
                      static_cast<long long>(stallCycles), utilization);
 }
 
-namespace {
-
-/** Per-layer machine parameters shared by estimator and simulator. */
-struct Phases
+TilePhases
+tilePhases(int64_t tiles, int64_t compute_per_tile,
+           const AccessCounts &counts, const AcceleratorConfig &cfg,
+           const TechnologyModel &tech)
 {
-    int64_t tiles = 0;           //!< core tiles per chiplet
-    int64_t computePerTile = 0;  //!< cycles to compute one core tile
-    int64_t dramPerTile = 0;     //!< cycles to stream one tile's DRAM IO
-    int64_t ringPerTile = 0;     //!< cycles of ring rotation per tile
-};
+    TilePhases ph;
+    ph.tiles = tiles;
+    ph.computePerTile = compute_per_tile;
 
-/** Cycles to compute one core tile (the dense / depthwise split). */
+    // DRAM traffic is spread over the N_P DDR PHYs (crossbar).
+    const int np = cfg.package.chiplets;
+    const int64_t dram_per_chiplet =
+        ceilDiv(counts.dramReadBits() + counts.dramWriteBits, np);
+    ph.dramPerTile =
+        ceilDiv(ceilDiv(dram_per_chiplet, ph.tiles),
+                tech.dramBitsPerCycle);
+
+    // Ring traffic is spread over the N_P directional links.
+    const int64_t ring_per_link = np > 1 ? ceilDiv(counts.d2dBits, np)
+                                         : 0;
+    ph.ringPerTile = ceilDiv(ceilDiv(ring_per_link, ph.tiles),
+                             tech.d2dBitsPerCycle);
+    return ph;
+}
+
 int64_t
-computeCyclesPerTile(const ConvLayer &layer,
-                     const AcceleratorConfig &cfg,
+computeCyclesPerTile(const ConvLayer &layer, const AcceleratorConfig &cfg,
                      const MappingShapes &s)
 {
-    // Dense layers reduce the input channels over the P-wide vector;
-    // depthwise layers pack the kernel window into the vector instead.
     if (layer.isDepthwise()) {
         return static_cast<int64_t>(s.coreTile.ho) * s.coreTile.wo *
                ceilDiv(static_cast<int64_t>(layer.kh) * layer.kw,
@@ -45,29 +55,15 @@ computeCyclesPerTile(const ConvLayer &layer,
            layer.kh * layer.kw * ceilDiv(layer.ciPerGroup(), p);
 }
 
-Phases
+namespace {
+
+TilePhases
 derivePhases(const ConvLayer &layer, const AcceleratorConfig &cfg,
              const AccessAnalysis &a, const TechnologyModel &tech)
 {
-    Phases ph;
-    const MappingShapes &s = a.shapes;
-    ph.tiles = s.coreTilesPerChiplet();
-    ph.computePerTile = computeCyclesPerTile(layer, cfg, s);
-
-    // DRAM traffic is spread over the N_P DDR PHYs (crossbar).
-    const int np = cfg.package.chiplets;
-    const int64_t dram_per_chiplet =
-        ceilDiv(a.counts.dramReadBits() + a.counts.dramWriteBits, np);
-    ph.dramPerTile =
-        ceilDiv(ceilDiv(dram_per_chiplet, ph.tiles),
-                tech.dramBitsPerCycle);
-
-    // Ring traffic is spread over the N_P directional links.
-    const int64_t ring_per_link = np > 1 ? ceilDiv(a.counts.d2dBits, np)
-                                         : 0;
-    ph.ringPerTile = ceilDiv(ceilDiv(ring_per_link, ph.tiles),
-                             tech.d2dBitsPerCycle);
-    return ph;
+    return tilePhases(a.shapes.coreTilesPerChiplet(),
+                      computeCyclesPerTile(layer, cfg, a.shapes), a.counts,
+                      cfg, tech);
 }
 
 } // namespace
@@ -85,12 +81,10 @@ estimateRuntime(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 const AccessAnalysis &analysis,
                 const TechnologyModel &tech)
 {
-    const Phases ph = derivePhases(layer, cfg, analysis, tech);
+    const TilePhases ph = derivePhases(layer, cfg, analysis, tech);
     RuntimeResult r;
     r.computeCycles = ph.tiles * ph.computePerTile;
-    const int64_t tile_latency =
-        std::max({ph.computePerTile, ph.dramPerTile, ph.ringPerTile});
-    r.cycles = ph.tiles * tile_latency + ph.dramPerTile; // pipeline fill
+    r.cycles = ph.cycles();
     r.stallCycles = r.cycles - r.computeCycles;
     const double peak =
         static_cast<double>(cfg.totalMacs()) * r.cycles;
@@ -103,7 +97,7 @@ RuntimeResult
 RuntimeSimulator::run(const ConvLayer &layer,
                       const AccessAnalysis &analysis) const
 {
-    const Phases ph = derivePhases(layer, cfg_, analysis, tech_);
+    const TilePhases ph = derivePhases(layer, cfg_, analysis, tech_);
     const MappingShapes &s = analysis.shapes;
 
     // Walk the chiplet-temporal tile schedule explicitly.  Tiles on

@@ -18,6 +18,7 @@
 #ifndef NNBATON_SIM_RUNTIME_HPP
 #define NNBATON_SIM_RUNTIME_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -43,6 +44,47 @@ RuntimeResult estimateRuntime(const ConvLayer &layer,
                               const AcceleratorConfig &cfg,
                               const AccessAnalysis &analysis,
                               const TechnologyModel &tech);
+
+/**
+ * The closed-form estimate's per-chiplet tile schedule: the core-tile
+ * count, the cycles to compute one tile, and the cycles to stream one
+ * tile's share of the layer's DRAM traffic (over the N_P DDR PHYs)
+ * and ring traffic (over the N_P directional links).
+ */
+struct TilePhases
+{
+    int64_t tiles = 0;          //!< core tiles per chiplet
+    int64_t computePerTile = 0; //!< cycles to compute one core tile
+    int64_t dramPerTile = 0;    //!< cycles to stream one tile's DRAM IO
+    int64_t ringPerTile = 0;    //!< cycles of ring rotation per tile
+
+    /** estimateRuntime()'s cycles: each tile takes the longest of its
+     *  three phases, plus the first tile's load (pipeline fill). */
+    int64_t cycles() const
+    {
+        return tiles * std::max({computePerTile, dramPerTile,
+                                 ringPerTile}) +
+               dramPerTile;
+    }
+};
+
+/**
+ * The phases of @p tiles core tiles of @p compute_per_tile cycles each
+ * moving @p counts' DRAM and ring traffic.  estimateRuntime() and the
+ * memory-axis table score (mapper/memory_table.hpp) both time a layer
+ * through this one function.
+ */
+TilePhases tilePhases(int64_t tiles, int64_t compute_per_tile,
+                      const AccessCounts &counts,
+                      const AcceleratorConfig &cfg,
+                      const TechnologyModel &tech);
+
+/** Cycles to compute one core tile of @p shapes: one per vector-MAC
+ *  step (dense layers reduce the input channels over the P-wide
+ *  vector, depthwise layers pack the kernel window into it). */
+int64_t computeCyclesPerTile(const ConvLayer &layer,
+                             const AcceleratorConfig &cfg,
+                             const MappingShapes &shapes);
 
 /**
  * Pure compute cycles (no stalls) for a mapping's derived shapes: the

@@ -491,3 +491,168 @@ TEST(MappingCache, CappedCacheOfRealSearchesStaysUnderItsCap)
                                    (sizeof(MappingCache::Key) +
                                     sizeof(MappingChoice))));
 }
+
+TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
+{
+    // One field at a time of the layer, the configuration and the
+    // technology model.  The search key must change with every field a
+    // search result depends on.  The memory-axis table key must change
+    // with every layer-shape and compute-geometry field and with
+    // nothing else: one table serves every buffer size, technology and
+    // objective.  The layer name and the conv/GEMM op tag are the only
+    // fields allowed to leave the search key alone (equivalent lowered
+    // shapes share entries; the accounting never reads them).
+    const ConvLayer layer = makeConv("k", 28, 28, 64, 32, 3, 3, 1);
+    const AcceleratorConfig cfg = caseStudyConfig();
+    const TechnologyModel &tech = defaultTech();
+    const SearchEffort effort = SearchEffort::Fast;
+    const Objective objective = Objective::MinEnergy;
+    const MappingCache::Key search_key =
+        MappingCache::makeKey(layer, cfg, tech, effort, objective);
+    const MappingCache::Key table_key =
+        MappingCache::tableKey(layer, cfg, effort);
+
+    using LayerEdit = std::pair<const char *, void (*)(ConvLayer &)>;
+    const LayerEdit shape_fields[] = {
+        {"ho", [](ConvLayer &l) { l.ho *= 2; }},
+        {"wo", [](ConvLayer &l) { l.wo *= 2; }},
+        {"co", [](ConvLayer &l) { l.co *= 2; }},
+        {"ci", [](ConvLayer &l) { l.ci *= 2; }},
+        {"kh", [](ConvLayer &l) { l.kh = 1; }},
+        {"kw", [](ConvLayer &l) { l.kw = 5; }},
+        {"stride", [](ConvLayer &l) { l.stride = 2; }},
+        {"groups", [](ConvLayer &l) { l.groups = 2; }},
+        {"batch", [](ConvLayer &l) { l.batch = 4; }},
+        {"postOps", [](ConvLayer &l) { l.postOps = 3; }},
+    };
+    for (const auto &[field, edit] : shape_fields) {
+        ConvLayer l = layer;
+        edit(l);
+        EXPECT_FALSE(MappingCache::makeKey(l, cfg, tech, effort,
+                                           objective) == search_key)
+            << field;
+        EXPECT_FALSE(MappingCache::tableKey(l, cfg, effort) == table_key)
+            << field;
+    }
+    const LayerEdit shared_fields[] = {
+        {"name", [](ConvLayer &l) { l.name = "other"; }},
+        {"op", [](ConvLayer &l) { l.op = LayerOp::Gemm; }},
+        {"gemmM", [](ConvLayer &l) { l.gemmM = 784; }},
+        {"gemmN", [](ConvLayer &l) { l.gemmN = 64; }},
+        {"gemmK", [](ConvLayer &l) { l.gemmK = 32; }},
+    };
+    for (const auto &[field, edit] : shared_fields) {
+        ConvLayer l = layer;
+        edit(l);
+        EXPECT_TRUE(MappingCache::makeKey(l, cfg, tech, effort,
+                                          objective) == search_key)
+            << field;
+        EXPECT_TRUE(MappingCache::tableKey(l, cfg, effort) == table_key)
+            << field;
+    }
+    // The sharing is sound: a GEMM and the conv it lowers to search to
+    // the same answer.
+    const ConvLayer gemm = makeGemm("g", 196, 64, 128);
+    ConvLayer lowered = makeConv("c", gemm.ho, gemm.wo, 64, 128, 1, 1, 1);
+    EXPECT_TRUE(MappingCache::makeKey(gemm, cfg, tech, effort,
+                                      objective) ==
+                MappingCache::makeKey(lowered, cfg, tech, effort,
+                                      objective));
+    const auto g = searchLayer(gemm, cfg, tech, effort, objective);
+    const auto c = searchLayer(lowered, cfg, tech, effort, objective);
+    ASSERT_TRUE(g && c);
+    EXPECT_EQ(g->mapping, c->mapping);
+    EXPECT_EQ(g->energy.total(), c->energy.total());
+    EXPECT_EQ(g->runtime.cycles, c->runtime.cycles);
+
+    using ConfigEdit =
+        std::pair<const char *, void (*)(AcceleratorConfig &)>;
+    const ConfigEdit geometry_fields[] = {
+        {"chiplets", [](AcceleratorConfig &c) { c.package.chiplets = 2; }},
+        {"cores", [](AcceleratorConfig &c) { c.chiplet.cores = 4; }},
+        {"lanes", [](AcceleratorConfig &c) { c.core.lanes = 16; }},
+        {"vectorSize", [](AcceleratorConfig &c) { c.core.vectorSize = 4; }},
+    };
+    const ConfigEdit buffer_fields[] = {
+        {"al2Bytes", [](AcceleratorConfig &c) { c.chiplet.al2Bytes *= 2; }},
+        {"al1Bytes", [](AcceleratorConfig &c) { c.core.al1Bytes *= 2; }},
+        {"wl1Bytes", [](AcceleratorConfig &c) { c.core.wl1Bytes *= 2; }},
+        {"ol1Bytes", [](AcceleratorConfig &c) { c.core.ol1Bytes *= 2; }},
+    };
+    for (const auto &[field, edit] : geometry_fields) {
+        AcceleratorConfig c = cfg;
+        edit(c);
+        EXPECT_FALSE(MappingCache::makeKey(layer, c, tech, effort,
+                                           objective) == search_key)
+            << field;
+        EXPECT_FALSE(MappingCache::tableKey(layer, c, effort) == table_key)
+            << field;
+    }
+    for (const auto &[field, edit] : buffer_fields) {
+        AcceleratorConfig c = cfg;
+        edit(c);
+        EXPECT_FALSE(MappingCache::makeKey(layer, c, tech, effort,
+                                           objective) == search_key)
+            << field;
+        EXPECT_TRUE(MappingCache::tableKey(layer, c, effort) == table_key)
+            << field;
+    }
+
+    // Every technology parameter reaches the search key through the
+    // fingerprint; tableKey() takes no technology and no objective, so
+    // those leave the table key alone by construction.
+    using TechEdit = std::pair<const char *, void (*)(TechnologyModel &)>;
+    const TechEdit tech_fields[] = {
+        {"dramEnergyPerBit",
+         [](TechnologyModel &t) { t.dramEnergyPerBit *= 2; }},
+        {"d2dEnergyPerBit", [](TechnologyModel &t) { t.d2dEnergyPerBit *= 2; }},
+        {"l2EnergyPerBitAt32K",
+         [](TechnologyModel &t) { t.l2EnergyPerBitAt32K *= 2; }},
+        {"l1EnergyPerBitAt1K",
+         [](TechnologyModel &t) { t.l1EnergyPerBitAt1K *= 2; }},
+        {"rfEnergyPerBitRmw",
+         [](TechnologyModel &t) { t.rfEnergyPerBitRmw *= 2; }},
+        {"macEnergyPerOp", [](TechnologyModel &t) { t.macEnergyPerOp *= 2; }},
+        {"vectorOpEnergyPerOp",
+         [](TechnologyModel &t) { t.vectorOpEnergyPerOp *= 2; }},
+        {"nocEnergyPerBit", [](TechnologyModel &t) { t.nocEnergyPerBit *= 2; }},
+        {"sramEnergyPerBitKb.offset",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.offset *= 2; }},
+        {"sramEnergyPerBitKb.slope",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.slope *= 2; }},
+        {"sramAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.offset *= 2; }},
+        {"sramAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.slope *= 2; }},
+        {"rfAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.offset *= 2; }},
+        {"rfAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.slope *= 2; }},
+        {"macAreaUm2", [](TechnologyModel &t) { t.macAreaUm2 *= 2; }},
+        {"grsPhyAreaMm2", [](TechnologyModel &t) { t.grsPhyAreaMm2 *= 2; }},
+        {"ddrPhyAreaMm2", [](TechnologyModel &t) { t.ddrPhyAreaMm2 *= 2; }},
+        {"frequencyGhz", [](TechnologyModel &t) { t.frequencyGhz *= 2; }},
+        {"dramBitsPerCycle",
+         [](TechnologyModel &t) { t.dramBitsPerCycle *= 2; }},
+        {"d2dBitsPerCycle", [](TechnologyModel &t) { t.d2dBitsPerCycle *= 2; }},
+        {"dataBits", [](TechnologyModel &t) { t.dataBits *= 2; }},
+        {"psumBits", [](TechnologyModel &t) { t.psumBits *= 2; }},
+    };
+    for (const auto &[field, edit] : tech_fields) {
+        TechnologyModel t = tech;
+        edit(t);
+        EXPECT_FALSE(MappingCache::makeKey(layer, cfg, t, effort,
+                                           objective) == search_key)
+            << field;
+    }
+
+    // The search parameters: effort keys both, the objective only the
+    // search key.
+    EXPECT_FALSE(MappingCache::makeKey(layer, cfg, tech,
+                                       SearchEffort::Sketch, objective) ==
+                 search_key);
+    EXPECT_FALSE(MappingCache::tableKey(layer, cfg, SearchEffort::Sketch) ==
+                 table_key);
+    EXPECT_FALSE(MappingCache::makeKey(layer, cfg, tech, effort,
+                                       Objective::MinEdp) == search_key);
+}

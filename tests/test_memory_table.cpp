@@ -28,6 +28,7 @@
 #include "dse/explorer.hpp"
 #include "dse/slice.hpp"
 #include "dse/space.hpp"
+#include "mapper/bound.hpp"
 #include "mapper/cache.hpp"
 #include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
@@ -267,16 +268,28 @@ TEST(MemoryAxisTable, StepLookupMatchesAnalyzeBuffer)
             const AcceleratorConfig cfg = randomConfig(g, compute);
             const std::vector<Mapping> candidates =
                 enumerateCandidates(layer, cfg, SearchEffort::Fast);
+            // The table stores each distinct run once; its candidates
+            // must still read their own fills through the shared runs.
+            MemoryAxisTable table(layer, SearchEffort::Fast);
+            const MemoryAxisTable::View &view = table.view(cfg);
+            ASSERT_EQ(view.size(), candidates.size());
+            using Lookup =
+                int64_t (MemoryAxisTable::Candidate::*)(int64_t) const;
             for (size_t k = 0; k < candidates.size(); k += 7) {
                 const Mapping &m = candidates[k];
                 const MappingShapes shapes =
                     deriveShapes(layer, cfg, m);
                 const NestSet nests = buildNests(layer, cfg, m, shapes);
-                for (const auto &[nest, tensor] :
-                     {std::pair{&nests.perCore, Tensor::Weights},
-                      std::pair{&nests.perCore, Tensor::Activations},
-                      std::pair{&nests.perChiplet,
-                                Tensor::Activations}}) {
+                for (const auto &[nest, tensor, interned] :
+                     {std::tuple<const LoopNest *, Tensor, Lookup>{
+                          &nests.perCore, Tensor::Weights,
+                          &MemoryAxisTable::Candidate::wl1Fill},
+                      std::tuple<const LoopNest *, Tensor, Lookup>{
+                          &nests.perCore, Tensor::Activations,
+                          &MemoryAxisTable::Candidate::al1Fill},
+                      std::tuple<const LoopNest *, Tensor, Lookup>{
+                          &nests.perChiplet, Tensor::Activations,
+                          &MemoryAxisTable::Candidate::al2Fill}}) {
                     std::vector<FillStep> steps;
                     appendFillSteps(*nest, tensor, layer, steps);
                     ASSERT_EQ(steps.back().minCapacity,
@@ -311,6 +324,10 @@ TEST(MemoryAxisTable, StepLookupMatchesAnalyzeBuffer)
                             << layer.toString() << " " << m.toString()
                             << " " << toString(tensor) << " cap " << cap
                             << " nest " << nest->toString();
+                        ASSERT_EQ((view[k]->*interned)(cap), ref.fillBytes)
+                            << "interned run: " << layer.toString() << " "
+                            << m.toString() << " " << toString(tensor)
+                            << " cap " << cap;
                         if (atom > cap)
                             ++nothing_fits;
                         ++checked;
@@ -321,6 +338,165 @@ TEST(MemoryAxisTable, StepLookupMatchesAnalyzeBuffer)
     }
     EXPECT_GT(checked, 10000);
     EXPECT_GT(nothing_fits, 0);
+}
+
+TEST(MemoryAxisTable, StoredTermsPriceLikeFreshEvaluation)
+{
+    // A table candidate's bound and score come from stored terms: the
+    // bound's floors, the access counts' affine coefficients and the
+    // tile schedule.  They must equal scoreLowerBound() and the fresh
+    // evaluation's score double for double (EXPECT_EQ, no tolerance):
+    // both run the same pricing arithmetic on the same integers.  One
+    // cache serves two technology models, since a table must store
+    // nothing priced.
+    TechnologyModel other = defaultTech();
+    other.dramEnergyPerBit = 11.5;
+    other.d2dEnergyPerBit = 2.3;
+    other.nocEnergyPerBit = 0.6;
+    other.rfEnergyPerBitRmw = 0.09;
+    other.macEnergyPerOp = 0.031;
+    other.vectorOpEnergyPerOp = 0.07;
+    other.sramEnergyPerBitKb = {0.21, 0.027};
+    other.dramBitsPerCycle = 64;
+    other.d2dBitsPerCycle = 32;
+    const TechnologyModel *const techs[] = {&defaultTech(), &other};
+
+    std::mt19937 g(20261017);
+    // Dense, depthwise (the grouped layers the analysis supports, one
+    // with a non-square kernel), GEMM, batched GEMM, a batched conv and
+    // a GEMM with a softmax's post-MAC passes.
+    std::vector<ConvLayer> layers;
+    for (int kind = 0; kind < 4; ++kind)
+        layers.push_back(randomLayer(g, kind));
+    ConvLayer batched = randomLayer(g, 0);
+    batched.batch = 2;
+    layers.push_back(batched);
+    layers.push_back(makeDepthwiseConv("dw3x5", 28, 28, 64, 3, 5, 2));
+    layers.push_back(makeGemm("softmax", 196, 196, 64, 2, 3));
+
+    // One random table II point per legality key of the grid.
+    std::vector<MemoryAllocation> grid = enumerateMemory();
+    std::shuffle(grid.begin(), grid.end(), g);
+    std::vector<MemoryAllocation> key_points;
+    std::set<std::pair<int64_t, int64_t>> keys_seen;
+    for (const MemoryAllocation &m : grid) {
+        if (keys_seen.insert({m.ol1Bytes, m.al1Bytes}).second)
+            key_points.push_back(m);
+    }
+
+    MappingCache cache;
+    int64_t priced = 0;
+    int64_t straddles = 0;
+    for (size_t li = 0; li < layers.size(); ++li) {
+        const ConvLayer &layer = layers[li];
+        const SearchEffort effort =
+            li % 2 ? SearchEffort::Fast : SearchEffort::Sketch;
+        for (const ComputeAllocation &compute : someComputes(g, 2)) {
+            std::vector<AcceleratorConfig> points;
+            for (const MemoryAllocation &m : key_points)
+                points.push_back(makeConfig(compute, m));
+            // The key whose W-L1 cannot hold one vector step.
+            AcceleratorConfig no_step = points.front();
+            no_step.core.wl1Bytes =
+                static_cast<int64_t>(compute.lanes) * compute.vectorSize -
+                1;
+            points.push_back(no_step);
+            const size_t key_count = points.size();
+
+            for (size_t p = 0; p < points.size(); ++p) {
+                const AcceleratorConfig cfg = points[p];
+                std::shared_ptr<const MemoryAxisTable::View> view =
+                    cache.tableView(layer, cfg, effort);
+                if (!view)
+                    view = cache.tableView(layer, cfg, effort);
+                ASSERT_TRUE(view);
+                if (p < key_count && !view->empty()) {
+                    // More points of this key (and of A-L1 neighbour
+                    // keys): one byte either side of a fill step of a
+                    // random candidate, per buffer.
+                    const MemoryAxisTable::Candidate &c =
+                        *(*view)[g() % view->size()];
+                    const int64_t pw = c.mapping.chipSplit.parts();
+                    const auto stepOf = [&](const FillStep *run) {
+                        std::vector<int64_t> caps;
+                        for (; run->minCapacity !=
+                               std::numeric_limits<int64_t>::min();
+                             ++run) {
+                            if (run->minCapacity > pw)
+                                caps.push_back(run->minCapacity);
+                        }
+                        return caps.empty() ? int64_t{0}
+                                            : caps[g() % caps.size()];
+                    };
+                    if (const int64_t cap = stepOf(c.wl1Steps)) {
+                        // The pooled W-L1 holds W-L1 bytes x pw.
+                        for (const int64_t bytes :
+                             {ceilDiv(cap, pw), (cap - 1) / pw}) {
+                            AcceleratorConfig v = cfg;
+                            v.core.wl1Bytes = bytes;
+                            points.push_back(v);
+                        }
+                        ++straddles;
+                    }
+                    if (const int64_t cap = stepOf(c.al1Steps)) {
+                        for (const int64_t bytes : {cap, cap - 1}) {
+                            AcceleratorConfig v = cfg;
+                            v.core.al1Bytes = bytes;
+                            points.push_back(v);
+                        }
+                        ++straddles;
+                    }
+                    if (const int64_t cap = stepOf(c.al2Steps)) {
+                        for (const int64_t bytes : {cap, cap - 1}) {
+                            AcceleratorConfig v = cfg;
+                            v.chiplet.al2Bytes = bytes;
+                            points.push_back(v);
+                        }
+                        ++straddles;
+                    }
+                }
+
+                for (const TechnologyModel *tech : techs) {
+                    const BufferRates rates = bufferRates(cfg, *tech);
+                    for (const MemoryAxisTable::Candidate *c : *view) {
+                        const MappingChoice fresh =
+                            evaluateMapping(layer, cfg, *tech, c->mapping);
+                        for (const Objective objective :
+                             {Objective::MinEnergy, Objective::MinEdp}) {
+                            // Streamed only on failure.
+                            const auto ctx = [&] {
+                                return layer.toString() + " " +
+                                       cfg.toString() + " " +
+                                       c->mapping.toString() +
+                                       (tech == techs[0] ? " default"
+                                                         : " other") +
+                                       (objective == Objective::MinEdp
+                                            ? " edp"
+                                            : " energy");
+                            };
+                            EXPECT_EQ(priceLowerBound(c->terms->bound,
+                                                      cfg, *tech, rates,
+                                                      objective),
+                                      scoreLowerBound(layer, cfg, *tech,
+                                                      c->mapping,
+                                                      objective))
+                                << ctx();
+                            EXPECT_EQ(c->score(cfg, *tech, rates, objective),
+                                      objective == Objective::MinEnergy
+                                          ? fresh.energy.total()
+                                          : fresh.edp())
+                                << ctx();
+                            ++priced;
+                        }
+                        if (HasFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(priced, 1000000);
+    EXPECT_GT(straddles, 500);
 }
 
 TEST(MemoryAxisTable, ViewEqualsEnumerationAtEveryLegalityKey)
@@ -376,12 +552,14 @@ TEST(MemoryAxisTable, ViewEqualsEnumerationAtEveryLegalityKey)
                             << ctx << " #" << i;
                         const MappingShapes s =
                             deriveShapes(layer, cfg, candidates[i]);
-                        expectSameShape(view[i]->shapes.coreTile,
-                                        s.coreTile, ctx);
-                        EXPECT_EQ(view[i]->shapes.chipTrips(),
-                                  s.chipTrips())
+                        EXPECT_EQ(view[i]->terms->tiles,
+                                  s.coreTilesPerChiplet())
                             << ctx;
-                        EXPECT_EQ(view[i]->shapes.pkgTrips(), s.pkgTrips())
+                        EXPECT_EQ(view[i]->terms->computePerTile,
+                                  computeCyclesPerTile(layer, cfg, s))
+                            << ctx;
+                        EXPECT_EQ(view[i]->terms->bound.computeCycles,
+                                  computeCycles(layer, cfg, s))
                             << ctx;
                     }
                 }
