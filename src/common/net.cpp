@@ -1,5 +1,6 @@
 #include "common/net.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -20,6 +21,18 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/** now + @p seconds; an infinite (or absurdly long) wait never
+ *  expires. */
+SteadyClock::time_point
+deadlineAfter(double seconds)
+{
+    if (!(seconds < 1e9))
+        return SteadyClock::time_point::max();
+    return SteadyClock::now() +
+           std::chrono::duration_cast<SteadyClock::duration>(
+               std::chrono::duration<double>(seconds));
+}
+
 double
 remainingSeconds(SteadyClock::time_point deadline)
 {
@@ -39,7 +52,9 @@ waitReady(int fd, short events, SteadyClock::time_point deadline,
         pollfd p{};
         p.fd = fd;
         p.events = events;
-        const int timeoutMs = static_cast<int>(remaining * 1000) + 1;
+        // Waits longer than an hour re-poll hourly (no int overflow).
+        const int timeoutMs =
+            static_cast<int>(std::min(remaining, 3600.0) * 1000) + 1;
         const int ready = ::poll(&p, 1, timeoutMs);
         if (ready < 0) {
             if (errno == EINTR)
@@ -67,6 +82,41 @@ setNonBlocking(int fd, bool enable)
     if (::fcntl(fd, F_SETFL, want) < 0)
         return errUnavailable("fcntl: %s", std::strerror(errno));
     return Status::okStatus();
+}
+
+/** Build @p endpoint's socket address into @p storage; returns its
+ *  length.  Dotted-quad IPv4 only (plus the localhost convenience):
+ *  the fabric addresses workers by IP, keeping the tree free of a
+ *  resolver dependency. */
+StatusOr<socklen_t>
+endpointAddress(const Endpoint &endpoint, sockaddr_storage &storage)
+{
+    storage = sockaddr_storage{};
+    if (endpoint.tcp) {
+        auto *addr = reinterpret_cast<sockaddr_in *>(&storage);
+        addr->sin_family = AF_INET;
+        addr->sin_port = htons(static_cast<uint16_t>(endpoint.port));
+        const char *host = endpoint.host == "localhost"
+                               ? "127.0.0.1"
+                               : endpoint.host.c_str();
+        if (::inet_pton(AF_INET, host, &addr->sin_addr) != 1) {
+            return errInvalidArgument(
+                "endpoint '%s': expected a dotted-quad IPv4 address",
+                endpoint.host.c_str());
+        }
+        return static_cast<socklen_t>(sizeof(sockaddr_in));
+    }
+    auto *addr = reinterpret_cast<sockaddr_un *>(&storage);
+    addr->sun_family = AF_UNIX;
+    if (endpoint.unixPath.empty() ||
+        endpoint.unixPath.size() >= sizeof(addr->sun_path)) {
+        return errInvalidArgument(
+            "socket path must be 1..%zu bytes, got %zu",
+            sizeof(addr->sun_path) - 1, endpoint.unixPath.size());
+    }
+    std::memcpy(addr->sun_path, endpoint.unixPath.c_str(),
+                endpoint.unixPath.size() + 1);
+    return static_cast<socklen_t>(sizeof(sockaddr_un));
 }
 
 } // namespace
@@ -122,49 +172,15 @@ parseEndpoint(const std::string &text)
 StatusOr<int>
 connectEndpoint(const Endpoint &endpoint, double timeoutSeconds)
 {
-    const auto deadline =
-        SteadyClock::now() +
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(timeoutSeconds));
-
-    int fd = -1;
-    sockaddr_storage storage{};
-    socklen_t addrLen = 0;
-    if (endpoint.tcp) {
-        if (endpoint.port < 1) {
-            return errInvalidArgument(
-                "cannot connect to port %d", endpoint.port);
-        }
-        auto *addr = reinterpret_cast<sockaddr_in *>(&storage);
-        addr->sin_family = AF_INET;
-        addr->sin_port =
-            htons(static_cast<uint16_t>(endpoint.port));
-        // Dotted-quad only (plus the localhost convenience): the
-        // fabric addresses workers by IP, keeping the tree free of a
-        // resolver dependency.
-        const char *host = endpoint.host == "localhost"
-                               ? "127.0.0.1"
-                               : endpoint.host.c_str();
-        if (::inet_pton(AF_INET, host, &addr->sin_addr) != 1) {
-            return errInvalidArgument(
-                "endpoint '%s': expected a dotted-quad IPv4 address",
-                endpoint.host.c_str());
-        }
-        addrLen = sizeof(sockaddr_in);
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    } else {
-        auto *addr = reinterpret_cast<sockaddr_un *>(&storage);
-        addr->sun_family = AF_UNIX;
-        if (endpoint.unixPath.empty() ||
-            endpoint.unixPath.size() >= sizeof(addr->sun_path)) {
-            return errInvalidArgument("socket path '%s' too long",
-                                      endpoint.unixPath.c_str());
-        }
-        std::memcpy(addr->sun_path, endpoint.unixPath.c_str(),
-                    endpoint.unixPath.size() + 1);
-        addrLen = sizeof(sockaddr_un);
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    }
+    const auto deadline = deadlineAfter(timeoutSeconds);
+    if (endpoint.tcp && endpoint.port < 1)
+        return errInvalidArgument("cannot connect to port %d",
+                                  endpoint.port);
+    sockaddr_storage storage;
+    const StatusOr<socklen_t> addrLen = endpointAddress(endpoint, storage);
+    if (!addrLen.ok())
+        return addrLen.status();
+    const int fd = ::socket(storage.ss_family, SOCK_STREAM, 0);
     if (fd < 0)
         return errUnavailable("socket: %s", std::strerror(errno));
 
@@ -174,7 +190,7 @@ connectEndpoint(const Endpoint &endpoint, double timeoutSeconds)
         return s;
     }
     if (::connect(fd, reinterpret_cast<const sockaddr *>(&storage),
-                  addrLen) != 0) {
+                  addrLen.value()) != 0) {
         if (errno != EINPROGRESS && errno != EAGAIN) {
             const Status err =
                 errUnavailable("connect %s: %s",
@@ -213,6 +229,57 @@ connectEndpoint(const Endpoint &endpoint, double timeoutSeconds)
     return fd;
 }
 
+StatusOr<int>
+listenEndpoint(const Endpoint &endpoint)
+{
+    sockaddr_storage storage;
+    const StatusOr<socklen_t> addrLen = endpointAddress(endpoint, storage);
+    if (!addrLen.ok())
+        return addrLen.status();
+    const int fd =
+        ::socket(storage.ss_family, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0)
+        return errUnavailable("socket: %s", std::strerror(errno));
+    if (endpoint.tcp) {
+        // Restarted workers rebind the same port without waiting out
+        // TIME_WAIT; the coordinator retries connect anyway.
+        int one = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    } else {
+        ::unlink(endpoint.unixPath.c_str()); // a stale socket file
+    }
+    if (::bind(fd, reinterpret_cast<const sockaddr *>(&storage),
+               addrLen.value()) != 0) {
+        const Status err = errUnavailable(
+            "bind %s: %s", endpoint.toString().c_str(),
+            std::strerror(errno));
+        ::close(fd);
+        return err;
+    }
+    if (::listen(fd, 128) != 0) {
+        const Status err = errUnavailable(
+            "listen %s: %s", endpoint.toString().c_str(),
+            std::strerror(errno));
+        ::close(fd);
+        if (!endpoint.tcp)
+            ::unlink(endpoint.unixPath.c_str());
+        return err;
+    }
+    return fd;
+}
+
+int
+boundPort(int fd)
+{
+    sockaddr_storage bound{};
+    socklen_t len = sizeof(bound);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &len) !=
+            0 ||
+        bound.ss_family != AF_INET)
+        return -1;
+    return ntohs(reinterpret_cast<const sockaddr_in *>(&bound)->sin_port);
+}
+
 void
 LineChannel::close()
 {
@@ -221,6 +288,7 @@ LineChannel::close()
         fd_ = -1;
     }
     buffer_.clear();
+    scanned_ = 0;
 }
 
 Status
@@ -228,10 +296,7 @@ LineChannel::sendLine(const std::string &line, double timeoutSeconds)
 {
     if (fd_ < 0)
         return errFailedPrecondition("sendLine on a closed channel");
-    const auto deadline =
-        SteadyClock::now() +
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(timeoutSeconds));
+    const auto deadline = deadlineAfter(timeoutSeconds);
     std::string framed = line;
     framed.push_back('\n');
     size_t off = 0;
@@ -262,12 +327,25 @@ LineChannel::recvLine(double timeoutSeconds)
 {
     if (fd_ < 0)
         return errFailedPrecondition("recvLine on a closed channel");
-    const auto deadline =
-        SteadyClock::now() +
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(timeoutSeconds));
-    size_t nl;
-    while ((nl = buffer_.find('\n')) == std::string::npos) {
+    const auto deadline = deadlineAfter(timeoutSeconds);
+    for (;;) {
+        const size_t nl = buffer_.find('\n', scanned_);
+        if ((nl == std::string::npos ? buffer_.size() : nl) >
+            kMaxLineBytes) {
+            buffer_.clear();
+            scanned_ = 0;
+            return errInvalidArgument("line exceeds %zu bytes",
+                                      kMaxLineBytes);
+        }
+        if (nl != std::string::npos) {
+            std::string line = buffer_.substr(0, nl);
+            buffer_.erase(0, nl + 1);
+            scanned_ = 0;
+            if (!line.empty() && line.back() == '\r')
+                line.pop_back();
+            return line;
+        }
+        scanned_ = buffer_.size();
         Status s = waitReady(fd_, POLLIN, deadline, "recv");
         if (!s.ok())
             return s;
@@ -286,11 +364,6 @@ LineChannel::recvLine(double timeoutSeconds)
         }
         buffer_.append(chunk, static_cast<size_t>(n));
     }
-    std::string line = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    return line;
 }
 
 StatusOr<LineChannel>

@@ -1,8 +1,9 @@
 /**
  * @file
- * Small socket utilities shared by every networked caller: the serve
- * daemon's clients (`nn-baton request` / `stats`), and the fabric
- * coordinator's worker connections.
+ * The one socket layer: every networked caller addresses, listens
+ * and frames lines through it — the serve daemon's listeners and
+ * connections, its clients (`nn-baton request` / `stats`), and the
+ * fabric coordinator's worker connections.
  *
  * Two endpoint families, one string syntax:
  *
@@ -20,6 +21,7 @@
 #ifndef NNBATON_COMMON_NET_HPP
 #define NNBATON_COMMON_NET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,10 +57,29 @@ StatusOr<int> connectEndpoint(const Endpoint &endpoint,
                               double timeoutSeconds);
 
 /**
+ * Bind and listen on @p endpoint; returns the non-blocking listening
+ * fd.  A Unix endpoint replaces a stale socket file at its path (a
+ * live daemon there loses its endpoint, so give each daemon its own
+ * path); TCP port 0 asks the kernel for a free port (see boundPort()).
+ * errInvalidArgument on a bad address, errUnavailable when the bind
+ * or listen fails.
+ */
+StatusOr<int> listenEndpoint(const Endpoint &endpoint);
+
+/** The local TCP port @p fd is bound to, or -1 when it has none. */
+int boundPort(int fd);
+
+/** The longest line a LineChannel accepts, newline excluded: 64 MiB,
+ *  about 9x the fig15 DarkNet-19 `pre` export (6.96 MB) and 3x the
+ *  largest `pre` export any MAC budget yields (21.5 MB). */
+constexpr size_t kMaxLineBytes = size_t{64} << 20;
+
+/**
  * A buffered newline-delimited line channel over a connected socket.
  * Owns the fd.  All operations are bounded by per-call timeouts, so
  * a dead or stalled peer always surfaces as a Status instead of a
- * hang.
+ * hang, and every line by kMaxLineBytes, so a peer that never sends
+ * a newline cannot grow the buffer without limit.
  */
 class LineChannel
 {
@@ -86,14 +107,18 @@ class LineChannel
     /**
      * Send @p line plus a trailing newline, tolerating short writes.
      * errUnavailable on a socket error (peer hung up),
-     * errDeadlineExceeded when @p timeoutSeconds elapses first.
+     * errDeadlineExceeded when @p timeoutSeconds elapses first (an
+     * infinite timeout never elapses).
      */
     Status sendLine(const std::string &line, double timeoutSeconds);
 
     /**
      * Receive one newline-terminated line (without the newline).
      * errUnavailable when the peer closes mid-line,
-     * errDeadlineExceeded when @p timeoutSeconds elapses first.
+     * errDeadlineExceeded when @p timeoutSeconds elapses first (the
+     * partial line stays buffered for the next call), and
+     * errInvalidArgument once the line exceeds kMaxLineBytes; after
+     * that error the channel is out of frame and should be closed.
      */
     StatusOr<std::string> recvLine(double timeoutSeconds);
 
@@ -102,10 +127,12 @@ class LineChannel
     {
         std::swap(fd_, other.fd_);
         std::swap(buffer_, other.buffer_);
+        std::swap(scanned_, other.scanned_);
     }
 
     int fd_ = -1;
     std::string buffer_;
+    size_t scanned_ = 0; //!< leading buffer_ bytes known to hold no '\n'
 };
 
 /** parseEndpoint + connectEndpoint + LineChannel in one call. */

@@ -257,23 +257,28 @@ textDigest(const std::string &text)
     return h;
 }
 
-/** The options part of a fingerprint, ending "|mode|seed".  The
- *  anneal seed only matters when that mode is active; keying it
- *  unconditionally would reject resumes between deterministic sweeps
- *  that merely carried different (unused) seeds. */
+/** The options part of a fingerprint, ending "|mode|seed", plus
+ *  "|moves" under Anneal.  The anneal seed and move budget only
+ *  matter when that mode is active; keying them unconditionally would
+ *  reject resumes between deterministic sweeps that merely carried
+ *  different (unused) values.  Anneal checkpoints written before the
+ *  budget was keyed therefore no longer match. */
 std::string
 optionsFingerprint(const DseOptions &options)
 {
-    return strprintf(
+    const bool anneal = options.searchMode == SearchMode::Anneal;
+    std::string fp = strprintf(
         "%lld|%.17g|%d|%d|%d|%s|%llu",
         static_cast<long long>(options.totalMacs), options.areaLimitMm2,
         options.proportionalMem ? 1 : 0,
         static_cast<int>(options.effort),
         static_cast<int>(options.objective),
         toString(options.searchMode),
-        options.searchMode == SearchMode::Anneal
-            ? static_cast<unsigned long long>(options.annealSeed)
-            : 0ull);
+        anneal ? static_cast<unsigned long long>(options.annealSeed)
+               : 0ull);
+    if (anneal)
+        fp += strprintf("|%d", options.annealIterations);
+    return fp;
 }
 
 /** The fingerprint checkpoints carried before it digested the model

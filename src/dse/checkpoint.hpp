@@ -72,7 +72,8 @@ std::string designPointKey(const ComputeAllocation &compute,
 /** Stable identity of a sweep: the model's name, resolution and a
  *  digest of its writeModelText() form, plus every option that shapes
  *  the space or the scores (threads excluded — results are
- *  thread-count independent).  Ends "|<search mode>|<anneal seed>". */
+ *  thread-count independent).  Ends "|<search mode>|<anneal seed>",
+ *  plus "|<anneal moves>" under Anneal. */
 std::string sweepFingerprint(const Model &model,
                              const DseOptions &options);
 
@@ -101,8 +102,9 @@ class CheckpointSink;
  * StatusError, or FAILED_PRECONDITION when the checkpoint belongs to
  * another sweep.  A fingerprint from before the model-text digest
  * (keyed by the model's name) is accepted only for an unedited zoo
- * model at batch 1, the one case the name identified.  explore() and
- * the fabric coordinator share this.
+ * model at batch 1, the one case the name identified; an Anneal
+ * fingerprint from before the move budget was keyed is refused.
+ * explore() and the fabric coordinator share this.
  */
 int64_t restoreSweepCheckpoint(const std::string &path,
                                const Model &model,

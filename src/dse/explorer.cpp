@@ -203,30 +203,10 @@ explore(const Model &model, const DseOptions &options,
                 progressDone.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
-            try {
-                verif::injectPointFault(i);
-                out = evaluateSweepPoint(model, options, tech, tasks[i],
-                                         cache);
-            } catch (const StatusError &e) {
-                const StatusCode code = e.status().code();
-                if (code == StatusCode::Cancelled ||
-                    code == StatusCode::DeadlineExceeded) {
-                    out = SweepPointOutcome();
-                    out.kind = SweepPointOutcome::Skipped;
-                    return;
-                }
-                if (options.strict)
-                    throw;
-                out = SweepPointOutcome();
-                out.kind = SweepPointOutcome::Poisoned;
-                out.error = e.status().toString();
-            } catch (const std::exception &e) {
-                if (options.strict)
-                    throw;
-                out = SweepPointOutcome();
-                out.kind = SweepPointOutcome::Poisoned;
-                out.error = e.what();
-            }
+            out = evaluateSweepPointGuarded(model, options, tech,
+                                            tasks[i], i, cache);
+            if (out.kind == SweepPointOutcome::Skipped)
+                return;
             sink.record(designPointKey(tasks[i].compute,
                                        tasks[i].memory),
                         out);

@@ -113,46 +113,53 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     return out;
 }
 
+SweepPointOutcome
+evaluateSweepPointGuarded(const Model &model, const DseOptions &options,
+                          const TechnologyModel &tech,
+                          const SweepTask &task, int64_t index,
+                          MappingCache &cache)
+{
+    SweepPointOutcome out;
+    try {
+        verif::injectPointFault(index);
+        return evaluateSweepPoint(model, options, tech, task, cache);
+    } catch (const StatusError &e) {
+        const StatusCode code = e.status().code();
+        if (code == StatusCode::Cancelled ||
+            code == StatusCode::DeadlineExceeded) {
+            out.kind = SweepPointOutcome::Skipped;
+            return out;
+        }
+        if (options.strict)
+            throw;
+        out.error = e.status().toString();
+    } catch (const std::exception &e) {
+        if (options.strict)
+            throw;
+        out.error = e.what();
+    }
+    out.kind = SweepPointOutcome::Poisoned;
+    return out;
+}
+
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
                    std::span<const SweepTask> slice, int64_t begin,
                    MappingCache &cache)
 {
-    const int64_t end = begin + static_cast<int64_t>(slice.size());
     std::vector<SweepPointOutcome> outcomes(slice.size());
-    for (int64_t i = begin; i < end; ++i) {
-        SweepPointOutcome &out = outcomes[static_cast<size_t>(i - begin)];
+    for (size_t k = 0; k < slice.size(); ++k) {
+        SweepPointOutcome &out = outcomes[k];
         if (options.cancel && options.cancel->cancelled()) {
             out.kind = SweepPointOutcome::Skipped;
             continue;
         }
-        try {
-            verif::injectPointFault(i);
-            out = evaluateSweepPoint(model, options, tech,
-                                     slice[static_cast<size_t>(i - begin)],
-                                     cache);
-        } catch (const StatusError &e) {
-            const StatusCode code = e.status().code();
-            if (code == StatusCode::Cancelled ||
-                code == StatusCode::DeadlineExceeded) {
-                out = SweepPointOutcome();
-                out.kind = SweepPointOutcome::Skipped;
-                continue;
-            }
-            if (options.strict)
-                throw;
-            out = SweepPointOutcome();
-            out.kind = SweepPointOutcome::Poisoned;
-            out.error = e.status().toString();
-        } catch (const std::exception &e) {
-            if (options.strict)
-                throw;
-            out = SweepPointOutcome();
-            out.kind = SweepPointOutcome::Poisoned;
-            out.error = e.what();
-        }
-        verif::notifyPointCompleted(options.cancel);
+        out = evaluateSweepPointGuarded(model, options, tech, slice[k],
+                                        begin + static_cast<int64_t>(k),
+                                        cache);
+        if (out.kind != SweepPointOutcome::Skipped)
+            verif::notifyPointCompleted(options.cancel);
     }
     return outcomes;
 }

@@ -100,15 +100,26 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      MappingCache &cache);
 
 /**
+ * Evaluate task @p index (its absolute sweep index) under the sweep's
+ * fault policy, the one explore() and evaluateSweepSlice() share so a
+ * slice evaluated remotely merges without translation.  The point
+ * first passes through verif::injectPointFault.  A Cancelled or
+ * DeadlineExceeded error marks it Skipped; any other error is
+ * rethrown under options.strict and otherwise quarantines the point
+ * as Poisoned with its status text.
+ */
+SweepPointOutcome evaluateSweepPointGuarded(const Model &model,
+                                            const DseOptions &options,
+                                            const TechnologyModel &tech,
+                                            const SweepTask &task,
+                                            int64_t index,
+                                            MappingCache &cache);
+
+/**
  * Evaluate a contiguous slice of the sweep serially: @p slice holds
  * tasks [begin, begin + slice.size()), and slot k of the result holds
- * task begin + k's outcome.  Faults are quarantined as Poisoned (or
- * rethrown under options.strict) and a fired options.cancel marks the
- * remaining slots Skipped — the same policy as explore(), so a slice
- * evaluated remotely merges without translation.  Each point passes
- * through verif::injectPointFault with its absolute sweep index,
- * keeping FaultPlan semantics aligned between local and distributed
- * runs.
+ * task begin + k's outcome, under evaluateSweepPointGuarded().  A
+ * fired options.cancel marks the remaining slots Skipped.
  */
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,

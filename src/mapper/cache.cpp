@@ -87,8 +87,7 @@ MappingCache::Key
 MappingCache::makeKey(const ConvLayer &layer,
                       const AcceleratorConfig &cfg,
                       const TechnologyModel &tech, SearchEffort effort,
-                      Objective objective, SearchMode mode,
-                      uint64_t annealSeed)
+                      Objective objective, const SearchOptions &search)
 {
     Key k = tableKey(layer, cfg, effort);
     k.ol1Bytes = cfg.core.ol1Bytes;
@@ -97,10 +96,11 @@ MappingCache::makeKey(const ConvLayer &layer,
     k.al2Bytes = cfg.chiplet.al2Bytes;
     k.techFingerprint = tech.fingerprint();
     k.objective = static_cast<int>(objective);
-    // Anneal keys separately from Exhaustive, per seed.
-    if (mode == SearchMode::Anneal) {
+    // Anneal keys separately from Exhaustive, per seed and budget.
+    if (search.mode == SearchMode::Anneal) {
         k.mode = 1;
-        k.annealSeed = annealSeed;
+        k.annealIterations = search.annealIterations;
+        k.annealSeed = search.annealSeed;
     }
     return k;
 }
@@ -135,7 +135,8 @@ MappingCache::KeyHash::operator()(const Key &key) const
     mix(key.techFingerprint);
     mix(static_cast<uint64_t>(key.effort) << 32 |
         static_cast<uint32_t>(key.objective));
-    mix(static_cast<uint64_t>(key.mode));
+    mix(static_cast<uint64_t>(key.mode) |
+        static_cast<uint64_t>(key.annealIterations) << 32);
     mix(key.annealSeed);
     return static_cast<size_t>(h);
 }

@@ -90,21 +90,24 @@ class MappingCache
         // Technology model (energy anchors, fits, clock, widths).
         uint64_t techFingerprint = 0;
         // Search parameters.  `mode` is 0 for Exhaustive; Anneal
-        // results depend on the seed, so they key as mode 1 plus the
-        // seed.
+        // results depend on the seed and the move budget, so they key
+        // as mode 1 plus both.
         int effort = 0, objective = 0;
         int mode = 0;
+        int annealIterations = 0;
         uint64_t annealSeed = 0;
 
         bool operator==(const Key &) const = default;
     };
 
+    /** The search result key.  Of @p search, only the mode and (under
+     *  Anneal) the seed and move budget change a result; threads,
+     *  pruning, metrics and cancellation leave it alone. */
     static Key makeKey(const ConvLayer &layer,
                        const AcceleratorConfig &cfg,
                        const TechnologyModel &tech, SearchEffort effort,
                        Objective objective,
-                       SearchMode mode = SearchMode::Exhaustive,
-                       uint64_t annealSeed = 0);
+                       const SearchOptions &search = SearchOptions());
 
     /** The memory-axis table key: the layer shape, the compute
      *  geometry and the effort — everything candidate enumeration

@@ -396,7 +396,7 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
             throwStatus(search.cancel->toStatus());
         const MappingCache::Key key =
             MappingCache::makeKey(layer, cfg, tech, effort, objective,
-                                  search.mode, search.annealSeed);
+                                  search);
         const uint64_t t0 =
             search.detailedMetrics ? obs::traceNowNs() : 0;
         bool hit = false;

@@ -1,18 +1,15 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/logging.hpp"
-#include "common/net.hpp"
 #include "common/parallel.hpp"
 
 namespace nnbaton {
@@ -26,26 +23,6 @@ withStop(ServiceOptions service, const CancelToken *stop)
 {
     service.stop = stop;
     return service;
-}
-
-/** Write all of @p data, tolerating short writes; false on error. */
-bool
-writeAll(int fd, const std::string &data)
-{
-    size_t off = 0;
-    while (off < data.size()) {
-        // MSG_NOSIGNAL: a client hanging up mid-response must error,
-        // not SIGPIPE the daemon.
-        const ssize_t n = ::send(fd, data.data() + off,
-                                 data.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
 }
 
 } // namespace
@@ -75,113 +52,30 @@ Server::start()
             "serve needs a Unix socket path and/or a TCP address");
     }
     if (!options_.socketPath.empty()) {
-        Status s = startUnix();
-        if (!s.ok())
-            return s;
+        // --socket is always a path, even one that looks like
+        // "host:port".
+        Endpoint unixEndpoint;
+        unixEndpoint.unixPath = options_.socketPath;
+        StatusOr<int> fd = listenEndpoint(unixEndpoint);
+        if (!fd.ok())
+            return fd.status();
+        listenFd_ = fd.value();
     }
     if (!options_.tcpAddress.empty()) {
-        Status s = startTcp();
-        if (!s.ok())
-            return s;
+        StatusOr<Endpoint> parsed = parseEndpoint(options_.tcpAddress);
+        if (!parsed.ok())
+            return parsed.status();
+        if (!parsed.value().tcp) {
+            return errInvalidArgument(
+                "--tcp needs \"host:port\" or \":port\", got '%s'",
+                options_.tcpAddress.c_str());
+        }
+        StatusOr<int> fd = listenEndpoint(parsed.value());
+        if (!fd.ok())
+            return fd.status();
+        tcpFd_ = fd.value();
+        tcpPort_ = boundPort(tcpFd_);
     }
-    return Status::okStatus();
-}
-
-Status
-Server::startUnix()
-{
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.socketPath.empty() ||
-        options_.socketPath.size() >= sizeof(addr.sun_path)) {
-        return errInvalidArgument(
-            "socket path must be 1..%zu bytes, got %zu",
-            sizeof(addr.sun_path) - 1, options_.socketPath.size());
-    }
-    std::memcpy(addr.sun_path, options_.socketPath.c_str(),
-                options_.socketPath.size() + 1);
-
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) {
-        return errUnavailable("socket: %s", std::strerror(errno));
-    }
-    // Replace a stale socket file from a previous run; a live daemon
-    // on the same path loses its endpoint, so deployments give each
-    // daemon its own path.
-    ::unlink(options_.socketPath.c_str());
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return errUnavailable("bind %s: %s",
-                              options_.socketPath.c_str(),
-                              std::strerror(err));
-    }
-    if (::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        ::unlink(options_.socketPath.c_str());
-        return errUnavailable("listen %s: %s",
-                              options_.socketPath.c_str(),
-                              std::strerror(err));
-    }
-    listenFd_ = fd;
-    return Status::okStatus();
-}
-
-Status
-Server::startTcp()
-{
-    StatusOr<Endpoint> parsed = parseEndpoint(options_.tcpAddress);
-    if (!parsed.ok())
-        return parsed.status();
-    const Endpoint &ep = parsed.value();
-    if (!ep.tcp) {
-        return errInvalidArgument(
-            "--tcp needs \"host:port\" or \":port\", got '%s'",
-            options_.tcpAddress.c_str());
-    }
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(ep.port));
-    const char *host =
-        ep.host == "localhost" ? "127.0.0.1" : ep.host.c_str();
-    if (::inet_pton(AF_INET, host, &addr.sin_addr) != 1) {
-        return errInvalidArgument(
-            "--tcp host '%s': expected a dotted-quad IPv4 address",
-            ep.host.c_str());
-    }
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0)
-        return errUnavailable("socket: %s", std::strerror(errno));
-    // Restarted workers rebind the same port without waiting out
-    // TIME_WAIT; the coordinator retries connect anyway.
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return errUnavailable("bind %s: %s",
-                              options_.tcpAddress.c_str(),
-                              std::strerror(err));
-    }
-    if (::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return errUnavailable("listen %s: %s",
-                              options_.tcpAddress.c_str(),
-                              std::strerror(err));
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0) {
-        tcpPort_ = ntohs(bound.sin_port);
-    }
-    tcpFd_ = fd;
     return Status::okStatus();
 }
 
@@ -250,64 +144,53 @@ Server::acceptLoop()
                 warn("serve: accept: %s", std::strerror(errno));
                 return;
             }
-            handleConnection(fd);
-            ::close(fd);
+            handleConnection(LineChannel(fd));
         }
     }
 }
 
 void
-Server::handleConnection(int fd)
+Server::handleConnection(LineChannel channel)
 {
-    std::string buffer;
-    char chunk[4096];
+    // Responses go out under the request deadline cap, so a client
+    // that stops reading frees its lane; 0 means no deadline.
+    const double sendSeconds =
+        options_.service.maxDeadlineSeconds > 0
+            ? options_.service.maxDeadlineSeconds
+            : std::numeric_limits<double>::infinity();
     while (!stopped()) {
-        // Poll with a timeout so an idle connection cannot pin the
-        // lane past a stop request.
-        pollfd p{};
-        p.fd = fd;
-        p.events = POLLIN;
-        const int ready = ::poll(&p, 1, options_.pollMs);
-        if (ready < 0) {
-            if (errno == EINTR)
+        // Read in poll-period slices so an idle connection cannot pin
+        // the lane past a stop request; a partial line stays buffered.
+        StatusOr<std::string> line =
+            channel.recvLine(std::max(options_.pollMs, 1) / 1000.0);
+        if (!line.ok()) {
+            const StatusCode code = line.status().code();
+            if (code == StatusCode::DeadlineExceeded)
                 continue;
-            return;
+            if (code == StatusCode::InvalidArgument) {
+                // An oversized line: answer with the envelope, then
+                // close, since the rest of the stream is out of frame.
+                (void)channel.sendLine(errorResponse(line.status()),
+                                       sendSeconds);
+            }
+            return; // peer closed, socket error or oversized line
         }
-        if (ready == 0)
+        if (line.value().empty())
             continue;
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
+        HandleResult result = service_.handleLine(line.value());
+        if (result.dropConnection) {
+            // Injected transport fault: behave like a crash — no
+            // response bytes, connection torn down, and for the kill
+            // flavour the whole server goes with it.
+            if (result.shutdown)
+                requestStop();
             return;
         }
-        if (n == 0)
-            return; // client closed
-        buffer.append(chunk, static_cast<size_t>(n));
-        size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, nl);
-            buffer.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (line.empty())
-                continue;
-            HandleResult result = service_.handleLine(line);
-            if (result.dropConnection) {
-                // Injected transport fault: behave like a crash —
-                // no response bytes, connection torn down, and for
-                // the kill flavour the whole server goes with it.
-                if (result.shutdown)
-                    requestStop();
-                return;
-            }
-            result.response.push_back('\n');
-            if (!writeAll(fd, result.response))
-                return;
-            if (result.shutdown) {
-                requestStop();
-                return;
-            }
+        if (!channel.sendLine(result.response, sendSeconds).ok())
+            return;
+        if (result.shutdown) {
+            requestStop();
+            return;
         }
     }
 }

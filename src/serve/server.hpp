@@ -1,9 +1,9 @@
 /**
  * @file
- * Unix-domain-socket transport for the persistent evaluation service
- * (`nn-baton serve`).
+ * Socket transport for the persistent evaluation service
+ * (`nn-baton serve`), over common/net's listeners and line channels.
  *
- * The server binds a SOCK_STREAM socket, then drives N accept/handle
+ * The server binds a Unix and/or TCP socket, then drives N accept/handle
  * lanes on the existing common/parallel ThreadPool: run() issues one
  * blocking parallelFor(lanes) whose body is an accept loop, so every
  * pool lane (including the caller) serves connections concurrently.
@@ -13,8 +13,11 @@
  * shape a heavy-traffic deployment wants.
  *
  * Each connection carries any number of newline-delimited requests;
- * responses come back one line each, in order.  The listening socket
- * is non-blocking and every lane polls it with a short timeout, so a
+ * responses come back one line each, in order.  A request line over
+ * kMaxLineBytes gets an INVALID_ARGUMENT envelope, then a close; a
+ * response the client leaves undrained for the service's
+ * maxDeadlineSeconds drops the connection.  The listening socket is
+ * non-blocking and every lane polls it with a short timeout, so a
  * stop request (SIGINT / SIGTERM via the wired CancelToken, or a
  * client's {"op":"shutdown"}) is observed within one poll interval;
  * in-flight evaluations are interrupted through the linked
@@ -28,6 +31,7 @@
 #include <string>
 
 #include "common/cancel.hpp"
+#include "common/net.hpp"
 #include "common/status.hpp"
 #include "serve/service.hpp"
 
@@ -55,7 +59,7 @@ struct ServerOptions
      *  request.  Borrowed, may be null. */
     CancelToken *cancel = nullptr;
 
-    /** Listen-socket poll period for stop checks. */
+    /** Listen- and connection-socket poll period for stop checks. */
     int pollMs = 50;
 
     ServiceOptions service;
@@ -95,10 +99,8 @@ class Server
     const EvalService &service() const { return service_; }
 
   private:
-    Status startUnix();
-    Status startTcp();
     void acceptLoop();
-    void handleConnection(int fd);
+    void handleConnection(LineChannel channel);
     bool stopped() const;
 
     ServerOptions options_;

@@ -390,7 +390,6 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     opt.annealIterations = req.annealIterations;
     opt.threads = 1; // concurrency lives across requests
     opt.cancel = &cancel;
-    opt.cache = &cache_;
 
     // Identity gate before any evaluation.  A worker that computes a
     // different sweep fingerprint (other build, other model zoo) or

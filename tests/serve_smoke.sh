@@ -8,7 +8,9 @@
 #      the 1us SLO counted the post request as a violation;
 #   4. a malformed request gets a structured error envelope (and the
 #      client exits non-zero), not a dropped connection;
-#   5. the shutdown op stops the daemon cleanly (exit 0).
+#   5. a request line over the 64 MiB bound gets an INVALID_ARGUMENT
+#      envelope and then EOF, and the daemon still answers a ping;
+#   6. the shutdown op stops the daemon cleanly (exit 0).
 #
 # Usage: serve_smoke.sh <path-to-nn-baton>
 set -euo pipefail
@@ -142,7 +144,36 @@ grep -q '"ok":false' "$DIR/err.json" \
 grep -q '"code":"INVALID_ARGUMENT"' "$DIR/err.json" \
     || fail "malformed request: wrong code: $(cat "$DIR/err.json")"
 
-# 5. Shutdown op stops the daemon with exit 0.
+# 5. A line one byte over the 64 MiB bound, with no newline: the
+# daemon can refuse it only after reading every byte, so it answers
+# with one envelope line and closes a drained socket (a clean EOF).
+# A daemon that buffers without limit never answers, and the client's
+# timeout fails the step.
+python3 - "$SOCK" > "$DIR/big.json" << 'PY' \
+    || fail "oversized line: no envelope then EOF: $(cat "$DIR/big.json")"
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(60)
+s.connect(sys.argv[1])
+s.sendall(b"x" * ((64 << 20) + 1))
+reply = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    reply += chunk
+sys.stdout.write(reply.decode())
+sys.exit(0 if reply.count(b"\n") == 1 and reply.endswith(b"\n") else 1)
+PY
+grep -q '"ok":false' "$DIR/big.json" \
+    || fail "oversized line: no error envelope: $(cat "$DIR/big.json")"
+grep -q '"code":"INVALID_ARGUMENT"' "$DIR/big.json" \
+    || fail "oversized line: wrong code: $(cat "$DIR/big.json")"
+"$BIN" request --socket "$SOCK" --request '{"op":"ping"}' \
+    | grep -q '"pong":true' \
+    || fail "daemon did not answer a ping after an oversized line"
+
+# 6. Shutdown op stops the daemon with exit 0.
 "$BIN" request --socket "$SOCK" --request '{"op":"shutdown"}' \
     > /dev/null
 wait "$DAEMON_PID"

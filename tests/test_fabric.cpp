@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -259,6 +261,35 @@ TEST(Net, ConnectToUnboundPortFailsFast)
                 channel.status().code() ==
                     StatusCode::DeadlineExceeded)
         << channel.status().toString();
+}
+
+/**
+ * Worker connections frame with LineChannel, so a peer that writes
+ * more than kMaxLineBytes without a newline is refused instead of
+ * growing the buffer without limit.
+ */
+TEST(Fabric, RecvLineRefusesALineOverTheBound)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    LineChannel reader(fds[0]);
+    std::thread writer([fd = fds[1]] {
+        const std::string line(kMaxLineBytes + 1, 'x');
+        size_t off = 0;
+        while (off < line.size()) {
+            const ssize_t n = ::send(fd, line.data() + off,
+                                     line.size() - off, MSG_NOSIGNAL);
+            if (n <= 0 && errno != EINTR)
+                break;
+            off += n > 0 ? static_cast<size_t>(n) : 0;
+        }
+    });
+    const StatusOr<std::string> line = reader.recvLine(30.0);
+    reader.close(); // unblocks a writer the reader stopped draining
+    writer.join();
+    ::close(fds[1]);
+    EXPECT_EQ(line.status().code(), StatusCode::InvalidArgument)
+        << line.status().toString();
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "c3p/access.hpp"
@@ -655,4 +656,47 @@ TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
                  table_key);
     EXPECT_FALSE(MappingCache::makeKey(layer, cfg, tech, effort,
                                        Objective::MinEdp) == search_key);
+
+    // Of the SearchOptions, the mode changes the search key, and the
+    // anneal seed and move budget change it under Anneal only.
+    // Threads, pruning, metrics and cancellation never change a
+    // result, so they leave it alone.
+    using SearchEdit =
+        std::pair<const char *, std::function<void(SearchOptions &)>>;
+    CancelToken token;
+    const SearchEdit anneal_fields[] = {
+        {"annealSeed", [](SearchOptions &s) { s.annealSeed = 7; }},
+        {"annealIterations",
+         [](SearchOptions &s) { s.annealIterations = 10; }},
+    };
+    const SearchEdit neutral_fields[] = {
+        {"threads", [](SearchOptions &s) { s.threads = 4; }},
+        {"boundPruning", [](SearchOptions &s) { s.boundPruning = false; }},
+        {"detailedMetrics",
+         [](SearchOptions &s) { s.detailedMetrics = true; }},
+        {"cancel", [&](SearchOptions &s) { s.cancel = &token; }},
+    };
+    for (const SearchMode mode :
+         {SearchMode::Exhaustive, SearchMode::Anneal}) {
+        SearchOptions base;
+        base.mode = mode;
+        const auto keyOf = [&](const SearchOptions &search) {
+            return MappingCache::makeKey(layer, cfg, tech, effort,
+                                         objective, search);
+        };
+        const MappingCache::Key base_key = keyOf(base);
+        EXPECT_EQ(base_key == search_key, mode == SearchMode::Exhaustive);
+        for (const auto &[field, edit] : anneal_fields) {
+            SearchOptions s = base;
+            edit(s);
+            EXPECT_EQ(keyOf(s) == base_key, mode != SearchMode::Anneal)
+                << field << " under " << toString(mode);
+        }
+        for (const auto &[field, edit] : neutral_fields) {
+            SearchOptions s = base;
+            edit(s);
+            EXPECT_TRUE(keyOf(s) == base_key)
+                << field << " under " << toString(mode);
+        }
+    }
 }

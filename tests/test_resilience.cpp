@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "common/status.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
+#include "mapper/cache.hpp"
 #include "nn/model.hpp"
 #include "tech/technology.hpp"
 #include "verif/fault.hpp"
@@ -352,6 +354,26 @@ TEST(Checkpoint, SameNameDifferentModelRefusesResume)
     std::remove(path.c_str());
 }
 
+/** Replace the fingerprint @p from of the checkpoint at @p path with
+ *  @p to, as an older build would have written it. */
+void
+rewriteFingerprint(const std::string &path, const std::string &from,
+                   const std::string &to)
+{
+    std::string text;
+    {
+        std::ifstream in(path);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        text = buf.str();
+    }
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), to);
+    std::ofstream(path) << text;
+    ASSERT_EQ(loadSweepCheckpoint(path).value().fingerprint, to);
+}
+
 /**
  * Checkpoints from before the model-text digest keyed the model by
  * name alone ("name|resolution|options...").  They still resume where
@@ -372,18 +394,7 @@ TEST(Checkpoint, LegacyZooCheckpointStillResumes)
     const size_t digest = fp.find('|', fp.find('|') + 1);
     const std::string legacy =
         fp.substr(0, digest) + fp.substr(fp.find('|', digest + 1));
-    std::string text;
-    {
-        std::ifstream in(path);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-    }
-    const size_t at = text.find(fp);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, fp.size(), legacy);
-    std::ofstream(path) << text;
-    ASSERT_EQ(loadSweepCheckpoint(path).value().fingerprint, legacy);
+    ASSERT_NO_FATAL_FAILURE(rewriteFingerprint(path, fp, legacy));
 
     DseOptions resume = sweepOptions();
     resume.resumePath = path;
@@ -400,6 +411,111 @@ TEST(Checkpoint, LegacyZooCheckpointStillResumes)
         impostor.addLayer(l);
     expectOtherSweep([&] { explore(impostor, resume, defaultTech()); });
     std::remove(path.c_str());
+}
+
+/**
+ * An anneal checkpoint names its move budget.  A 10-move AlexNet
+ * sweep resumed at 400 moves used to restore all 20 points and
+ * recommend the 10-move winner (8-8-16-4; a fresh 400-move sweep
+ * picks 8-4-16-8).  A checkpoint written before the budget was keyed
+ * cannot say which budget produced it, so it is refused too.
+ */
+TEST(Checkpoint, AnnealCheckpointKeysItsMoveBudget)
+{
+    const Model model = makeAlexNet(224);
+    const std::string path = tmpPath("ckpt_anneal.json");
+    DseOptions brief;
+    brief.totalMacs = 4096;
+    brief.proportionalMem = true;
+    brief.searchMode = SearchMode::Anneal;
+    brief.annealIterations = 10;
+    DseOptions write = brief;
+    write.checkpointPath = path;
+    const DseResult fresh = explore(model, write, defaultTech());
+
+    DseOptions resume = brief;
+    resume.resumePath = path;
+    EXPECT_EQ(explore(model, resume, defaultTech()).resumed, fresh.swept);
+
+    resume.annealIterations = 400;
+    expectOtherSweep([&] { explore(model, resume, defaultTech()); });
+
+    // The pre-budget form ends "|anneal|<seed>".
+    const std::string fp = sweepFingerprint(model, brief);
+    ASSERT_NO_FATAL_FAILURE(
+        rewriteFingerprint(path, fp, fp.substr(0, fp.rfind('|'))));
+    resume.annealIterations = brief.annealIterations;
+    expectOtherSweep([&] { explore(model, resume, defaultTech()); });
+    std::remove(path.c_str());
+}
+
+/**
+ * The sweep fingerprint changes with every DseOptions field that
+ * changes a sweep's answers, one field at a time, and with nothing
+ * else.  The anneal seed and move budget count under Anneal only.
+ */
+TEST(Checkpoint, FingerprintChangesWithEveryFieldThatChangesASweep)
+{
+    const Model model = miniModel();
+    using Edit =
+        std::pair<const char *, std::function<void(DseOptions &)>>;
+    const Edit sweep_fields[] = {
+        {"totalMacs", [](DseOptions &o) { o.totalMacs = 4096; }},
+        {"areaLimitMm2", [](DseOptions &o) { o.areaLimitMm2 = 3.0; }},
+        {"proportionalMem",
+         [](DseOptions &o) { o.proportionalMem = !o.proportionalMem; }},
+        {"effort", [](DseOptions &o) { o.effort = SearchEffort::Sketch; }},
+        {"objective",
+         [](DseOptions &o) { o.objective = Objective::MinEdp; }},
+        {"searchMode",
+         [](DseOptions &o) {
+             o.searchMode = o.searchMode == SearchMode::Anneal
+                                ? SearchMode::Exhaustive
+                                : SearchMode::Anneal;
+         }},
+    };
+    const Edit anneal_fields[] = {
+        {"annealSeed", [](DseOptions &o) { o.annealSeed = 7; }},
+        {"annealIterations",
+         [](DseOptions &o) { o.annealIterations = 10; }},
+    };
+    CancelToken token;
+    MappingCache cache;
+    const Edit neutral_fields[] = {
+        {"threads", [](DseOptions &o) { o.threads = 4; }},
+        {"boundPruning", [](DseOptions &o) { o.boundPruning = false; }},
+        {"detailedMetrics",
+         [](DseOptions &o) { o.detailedMetrics = true; }},
+        {"progressSeconds", [](DseOptions &o) { o.progressSeconds = 5; }},
+        {"strict", [](DseOptions &o) { o.strict = true; }},
+        {"checkpointPath",
+         [](DseOptions &o) { o.checkpointPath = "a.json"; }},
+        {"checkpointEvery", [](DseOptions &o) { o.checkpointEvery = 3; }},
+        {"resumePath", [](DseOptions &o) { o.resumePath = "b.json"; }},
+        {"cancel", [&](DseOptions &o) { o.cancel = &token; }},
+        {"cache", [&](DseOptions &o) { o.cache = &cache; }},
+    };
+    for (const SearchMode mode :
+         {SearchMode::Exhaustive, SearchMode::Anneal}) {
+        DseOptions base = sweepOptions();
+        base.searchMode = mode;
+        const std::string fp = sweepFingerprint(model, base);
+        const auto changed = [&](const std::function<void(DseOptions &)>
+                                     &edit) {
+            DseOptions o = base;
+            edit(o);
+            return sweepFingerprint(model, o) != fp;
+        };
+        for (const auto &[field, edit] : sweep_fields)
+            EXPECT_TRUE(changed(edit)) << field << " under "
+                                       << toString(mode);
+        for (const auto &[field, edit] : anneal_fields)
+            EXPECT_EQ(changed(edit), mode == SearchMode::Anneal)
+                << field << " under " << toString(mode);
+        for (const auto &[field, edit] : neutral_fields)
+            EXPECT_FALSE(changed(edit)) << field << " under "
+                                        << toString(mode);
+    }
 }
 
 TEST(Checkpoint, InjectedWriteFailureDoesNotAbortSweep)

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -27,6 +30,7 @@
 #include "baton/export.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "common/net.hpp"
 #include "nn/parser.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -74,9 +78,9 @@ expectedPost(const std::string &modelText, const TechnologyModel &tech)
     return s;
 }
 
-/** Connect to the daemon, send one line, read one response line. */
-std::string
-roundTrip(const std::string &socketPath, std::string request)
+/** A raw client socket connected to the daemon at @p socketPath. */
+int
+connectUnix(const std::string &socketPath)
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -89,28 +93,70 @@ roundTrip(const std::string &socketPath, std::string request)
                         sizeof(addr)),
               0)
         << std::strerror(errno);
-    request.push_back('\n');
+    return fd;
+}
+
+/** Send all of @p data on @p fd; false on a socket error. */
+bool
+sendAll(int fd, const std::string &data)
+{
     size_t off = 0;
-    while (off < request.size()) {
-        const ssize_t n = ::send(fd, request.data() + off,
-                                 request.size() - off, MSG_NOSIGNAL);
+    while (off < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + off,
+                                 data.size() - off, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
             continue;
-        EXPECT_GT(n, 0) << std::strerror(errno);
         if (n <= 0)
-            break;
+            return false;
         off += static_cast<size_t>(n);
     }
+    return true;
+}
+
+/**
+ * Read from @p fd until the first newline (or, with @p toEof, until
+ * the peer closes), giving up after @p seconds.  @p eof, when given,
+ * reports whether the peer closed.
+ */
+std::string
+readFor(int fd, double seconds, bool toEof = false, bool *eof = nullptr)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000));
     std::string buffer;
     char chunk[4096];
-    while (buffer.find('\n') == std::string::npos) {
+    while (toEof || buffer.find('\n') == std::string::npos) {
+        const auto left = std::chrono::duration_cast<
+            std::chrono::milliseconds>(deadline -
+                                       std::chrono::steady_clock::now());
+        pollfd p{};
+        p.fd = fd;
+        p.events = POLLIN;
+        if (left.count() <= 0 ||
+            ::poll(&p, 1, static_cast<int>(left.count())) <= 0)
+            break;
         const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)
             continue;
-        if (n <= 0)
+        if (n <= 0) {
+            if (eof)
+                *eof = n == 0;
             break;
+        }
         buffer.append(chunk, static_cast<size_t>(n));
     }
+    return buffer;
+}
+
+/** Connect to the daemon, send one line, read one response line. */
+std::string
+roundTrip(const std::string &socketPath, std::string request)
+{
+    const int fd = connectUnix(socketPath);
+    request.push_back('\n');
+    EXPECT_TRUE(sendAll(fd, request)) << std::strerror(errno);
+    const std::string buffer = readFor(fd, 60.0);
     ::close(fd);
     const size_t nl = buffer.find('\n');
     return nl == std::string::npos ? buffer : buffer.substr(0, nl);
@@ -625,33 +671,91 @@ TEST(ServeServer, MultipleRequestsPerConnection)
     ASSERT_TRUE(server.start().ok());
     std::thread daemon([&] { server.run(); });
 
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
+    const int fd = connectUnix(path);
     // Two pipelined requests on one connection, answered in order.
-    const std::string batch =
-        "{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n";
-    ASSERT_EQ(::send(fd, batch.data(), batch.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(batch.size()));
+    ASSERT_TRUE(sendAll(fd, "{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n"));
     std::string buffer;
-    char chunk[4096];
-    int newlines = 0;
-    while (newlines < 2) {
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        ASSERT_GT(n, 0);
-        for (ssize_t i = 0; i < n; ++i)
-            newlines += chunk[i] == '\n';
-        buffer.append(chunk, static_cast<size_t>(n));
+    while (std::count(buffer.begin(), buffer.end(), '\n') < 2) {
+        const std::string more = readFor(fd, 60.0);
+        ASSERT_FALSE(more.empty());
+        buffer += more;
     }
     ::close(fd);
     EXPECT_EQ(buffer.rfind("{\"pong\":true}\n", 0), 0u) << buffer;
     EXPECT_NE(buffer.find("\"requests\":"), std::string::npos);
 
+    server.requestStop();
+    daemon.join();
+}
+
+/**
+ * A request line over kMaxLineBytes gets an INVALID_ARGUMENT envelope
+ * and then EOF, and the daemon keeps serving other clients.  The line
+ * is one byte over the bound with no newline, so the daemon refuses it
+ * only after reading every byte and closes a drained socket.
+ */
+TEST(ServeServer, OversizedRequestGetsAnEnvelopeThenEof)
+{
+    const std::string path = uniqueSocketPath("big");
+    ServerOptions opt;
+    opt.socketPath = path;
+    opt.threads = 2;
+    Server server(std::move(opt));
+    ASSERT_TRUE(server.start().ok());
+    std::thread daemon([&] { server.run(); });
+
+    const int fd = connectUnix(path);
+    EXPECT_TRUE(sendAll(fd, std::string(kMaxLineBytes + 1, 'x')));
+    bool eof = false;
+    const std::string reply = readFor(fd, 30.0, /*toEof=*/true, &eof);
+    ::close(fd);
+    EXPECT_TRUE(eof);
+    EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+    EXPECT_TRUE(isErrorEnvelope(reply, "INVALID_ARGUMENT")) << reply;
+
+    EXPECT_EQ(roundTrip(path, "{\"op\":\"ping\"}"), "{\"pong\":true}");
+    server.requestStop();
+    daemon.join();
+}
+
+/**
+ * A client that pipelines requests and never reads their responses
+ * pins the lane only until a response has waited maxDeadlineSeconds;
+ * then the connection drops and a one-lane daemon answers the next
+ * client.
+ */
+TEST(ServeServer, ClientThatStopsReadingFreesItsLane)
+{
+    const std::string path = uniqueSocketPath("stall");
+    ServerOptions opt;
+    opt.socketPath = path;
+    opt.threads = 1;
+    opt.service.maxDeadlineSeconds = 0.5;
+    Server server(std::move(opt));
+    ASSERT_TRUE(server.start().ok());
+    std::thread daemon([&] { server.run(); });
+
+    // Far more response bytes than any socket buffer holds; the
+    // writer blocks once the daemon stops reading, until the daemon
+    // drops the connection.
+    const int stalled = connectUnix(path);
+    std::thread writer([stalled] {
+        std::string batch;
+        for (int i = 0; i < 50000; ++i)
+            batch += "{\"op\":\"stats\"}\n";
+        (void)sendAll(stalled, batch);
+    });
+
+    const int fd = connectUnix(path);
+    EXPECT_TRUE(sendAll(fd, "{\"op\":\"ping\"}\n"));
+    const std::string reply = readFor(fd, 5.0);
+    ::close(fd);
+    EXPECT_EQ(reply, "{\"pong\":true}\n");
+
+    // Unblocks both the writer and a lane still stuck sending to it.
+    ::shutdown(stalled, SHUT_RDWR);
+    writer.join();
+    ::close(stalled);
     server.requestStop();
     daemon.join();
 }

@@ -211,8 +211,9 @@ usage()
         "                        (and as dse.progress.* gauges) [5]\n"
         "  --trace <path>        write a Chrome trace-event JSON file\n"
         "                        (open in Perfetto / chrome://tracing)\n"
-        "  --metrics             print the metrics table and per-phase\n"
-        "                        profile to stderr at exit\n"
+        "  --metrics             print the metrics table to stderr at\n"
+        "                        exit, and the per-phase profile when\n"
+        "                        --trace is also given\n"
         "  --log-level <level>   debug, info, warn or quiet [info]\n");
 }
 
