@@ -63,7 +63,7 @@ printModel(const Model &model, int threads)
                 static_cast<long long>(r.infeasible),
                 r.elapsedSeconds);
     std::printf("search: %lld evaluated, %lld pruned, %lld cache hits "
-                "/ %lld misses (%lld entries)\n",
+                "/ %lld misses (%lld tables)\n",
                 static_cast<long long>(r.search.evaluated),
                 static_cast<long long>(r.search.pruned),
                 static_cast<long long>(r.search.cacheHits),

@@ -20,6 +20,12 @@
 
 namespace nnbaton {
 
+SearchEffort
+sweepEffort(bool proportional_mem)
+{
+    return proportional_mem ? SearchEffort::Fast : SearchEffort::Sketch;
+}
+
 std::string
 DesignPoint::toString() const
 {
@@ -183,13 +189,10 @@ explore(const Model &model, const DseOptions &options,
         });
     }
 
-    // One mapping cache serves every design point.  Its results are
-    // keyed on the full configuration, so they are reused only within
-    // a point, by repeated layer shapes (the fig15 sweep's 292,360 hits
-    // are DarkNet-19's repeated shapes; across points it hits 0 times).
-    // Reuse across points comes from its memory-axis tables: the table
-    // II grid revisits each compute geometry at every memory
-    // allocation.  The cache is thread-safe and compute-once.
+    // One cache of memory-axis tables serves every design point: the
+    // table II grid revisits each compute geometry at every memory
+    // allocation.  Search results are reused only within a point, by
+    // repeated layer shapes (mapModel() memoises those).
     MappingCache localCache;
     MappingCache &cache = options.cache ? *options.cache : localCache;
     ThreadPool pool(options.threads);

@@ -42,6 +42,12 @@ struct DesignPoint
     std::string toString() const;
 };
 
+/** The search effort a sweep runs at: Fast under proportional memory
+ *  (figure 14), Sketch on the table II grid.  The CLI and the daemon
+ *  both derive it this way; a fabric sweep must, because its workers
+ *  rebuild the effort from the proportional flag. */
+SearchEffort sweepEffort(bool proportional_mem);
+
 /** Sweep options. */
 struct DseOptions
 {
@@ -109,13 +115,13 @@ struct DseOptions
     CancelToken *cancel = nullptr;
 
     /**
-     * Shared mapping cache (borrowed, may be null).  The sweep
+     * Shared memory-axis tables (borrowed, may be null).  The sweep
      * defaults to a private cache scoped to one explore() call; a
      * long-lived caller (the serving daemon) passes its process-wide
-     * cache here so layer searches stay warm across sweeps.  The key
-     * includes the technology fingerprint, so sharing across tech
-     * models is safe.  Search hit/miss counters then reflect the
-     * cache's prior contents instead of starting cold.
+     * cache here so tables stay warm across sweeps.  Tables hold no
+     * technology, objective or search-mode state, so sharing them is
+     * safe, and results and work counters do not depend on what the
+     * cache held before.
      */
     MappingCache *cache = nullptr;
 };
@@ -139,15 +145,14 @@ struct DseResult
     int64_t areaRejected = 0;        //!< failed the area budget
     int64_t infeasible = 0;          //!< no legal mapping for a layer
 
-    /** Mapping-search work counters, summed over the sweep.  The
-     *  compute-once cache and fixed-block pruning keep these
-     *  deterministic across thread counts. */
+    /** Mapping-search work counters, summed over the sweep;
+     *  deterministic across thread counts (see SearchStats). */
     SearchStats search;
 
     /** Wall-clock seconds spent in explore() (not deterministic). */
     double elapsedSeconds = 0.0;
 
-    /** Distinct (layer shape, config) searches in the shared cache. */
+    /** Memory-axis tables resident in the sweep's cache at the end. */
     int64_t cacheEntries = 0;
 
     /** Design points whose evaluation threw, quarantined with the

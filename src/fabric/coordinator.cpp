@@ -41,6 +41,17 @@ coordinateSweep(const Model &model, const DseOptions &options,
 {
     const auto start = std::chrono::steady_clock::now();
 
+    // The effort does not travel: a worker rebuilds it from the
+    // proportional flag, so under any other effort every worker would
+    // fail the fingerprint gate and the whole sweep would run here.
+    if (options.effort != sweepEffort(options.proportionalMem)) {
+        throwStatus(errInvalidArgument(
+            "fabric: a distributed sweep runs at the effort its workers "
+            "derive (Fast under proportional memory, else Sketch), not "
+            "effort %d",
+            static_cast<int>(options.effort)));
+    }
+
     // Identical enumeration and identity to explore(): the unit
     // space is a partition of the same index space a local sweep
     // walks, which is the whole bit-identity argument.

@@ -1,5 +1,6 @@
 #include "mapper/search.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <limits>
@@ -186,9 +187,9 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     for (size_t base = 0; base < n; base += kPruneBlock) {
         // Cancellation granularity: one poll per prune block, so a
         // fired deadline stops even a single huge layer search within
-        // ~kPruneBlock evaluations.  Unwinding here is safe: the
-        // compute-once cache does not latch an entry whose factory
-        // throws, so a later (post-resume) search recomputes it.
+        // ~kPruneBlock evaluations.  Unwinding here is safe: no result
+        // outlives its mapModel() call, so a later (post-resume)
+        // search recomputes it.
         if (search.cancel && search.cancel->cancelled())
             throwStatus(search.cancel->toStatus());
         if (verif::faultPlanArmed())
@@ -378,50 +379,57 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
     result.cost.modelName = model.name();
 
     // Layers with identical shapes (repeated residual blocks) share
-    // one search result.  Without an external cache, a private one
-    // scopes the memoization to this call, as before.
-    MappingCache private_cache;
-    MappingCache &shared = cache ? *cache : private_cache;
+    // one search.  Everything else a search reads is fixed for the
+    // call, so the table key, which adds only the fixed geometry and
+    // effort to the shape, keys the memo.
+    std::vector<std::pair<MappingCache::Key, std::optional<MappingChoice>>>
+        memo;
 
     std::unique_ptr<ThreadPool> pool;
     if (search.threads > 1 && !ThreadPool::inParallelRegion())
         pool = std::make_unique<ThreadPool>(search.threads);
 
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    static obs::Counter &m_hits = reg.counter("mapper.cache.hits");
+    static obs::Counter &m_misses = reg.counter("mapper.cache.misses");
     static obs::Histogram &m_layer_us =
-        obs::MetricsRegistry::instance().histogram(
-            "mapper.layer_search_us");
+        reg.histogram("mapper.layer_search_us");
 
     for (const ConvLayer &layer : model.layers()) {
         if (search.cancel && search.cancel->cancelled())
             throwStatus(search.cancel->toStatus());
         const MappingCache::Key key =
-            MappingCache::makeKey(layer, cfg, tech, effort, objective,
-                                  search);
+            MappingCache::tableKey(layer, cfg, effort);
         const uint64_t t0 =
             search.detailedMetrics ? obs::traceNowNs() : 0;
-        bool hit = false;
-        const std::optional<MappingChoice> choice =
-            shared.lookupOrCompute(
-                key,
-                [&] {
-                    // From the second miss of this (shape, geometry,
-                    // effort) on, an exhaustive search reads its
-                    // candidates and fills from the cache's
-                    // memory-axis table.
-                    std::shared_ptr<const MemoryAxisTable::View> table;
-                    if (search.mode == SearchMode::Exhaustive)
-                        table = shared.tableView(layer, cfg, effort);
-                    return runLayerSearch(layer, cfg, tech, effort,
-                                          objective, search, pool.get(),
-                                          &result.stats, table.get());
-                },
-                &hit);
-        ++(hit ? result.stats.cacheHits : result.stats.cacheMisses);
+        auto hit = std::find_if(memo.begin(), memo.end(),
+                                [&](const auto &m) {
+                                    return m.first == key;
+                                });
+        if (hit != memo.end()) {
+            ++result.stats.cacheHits;
+            m_hits.add();
+        } else {
+            // From the second search of this (shape, geometry,
+            // effort) in the caller's cache on, an exhaustive search
+            // reads its candidates and fills from a memory-axis table.
+            std::shared_ptr<const MemoryAxisTable::View> table;
+            if (cache && search.mode == SearchMode::Exhaustive)
+                table = cache->tableView(layer, cfg, effort);
+            memo.emplace_back(
+                key, runLayerSearch(layer, cfg, tech, effort, objective,
+                                    search, pool.get(), &result.stats,
+                                    table.get()));
+            hit = memo.end() - 1;
+            ++result.stats.cacheMisses;
+            m_misses.add();
+        }
         if (search.detailedMetrics) {
             m_layer_us.record(static_cast<int64_t>(
                 (obs::traceNowNs() - t0) / 1000));
         }
 
+        const std::optional<MappingChoice> &choice = hit->second;
         if (!choice) {
             // The caller decides whether infeasibility is worth
             // reporting (the DSE sweeps hit this by design).

@@ -55,15 +55,17 @@ const char *toString(SearchMode mode);
 /**
  * Work counters for the mapping search.  All counters are
  * deterministic: pruning decisions are made at fixed block boundaries
- * independent of the thread count, and the cross-design-point cache
- * computes every unique key exactly once, so serial and parallel runs
- * report identical totals.
+ * independent of the thread count, a memory-axis table returns the
+ * same counters as enumeration, and repeats are counted within one
+ * mapModel() call, so the totals depend neither on the thread count
+ * nor on what a shared cache held before.
  */
 struct SearchStats
 {
     int64_t evaluated = 0;   //!< candidates given the full C3P analysis
     int64_t pruned = 0;      //!< candidates skipped by the score bound
-    int64_t cacheHits = 0;   //!< layer searches served from the cache
+    int64_t cacheHits = 0;   //!< layers answered by an earlier layer of
+                             //!< the same shape in the model
     int64_t cacheMisses = 0; //!< layer searches actually run
 
     SearchStats &operator+=(const SearchStats &other)
@@ -125,7 +127,7 @@ struct MappingChoice
     double edp() const { return energy.total() * runtime.cycles; }
 };
 
-// A result is copied per scored candidate and per cache entry, so it
+// A result is copied per scored candidate and per memoised shape, so it
 // holds no heap state: per-buffer critical-point vectors once cost the
 // fig15 sweep about 100 MB of its 610 MB peak RSS.
 static_assert(std::is_trivially_copyable_v<MappingChoice>);
@@ -188,7 +190,8 @@ struct ModelMappingResult
 /**
  * Map every layer of @p model with a per-layer search.  Layers with
  * identical shapes share one search (ResNet-style repeated blocks),
- * which the result re-expands to model order.
+ * which the result re-expands to model order.  No result outlives the
+ * call.
  */
 ModelMappingResult
 mapModel(const Model &model, const AcceleratorConfig &cfg,
@@ -198,10 +201,11 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
 
 /**
  * mapModel() with explicit execution options.  When @p cache is
- * non-null the per-layer memoization uses that (thread-safe,
- * cross-design-point) cache instead of a private one, so repeated
- * shapes are searched once per unique (shape, config) across every
- * caller sharing the cache — the DSE sweep's dominant saving.
+ * non-null, exhaustive searches draw their candidates from its
+ * memory-axis tables (thread-safe, shared across design points), so
+ * a shape searched again at another memory allocation of the same
+ * compute geometry skips enumeration — the DSE sweep's dominant
+ * saving.  Results and counters are the same with or without it.
  */
 ModelMappingResult
 mapModel(const Model &model, const AcceleratorConfig &cfg,

@@ -54,6 +54,10 @@ parseModel(std::istream &in)
     std::string line;
     int line_no = 0;
     int batch = 1; // current batch; applies to subsequent layers
+    const auto addBatched = [&](ConvLayer layer) {
+        layer.batch = batch;
+        model->addLayer(std::move(layer));
+    };
 
     while (std::getline(in, line)) {
         ++line_no;
@@ -112,8 +116,8 @@ parseModel(std::istream &in)
                     return result;
                 }
             }
-            model->addLayer(makeConv(tokens[1], v[0], v[1], v[2], v[3],
-                                     v[4], v[5], v[6]));
+            addBatched(makeConv(tokens[1], v[0], v[1], v[2], v[3], v[4],
+                                v[5], v[6]));
         } else if (kind == "dwconv") {
             // Two arities: <kh> <kw> (canonical) and the legacy
             // square-kernel <k> form, kept for old model files.
@@ -134,11 +138,11 @@ parseModel(std::istream &in)
                 }
             }
             if (n == 6) {
-                model->addLayer(makeDepthwiseConv(
-                    tokens[1], v[0], v[1], v[2], v[3], v[4], v[5]));
+                addBatched(makeDepthwiseConv(tokens[1], v[0], v[1], v[2],
+                                             v[3], v[4], v[5]));
             } else {
-                model->addLayer(makeDepthwiseConv(tokens[1], v[0], v[1],
-                                                  v[2], v[3], v[4]));
+                addBatched(makeDepthwiseConv(tokens[1], v[0], v[1], v[2],
+                                             v[3], v[4]));
             }
         } else if (kind == "fc") {
             int v[2];
@@ -149,8 +153,7 @@ parseModel(std::istream &in)
                     "expected: fc <name> <out-features> <in-features>");
                 return result;
             }
-            model->addLayer(
-                makeFullyConnected(tokens[1], v[0], v[1]));
+            addBatched(makeFullyConnected(tokens[1], v[0], v[1]));
         } else if (kind == "gemm") {
             int v[4] = {0, 0, 0, 0};
             const size_t n = tokens.size() - 2;

@@ -120,6 +120,24 @@ oneLine(std::ostringstream &ss)
 
 } // namespace
 
+DseOptions
+sweepRequestOptions(const ServeRequest &req)
+{
+    DseOptions opt;
+    opt.totalMacs = req.macs;
+    opt.areaLimitMm2 = req.areaMm2;
+    opt.proportionalMem = req.proportional;
+    opt.effort = sweepEffort(req.proportional);
+    opt.objective = req.edpObjective ? Objective::MinEdp
+                                     : Objective::MinEnergy;
+    opt.searchMode = req.searchMode;
+    opt.annealSeed = req.annealSeed;
+    opt.annealIterations = req.annealIterations;
+    opt.threads = 1; // concurrency lives across requests
+    opt.progressSeconds = req.progressSeconds;
+    return opt;
+}
+
 EvalService::EvalService(ServiceOptions options) : options_(options)
 {
     cache_.setCapacity(options_.cacheBytes);
@@ -338,21 +356,9 @@ EvalService::runPre(const ServeRequest &req, CancelToken &cancel,
     NNBATON_TRACE_SCOPE("serve.pre");
     const Model model = loadRequestModel(req);
 
-    DseOptions opt;
-    opt.totalMacs = req.macs;
-    opt.areaLimitMm2 = req.areaMm2;
-    opt.proportionalMem = req.proportional;
-    opt.effort = req.proportional ? SearchEffort::Fast
-                                  : SearchEffort::Sketch;
-    opt.objective = req.edpObjective ? Objective::MinEdp
-                                     : Objective::MinEnergy;
-    opt.searchMode = req.searchMode;
-    opt.annealSeed = req.annealSeed;
-    opt.annealIterations = req.annealIterations;
-    opt.threads = 1; // concurrency lives across requests
+    DseOptions opt = sweepRequestOptions(req);
     opt.cancel = &cancel;
     opt.cache = &cache_;
-    opt.progressSeconds = req.progressSeconds;
     PreDesignFlow flow(opt, req.tech);
     const PreDesignReport report = flow.run(model);
     serveMetrics().cacheHit->add(report.sweep.search.cacheHits);
@@ -374,21 +380,10 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     NNBATON_TRACE_SCOPE("serve.sweep_unit");
     const Model model = loadRequestModel(req);
 
-    // The same DseOptions the one-shot `pre` path builds, so the
-    // canonical task enumeration and per-point evaluation are
-    // byte-for-byte those of a local sweep.
-    DseOptions opt;
-    opt.totalMacs = req.macs;
-    opt.areaLimitMm2 = req.areaMm2;
-    opt.proportionalMem = req.proportional;
-    opt.effort = req.proportional ? SearchEffort::Fast
-                                  : SearchEffort::Sketch;
-    opt.objective = req.edpObjective ? Objective::MinEdp
-                                     : Objective::MinEnergy;
-    opt.searchMode = req.searchMode;
-    opt.annealSeed = req.annealSeed;
-    opt.annealIterations = req.annealIterations;
-    opt.threads = 1; // concurrency lives across requests
+    // The same DseOptions the `pre` op builds, so the canonical task
+    // enumeration and per-point evaluation are byte-for-byte those of
+    // a local sweep.
+    DseOptions opt = sweepRequestOptions(req);
     opt.cancel = &cancel;
 
     // Identity gate before any evaluation.  A worker that computes a
@@ -510,9 +505,9 @@ EvalService::runStats()
     j.key("cache").beginObject();
     j.field("entries", static_cast<int64_t>(cache_.size()));
     j.field("bytes", cache_.bytes());
-    j.field("capacityBytes", cache_.capacityBytes());
-    j.field("hits", cache_.hits());
-    j.field("misses", cache_.misses());
+    j.field("capacityBytes", options_.cacheBytes);
+    j.field("builds", cache_.tableBuilds());
+    j.field("hits", cache_.tableHits());
     j.field("evictions", cache_.evictions());
     j.endObject();
     j.endObject();

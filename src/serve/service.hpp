@@ -4,19 +4,19 @@
  * line out, independent of any transport so it unit-tests without
  * sockets.
  *
- * One EvalService owns the process-wide MappingCache.  Every request
- * evaluates against it, so repeated layer shapes across requests —
- * the millions-of-users steady state is mostly repeated shapes — are
- * served from warm search results.  The cache key carries the
- * TechnologyModel fingerprint, so requests overriding energy anchors
- * or clock can never alias a cached result computed under different
- * technology assumptions; an LRU byte cap keeps a long-lived daemon's
- * footprint bounded.
+ * One EvalService owns the process-wide MappingCache of memory-axis
+ * tables, and every request searches against it: a layer shape
+ * searched again on the same compute geometry, in this request or an
+ * earlier one, skips candidate enumeration.  A table holds no
+ * technology, buffer-size or objective state, so requests overriding
+ * energy anchors or clock share tables without aliasing each other's
+ * answers; an LRU byte cap keeps a long-lived daemon's footprint
+ * bounded.  No search result outlives its request.
  *
  * Responses are bit-identical to the equivalent one-shot CLI
  * invocation (post/pre with `--no-obs`): the evaluation path is the
- * same PostDesignFlow / explore() code, the cache is compute-once and
- * deterministic, and the lean export omits everything run-dependent.
+ * same PostDesignFlow / explore() code, tables change no result, and
+ * the lean export omits everything run-dependent.
  *
  * Each request runs under its own CancelToken: the request's
  * `deadlineSeconds` (capped by the service maximum, which always
@@ -35,6 +35,7 @@
 #include <string>
 
 #include "common/cancel.hpp"
+#include "dse/explorer.hpp"
 #include "mapper/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -44,7 +45,7 @@ namespace serve {
 /** Service policy knobs. */
 struct ServiceOptions
 {
-    /** LRU byte cap for the shared mapping cache (0 = unbounded). */
+    /** LRU byte cap for the shared memory-axis tables (0 = unbounded). */
     int64_t cacheBytes = 256ll << 20;
 
     /** Hard per-request wall-clock cap.  Pre-design sweeps always run
@@ -89,6 +90,16 @@ struct HandleResult
     bool dropConnection = false;
 };
 
+/**
+ * The sweep options a `pre` or `sweepUnit` request describes: the
+ * request's bounds, objective and search, the sweepEffort() rule and
+ * serial lanes (concurrency lives across requests).  Both ops build
+ * them here, so a unit is evaluated under the options a local sweep of
+ * the same request uses; the caller attaches its cancel token and
+ * cache.
+ */
+DseOptions sweepRequestOptions(const ServeRequest &req);
+
 class EvalService
 {
   public:
@@ -105,7 +116,7 @@ class EvalService
      */
     HandleResult handleLine(const std::string &line);
 
-    /** The shared cache (tests inspect hit/eviction counters). */
+    /** The shared tables (tests inspect build/eviction counters). */
     const MappingCache &cache() const { return cache_; }
 
     int64_t requestsHandled() const

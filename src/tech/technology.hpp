@@ -119,10 +119,10 @@ struct TechnologyModel
      * depend on: the table I energy anchors, the SRAM/RF linear fits,
      * frequency, bandwidths and datapath widths.  Two models that
      * differ in any of these produce different fingerprints, so a
-     * cache keyed on the fingerprint can never serve a result
-     * computed under different technology assumptions
-     * (MappingCache::Key folds this in).  Area parameters are
-     * included too: they cost nothing and keep the digest total.
+     * fabric worker's sweepUnit gate can never evaluate under
+     * different technology assumptions than its coordinator.  Area
+     * parameters are included too: they cost nothing and keep the
+     * digest total.
      */
     uint64_t fingerprint() const;
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for `nn-baton serve`:
-#   1. the daemon comes up and answers a post-design request with
-#      bytes identical to the one-shot CLI's --no-obs JSON export;
+#   1. the daemon comes up and answers a post-design request, twice,
+#      with bytes identical to the one-shot CLI's --no-obs JSON export;
+#      the repeat searches on the memory-axis tables it built, which
+#      the stats op counts;
 #   2. `nn-baton stats` scrapes request-latency quantiles and cache
 #      counters from the live daemon in all three formats;
 #   3. the access log holds one parseable JSON line per request and
@@ -85,11 +87,20 @@ done
 "$BIN" request --socket "$SOCK" --request '{"op":"ping"}' \
     | grep -q '"pong":true' || fail "daemon did not answer a ping"
 
-# 1. Post request -> bit-identical to the CLI export.
+# 1. Post request -> bit-identical to the CLI export; the repeat's
+# second misses build the shapes' tables and search on them, with the
+# same bytes.
 REQ='{"op":"post","modelText":"model tiny 32\nconv c1 8 8 64 16 3 3 1\nfc head 64 128\n"}'
 "$BIN" request --socket "$SOCK" --request "$REQ" > "$DIR/serve.json"
 cmp "$DIR/cli.json" "$DIR/serve.json" \
     || fail "served response differs from the one-shot CLI export"
+"$BIN" request --socket "$SOCK" --request "$REQ" > "$DIR/serve2.json"
+cmp "$DIR/cli.json" "$DIR/serve2.json" \
+    || fail "repeated response differs from the one-shot CLI export"
+"$BIN" request --socket "$SOCK" --request '{"op":"stats"}' \
+    > "$DIR/cache.json"
+grep -q '"cache":{[^}]*"builds":[1-9]' "$DIR/cache.json" \
+    || fail "stats op reports no table build: $(cat "$DIR/cache.json")"
 
 # 2. `nn-baton stats` scrapes the live daemon in all three formats.
 "$BIN" stats --socket "$SOCK" --format table > "$DIR/stats.table"

@@ -108,12 +108,15 @@ TEST(Determinism, ExplorePruningPreservesPoints)
 TEST(Determinism, ExploreCountersAreConsistent)
 {
     const DseResult r = sweep(4);
-    // The repeated layer shape hits the cache within each point, and
-    // every lookup is either a hit or a miss.
-    EXPECT_GT(r.search.cacheHits, 0);
-    EXPECT_GT(r.search.cacheMisses, 0);
-    // Each distinct (shape, config) was searched exactly once.
-    EXPECT_EQ(r.search.cacheMisses, r.cacheEntries);
+    // Every point searches the mini model's two distinct shapes once
+    // each, and its repeated shape is a hit within the point.
+    EXPECT_GT(r.swept, 0);
+    EXPECT_EQ(r.areaRejected, 0);
+    EXPECT_EQ(r.search.cacheMisses, 2 * r.swept);
+    EXPECT_EQ(r.search.cacheHits, r.swept);
+    // Proportional memory gives each geometry one memory point, so no
+    // shape is searched twice on a geometry and no table is built.
+    EXPECT_EQ(r.cacheEntries, 0);
     EXPECT_GT(r.search.evaluated, 0);
 }
 
@@ -219,19 +222,20 @@ TEST(Determinism, TransformerLayersAcrossThreadsAndModes)
 
 TEST(Determinism, BatchChangesCacheKeyNotDeterminism)
 {
-    // Two layers identical except for batch must occupy distinct
-    // cache entries (a batch-1 winner reused for batch-4 would break
-    // replay), and the mapped totals must scale deterministically.
+    // Two layers identical except for batch must be searched apart
+    // (a batch-1 winner reused for batch-4 would break replay), and
+    // the mapped totals must scale deterministically.
     Model m("bk", 16);
     m.addLayer(makeGemm("b1", 48, 64, 96, 1));
     m.addLayer(makeGemm("b4", 48, 64, 96, 4));
-    MappingCache cache;
+    const AcceleratorConfig cfg = caseStudyConfig();
     const ModelMappingResult r =
-        mapModel(m, caseStudyConfig(), defaultTech(),
-                 SearchEffort::Fast, Objective::MinEnergy,
-                 SearchOptions{}, &cache);
+        mapModel(m, cfg, defaultTech(), SearchEffort::Fast,
+                 Objective::MinEnergy);
     ASSERT_TRUE(r.feasible);
-    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_FALSE(
+        MappingCache::tableKey(m.layers()[0], cfg, SearchEffort::Fast) ==
+        MappingCache::tableKey(m.layers()[1], cfg, SearchEffort::Fast));
     EXPECT_EQ(r.stats.cacheHits, 0);
     EXPECT_EQ(r.stats.cacheMisses, 2);
 }
@@ -244,19 +248,23 @@ TEST(Determinism, SharedCacheDoesNotChangeResults)
     const ModelMappingResult fresh =
         mapModel(model, cfg, defaultTech(), SearchEffort::Fast,
                  Objective::MinEnergy, SearchOptions{}, &cache);
-    // Two distinct shapes -> two entries, one hit for the repeat.
-    EXPECT_EQ(cache.size(), 2u);
+    // Two distinct shapes -> two searches, one hit for the repeat; a
+    // shape's first search builds no table.
     EXPECT_EQ(fresh.stats.cacheMisses, 2);
     EXPECT_EQ(fresh.stats.cacheHits, 1);
+    EXPECT_EQ(cache.size(), 0u);
 
-    // A second run against the warmed cache: all hits, same cost,
-    // and no new search work.
+    // A second run against the warmed cache searches on the tables
+    // the first run's misses earned: same cost, same work counters.
     const ModelMappingResult warmed =
         mapModel(model, cfg, defaultTech(), SearchEffort::Fast,
                  Objective::MinEnergy, SearchOptions{}, &cache);
-    EXPECT_EQ(warmed.stats.cacheHits, 3);
-    EXPECT_EQ(warmed.stats.cacheMisses, 0);
-    EXPECT_EQ(warmed.stats.evaluated, 0);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.tableHits(), 2);
+    EXPECT_EQ(warmed.stats.cacheHits, 1);
+    EXPECT_EQ(warmed.stats.cacheMisses, 2);
+    EXPECT_EQ(warmed.stats.evaluated, fresh.stats.evaluated);
+    EXPECT_EQ(warmed.stats.pruned, fresh.stats.pruned);
     EXPECT_EQ(warmed.cost.energy.total(), fresh.cost.energy.total());
     EXPECT_EQ(warmed.cost.cycles, fresh.cost.cycles);
 }

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -75,7 +76,7 @@ sweepOptions()
     DseOptions opt;
     opt.totalMacs = 256;
     opt.proportionalMem = true;
-    opt.effort = SearchEffort::Fast;
+    opt.effort = sweepEffort(opt.proportionalMem);
     opt.objective = Objective::MinEnergy;
     opt.searchMode = SearchMode::Exhaustive;
     opt.threads = 1;
@@ -402,6 +403,139 @@ TEST(FabricWire, RequestRoundTripsThroughServeParser)
     // ...and the technology projection reproduces the exact digest
     // the worker-side gate recomputes.
     EXPECT_EQ(req.tech.fingerprint(), defaultTech().fingerprint());
+}
+
+/**
+ * A worker rebuilds the coordinator's sweep identity from a sweepUnit
+ * request.  One field at a time over everything sweepFingerprint()
+ * reads: encode the request, parse it as the daemon does, and rebuild
+ * the model and options as runSweepUnit() does.  The effort does not
+ * travel; it follows the proportional flag by sweepEffort(), which
+ * coordinateSweep() enforces (next test).
+ */
+TEST(FabricWire, WorkerRebuildsTheCoordinatorsSweepIdentity)
+{
+    const Model base_model = tinyModel();
+    const auto withLayers = [&](std::string name, int resolution,
+                                std::vector<ConvLayer> layers) {
+        Model m(std::move(name), resolution);
+        for (ConvLayer &l : layers)
+            m.addLayer(std::move(l));
+        return m;
+    };
+    const auto plus = [&](ConvLayer extra) {
+        std::vector<ConvLayer> layers = base_model.layers();
+        layers.push_back(std::move(extra));
+        return withLayers(base_model.name(), base_model.inputResolution(),
+                          std::move(layers));
+    };
+    using ModelEdit = std::pair<const char *, std::function<Model()>>;
+    const ModelEdit model_fields[] = {
+        {"name",
+         [&] {
+             return withLayers("other", base_model.inputResolution(),
+                               base_model.layers());
+         }},
+        {"resolution",
+         [&] {
+             return withLayers(base_model.name(), 64, base_model.layers());
+         }},
+        {"layer shape",
+         [&] {
+             std::vector<ConvLayer> layers = base_model.layers();
+             layers[0].co *= 2;
+             return withLayers(base_model.name(),
+                               base_model.inputResolution(), layers);
+         }},
+        {"batch",
+         [&] {
+             Model m = base_model;
+             m.scaleBatch(2);
+             return m;
+         }},
+        {"postOps", [&] { return plus(makeGemm("sm", 64, 64, 32, 1, 3)); }},
+        {"depthwise",
+         [&] { return plus(makeDepthwiseConv("dw", 8, 8, 64, 3, 1)); }},
+        {"gemm", [&] { return plus(makeGemm("g", 48, 64, 96)); }},
+    };
+    using OptionsEdit =
+        std::pair<const char *, std::function<void(DseOptions &)>>;
+    const OptionsEdit option_fields[] = {
+        {"totalMacs", [](DseOptions &o) { o.totalMacs = 512; }},
+        {"areaLimitMm2", [](DseOptions &o) { o.areaLimitMm2 = 3.0; }},
+        {"proportionalMem",
+         [](DseOptions &o) {
+             o.proportionalMem = !o.proportionalMem;
+             o.effort = sweepEffort(o.proportionalMem);
+         }},
+        {"objective",
+         [](DseOptions &o) { o.objective = Objective::MinEdp; }},
+        {"searchMode",
+         [](DseOptions &o) { o.searchMode = SearchMode::Anneal; }},
+        {"annealSeed under anneal",
+         [](DseOptions &o) {
+             o.searchMode = SearchMode::Anneal;
+             o.annealSeed = 7;
+         }},
+        {"annealIterations under anneal",
+         [](DseOptions &o) {
+             o.searchMode = SearchMode::Anneal;
+             o.annealIterations = 10;
+         }},
+    };
+
+    const std::string tfp = techFingerprintHex(defaultTech());
+    const std::string base_fp =
+        sweepFingerprint(base_model, sweepOptions());
+    const auto expectWorkerAgrees = [&](const char *field,
+                                        const Model &model,
+                                        const DseOptions &opt) {
+        const std::string fp = sweepFingerprint(model, opt);
+        EXPECT_NE(fp, base_fp) << field;
+        const std::string line =
+            encodeSweepUnitRequest(writeModelText(model), opt,
+                                   defaultTech(), WorkUnit{0, 0, 1}, fp,
+                                   tfp);
+        const auto parsed = serve::parseRequest(line);
+        ASSERT_TRUE(parsed.ok()) << field << ": "
+                                 << parsed.status().toString();
+        const serve::ServeRequest &req = parsed.value();
+        const ParseResult echoed = parseModelString(req.modelText);
+        ASSERT_TRUE(echoed.ok()) << field << ": " << echoed.error;
+        EXPECT_EQ(sweepFingerprint(*echoed.model,
+                                   serve::sweepRequestOptions(req)),
+                  fp)
+            << field;
+        EXPECT_EQ(req.sweepFp, fp) << field;
+    };
+    for (const auto &[field, edit] : model_fields)
+        expectWorkerAgrees(field, edit(), sweepOptions());
+    for (const auto &[field, edit] : option_fields) {
+        DseOptions opt = sweepOptions();
+        edit(opt);
+        expectWorkerAgrees(field, base_model, opt);
+    }
+}
+
+TEST(Fabric, CoordinatorRefusesAnEffortWorkersCannotRebuild)
+{
+    // The effort is not on the wire: under any effort but the rule's,
+    // every worker would fail the fingerprint gate, be quarantined,
+    // and leave the whole sweep to local fallback.  The coordinator
+    // refuses such options before leasing a unit.
+    Fleet fleet(1);
+    FabricOptions fab;
+    fab.workers = fleet.endpoints;
+    DseOptions opt = sweepOptions();
+    opt.effort = SearchEffort::Sketch; // the grid's effort, not this one's
+    try {
+        coordinateSweep(tinyModel(), opt, defaultTech(), fab, nullptr);
+        ADD_FAILURE() << "coordinateSweep accepted a mismatched effort";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument)
+            << e.what();
+    }
+    EXPECT_EQ(fleet.workers[0].server->service().requestsHandled(), 0);
 }
 
 TEST(FabricWire, ParseRejectsCorruptFrames)

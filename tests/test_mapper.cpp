@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <set>
 
 #include "c3p/access.hpp"
@@ -303,48 +302,43 @@ TEST(SearchLayer, DepthwiseActivationFootprintFollowsLanes)
 }
 
 // ---------------------------------------------------------------------
-// MappingCache: technology keying and LRU eviction.  The cache outlives
-// a single fixed-tech run in the serving daemon, so these invariants
-// guard against cross-request aliasing and unbounded growth.
+// MappingCache: memory-axis tables shared across calls, and mapModel()'s
+// per-call shape memo.  The cache outlives a single fixed-tech run in
+// the serving daemon, so these invariants guard against cross-request
+// aliasing and unbounded growth.
 // ---------------------------------------------------------------------
 
-TEST(MappingCache, KeyFoldsInTechnologyFingerprint)
+namespace {
+
+/** A small layer whose table key differs by @p i alone: post-ops
+ *  change the key but not the candidates, so every table holds the
+ *  same. */
+ConvLayer
+cacheLayer(int i)
 {
-    const ConvLayer layer = makeConv("t", 28, 28, 128, 64, 3, 3, 1);
-    const AcceleratorConfig cfg = caseStudyConfig();
-    TechnologyModel cheapDram = defaultTech();
-    cheapDram.dramEnergyPerBit /= 2;
-
-    const auto a = MappingCache::makeKey(
-        layer, cfg, defaultTech(), SearchEffort::Fast,
-        Objective::MinEnergy);
-    const auto b = MappingCache::makeKey(
-        layer, cfg, cheapDram, SearchEffort::Fast,
-        Objective::MinEnergy);
-    EXPECT_FALSE(a == b);
-    EXPECT_NE(a.techFingerprint, b.techFingerprint);
-
-    // Every energy anchor and timing knob must perturb the digest.
-    for (int knob = 0; knob < 4; ++knob) {
-        TechnologyModel t = defaultTech();
-        if (knob == 0)
-            t.macEnergyPerOp *= 1.5;
-        else if (knob == 1)
-            t.frequencyGhz = 1.0;
-        else if (knob == 2)
-            t.sramEnergyPerBitKb.slope *= 1.01;
-        else
-            t.d2dBitsPerCycle *= 2;
-        EXPECT_NE(t.fingerprint(), defaultTech().fingerprint())
-            << "knob " << knob;
-    }
+    ConvLayer l = makeConv("t", 8, 8, 16, 16, 1, 1, 1);
+    l.postOps = i;
+    return l;
 }
+
+/** Two searches of @p layer: the second builds its table. */
+void
+buildTable(MappingCache &cache, const ConvLayer &layer)
+{
+    EXPECT_FALSE(
+        cache.tableView(layer, caseStudyConfig(), SearchEffort::Sketch));
+    EXPECT_TRUE(
+        cache.tableView(layer, caseStudyConfig(), SearchEffort::Sketch));
+}
+
+} // namespace
 
 TEST(MappingCache, SharedCacheServesTwoTechModelsCorrectly)
 {
-    // Regression: two clients sharing one daemon cache but using
-    // different technology models must each get the energies a fresh
-    // single-tech run computes — never each other's.
+    // Two clients sharing one daemon cache but using different
+    // technology models must each get the energies a fresh single-tech
+    // run computes — never each other's.  Tables hold no technology
+    // state, so the second model searches on the first one's tables.
     const Model model = makeAlexNet(224);
     const AcceleratorConfig cfg = caseStudyConfig();
     TechnologyModel hot = defaultTech();
@@ -362,98 +356,74 @@ TEST(MappingCache, SharedCacheServesTwoTechModelsCorrectly)
                                  SearchEffort::Fast);
     const auto freshB = mapModel(model, cfg, hot, SearchEffort::Fast);
 
-    EXPECT_DOUBLE_EQ(viaSharedA.cost.energy.total(),
-                     freshA.cost.energy.total());
-    EXPECT_DOUBLE_EQ(viaSharedB.cost.energy.total(),
-                     freshB.cost.energy.total());
+    EXPECT_EQ(viaSharedA.cost.energy.total(), freshA.cost.energy.total());
+    EXPECT_EQ(viaSharedB.cost.energy.total(), freshB.cost.energy.total());
     // The perturbed model must actually produce a different total, or
     // the aliasing this test guards against would be invisible.
     EXPECT_NE(viaSharedA.cost.energy.total(),
               viaSharedB.cost.energy.total());
+    EXPECT_GT(shared.tableHits(), 0);
 
-    // And re-running under the shared cache hits for every layer.
+    // A rerun on the warm cache repeats the cold run's work and
+    // counts: no search result outlives its call.
     const auto warm =
         mapModel(model, cfg, hot, SearchEffort::Fast,
                  Objective::MinEnergy, search, &shared);
-    EXPECT_DOUBLE_EQ(warm.cost.energy.total(),
-                     freshB.cost.energy.total());
-    EXPECT_GT(warm.stats.cacheHits, 0);
-    EXPECT_EQ(warm.stats.cacheMisses, 0);
+    EXPECT_EQ(warm.cost.energy.total(), freshB.cost.energy.total());
+    for (const ModelMappingResult *r : {&viaSharedB, &warm}) {
+        EXPECT_EQ(r->stats.evaluated, freshB.stats.evaluated);
+        EXPECT_EQ(r->stats.pruned, freshB.stats.pruned);
+        EXPECT_EQ(r->stats.cacheHits, freshB.stats.cacheHits);
+        EXPECT_EQ(r->stats.cacheMisses, freshB.stats.cacheMisses);
+    }
 }
 
 TEST(MappingCache, LruEvictionHonoursByteCapacity)
 {
-    const ConvLayer base = makeConv("t", 28, 28, 128, 64, 3, 3, 1);
-    const AcceleratorConfig cfg = caseStudyConfig();
-    auto keyFor = [&](int ho) {
-        MappingCache::Key k = MappingCache::makeKey(
-            base, cfg, defaultTech(), SearchEffort::Fast,
-            Objective::MinEnergy);
-        k.ho = ho; // synthetic distinct shapes
-        return k;
-    };
-
-    int computed = 0;
-    auto compute = [&]() -> std::optional<MappingChoice> {
-        ++computed;
-        return std::nullopt; // value content is irrelevant here
-    };
-
-    // Entries are counted from what they hold; every entry here holds
-    // the same, so one probe entry sizes the cap.
+    // Every table here holds the same, so one probe sizes the cap.
     MappingCache probe;
-    (void)probe.lookupOrCompute(keyFor(0), compute);
-    const int64_t per_entry = probe.bytes();
-    ASSERT_GT(per_entry, 0);
-    computed = 0;
+    buildTable(probe, cacheLayer(0));
+    const int64_t per_table = probe.bytes();
+    ASSERT_GT(per_table, 0);
 
     MappingCache cache;
-    // Room for 4 entries per shard.
-    const int64_t cap = 4 * per_entry * MappingCache::kShards;
+    // Room for 2 tables per shard.
+    const int64_t cap = 2 * per_table * MappingCache::kShards;
     cache.setCapacity(cap);
-    const int kMany = 4 * static_cast<int>(MappingCache::kShards) * 8;
-    for (int i = 0; i < kMany; ++i)
-        (void)cache.lookupOrCompute(keyFor(i), compute);
-    EXPECT_EQ(computed, kMany);
+    const int kMany = 2 * static_cast<int>(MappingCache::kShards) * 8;
+    for (int i = 0; i < kMany; ++i) {
+        buildTable(cache, cacheLayer(i));
+        ASSERT_LE(cache.bytes(), cap) << i;
+    }
+    EXPECT_EQ(cache.tableBuilds(), kMany);
     EXPECT_GT(cache.evictions(), 0);
-    EXPECT_LE(cache.bytes(), cap);
-    EXPECT_LE(cache.size(), static_cast<size_t>(cap / per_entry));
+    EXPECT_LE(cache.size(), static_cast<size_t>(cap / per_table));
 
-    // An evicted key recomputes (same result), a resident one hits.
-    bool hit = true;
-    (void)cache.lookupOrCompute(keyFor(0), compute, &hit);
-    EXPECT_FALSE(hit); // key 0 was the coldest; long evicted
-    (void)cache.lookupOrCompute(keyFor(0), compute, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_GT(cache.hits(), 0);
-    EXPECT_GT(cache.misses(), 0);
+    // The coldest key was evicted: its miss count starts over.  The
+    // newest is resident and serves a view without a rebuild.
+    const AcceleratorConfig cfg = caseStudyConfig();
+    EXPECT_FALSE(cache.tableView(cacheLayer(0), cfg, SearchEffort::Sketch));
+    EXPECT_TRUE(
+        cache.tableView(cacheLayer(kMany - 1), cfg, SearchEffort::Sketch));
+    EXPECT_EQ(cache.tableBuilds(), kMany);
 }
 
 TEST(MappingCache, UnboundedByDefaultNeverEvicts)
 {
     MappingCache cache;
-    const ConvLayer base = makeConv("t", 28, 28, 128, 64, 3, 3, 1);
-    const AcceleratorConfig cfg = caseStudyConfig();
-    for (int i = 0; i < 200; ++i) {
-        MappingCache::Key k = MappingCache::makeKey(
-            base, cfg, defaultTech(), SearchEffort::Fast,
-            Objective::MinEnergy);
-        k.ho = i;
-        (void)cache.lookupOrCompute(
-            k, []() -> std::optional<MappingChoice> {
-                return std::nullopt;
-            });
-    }
-    EXPECT_EQ(cache.size(), 200u);
+    for (int i = 0; i < 64; ++i)
+        buildTable(cache, cacheLayer(i));
+    EXPECT_EQ(cache.size(), 64u);
+    EXPECT_EQ(cache.tableBuilds(), 64);
     EXPECT_EQ(cache.evictions(), 0);
 }
 
 TEST(MappingCache, CappedCacheOfRealSearchesStaysUnderItsCap)
 {
-    // Real search results and memory-axis tables, counted from what
-    // they hold, under a cap far below the sweep's working set: every
-    // search must leave bytes() within the cap and return what an
-    // unbounded cache returns.
+    // Real memory-axis tables, counted from what they hold, under a
+    // cap far below the sweep's working set: every search must leave
+    // bytes() within the cap and return the answers and work counters
+    // an unbounded cache returns.
     const Model model = [] {
         Model m("capped", 56);
         m.addLayer(makeConv("a", 14, 14, 128, 64, 3, 3, 1));
@@ -482,34 +452,34 @@ TEST(MappingCache, CappedCacheOfRealSearchesStaysUnderItsCap)
             ASSERT_EQ(a.feasible, b.feasible);
             EXPECT_EQ(a.cost.energy.total(), b.cost.energy.total());
             EXPECT_EQ(a.cost.cycles, b.cost.cycles);
+            EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
+            EXPECT_EQ(a.stats.pruned, b.stats.pruned);
         }
     }
     EXPECT_GT(capped.evictions(), 0);
     EXPECT_GT(unbounded.tableHits(), 0);
-    // Each entry holds at least its key and its search result.
+    // Each table holds at least its key.
     EXPECT_GE(unbounded.bytes(),
               static_cast<int64_t>(unbounded.size() *
-                                   (sizeof(MappingCache::Key) +
-                                    sizeof(MappingChoice))));
+                                   sizeof(MappingCache::Key)));
 }
 
 TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
 {
-    // One field at a time of the layer, the configuration and the
-    // technology model.  The search key must change with every field a
-    // search result depends on.  The memory-axis table key must change
-    // with every layer-shape and compute-geometry field and with
-    // nothing else: one table serves every buffer size, technology and
-    // objective.  The layer name and the conv/GEMM op tag are the only
-    // fields allowed to leave the search key alone (equivalent lowered
-    // shapes share entries; the accounting never reads them).
+    // One field at a time of the layer and the configuration.  The
+    // table key must change with every layer-shape and compute-geometry
+    // field and with the effort, and with nothing else: one table
+    // serves every buffer size, technology and objective.  Within one
+    // mapModel() call the geometry and effort are fixed, so the same
+    // key memoises repeated shapes there.  The layer name and the
+    // conv/GEMM op tag are the only shape fields allowed to leave it
+    // alone (equivalent lowered shapes share a table and a memo slot;
+    // the accounting never reads them).
     const ConvLayer layer = makeConv("k", 28, 28, 64, 32, 3, 3, 1);
     const AcceleratorConfig cfg = caseStudyConfig();
     const TechnologyModel &tech = defaultTech();
     const SearchEffort effort = SearchEffort::Fast;
     const Objective objective = Objective::MinEnergy;
-    const MappingCache::Key search_key =
-        MappingCache::makeKey(layer, cfg, tech, effort, objective);
     const MappingCache::Key table_key =
         MappingCache::tableKey(layer, cfg, effort);
 
@@ -529,9 +499,6 @@ TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
     for (const auto &[field, edit] : shape_fields) {
         ConvLayer l = layer;
         edit(l);
-        EXPECT_FALSE(MappingCache::makeKey(l, cfg, tech, effort,
-                                           objective) == search_key)
-            << field;
         EXPECT_FALSE(MappingCache::tableKey(l, cfg, effort) == table_key)
             << field;
     }
@@ -545,26 +512,28 @@ TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
     for (const auto &[field, edit] : shared_fields) {
         ConvLayer l = layer;
         edit(l);
-        EXPECT_TRUE(MappingCache::makeKey(l, cfg, tech, effort,
-                                          objective) == search_key)
-            << field;
         EXPECT_TRUE(MappingCache::tableKey(l, cfg, effort) == table_key)
             << field;
     }
     // The sharing is sound: a GEMM and the conv it lowers to search to
-    // the same answer.
+    // the same answer, and one mapModel() call searches them once.
     const ConvLayer gemm = makeGemm("g", 196, 64, 128);
     ConvLayer lowered = makeConv("c", gemm.ho, gemm.wo, 64, 128, 1, 1, 1);
-    EXPECT_TRUE(MappingCache::makeKey(gemm, cfg, tech, effort,
-                                      objective) ==
-                MappingCache::makeKey(lowered, cfg, tech, effort,
-                                      objective));
+    EXPECT_TRUE(MappingCache::tableKey(gemm, cfg, effort) ==
+                MappingCache::tableKey(lowered, cfg, effort));
     const auto g = searchLayer(gemm, cfg, tech, effort, objective);
     const auto c = searchLayer(lowered, cfg, tech, effort, objective);
     ASSERT_TRUE(g && c);
     EXPECT_EQ(g->mapping, c->mapping);
     EXPECT_EQ(g->energy.total(), c->energy.total());
     EXPECT_EQ(g->runtime.cycles, c->runtime.cycles);
+    Model pair("pair", 14);
+    pair.addLayer(gemm);
+    pair.addLayer(lowered);
+    const ModelMappingResult both =
+        mapModel(pair, cfg, tech, effort, objective);
+    EXPECT_EQ(both.stats.cacheMisses, 1);
+    EXPECT_EQ(both.stats.cacheHits, 1);
 
     using ConfigEdit =
         std::pair<const char *, void (*)(AcceleratorConfig &)>;
@@ -583,120 +552,52 @@ TEST(MappingCache, KeysChangeWithEveryFieldThatChangesASearch)
     for (const auto &[field, edit] : geometry_fields) {
         AcceleratorConfig c = cfg;
         edit(c);
-        EXPECT_FALSE(MappingCache::makeKey(layer, c, tech, effort,
-                                           objective) == search_key)
-            << field;
         EXPECT_FALSE(MappingCache::tableKey(layer, c, effort) == table_key)
             << field;
     }
     for (const auto &[field, edit] : buffer_fields) {
         AcceleratorConfig c = cfg;
         edit(c);
-        EXPECT_FALSE(MappingCache::makeKey(layer, c, tech, effort,
-                                           objective) == search_key)
-            << field;
         EXPECT_TRUE(MappingCache::tableKey(layer, c, effort) == table_key)
             << field;
     }
-
-    // Every technology parameter reaches the search key through the
-    // fingerprint; tableKey() takes no technology and no objective, so
-    // those leave the table key alone by construction.
-    using TechEdit = std::pair<const char *, void (*)(TechnologyModel &)>;
-    const TechEdit tech_fields[] = {
-        {"dramEnergyPerBit",
-         [](TechnologyModel &t) { t.dramEnergyPerBit *= 2; }},
-        {"d2dEnergyPerBit", [](TechnologyModel &t) { t.d2dEnergyPerBit *= 2; }},
-        {"l2EnergyPerBitAt32K",
-         [](TechnologyModel &t) { t.l2EnergyPerBitAt32K *= 2; }},
-        {"l1EnergyPerBitAt1K",
-         [](TechnologyModel &t) { t.l1EnergyPerBitAt1K *= 2; }},
-        {"rfEnergyPerBitRmw",
-         [](TechnologyModel &t) { t.rfEnergyPerBitRmw *= 2; }},
-        {"macEnergyPerOp", [](TechnologyModel &t) { t.macEnergyPerOp *= 2; }},
-        {"vectorOpEnergyPerOp",
-         [](TechnologyModel &t) { t.vectorOpEnergyPerOp *= 2; }},
-        {"nocEnergyPerBit", [](TechnologyModel &t) { t.nocEnergyPerBit *= 2; }},
-        {"sramEnergyPerBitKb.offset",
-         [](TechnologyModel &t) { t.sramEnergyPerBitKb.offset *= 2; }},
-        {"sramEnergyPerBitKb.slope",
-         [](TechnologyModel &t) { t.sramEnergyPerBitKb.slope *= 2; }},
-        {"sramAreaMm2Kb.offset",
-         [](TechnologyModel &t) { t.sramAreaMm2Kb.offset *= 2; }},
-        {"sramAreaMm2Kb.slope",
-         [](TechnologyModel &t) { t.sramAreaMm2Kb.slope *= 2; }},
-        {"rfAreaMm2Kb.offset",
-         [](TechnologyModel &t) { t.rfAreaMm2Kb.offset *= 2; }},
-        {"rfAreaMm2Kb.slope",
-         [](TechnologyModel &t) { t.rfAreaMm2Kb.slope *= 2; }},
-        {"macAreaUm2", [](TechnologyModel &t) { t.macAreaUm2 *= 2; }},
-        {"grsPhyAreaMm2", [](TechnologyModel &t) { t.grsPhyAreaMm2 *= 2; }},
-        {"ddrPhyAreaMm2", [](TechnologyModel &t) { t.ddrPhyAreaMm2 *= 2; }},
-        {"frequencyGhz", [](TechnologyModel &t) { t.frequencyGhz *= 2; }},
-        {"dramBitsPerCycle",
-         [](TechnologyModel &t) { t.dramBitsPerCycle *= 2; }},
-        {"d2dBitsPerCycle", [](TechnologyModel &t) { t.d2dBitsPerCycle *= 2; }},
-        {"dataBits", [](TechnologyModel &t) { t.dataBits *= 2; }},
-        {"psumBits", [](TechnologyModel &t) { t.psumBits *= 2; }},
-    };
-    for (const auto &[field, edit] : tech_fields) {
-        TechnologyModel t = tech;
-        edit(t);
-        EXPECT_FALSE(MappingCache::makeKey(layer, cfg, t, effort,
-                                           objective) == search_key)
-            << field;
-    }
-
-    // The search parameters: effort keys both, the objective only the
-    // search key.
-    EXPECT_FALSE(MappingCache::makeKey(layer, cfg, tech,
-                                       SearchEffort::Sketch, objective) ==
-                 search_key);
     EXPECT_FALSE(MappingCache::tableKey(layer, cfg, SearchEffort::Sketch) ==
                  table_key);
-    EXPECT_FALSE(MappingCache::makeKey(layer, cfg, tech, effort,
-                                       Objective::MinEdp) == search_key);
+}
 
-    // Of the SearchOptions, the mode changes the search key, and the
-    // anneal seed and move budget change it under Anneal only.
-    // Threads, pruning, metrics and cancellation never change a
-    // result, so they leave it alone.
-    using SearchEdit =
-        std::pair<const char *, std::function<void(SearchOptions &)>>;
-    CancelToken token;
-    const SearchEdit anneal_fields[] = {
-        {"annealSeed", [](SearchOptions &s) { s.annealSeed = 7; }},
-        {"annealIterations",
-         [](SearchOptions &s) { s.annealIterations = 10; }},
-    };
-    const SearchEdit neutral_fields[] = {
-        {"threads", [](SearchOptions &s) { s.threads = 4; }},
-        {"boundPruning", [](SearchOptions &s) { s.boundPruning = false; }},
-        {"detailedMetrics",
-         [](SearchOptions &s) { s.detailedMetrics = true; }},
-        {"cancel", [&](SearchOptions &s) { s.cancel = &token; }},
-    };
-    for (const SearchMode mode :
-         {SearchMode::Exhaustive, SearchMode::Anneal}) {
-        SearchOptions base;
-        base.mode = mode;
-        const auto keyOf = [&](const SearchOptions &search) {
-            return MappingCache::makeKey(layer, cfg, tech, effort,
-                                         objective, search);
-        };
-        const MappingCache::Key base_key = keyOf(base);
-        EXPECT_EQ(base_key == search_key, mode == SearchMode::Exhaustive);
-        for (const auto &[field, edit] : anneal_fields) {
-            SearchOptions s = base;
-            edit(s);
-            EXPECT_EQ(keyOf(s) == base_key, mode != SearchMode::Anneal)
-                << field << " under " << toString(mode);
-        }
-        for (const auto &[field, edit] : neutral_fields) {
-            SearchOptions s = base;
-            edit(s);
-            EXPECT_TRUE(keyOf(s) == base_key)
-                << field << " under " << toString(mode);
+TEST(MappingCache, MapModelMemoisesRepeatedShapesWithinOneCall)
+{
+    // Repeated shapes are searched once per call, whatever their
+    // names, and each repeat returns its first search's answer.
+    Model m("memo", 56);
+    m.addLayer(makeConv("a", 14, 14, 64, 32, 3, 3, 1));
+    m.addLayer(makeConv("b", 14, 14, 64, 64, 1, 1, 1));
+    m.addLayer(makeConv("a2", 14, 14, 64, 32, 3, 3, 1));
+    m.addLayer(makeConv("b2", 14, 14, 64, 64, 1, 1, 1));
+    m.addLayer(makeConv("a3", 14, 14, 64, 32, 3, 3, 1));
+    const AcceleratorConfig cfg = caseStudyConfig();
+    MappingCache cache;
+    for (int call = 0; call < 2; ++call) {
+        SCOPED_TRACE(call);
+        const ModelMappingResult r =
+            mapModel(m, cfg, defaultTech(), SearchEffort::Fast,
+                     Objective::MinEnergy, SearchOptions{}, &cache);
+        ASSERT_TRUE(r.feasible);
+        EXPECT_EQ(r.stats.cacheMisses, 2);
+        EXPECT_EQ(r.stats.cacheHits, 3);
+        ASSERT_EQ(r.choices.size(), 5u);
+        for (size_t i = 0; i < r.choices.size(); ++i) {
+            const std::optional<MappingChoice> fresh = searchLayer(
+                m.layers()[i], cfg, defaultTech(), SearchEffort::Fast);
+            ASSERT_TRUE(fresh);
+            EXPECT_EQ(r.choices[i].mapping, fresh->mapping) << i;
+            EXPECT_EQ(r.choices[i].energy.total(), fresh->energy.total())
+                << i;
+            EXPECT_EQ(r.cost.layers[i].layerName, m.layers()[i].name);
         }
     }
+    // The second call's two searches ran on the tables the first
+    // call's misses earned.
+    EXPECT_EQ(cache.tableBuilds(), 2);
+    EXPECT_EQ(cache.tableHits(), 2);
 }

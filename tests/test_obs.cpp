@@ -228,20 +228,6 @@ TEST(Metrics, RegistryTotalsMatchSearchStats)
               r.search.cacheMisses);
     EXPECT_EQ(reg.counter("dse.points.swept").value(), r.swept);
 
-    // The per-shard split partitions the aggregate counts.
-    int64_t shardHits = 0, shardMisses = 0;
-    for (const auto &[name, v] :
-         reg.snapshot().counters) {
-        if (name.find("mapper.cache.shard") != 0)
-            continue;
-        if (name.find(".hits") != std::string::npos)
-            shardHits += v;
-        else
-            shardMisses += v;
-    }
-    EXPECT_EQ(shardHits, r.search.cacheHits);
-    EXPECT_EQ(shardMisses, r.search.cacheMisses);
-
     // Detailed metrics recorded one latency sample per layer search
     // and one per evaluated design point.
     const int64_t lookups = r.search.cacheHits + r.search.cacheMisses;
@@ -272,8 +258,8 @@ TEST(Determinism, TracingDoesNotChangeResults)
         phases.insert(e.name);
     for (const char *expected :
          {"dse.explore", "dse.enumerate_space", "dse.design_point",
-          "dse.collect", "mapper.map_model", "mapper.cache_lookup",
-          "mapper.candidates", "mapper.pick_best",
+          "dse.collect", "mapper.map_model", "mapper.candidates",
+          "mapper.pick_best",
           "mapper.bound_prune", "mapper.c3p_analysis"}) {
         EXPECT_TRUE(phases.count(expected)) << expected;
     }

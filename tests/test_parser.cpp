@@ -219,6 +219,23 @@ TEST(ParseModel, GemmBatchAndAttentionDirectives)
     expectRoundTrips(*r.model);
 }
 
+TEST(ParseModel, BatchAppliesToEveryLayerKind)
+{
+    // `batch` is stateful for every layer kind, so a batch-scaled CNN
+    // round-trips: a fabric worker rebuilds its sweep from this text.
+    const ParseResult r = parseModelString("model t 32\n"
+                                           "batch 2\n"
+                                           "conv c 8 8 16 3 3 3 1\n"
+                                           "dwconv d 8 8 16 3 3 1\n"
+                                           "fc f 10 16\n");
+    ASSERT_TRUE(r.ok()) << r.error;
+    for (const ConvLayer &l : r.model->layers())
+        EXPECT_EQ(l.batch, 2) << l.name;
+    Model alexnet = makeAlexNet(224);
+    alexnet.scaleBatch(2);
+    expectRoundTrips(alexnet);
+}
+
 TEST(ParseModel, GemmAndAttentionErrors)
 {
     EXPECT_FALSE(parseModelString("model t 32\ngemm g 8 8\n").ok());

@@ -29,6 +29,7 @@
 #include "baton/baton.hpp"
 #include "baton/export.hpp"
 #include "common/json.hpp"
+#include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/net.hpp"
 #include "nn/parser.hpp"
@@ -309,13 +310,12 @@ TEST(EvalService, PostMatchesOneShotFlowBitForBit)
     const std::string served = service.handleLine(request).response;
     EXPECT_EQ(served, expectedPost(kTinyModelRaw, defaultTech()));
 
-    // Same request again: answered from the warm cache, same bytes.
-    const int64_t missesAfterFirst = service.cache().misses();
-    EXPECT_GT(missesAfterFirst, 0);
+    // Same request again: each shape's second miss builds its table,
+    // and the table search returns the same bytes.
+    EXPECT_EQ(service.cache().tableBuilds(), 0);
     const std::string again = service.handleLine(request).response;
     EXPECT_EQ(again, served);
-    EXPECT_GT(service.cache().hits(), 0);
-    EXPECT_EQ(service.cache().misses(), missesAfterFirst);
+    EXPECT_GT(service.cache().tableBuilds(), 0);
 }
 
 TEST(EvalService, BnbPostAnswersLikeExhaustive)
@@ -327,13 +327,12 @@ TEST(EvalService, BnbPostAnswersLikeExhaustive)
     const std::string bnb = service.handleLine(base + "\"bnb\"}").response;
     EXPECT_EQ(bnb, expectedPost(kTinyModelRaw, defaultTech()));
 
-    // Same search, same cache entries: the exhaustive request is
-    // answered from the bnb request's work with the same bytes.
-    const int64_t misses = service.cache().misses();
+    // Same search: the exhaustive request searches on the tables the
+    // bnb request's searches earned, and returns the same bytes.
     const std::string exhaustive =
         service.handleLine(base + "\"exhaustive\"}").response;
     EXPECT_EQ(exhaustive, bnb);
-    EXPECT_EQ(service.cache().misses(), misses);
+    EXPECT_GT(service.cache().tableHits(), 0);
 }
 
 TEST(EvalService, SharedCacheKeepsTechModelsApart)
@@ -369,12 +368,70 @@ TEST(EvalService, PreSweepAnswersAndReusesCache)
     EXPECT_NE(first.rfind("{\"ok\":false", 0), 0u) << first;
     EXPECT_NE(first.find("\"recommended\""), std::string::npos)
         << first;
-    // The sweep reuses the shared cache; a second run is all hits and
+    // A second run searches on the tables the first one built and
     // returns the same bytes.
-    const int64_t misses = service.cache().misses();
+    const int64_t tableHits = service.cache().tableHits();
     const std::string second = service.handleLine(request).response;
     EXPECT_EQ(first, second);
-    EXPECT_EQ(service.cache().misses(), misses);
+    EXPECT_GT(service.cache().tableHits(), tableHits);
+}
+
+TEST(EvalService, WorkCountersDoNotDependOnCacheHistory)
+{
+    // One service answers the same sweep under two request lines.  The
+    // second searches on the tables the first one built, yet must
+    // report the same work.
+    EvalService service{ServiceOptions{}};
+    const std::string sweep =
+        std::string("{\"op\":\"pre\",\"modelText\":\"") + kTinyModel +
+        "\",\"macs\":512";
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    const char *counters[] = {"serve.search.evaluated",
+                              "serve.search.pruned", "serve.cache.hit",
+                              "serve.cache.miss"};
+    const auto work = [&](const std::string &line) {
+        std::vector<int64_t> before;
+        for (const char *name : counters)
+            before.push_back(reg.counter(name).value());
+        const std::string response = service.handleLine(line).response;
+        EXPECT_NE(response.find("\"complete\":true"), std::string::npos)
+            << response.substr(0, 200);
+        std::vector<int64_t> done;
+        for (size_t i = 0; i < std::size(counters); ++i)
+            done.push_back(reg.counter(counters[i]).value() - before[i]);
+        return done;
+    };
+    const std::vector<int64_t> cold = work(sweep + "}");
+    const int64_t table_hits = service.cache().tableHits();
+    const std::vector<int64_t> warm =
+        work(sweep + ",\"deadlineSeconds\":300}");
+    EXPECT_GT(service.cache().tableHits(), table_hits);
+    for (size_t i = 0; i < std::size(counters); ++i)
+        EXPECT_EQ(warm[i], cold[i]) << counters[i];
+    EXPECT_GT(cold[0], 0);
+    EXPECT_GT(cold[3], 0);
+}
+
+TEST(EvalService, TablesStayUnderCacheBytes)
+{
+    // Posts under a small cap: the tables never exceed it and evict,
+    // and every answer stays that of a fresh run.
+    ServiceOptions options;
+    options.cacheBytes = 48 << 10;
+    EvalService service{options};
+    const auto post = [&](const TechnologyModel &tech) {
+        return std::string("{\"op\":\"post\",\"modelText\":\"") +
+               kTinyModel + "\",\"tech\":{\"dramEnergyPerBit\":" +
+               strprintf("%.17g", tech.dramEnergyPerBit) + "}}";
+    };
+    for (int i = 0; i < 40; ++i) {
+        TechnologyModel tech = defaultTech();
+        tech.dramEnergyPerBit += i;
+        const std::string served = service.handleLine(post(tech)).response;
+        EXPECT_EQ(served, expectedPost(kTinyModelRaw, tech)) << i;
+        ASSERT_LE(service.cache().bytes(), options.cacheBytes) << i;
+    }
+    EXPECT_GT(service.cache().evictions(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -646,8 +703,9 @@ TEST(ServeServer, ConcurrentClientsBitIdenticalAndWarm)
         EXPECT_EQ(responses[c], expect) << "client " << c;
     }
 
-    // Repeated shapes across different requests hit the shared cache.
-    EXPECT_GT(server.service().cache().hits(), 0);
+    // Repeated shapes across different requests search on the shared
+    // tables.
+    EXPECT_GT(server.service().cache().tableHits(), 0);
     const std::string stats = roundTrip(path, "{\"op\":\"stats\"}");
     EXPECT_NE(stats.find("\"hits\":"), std::string::npos) << stats;
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/util.hpp"
 #include "tech/technology.hpp"
 
@@ -89,6 +91,54 @@ TEST(TechnologyModel, TableOneStringContainsRows)
     EXPECT_NE(s.find("DRAM access"), std::string::npos);
     EXPECT_NE(s.find("Die-to-die"), std::string::npos);
     EXPECT_NE(s.find("8bit MAC"), std::string::npos);
+}
+
+TEST(TechnologyModel, FingerprintChangesWithEveryParameter)
+{
+    // A sweep unit's technology gate compares fingerprints, so every
+    // parameter must perturb the digest.
+    using TechEdit = std::pair<const char *, void (*)(TechnologyModel &)>;
+    const TechEdit fields[] = {
+        {"dramEnergyPerBit",
+         [](TechnologyModel &t) { t.dramEnergyPerBit *= 2; }},
+        {"d2dEnergyPerBit", [](TechnologyModel &t) { t.d2dEnergyPerBit *= 2; }},
+        {"l2EnergyPerBitAt32K",
+         [](TechnologyModel &t) { t.l2EnergyPerBitAt32K *= 2; }},
+        {"l1EnergyPerBitAt1K",
+         [](TechnologyModel &t) { t.l1EnergyPerBitAt1K *= 2; }},
+        {"rfEnergyPerBitRmw",
+         [](TechnologyModel &t) { t.rfEnergyPerBitRmw *= 2; }},
+        {"macEnergyPerOp", [](TechnologyModel &t) { t.macEnergyPerOp *= 2; }},
+        {"vectorOpEnergyPerOp",
+         [](TechnologyModel &t) { t.vectorOpEnergyPerOp *= 2; }},
+        {"nocEnergyPerBit", [](TechnologyModel &t) { t.nocEnergyPerBit *= 2; }},
+        {"sramEnergyPerBitKb.offset",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.offset *= 2; }},
+        {"sramEnergyPerBitKb.slope",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.slope *= 2; }},
+        {"sramAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.offset *= 2; }},
+        {"sramAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.slope *= 2; }},
+        {"rfAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.offset *= 2; }},
+        {"rfAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.slope *= 2; }},
+        {"macAreaUm2", [](TechnologyModel &t) { t.macAreaUm2 *= 2; }},
+        {"grsPhyAreaMm2", [](TechnologyModel &t) { t.grsPhyAreaMm2 *= 2; }},
+        {"ddrPhyAreaMm2", [](TechnologyModel &t) { t.ddrPhyAreaMm2 *= 2; }},
+        {"frequencyGhz", [](TechnologyModel &t) { t.frequencyGhz *= 2; }},
+        {"dramBitsPerCycle",
+         [](TechnologyModel &t) { t.dramBitsPerCycle *= 2; }},
+        {"d2dBitsPerCycle", [](TechnologyModel &t) { t.d2dBitsPerCycle *= 2; }},
+        {"dataBits", [](TechnologyModel &t) { t.dataBits *= 2; }},
+        {"psumBits", [](TechnologyModel &t) { t.psumBits *= 2; }},
+    };
+    for (const auto &[field, edit] : fields) {
+        TechnologyModel t = defaultTech();
+        edit(t);
+        EXPECT_NE(t.fingerprint(), defaultTech().fingerprint()) << field;
+    }
 }
 
 TEST(LinearFit, EvaluatesLine)

@@ -191,8 +191,8 @@ usage()
         "  --retries <n>         request: retry retryable failures up\n"
         "                        to n times with backoff; exit 4 when\n"
         "                        still failing retryably [0]\n"
-        "  --cache-bytes <n>     serve: mapping-cache LRU capacity in\n"
-        "                        bytes [268435456]\n"
+        "  --cache-bytes <n>     serve: memory-axis table LRU capacity\n"
+        "                        in bytes [268435456]\n"
         "  --max-inflight <n>    serve: refuse heavy requests beyond n\n"
         "                        evaluating concurrently with a\n"
         "                        retryable envelope [unlimited]\n"
@@ -533,8 +533,7 @@ runPre(const Args &args)
     opt.totalMacs = args.macs;
     opt.areaLimitMm2 = args.areaMm2;
     opt.proportionalMem = args.proportional;
-    opt.effort = args.proportional ? SearchEffort::Fast
-                                   : SearchEffort::Sketch;
+    opt.effort = sweepEffort(args.proportional);
     opt.objective = args.edpObjective ? Objective::MinEdp
                                       : Objective::MinEnergy;
     opt.searchMode = args.searchMode;
