@@ -80,10 +80,11 @@ class PostDesignFlow
 
     /**
      * Map every layer of @p model and report.  When @p cache is
-     * non-null the per-layer memoization uses that shared (thread-
-     * safe, tech-keyed) cache, so a long-lived caller — the serving
-     * daemon — reuses search results across runs; results are
-     * identical either way.
+     * non-null, exhaustive searches draw their candidates from its
+     * shared (thread-safe) memory-axis tables, so a long-lived caller
+     * — the serving daemon — enumerates a shape's candidates once
+     * across runs; search results are never kept across runs, and
+     * they are identical either way.
      */
     PostDesignReport run(const Model &model,
                          MappingCache *cache = nullptr) const;

@@ -120,7 +120,7 @@ exportPostDesign(const PostDesignReport &report, std::ostream &os,
         j.endObject();
     }
     j.endArray();
-    if (options.observability) {
+    if (options.runDependent) {
         j.key("observability");
         writeObservability(j);
     }
@@ -140,7 +140,7 @@ exportPreDesign(const PreDesignReport &report, std::ostream &os,
     j.field("complete", report.sweep.complete);
     j.field("skipped", report.sweep.skipped);
     j.field("resumed", report.sweep.resumed);
-    if (options.runCounters) {
+    if (options.runDependent) {
         j.key("search").beginObject();
         j.field("evaluated", report.sweep.search.evaluated);
         j.field("pruned", report.sweep.search.pruned);
@@ -206,7 +206,7 @@ exportPreDesign(const PreDesignReport &report, std::ostream &os,
         j.field("edp", report.recommended->edp());
         j.endObject();
     }
-    if (options.observability) {
+    if (options.runDependent) {
         j.key("observability");
         writeObservability(j);
     }

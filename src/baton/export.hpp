@@ -32,14 +32,15 @@ namespace nnbaton {
  */
 struct ExportOptions
 {
-    bool observability = true; //!< profile + metrics snapshot block
-    bool runCounters = true;   //!< pre: elapsedSeconds + search block
+    /** The run-dependent members: the observability block (profile +
+     *  metrics snapshot) and, for sweeps, elapsedSeconds and the
+     *  search block. */
+    bool runDependent = true;
 
     static ExportOptions lean()
     {
         ExportOptions o;
-        o.observability = false;
-        o.runCounters = false;
+        o.runDependent = false;
         return o;
     }
 };

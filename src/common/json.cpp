@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -150,9 +151,9 @@ JsonWriter::valueExact(double v)
         os_ << "null";
         return *this;
     }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os_ << buf;
+    char buf[32]; // the longest shortest form is 24 characters
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    os_.write(buf, r.ptr - buf);
     return *this;
 }
 

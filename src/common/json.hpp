@@ -53,9 +53,10 @@ class JsonWriter
     JsonWriter &value(bool v);
 
     /**
-     * Write a double with full round-trip precision (%.17g instead of
-     * value()'s display-oriented %.9g).  Checkpoints use this so a
-     * resumed sweep restores bit-identical scores.
+     * Write a double as the shortest text that reads back to the same
+     * double (std::to_chars), where value() rounds to %.9g for
+     * display.  Checkpoints use this so a resumed sweep restores
+     * bit-identical scores.
      */
     JsonWriter &valueExact(double v);
 

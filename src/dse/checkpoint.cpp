@@ -1,6 +1,10 @@
 #include "dse/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -19,56 +23,41 @@ namespace nnbaton {
 namespace {
 
 constexpr const char *kFormat = "nn-baton-sweep-checkpoint";
-constexpr int kVersion = 1;
+
+/** Version 1 was one JSON document, rewritten whole at every flush;
+ *  it is still read. */
+constexpr int kVersion = 2;
+
+/** Record kind names, indexed by SweepPointOutcome::Kind.  Skipped
+ *  points never leave the process. */
+constexpr std::array<const char *, 4> kKindNames = {
+    "area_rejected", "infeasible", "valid", "poisoned"};
+
+/** Restored outcomes are written to the journal in chunks of this
+ *  many bytes, so a resume holds no second copy of them. */
+constexpr size_t kSeedChunkBytes = 1 << 20;
+
+/** The energy terms a record carries, in array order.  Arrays written
+ *  before the vector-ALU term was recorded stop after mac; they read
+ *  with vector = 0, exact for every model without vector post-ops. */
+constexpr double EnergyBreakdown::*kEnergyTerms[] = {
+    &EnergyBreakdown::dram, &EnergyBreakdown::d2d, &EnergyBreakdown::noc,
+    &EnergyBreakdown::al2,  &EnergyBreakdown::al1, &EnergyBreakdown::wl1,
+    &EnergyBreakdown::ol1,  &EnergyBreakdown::ol2, &EnergyBreakdown::mac,
+    &EnergyBreakdown::vector};
 
 void
 writeEnergyArray(JsonWriter &j, const EnergyBreakdown &e)
 {
     j.beginArray();
-    j.valueExact(e.dram)
-        .valueExact(e.d2d)
-        .valueExact(e.noc)
-        .valueExact(e.al2)
-        .valueExact(e.al1)
-        .valueExact(e.wl1)
-        .valueExact(e.ol1)
-        .valueExact(e.ol2)
-        .valueExact(e.mac);
+    for (double EnergyBreakdown::*term : kEnergyTerms)
+        j.valueExact(e.*term);
     j.endArray();
 }
 
-} // namespace
-
-const char *
-checkpointKindName(CheckpointEntry::Kind kind)
-{
-    switch (kind) {
-    case CheckpointEntry::Kind::AreaRejected:
-        return "area_rejected";
-    case CheckpointEntry::Kind::Infeasible:
-        return "infeasible";
-    case CheckpointEntry::Kind::Valid:
-        return "valid";
-    }
-    return "unknown";
-}
-
-bool
-parseCheckpointKind(const std::string &name, CheckpointEntry::Kind &out)
-{
-    if (name == "area_rejected")
-        out = CheckpointEntry::Kind::AreaRejected;
-    else if (name == "infeasible")
-        out = CheckpointEntry::Kind::Infeasible;
-    else if (name == "valid")
-        out = CheckpointEntry::Kind::Valid;
-    else
-        return false;
-    return true;
-}
-
+/** A full DesignPoint, doubles exact (JsonWriter::valueExact). */
 void
-writeDesignPointJson(JsonWriter &j, const DesignPoint &p)
+writeDesignPoint(JsonWriter &j, const DesignPoint &p)
 {
     j.beginObject();
     j.key("compute").beginArray();
@@ -111,28 +100,21 @@ writeDesignPointJson(JsonWriter &j, const DesignPoint &p)
     j.endObject(); // point
 }
 
-namespace {
-
 Status
 readEnergyArray(const JsonValue *v, EnergyBreakdown &out,
                 const char *where)
 {
-    if (v == nullptr || !v->isArray() || v->array.size() != 9)
-        return errDataLoss("checkpoint: bad energy array in %s", where);
-    for (const JsonValue &n : v->array) {
-        if (!n.isNumber())
-            return errDataLoss("checkpoint: non-numeric energy in %s",
-                               where);
+    const size_t terms = std::size(kEnergyTerms);
+    if (v == nullptr || !v->isArray() || v->array.size() + 1 < terms ||
+        v->array.size() > terms) {
+        return errDataLoss("bad energy array in %s", where);
     }
-    out.dram = v->array[0].number;
-    out.d2d = v->array[1].number;
-    out.noc = v->array[2].number;
-    out.al2 = v->array[3].number;
-    out.al1 = v->array[4].number;
-    out.wl1 = v->array[5].number;
-    out.ol1 = v->array[6].number;
-    out.ol2 = v->array[7].number;
-    out.mac = v->array[8].number;
+    out = EnergyBreakdown{};
+    for (size_t i = 0; i < v->array.size(); ++i) {
+        if (!v->array[i].isNumber())
+            return errDataLoss("non-numeric energy in %s", where);
+        out.*kEnergyTerms[i] = v->array[i].number;
+    }
     return Status::okStatus();
 }
 
@@ -141,23 +123,21 @@ readNumberArray(const JsonValue *v, size_t n, const char *where,
                 double *out)
 {
     if (v == nullptr || !v->isArray() || v->array.size() != n)
-        return errDataLoss("checkpoint: bad %s array", where);
+        return errDataLoss("bad %s array", where);
     for (size_t i = 0; i < n; ++i) {
         if (!v->array[i].isNumber())
-            return errDataLoss("checkpoint: non-numeric %s entry",
-                               where);
+            return errDataLoss("non-numeric %s entry", where);
         out[i] = v->array[i].number;
     }
     return Status::okStatus();
 }
 
-} // namespace
-
+/** Inverse of writeDesignPoint(). */
 Status
-readDesignPointJson(const JsonValue &v, DesignPoint &p)
+readDesignPoint(const JsonValue &v, DesignPoint &p)
 {
     if (!v.isObject())
-        return errDataLoss("checkpoint: point is not an object");
+        return errDataLoss("point is not an object");
 
     double compute[4], memory[4], area[5];
     Status s = readNumberArray(v.find("compute"), 4, "compute", compute);
@@ -185,17 +165,17 @@ readDesignPointJson(const JsonValue &v, DesignPoint &p)
 
     const JsonValue *clock = v.find("clockGhz");
     if (clock == nullptr || !clock->isNumber())
-        return errDataLoss("checkpoint: point missing clockGhz");
+        return errDataLoss("point missing clockGhz");
     p.clockGhz = clock->number;
 
     const JsonValue *cost = v.find("cost");
     if (cost == nullptr || !cost->isObject())
-        return errDataLoss("checkpoint: point missing cost");
+        return errDataLoss("point missing cost");
     const JsonValue *model = cost->find("model");
     const JsonValue *cycles = cost->find("cycles");
     if (model == nullptr || !model->isString() || cycles == nullptr ||
         !cycles->isNumber()) {
-        return errDataLoss("checkpoint: malformed cost record");
+        return errDataLoss("malformed cost record");
     }
     p.cost.modelName = model->string;
     p.cost.cycles = static_cast<int64_t>(cycles->number);
@@ -205,12 +185,12 @@ readDesignPointJson(const JsonValue &v, DesignPoint &p)
 
     const JsonValue *layers = cost->find("layers");
     if (layers == nullptr || !layers->isArray())
-        return errDataLoss("checkpoint: cost missing layers");
+        return errDataLoss("cost missing layers");
     p.cost.layers.clear();
     p.cost.layers.reserve(layers->array.size());
     for (const JsonValue &lv : layers->array) {
         if (!lv.isObject())
-            return errDataLoss("checkpoint: layer cost not an object");
+            return errDataLoss("layer cost not an object");
         LayerCost lc;
         const JsonValue *name = lv.find("name");
         const JsonValue *lcycles = lv.find("cycles");
@@ -218,7 +198,7 @@ readDesignPointJson(const JsonValue &v, DesignPoint &p)
         if (name == nullptr || !name->isString() || lcycles == nullptr ||
             !lcycles->isNumber() || util == nullptr ||
             !util->isNumber()) {
-            return errDataLoss("checkpoint: malformed layer cost");
+            return errDataLoss("malformed layer cost");
         }
         lc.layerName = name->string;
         lc.cycles = static_cast<int64_t>(lcycles->number);
@@ -227,6 +207,144 @@ readDesignPointJson(const JsonValue &v, DesignPoint &p)
         if (!s.ok())
             return s;
         p.cost.layers.push_back(std::move(lc));
+    }
+    return Status::okStatus();
+}
+
+/** One journal line: {"key":...,<outcome>}. */
+std::string
+recordLine(const std::string &key, const SweepPointOutcome &out)
+{
+    std::ostringstream ss;
+    JsonWriter j(ss);
+    j.beginObject();
+    j.field("key", key);
+    writeSweepOutcomeJson(j, out);
+    j.endObject();
+    ss << '\n';
+    return ss.str();
+}
+
+/** Add @p record (a version-1 entry or a journal line) to @p out. */
+Status
+readRecord(const JsonValue &record, SweepCheckpoint &out)
+{
+    const JsonValue *key = record.find("key");
+    if (key == nullptr || !key->isString())
+        return errDataLoss("malformed entry");
+    SweepPointOutcome outcome;
+    Status s = readSweepOutcomeJson(record, outcome);
+    if (!s.ok())
+        return s.withContext("entry " + key->string);
+    // A checkpoint never records a poisoned point: a resume retries it.
+    if (outcome.kind == SweepPointOutcome::Poisoned)
+        return errDataLoss("entry %s is poisoned", key->string.c_str());
+    out.entries.emplace(key->string, std::move(outcome));
+    return Status::okStatus();
+}
+
+/** The body of the version-1 document @p root. */
+Status
+readVersion1(const JsonValue &root, SweepCheckpoint &out)
+{
+    const JsonValue *complete = root.find("complete");
+    const JsonValue *entries = root.find("entries");
+    if (complete == nullptr || !complete->isBool() ||
+        entries == nullptr || !entries->isArray()) {
+        return errDataLoss("malformed document");
+    }
+    out.complete = complete->boolean;
+    for (const JsonValue &entry : entries->array) {
+        Status s = readRecord(entry, out);
+        if (!s.ok())
+            return s;
+    }
+    return Status::okStatus();
+}
+
+/** The lines of a journal after its header, read one at a time. */
+Status
+readJournal(std::istream &is, SweepCheckpoint &out)
+{
+    std::string line;
+    for (long long n = 2; std::getline(is, line); ++n) {
+        const JsonParseResult parsed = parseJson(line);
+        if (!parsed.ok() || !parsed.value.isObject()) {
+            // A kill in the middle of an append leaves a final line
+            // without its newline; every line before it is whole.
+            if (is.eof())
+                break;
+            return errDataLoss("line %lld is malformed", n);
+        }
+        Status s;
+        if (const JsonValue *complete = parsed.value.find("complete")) {
+            if (!complete->isBool())
+                s = errDataLoss("malformed completion mark");
+            out.complete = complete->boolean;
+        } else {
+            s = readRecord(parsed.value, out);
+        }
+        if (!s.ok())
+            return s.withContext(strprintf("line %lld", n));
+    }
+    return Status::okStatus();
+}
+
+/** Write all of @p bytes to @p fd; false (errno set) on failure. */
+bool
+writeAll(int fd, const std::string &bytes)
+{
+    size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+} // namespace
+
+void
+writeSweepOutcomeJson(JsonWriter &j, const SweepPointOutcome &out)
+{
+    j.field("kind", kKindNames.at(out.kind));
+    if (out.kind == SweepPointOutcome::Valid) {
+        j.key("point");
+        writeDesignPoint(j, out.point);
+    } else if (out.kind == SweepPointOutcome::Poisoned) {
+        j.field("error", out.error);
+    }
+}
+
+Status
+readSweepOutcomeJson(const JsonValue &record, SweepPointOutcome &out)
+{
+    const JsonValue *kind = record.find("kind");
+    if (kind == nullptr || !kind->isString())
+        return errDataLoss("record has no kind");
+    const auto named =
+        std::find(kKindNames.begin(), kKindNames.end(), kind->string);
+    if (named == kKindNames.end())
+        return errDataLoss("unknown kind '%s'", kind->string.c_str());
+    out.kind = static_cast<SweepPointOutcome::Kind>(named -
+                                                    kKindNames.begin());
+    if (out.kind == SweepPointOutcome::Valid) {
+        const JsonValue *point = record.find("point");
+        if (point == nullptr)
+            return errDataLoss("valid record missing point");
+        return readDesignPoint(*point, out.point);
+    }
+    if (out.kind == SweepPointOutcome::Poisoned) {
+        const JsonValue *error = record.find("error");
+        if (error == nullptr || !error->isString())
+            return errDataLoss("poisoned record missing error");
+        out.error = error->string;
     }
     return Status::okStatus();
 }
@@ -291,18 +409,16 @@ legacySweepFingerprint(const Model &model, const DseOptions &options)
                      optionsFingerprint(options).c_str());
 }
 
-/** True when @p model is a zoo model exactly as its make* function
- *  returns it (batch 1, unedited), the only case a name-keyed
- *  fingerprint identified. */
+/** True when @p model is a zoo model exactly as makeZooModel() returns
+ *  it (batch 1, unedited), the only case a name-keyed fingerprint
+ *  identified. */
 bool
 isZooModel(const Model &model)
 {
     const std::string text = writeModelText(model);
-    for (Model (*build)(int) :
-         {makeAlexNet, makeVgg16, makeResNet50, makeDarkNet19,
-          makeMobileNetV2, makeBertBase, makeVitB16}) {
+    for (const ZooModel &zoo : zooModels()) {
         try {
-            if (writeModelText(build(model.inputResolution())) == text)
+            if (writeModelText(zoo.build(model.inputResolution())) == text)
                 return true;
         } catch (const StatusError &) {
             // This zoo model rejects the resolution; not this one.
@@ -333,7 +449,7 @@ restoreSweepCheckpoint(const std::string &path, const Model &model,
                        std::vector<SweepPointOutcome> &outcomes,
                        CheckpointSink &sink)
 {
-    const SweepCheckpoint restored = loadSweepCheckpoint(path).value();
+    SweepCheckpoint restored = loadSweepCheckpoint(path).value();
     const std::string fingerprint = sweepFingerprint(model, options);
     const bool legacy_zoo =
         restored.fingerprint == legacySweepFingerprint(model, options) &&
@@ -353,88 +469,12 @@ restoreSweepCheckpoint(const std::string &path, const Model &model,
         if (it == restored.entries.end())
             continue;
         SweepPointOutcome &out = outcomes[i];
+        out = std::move(it->second);
         out.restored = true;
-        switch (it->second.kind) {
-        case CheckpointEntry::Kind::AreaRejected:
-            out.kind = SweepPointOutcome::AreaRejected;
-            break;
-        case CheckpointEntry::Kind::Infeasible:
-            out.kind = SweepPointOutcome::Infeasible;
-            break;
-        case CheckpointEntry::Kind::Valid:
-            out.kind = SweepPointOutcome::Valid;
-            out.point = it->second.point;
-            break;
-        }
-        sink.seed(key, it->second);
+        sink.seed(key, out);
         ++restored_points;
     }
     return restored_points;
-}
-
-Status
-saveSweepCheckpoint(const std::string &path,
-                    const SweepCheckpoint &checkpoint)
-{
-    if (verif::injectCheckpointWriteFailure())
-        return errUnavailable("injected checkpoint write failure");
-
-    // Keys are emitted in sorted order purely so the file is diffable;
-    // load order does not matter.
-    std::vector<const std::string *> keys;
-    keys.reserve(checkpoint.entries.size());
-    for (const auto &kv : checkpoint.entries)
-        keys.push_back(&kv.first);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string *a, const std::string *b) {
-                  return *a < *b;
-              });
-
-    std::ostringstream body;
-    JsonWriter j(body);
-    j.beginObject();
-    j.field("format", kFormat);
-    j.field("version", kVersion);
-    j.field("fingerprint", checkpoint.fingerprint);
-    j.field("complete", checkpoint.complete);
-    j.key("entries").beginArray();
-    for (const std::string *key : keys) {
-        const CheckpointEntry &e = checkpoint.entries.at(*key);
-        j.beginObject();
-        j.field("key", *key);
-        j.field("kind", checkpointKindName(e.kind));
-        if (e.kind == CheckpointEntry::Kind::Valid) {
-            j.key("point");
-            writeDesignPointJson(j, e.point);
-        }
-        j.endObject();
-    }
-    j.endArray();
-    j.endObject();
-    body << "\n";
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os) {
-            return errUnavailable("cannot open %s for writing: %s",
-                                  tmp.c_str(), std::strerror(errno));
-        }
-        os << body.str();
-        os.flush();
-        if (!os) {
-            return errUnavailable("short write to %s: %s", tmp.c_str(),
-                                  std::strerror(errno));
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        std::remove(tmp.c_str());
-        return errUnavailable("cannot rename %s over %s: %s",
-                              tmp.c_str(), path.c_str(),
-                              std::strerror(err));
-    }
-    return Status::okStatus();
 }
 
 StatusOr<SweepCheckpoint>
@@ -443,10 +483,11 @@ loadSweepCheckpoint(const std::string &path)
     std::ifstream is(path);
     if (!is)
         return errNotFound("cannot open checkpoint %s", path.c_str());
-    std::ostringstream buf;
-    buf << is.rdbuf();
 
-    JsonParseResult parsed = parseJson(buf.str());
+    // A journal's header line, or a whole version-1 document.
+    std::string header;
+    std::getline(is, header);
+    const JsonParseResult parsed = parseJson(header);
     if (!parsed.ok()) {
         return errDataLoss("checkpoint %s: %s (offset %zu)",
                            path.c_str(), parsed.error.c_str(),
@@ -455,29 +496,28 @@ loadSweepCheckpoint(const std::string &path)
     const JsonValue &root = parsed.value;
     const JsonValue *format = root.find("format");
     const JsonValue *version = root.find("version");
+    const JsonValue *fingerprint = root.find("fingerprint");
     if (format == nullptr || !format->isString() ||
         format->string != kFormat) {
         return errDataLoss("checkpoint %s: not a sweep checkpoint",
                            path.c_str());
     }
     if (version == nullptr || !version->isNumber() ||
-        static_cast<int>(version->number) != kVersion) {
+        (version->number != 1 && version->number != kVersion)) {
         return errDataLoss("checkpoint %s: unsupported version",
+                           path.c_str());
+    }
+    if (fingerprint == nullptr || !fingerprint->isString()) {
+        return errDataLoss("checkpoint %s: malformed header",
                            path.c_str());
     }
 
     SweepCheckpoint out;
-    const JsonValue *fingerprint = root.find("fingerprint");
-    const JsonValue *complete = root.find("complete");
-    const JsonValue *entries = root.find("entries");
-    if (fingerprint == nullptr || !fingerprint->isString() ||
-        complete == nullptr || !complete->isBool() ||
-        entries == nullptr || !entries->isArray()) {
-        return errDataLoss("checkpoint %s: malformed document",
-                           path.c_str());
-    }
     out.fingerprint = fingerprint->string;
-    out.complete = complete->boolean;
+    const Status s = version->number == 1 ? readVersion1(root, out)
+                                          : readJournal(is, out);
+    if (!s.ok())
+        return s.withContext("checkpoint " + path);
     // Sweeps run under the retired "bnb" mode (whose unused seed field
     // is 0) returned exhaustive search's winners bit for bit, and
     // "bnb" now parses to Exhaustive, so they resume as that sweep.
@@ -486,72 +526,59 @@ loadSweepCheckpoint(const std::string &path)
         out.fingerprint.replace(out.fingerprint.size() - bnb.size(),
                                 bnb.size(), "|exhaustive|0");
     }
-
-    for (const JsonValue &ev : entries->array) {
-        if (!ev.isObject())
-            return errDataLoss("checkpoint %s: entry not an object",
-                               path.c_str());
-        const JsonValue *key = ev.find("key");
-        const JsonValue *kind = ev.find("kind");
-        if (key == nullptr || !key->isString() || kind == nullptr ||
-            !kind->isString()) {
-            return errDataLoss("checkpoint %s: malformed entry",
-                               path.c_str());
-        }
-        CheckpointEntry entry;
-        if (!parseCheckpointKind(kind->string, entry.kind)) {
-            return errDataLoss("checkpoint %s: unknown kind '%s'",
-                               path.c_str(), kind->string.c_str());
-        }
-        if (entry.kind == CheckpointEntry::Kind::Valid) {
-            const JsonValue *point = ev.find("point");
-            if (point == nullptr)
-                return errDataLoss("checkpoint %s: valid entry "
-                                   "missing point",
-                                   path.c_str());
-            Status s = readDesignPointJson(*point, entry.point);
-            if (!s.ok())
-                return s.withContext("checkpoint " + path);
-        }
-        out.entries.emplace(key->string, std::move(entry));
-    }
     return out;
 }
 
+CheckpointSink::CheckpointSink(std::string path, int every,
+                               const std::string &fingerprint)
+    : path_(std::move(path)), every_(every < 1 ? 1 : every)
+{
+    if (!enabled())
+        return;
+    std::ostringstream header;
+    JsonWriter j(header);
+    j.beginObject();
+    j.field("format", kFormat);
+    j.field("version", kVersion);
+    j.field("fingerprint", fingerprint);
+    j.endObject();
+    header << '\n';
+    pending_ = header.str();
+}
+
+CheckpointSink::~CheckpointSink()
+{
+    if (fd_ < 0)
+        return;
+    ::close(fd_);
+    // A journal never renamed into place never had a whole flush.
+    if (!renamed_)
+        std::remove((path_ + ".tmp").c_str());
+}
+
 void
-CheckpointSink::seed(const std::string &key,
-                     const CheckpointEntry &entry)
+CheckpointSink::seed(const std::string &key, const SweepPointOutcome &out)
 {
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    state_.entries.emplace(key, entry);
+    pending_ += recordLine(key, out);
+    if (pending_.size() >= kSeedChunkBytes)
+        reportLocked(writeLocked());
 }
 
 void
 CheckpointSink::record(const std::string &key,
                        const SweepPointOutcome &out)
 {
-    if (!enabled())
-        return;
-    CheckpointEntry entry;
-    switch (out.kind) {
-    case SweepPointOutcome::AreaRejected:
-        entry.kind = CheckpointEntry::Kind::AreaRejected;
-        break;
-    case SweepPointOutcome::Infeasible:
-        entry.kind = CheckpointEntry::Kind::Infeasible;
-        break;
-    case SweepPointOutcome::Valid:
-        entry.kind = CheckpointEntry::Kind::Valid;
-        entry.point = out.point;
-        break;
-    case SweepPointOutcome::Poisoned:
-    case SweepPointOutcome::Skipped:
+    if (!enabled() || out.kind == SweepPointOutcome::Poisoned ||
+        out.kind == SweepPointOutcome::Skipped) {
         return;
     }
+    // The lane serialises its own outcome; the lock covers the append.
+    const std::string line = recordLine(key, out);
     std::lock_guard<std::mutex> lock(mutex_);
-    state_.entries.emplace(key, std::move(entry));
+    pending_ += line;
     if (++sinceFlush_ >= every_)
         flushLocked();
 }
@@ -562,25 +589,82 @@ CheckpointSink::finish(bool complete)
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    state_.complete = complete;
+    if (complete)
+        pending_ += "{\"complete\":true}\n";
     flushLocked();
+}
+
+Status
+CheckpointSink::writeLocked()
+{
+    if (stopped_) {
+        return errUnavailable("journal %s stopped after a torn write",
+                              path_.c_str());
+    }
+    if (verif::injectCheckpointWriteFailure())
+        return errUnavailable("injected checkpoint write failure");
+    const std::string tmp = path_ + ".tmp";
+    if (fd_ < 0) {
+        fd_ = ::open(tmp.c_str(),
+                     O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+                     0644);
+        if (fd_ < 0) {
+            return errUnavailable("cannot open %s for writing: %s",
+                                  tmp.c_str(), std::strerror(errno));
+        }
+    }
+    if (!writeAll(fd_, pending_)) {
+        const Status s = errUnavailable(
+            "short write to %s: %s",
+            renamed_ ? path_.c_str() : tmp.c_str(), std::strerror(errno));
+        // Cut the partial append back off.  Should that fail too,
+        // write no more: the loader drops a torn final line, not one
+        // buried under later appends.
+        if (::ftruncate(fd_, written_) != 0)
+            stopped_ = true;
+        return s;
+    }
+    written_ += static_cast<int64_t>(pending_.size());
+    obs::MetricsRegistry::instance()
+        .counter("dse.checkpoint.bytes")
+        .add(static_cast<int64_t>(pending_.size()));
+    pending_.clear();
+    return Status::okStatus();
 }
 
 void
 CheckpointSink::flushLocked()
 {
     sinceFlush_ = 0;
-    Status s = saveSweepCheckpoint(path_, state_);
+    Status s = writeLocked();
+    // The journal replaces the path at its first whole flush, with
+    // every restored outcome already in it.
+    if (s.ok() && !renamed_) {
+        const std::string tmp = path_ + ".tmp";
+        if (std::rename(tmp.c_str(), path_.c_str()) == 0) {
+            renamed_ = true;
+        } else {
+            s = errUnavailable("cannot rename %s over %s: %s",
+                               tmp.c_str(), path_.c_str(),
+                               std::strerror(errno));
+        }
+    }
+    reportLocked(s);
+}
+
+void
+CheckpointSink::reportLocked(const Status &s)
+{
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     if (s.ok()) {
         reg.counter("dse.checkpoint.writes").add(1);
-    } else {
-        // Losing a checkpoint must not lose the sweep: count it, warn
-        // with the target path and errno detail, and keep going.
-        reg.counter("dse.checkpoint.failures").add(1);
-        warn("checkpoint write to %s failed: %s", path_.c_str(),
-             s.toString().c_str());
+        return;
     }
+    // Losing a checkpoint must not lose the sweep: count it, warn with
+    // the target path and errno detail, and keep the lines pending.
+    reg.counter("dse.checkpoint.failures").add(1);
+    warn("checkpoint write to %s failed: %s", path_.c_str(),
+         s.toString().c_str());
 }
 
 } // namespace nnbaton

@@ -1,31 +1,36 @@
 /**
  * @file
- * Sweep checkpoints: periodic JSON snapshots of evaluated design
- * points so a long pre-design sweep survives interruption
- * (--checkpoint / --resume in the CLI).
+ * Sweep checkpoints: an append-only journal of settled design points
+ * so a long pre-design sweep survives interruption (--checkpoint /
+ * --resume in the CLI).
  *
- * A checkpoint stores, per evaluated design point, its classification
- * (valid / area-rejected / infeasible) and — for valid points — the
- * full DesignPoint including the per-layer cost ledger, with doubles
- * serialised at %.17g so a resumed sweep reproduces bit-identical
+ * A journal is one JSON document per line.  The first line is the
+ * header, {"format":"nn-baton-sweep-checkpoint","version":2,
+ * "fingerprint":...}; each later line records one settled point,
+ * {"key":<designPointKey()>, <writeSweepOutcomeJson() members>}, and
+ * a final {"complete":true} line marks a whole sweep.  Valid points
+ * carry the full DesignPoint including the per-layer cost ledger,
+ * with doubles exact, so a resumed sweep reproduces bit-identical
  * points and winner.  Poisoned and skipped points are deliberately
  * not recorded: a resume retries them.
  *
- * Search work counters (SearchStats) are NOT checkpointed.  Their
- * cache-hit/miss attribution depends on which design point populated
- * a shared cache entry first, which a partial run has already decided
- * differently than a fresh one would; restored points therefore
- * contribute no counters, and the determinism guarantee covers the
- * points, classification counts and recommended winner only.
+ * Search work counters (SearchStats) are not checkpointed: a restored
+ * point was not searched in the resuming run, so it contributes no
+ * counters, and the determinism guarantee covers the points,
+ * classification counts and recommended winner only.
  *
- * Writes are atomic: the snapshot is written to "<path>.tmp" and
- * renamed over the target, so a kill mid-write leaves the previous
- * checkpoint intact (the kill/resume test exercises exactly this).
+ * A journal starts as "<path>.tmp" and is renamed over the target at
+ * its first flush, so until then a previous checkpoint at the path
+ * (the one being resumed, say) stays intact; every later flush
+ * appends.  A kill in the middle of an append can leave only a torn
+ * final line, which the loader drops.  The loader still reads the
+ * single-document version-1 files earlier builds wrote.
  */
 
 #ifndef NNBATON_DSE_CHECKPOINT_HPP
 #define NNBATON_DSE_CHECKPOINT_HPP
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -38,30 +43,18 @@
 
 namespace nnbaton {
 
-/** One recorded design-point outcome. */
-struct CheckpointEntry
-{
-    enum class Kind
-    {
-        AreaRejected,
-        Infeasible,
-        Valid,
-    };
-    Kind kind = Kind::AreaRejected;
-    DesignPoint point; //!< populated only when kind == Valid
-};
-
-/** A (possibly partial) sweep snapshot. */
+/** A (possibly partial) sweep, as loaded from a checkpoint. */
 struct SweepCheckpoint
 {
     /** Guards against resuming with a different model or options. */
     std::string fingerprint;
 
-    /** True when the snapshot covers the whole sweep. */
+    /** True when the checkpoint covers the whole sweep. */
     bool complete = false;
 
-    /** Outcomes keyed by designPointKey(). */
-    std::unordered_map<std::string, CheckpointEntry> entries;
+    /** Settled outcomes (never Poisoned or Skipped), keyed by
+     *  designPointKey(). */
+    std::unordered_map<std::string, SweepPointOutcome> entries;
 };
 
 /** Stable identity of a design point within a sweep,
@@ -78,16 +71,24 @@ std::string sweepFingerprint(const Model &model,
                              const DseOptions &options);
 
 /**
- * Atomically write @p checkpoint to @p path (tmp file + rename).
- * Returns errUnavailable on I/O failure — the sweep engine counts the
- * failure and keeps going rather than losing completed work.
+ * The one JSON codec of a settled design point, shared by checkpoint
+ * records and the fabric's sweepUnit reply entries: writes "kind"
+ * ("area_rejected", "infeasible", "valid" or "poisoned"), then
+ * "point" for a valid point (doubles exact) or "error" for a
+ * poisoned one, into the object @p j has open.  @p out must not be
+ * Skipped.
  */
-Status saveSweepCheckpoint(const std::string &path,
-                           const SweepCheckpoint &checkpoint);
+void writeSweepOutcomeJson(JsonWriter &j, const SweepPointOutcome &out);
+
+/** Inverse of writeSweepOutcomeJson() over the members of @p record;
+ *  errDataLoss on an unknown kind or a malformed point. */
+Status readSweepOutcomeJson(const JsonValue &record,
+                            SweepPointOutcome &out);
 
 /**
  * Load a checkpoint: errNotFound when @p path cannot be opened,
- * errDataLoss when the contents are not a valid checkpoint document.
+ * errDataLoss when the header, a version-1 document or any record
+ * but a torn final line is malformed, or a record is Poisoned.
  * Fingerprint matching is restoreSweepCheckpoint()'s job.
  */
 StatusOr<SweepCheckpoint> loadSweepCheckpoint(const std::string &path);
@@ -96,15 +97,15 @@ class CheckpointSink;
 
 /**
  * Resume the sweep of @p model under @p options from the checkpoint at
- * @p path: mark every recorded task of @p tasks restored in
- * @p outcomes (same indexing) and seed @p sink with its entry.
- * Returns the number of points restored.  Throws the load's
- * StatusError, or FAILED_PRECONDITION when the checkpoint belongs to
- * another sweep.  A fingerprint from before the model-text digest
- * (keyed by the model's name) is accepted only for an unedited zoo
- * model at batch 1, the one case the name identified; an Anneal
- * fingerprint from before the move budget was keyed is refused.
- * explore() and the fabric coordinator share this.
+ * @p path: move every recorded task of @p tasks into @p outcomes (same
+ * indexing), marked restored, and seed @p sink with it.  Returns the
+ * number of points restored.  Throws the load's StatusError, or
+ * FAILED_PRECONDITION when the checkpoint belongs to another sweep.
+ * A fingerprint from before the model-text digest (keyed by the
+ * model's name) is accepted only for an unedited zoo model at batch 1,
+ * the one case the name identified; an Anneal fingerprint from before
+ * the move budget was keyed is refused.  explore() and the fabric
+ * coordinator share this.
  */
 int64_t restoreSweepCheckpoint(const std::string &path,
                                const Model &model,
@@ -114,59 +115,54 @@ int64_t restoreSweepCheckpoint(const std::string &path,
                                CheckpointSink &sink);
 
 /**
- * Serialise a full DesignPoint (doubles at %.17g).  One serialisation
- * shared by the checkpoint file and the fabric's sweepUnit responses —
- * the same bytes travel both paths, so a distributed sweep and a
- * checkpoint resume reconstruct identical points.
- */
-void writeDesignPointJson(JsonWriter &j, const DesignPoint &point);
-
-/** Inverse of writeDesignPointJson; errDataLoss on malformed input. */
-Status readDesignPointJson(const JsonValue &value, DesignPoint &point);
-
-/** Wire/file name of an entry kind ("valid", "area_rejected", ...). */
-const char *checkpointKindName(CheckpointEntry::Kind kind);
-
-/** Parse a kind name; false when @p name is not a known kind. */
-bool parseCheckpointKind(const std::string &name,
-                         CheckpointEntry::Kind &out);
-
-/**
- * Shared checkpoint state: sweep workers (local pool lanes or fabric
- * unit completions) append their settled outcome under the mutex and
- * every checkpointEvery completions the current snapshot is flushed
- * (atomically) to disk.  Poisoned and skipped points are not recorded
- * — a resume retries them.
+ * The checkpoint journal being written.  Sweep lanes (local pool lanes
+ * or fabric unit completions) serialise each settled outcome
+ * themselves and append the line under the mutex; every
+ * checkpointEvery completions the lines not yet flushed are written to
+ * the journal.  A failed write is counted (dse.checkpoint.failures)
+ * and warned about, never fatal, and its lines stay pending for the
+ * next flush.  Poisoned and skipped points are not recorded — a resume
+ * retries them.
  */
 class CheckpointSink
 {
   public:
-    CheckpointSink(std::string path, int every, std::string fingerprint)
-        : path_(std::move(path)), every_(every < 1 ? 1 : every)
-    {
-        state_.fingerprint = std::move(fingerprint);
-    }
+    CheckpointSink(std::string path, int every,
+                   const std::string &fingerprint);
+    ~CheckpointSink();
+
+    CheckpointSink(const CheckpointSink &) = delete;
+    CheckpointSink &operator=(const CheckpointSink &) = delete;
 
     bool enabled() const { return !path_.empty(); }
 
-    /** Seed with entries restored from a --resume checkpoint so a
-     *  later resume of THIS run still sees them. */
-    void seed(const std::string &key, const CheckpointEntry &entry);
+    /** Carry an outcome restored from a --resume checkpoint into this
+     *  journal, so a later resume of THIS run still sees it. */
+    void seed(const std::string &key, const SweepPointOutcome &out);
 
-    /** Record a completed point; flushes every N completions. */
+    /** Record a settled point; flushes every N completions. */
     void record(const std::string &key, const SweepPointOutcome &out);
 
     /** Final flush; @p complete marks a full (uninterrupted) sweep. */
     void finish(bool complete);
 
   private:
+    /** Append pending_ to the journal, opening "<path>.tmp" first. */
+    Status writeLocked();
+    /** writeLocked(), then rename the journal into place if needed. */
     void flushLocked();
+    /** Count a write (or its failure, with a warning). */
+    void reportLocked(const Status &s);
 
     const std::string path_;
     const int every_;
     std::mutex mutex_;
-    SweepCheckpoint state_;
+    std::string pending_; //!< lines not yet written, header first
     int sinceFlush_ = 0;
+    int fd_ = -1;          //!< the journal, once a write opened it
+    bool renamed_ = false; //!< fd_ is at path_, not "<path_>.tmp"
+    bool stopped_ = false; //!< a torn write could not be cut off
+    int64_t written_ = 0;  //!< bytes of fd_ known to be whole
 };
 
 } // namespace nnbaton

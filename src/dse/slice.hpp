@@ -70,7 +70,10 @@ class SweepTaskSpace
 std::vector<SweepTask> enumerateSweepTasks(const DseOptions &options);
 
 /** Per-design-point evaluation outcome, kept in sweep order so any
- *  parallel or distributed collection is bit-identical to serial. */
+ *  parallel or distributed collection is bit-identical to serial.
+ *  The one record of a settled point: checkpoints and the fabric's
+ *  sweepUnit replies carry it through writeSweepOutcomeJson()
+ *  (dse/checkpoint.hpp). */
 struct SweepPointOutcome
 {
     enum Kind

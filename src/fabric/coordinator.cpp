@@ -178,13 +178,6 @@ coordinateSweep(const Model &model, const DseOptions &options,
     };
     std::vector<WorkUnit> leftover = table.incompleteUnits();
     if (!leftover.empty() && !cancelledNow()) {
-        if (!fabric.localFallback) {
-            sink.finish(false);
-            throwStatus(errUnavailable(
-                "fabric: %zu unit(s) unfinished and every worker "
-                "lost (local fallback disabled)",
-                leftover.size()));
-        }
         warn("fabric: evaluating %zu leftover unit(s) locally",
              leftover.size());
         for (const WorkUnit &unit : leftover) {

@@ -57,10 +57,6 @@ struct FabricOptions
 
     /** Per-worker connect/IO/retry/quarantine policy. */
     WorkerPolicy worker;
-
-    /** Evaluate units left over after every worker is lost (or none
-     *  were given) in-process instead of failing the sweep. */
-    bool localFallback = true;
 };
 
 /** What the fabric did, for logs / tests / metrics. */

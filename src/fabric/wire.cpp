@@ -1,6 +1,7 @@
 #include "fabric/wire.hpp"
 
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -87,25 +88,15 @@ encodeSweepUnitRequest(const std::string &modelText,
         j.field("annealIterations",
                 static_cast<int64_t>(options.annealIterations));
     }
-    // The technology anchors travel explicitly so the worker scores
-    // under the coordinator's exact model; the fingerprint gate on
-    // the worker rejects anything this projection cannot express.
+    // Every technology parameter travels so the worker scores under
+    // the coordinator's exact model and reproduces its fingerprint.
     j.key("tech").beginObject();
-    j.fieldExact("dramEnergyPerBit", tech.dramEnergyPerBit);
-    j.fieldExact("d2dEnergyPerBit", tech.d2dEnergyPerBit);
-    j.fieldExact("l2EnergyPerBitAt32K", tech.l2EnergyPerBitAt32K);
-    j.fieldExact("l1EnergyPerBitAt1K", tech.l1EnergyPerBitAt1K);
-    j.fieldExact("rfEnergyPerBitRmw", tech.rfEnergyPerBitRmw);
-    j.fieldExact("macEnergyPerOp", tech.macEnergyPerOp);
-    j.fieldExact("nocEnergyPerBit", tech.nocEnergyPerBit);
-    j.fieldExact("sramEnergyOffset", tech.sramEnergyPerBitKb.offset);
-    j.fieldExact("sramEnergySlope", tech.sramEnergyPerBitKb.slope);
-    j.fieldExact("vectorOpEnergyPerOp", tech.vectorOpEnergyPerOp);
-    j.fieldExact("frequencyGhz", tech.frequencyGhz);
-    j.field("dramBitsPerCycle", tech.dramBitsPerCycle);
-    j.field("d2dBitsPerCycle", tech.d2dBitsPerCycle);
-    j.field("dataBits", tech.dataBits);
-    j.field("psumBits", tech.psumBits);
+    forEachTechParameter(tech, [&j](const char *name, const auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            j.fieldExact(name, v);
+        else
+            j.field(name, v);
+    });
     j.endObject();
     j.field("unitId", unit.id);
     j.field("begin", unit.begin);
@@ -183,9 +174,7 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
                                static_cast<long long>(unit.id), k);
         }
         const JsonValue *index = ev.find("i");
-        const JsonValue *kind = ev.find("kind");
-        if (index == nullptr || !index->isNumber() ||
-            kind == nullptr || !kind->isString()) {
+        if (index == nullptr || !index->isNumber()) {
             return errDataLoss("unit %lld: malformed entry %zu",
                                static_cast<long long>(unit.id), k);
         }
@@ -199,43 +188,11 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
                 static_cast<long long>(unit.begin +
                                        static_cast<int64_t>(k)));
         }
-        SweepPointOutcome &out = result.outcomes[k];
-        CheckpointEntry::Kind parsedKind;
-        if (parseCheckpointKind(kind->string, parsedKind)) {
-            switch (parsedKind) {
-            case CheckpointEntry::Kind::AreaRejected:
-                out.kind = SweepPointOutcome::AreaRejected;
-                break;
-            case CheckpointEntry::Kind::Infeasible:
-                out.kind = SweepPointOutcome::Infeasible;
-                break;
-            case CheckpointEntry::Kind::Valid: {
-                out.kind = SweepPointOutcome::Valid;
-                const JsonValue *point = ev.find("point");
-                if (point == nullptr) {
-                    return errDataLoss(
-                        "unit %lld: valid entry %zu missing point",
-                        static_cast<long long>(unit.id), k);
-                }
-                Status s = readDesignPointJson(*point, out.point);
-                if (!s.ok()) {
-                    return s.withContext(strprintf(
-                        "unit %lld entry %zu",
-                        static_cast<long long>(unit.id), k));
-                }
-                break;
-            }
-            }
-        } else if (kind->string == "poisoned") {
-            out.kind = SweepPointOutcome::Poisoned;
-            if (const JsonValue *error = ev.find("error");
-                error && error->isString()) {
-                out.error = error->string;
-            }
-        } else {
-            return errDataLoss("unit %lld: unknown entry kind '%s'",
-                               static_cast<long long>(unit.id),
-                               kind->string.c_str());
+        Status s = readSweepOutcomeJson(ev, result.outcomes[k]);
+        if (!s.ok()) {
+            return s.withContext(strprintf(
+                "unit %lld entry %zu", static_cast<long long>(unit.id),
+                k));
         }
     }
 

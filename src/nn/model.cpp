@@ -85,4 +85,34 @@ representativeLayers(int resolution)
     return out;
 }
 
+namespace {
+
+constexpr ZooModel kZoo[] = {
+    {"alexnet", makeAlexNet},         {"vgg16", makeVgg16},
+    {"resnet50", makeResNet50},       {"darknet19", makeDarkNet19},
+    {"mobilenetv2", makeMobileNetV2}, {"bert_base", makeBertBase},
+    {"vit_b16", makeVitB16},
+};
+
+} // namespace
+
+std::span<const ZooModel>
+zooModels()
+{
+    return kZoo;
+}
+
+Model
+makeZooModel(const std::string &name, int resolution)
+{
+    for (const ZooModel &zoo : kZoo) {
+        if (name == zoo.name)
+            return zoo.build(resolution);
+    }
+    throwStatus(errInvalidArgument(
+        "unknown model '%s' (try vgg16, resnet50, darknet19, alexnet, "
+        "mobilenetv2, bert_base or vit_b16)",
+        name.c_str()));
+}
+
 } // namespace nnbaton

@@ -14,6 +14,7 @@
 #define NNBATON_NN_MODEL_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,21 @@ Model makeBertBase(int resolution);
 /** ViT-B/16 (patch embed + 12 encoders at seq 197 + head); @p
  *  resolution is the input image size (224 canonical). */
 Model makeVitB16(int resolution);
+
+/** One zoo model: its `--model` name and the function that builds it. */
+struct ZooModel
+{
+    const char *name;
+    Model (*build)(int resolution);
+};
+
+/** The zoo ("alexnet", "vgg16", ..., "vit_b16"), in `nn-baton models`
+ *  order. */
+std::span<const ZooModel> zooModels();
+
+/** Build the zoo model named @p name at @p resolution.  Throws
+ *  StatusError(InvalidArgument) "unknown model" for any other name. */
+Model makeZooModel(const std::string &name, int resolution);
 /** @} */
 
 /**

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.hpp"
 
@@ -66,115 +68,80 @@ positiveDouble(const std::string &name, const JsonValue &v)
     return v.number;
 }
 
+/** Set @p member from @p value: a string, or a positive number of the
+ *  member's type. */
+template <typename T>
 Status
-parseConfig(const JsonValue &v, AcceleratorConfig &cfg)
+assignMember(const std::string &key, const JsonValue &value, T &member)
+{
+    StatusOr<T> v = [&]() -> StatusOr<T> {
+        if constexpr (std::is_same_v<T, std::string>) {
+            if (!value.isString()) {
+                return errInvalidArgument("'%s' must be a string",
+                                          key.c_str());
+            }
+            return value.string;
+        } else if constexpr (std::is_same_v<T, double>) {
+            return positiveDouble(key, value);
+        } else if constexpr (std::is_same_v<T, int>) {
+            return positiveInt32(key, value);
+        } else {
+            return positiveInt(key, value);
+        }
+    }();
+    if (v.ok())
+        member = v.value();
+    return v.status();
+}
+
+/**
+ * Set the members of an object @p v (named @p what) through
+ * @p forEach(fn), which calls fn(name, member) for every member it
+ * knows; an unknown member is InvalidArgument.
+ */
+template <typename ForEach>
+Status
+assignMembers(const JsonValue &v, const char *what, ForEach &&forEach)
 {
     if (!v.isObject())
-        return errInvalidArgument("'config' must be an object");
+        return errInvalidArgument("'%s' must be an object", what);
     for (const auto &[key, value] : v.object) {
-        if (key == "chiplets") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.package.chiplets = n.value();
-        } else if (key == "cores") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.chiplet.cores = n.value();
-        } else if (key == "lanes") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.core.lanes = n.value();
-        } else if (key == "vectorSize") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.core.vectorSize = n.value();
-        } else if (key == "ol1Bytes") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.core.ol1Bytes = n.value();
-        } else if (key == "al1Bytes") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.core.al1Bytes = n.value();
-        } else if (key == "wl1Bytes") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.core.wl1Bytes = n.value();
-        } else if (key == "al2Bytes") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            cfg.chiplet.al2Bytes = n.value();
-        } else {
-            return errInvalidArgument("unknown config member '%s'",
+        std::optional<Status> s;
+        forEach([&](const char *name, auto &member) {
+            if (key == name)
+                s = assignMember(key, value, member);
+        });
+        if (!s) {
+            return errInvalidArgument("unknown %s member '%s'", what,
                                       key.c_str());
         }
+        if (!s->ok())
+            return *s;
     }
     return Status::okStatus();
 }
 
 Status
+parseConfig(const JsonValue &v, AcceleratorConfig &cfg)
+{
+    return assignMembers(v, "config", [&cfg](auto &&field) {
+        field("chiplets", cfg.package.chiplets);
+        field("cores", cfg.chiplet.cores);
+        field("lanes", cfg.core.lanes);
+        field("vectorSize", cfg.core.vectorSize);
+        field("ol1Bytes", cfg.core.ol1Bytes);
+        field("al1Bytes", cfg.core.al1Bytes);
+        field("wl1Bytes", cfg.core.wl1Bytes);
+        field("al2Bytes", cfg.chiplet.al2Bytes);
+    });
+}
+
+Status
 parseTech(const JsonValue &v, TechnologyModel &tech)
 {
-    if (!v.isObject())
-        return errInvalidArgument("'tech' must be an object");
-    for (const auto &[key, value] : v.object) {
-        double *dbl = nullptr;
-        int *i32 = nullptr;
-        if (key == "dramEnergyPerBit")
-            dbl = &tech.dramEnergyPerBit;
-        else if (key == "d2dEnergyPerBit")
-            dbl = &tech.d2dEnergyPerBit;
-        else if (key == "l2EnergyPerBitAt32K")
-            dbl = &tech.l2EnergyPerBitAt32K;
-        else if (key == "l1EnergyPerBitAt1K")
-            dbl = &tech.l1EnergyPerBitAt1K;
-        else if (key == "rfEnergyPerBitRmw")
-            dbl = &tech.rfEnergyPerBitRmw;
-        else if (key == "macEnergyPerOp")
-            dbl = &tech.macEnergyPerOp;
-        else if (key == "nocEnergyPerBit")
-            dbl = &tech.nocEnergyPerBit;
-        else if (key == "sramEnergyOffset")
-            dbl = &tech.sramEnergyPerBitKb.offset;
-        else if (key == "sramEnergySlope")
-            dbl = &tech.sramEnergyPerBitKb.slope;
-        else if (key == "vectorOpEnergyPerOp")
-            dbl = &tech.vectorOpEnergyPerOp;
-        else if (key == "frequencyGhz")
-            dbl = &tech.frequencyGhz;
-        else if (key == "dramBitsPerCycle")
-            i32 = &tech.dramBitsPerCycle;
-        else if (key == "d2dBitsPerCycle")
-            i32 = &tech.d2dBitsPerCycle;
-        else if (key == "dataBits")
-            i32 = &tech.dataBits;
-        else if (key == "psumBits")
-            i32 = &tech.psumBits;
-        else {
-            return errInvalidArgument("unknown tech member '%s'",
-                                      key.c_str());
-        }
-        if (dbl) {
-            StatusOr<double> d = positiveDouble(key, value);
-            if (!d.ok())
-                return d.status();
-            *dbl = d.value();
-        } else {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            *i32 = n.value();
-        }
-    }
-    return Status::okStatus();
+    return assignMembers(v, "tech", [&tech](auto &&field) {
+        forEachTechParameter(tech, field);
+    });
 }
 
 } // namespace
@@ -222,31 +189,32 @@ parseRequest(const std::string &line)
             op->string.c_str());
     }
 
-    bool modelNamed = false;
     for (const auto &[key, value] : root.object) {
+        // The members that are a plain string or positive number.
+        std::optional<Status> plain;
+        const auto member = [&](const char *name, auto &field) {
+            if (key == name)
+                plain = assignMember(key, value, field);
+        };
+        member("model", req.model);
+        member("modelText", req.modelText);
+        member("resolution", req.resolution);
+        member("batch", req.batch);
+        member("annealIterations", req.annealIterations);
+        member("deadlineSeconds", req.deadlineSeconds);
+        member("progressSeconds", req.progressSeconds);
+        member("macs", req.macs);
+        member("areaMm2", req.areaMm2);
+        member("end", req.unitEnd);
+        member("fingerprint", req.sweepFp);
+        member("techFingerprint", req.techFp);
+        if (plain) {
+            if (!plain->ok())
+                return *plain;
+            continue;
+        }
         if (key == "op") {
             continue;
-        } else if (key == "model") {
-            if (!value.isString())
-                return errInvalidArgument("'model' must be a string");
-            req.model = value.string;
-            modelNamed = true;
-        } else if (key == "modelText") {
-            if (!value.isString()) {
-                return errInvalidArgument(
-                    "'modelText' must be a string");
-            }
-            req.modelText = value.string;
-        } else if (key == "resolution") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            req.resolution = n.value();
-        } else if (key == "batch") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            req.batch = n.value();
         } else if (key == "config") {
             Status s = parseConfig(value, req.config);
             if (!s.ok())
@@ -284,31 +252,6 @@ parseRequest(const std::string &line)
             if (!n.ok())
                 return n.status();
             req.annealSeed = static_cast<uint64_t>(n.value());
-        } else if (key == "annealIterations") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            req.annealIterations = n.value();
-        } else if (key == "deadlineSeconds") {
-            StatusOr<double> d = positiveDouble(key, value);
-            if (!d.ok())
-                return d.status();
-            req.deadlineSeconds = d.value();
-        } else if (key == "progressSeconds") {
-            StatusOr<double> d = positiveDouble(key, value);
-            if (!d.ok())
-                return d.status();
-            req.progressSeconds = d.value();
-        } else if (key == "macs") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.macs = n.value();
-        } else if (key == "areaMm2") {
-            StatusOr<double> d = positiveDouble(key, value);
-            if (!d.ok())
-                return d.status();
-            req.areaMm2 = d.value();
         } else if (key == "proportional") {
             if (!value.isBool()) {
                 return errInvalidArgument(
@@ -325,29 +268,12 @@ parseRequest(const std::string &line)
             if (!n.ok())
                 return n.status();
             req.unitBegin = n.value();
-        } else if (key == "end") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.unitEnd = n.value();
-        } else if (key == "fingerprint") {
-            if (!value.isString()) {
-                return errInvalidArgument(
-                    "'fingerprint' must be a string");
-            }
-            req.sweepFp = value.string;
-        } else if (key == "techFingerprint") {
-            if (!value.isString()) {
-                return errInvalidArgument(
-                    "'techFingerprint' must be a string");
-            }
-            req.techFp = value.string;
         } else {
             return errInvalidArgument("unknown request member '%s'",
                                       key.c_str());
         }
     }
-    if (modelNamed && !req.modelText.empty()) {
+    if (root.find("model") && !req.modelText.empty()) {
         return errInvalidArgument(
             "'model' and 'modelText' are mutually exclusive");
     }

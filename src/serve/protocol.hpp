@@ -31,7 +31,7 @@
  *    "config":{"chiplets":4,"cores":8,"lanes":8,"vectorSize":8,
  *              "ol1Bytes":1536,"al1Bytes":800,"wl1Bytes":18432,
  *              "al2Bytes":65536},   // post: hardware overrides
- *    "tech":{"macEnergyPerOp":0.024,"frequencyGhz":0.5,...},
+ *    "tech":{"macEnergyPerOp":0.024,...}, // forEachTechParameter()
  *    "objective":"energy" | "edp",
  *    "search":"exhaustive" | "anneal",  // docs/search.md; "bnb"
  *                                       // is read as "exhaustive"
@@ -47,7 +47,8 @@
  * "sweepUnit" (docs/distributed.md) evaluates tasks [begin, end) of
  * the canonical sweep enumeration for the given pre-design options and
  * answers {"ok":true,"unitId":...,"entries":[...],"stats":{...}} —
- * entry points use the same %.17g serialisation as checkpoints, so the
+ * each entry is {"i":<index>} plus the checkpoint records' outcome
+ * codec (writeSweepOutcomeJson(), doubles exact), so the
  * coordinator's merge is bit-identical to a local sweep.
  *
  * "metrics" answers with the bare writeMetricsJson document (the

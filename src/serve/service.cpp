@@ -86,25 +86,7 @@ loadRequestModel(const ServeRequest &req)
         }
         return finish(std::move(*parsed.model));
     }
-    const std::string &n = req.model;
-    if (n == "vgg16")
-        return finish(makeVgg16(req.resolution));
-    if (n == "resnet50")
-        return finish(makeResNet50(req.resolution));
-    if (n == "darknet19")
-        return finish(makeDarkNet19(req.resolution));
-    if (n == "alexnet")
-        return finish(makeAlexNet(req.resolution));
-    if (n == "mobilenetv2")
-        return finish(makeMobileNetV2(req.resolution));
-    if (n == "bert_base")
-        return finish(makeBertBase(req.resolution));
-    if (n == "vit_b16")
-        return finish(makeVitB16(req.resolution));
-    throwStatus(errInvalidArgument(
-        "unknown model '%s' (try vgg16, resnet50, darknet19, alexnet, "
-        "mobilenetv2, bert_base or vit_b16)",
-        n.c_str()));
+    return finish(makeZooModel(req.model, req.resolution));
 }
 
 /** Strip exportPostDesign/exportPreDesign's trailing newline so the
@@ -456,31 +438,9 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     j.field("techFingerprint", techFp);
     j.key("entries").beginArray();
     for (size_t k = 0; k < outcomes.size(); ++k) {
-        const SweepPointOutcome &out = outcomes[k];
         j.beginObject();
         j.field("i", req.unitBegin + static_cast<int64_t>(k));
-        switch (out.kind) {
-          case SweepPointOutcome::AreaRejected:
-            j.field("kind", checkpointKindName(
-                                CheckpointEntry::Kind::AreaRejected));
-            break;
-          case SweepPointOutcome::Infeasible:
-            j.field("kind", checkpointKindName(
-                                CheckpointEntry::Kind::Infeasible));
-            break;
-          case SweepPointOutcome::Valid:
-            j.field("kind",
-                    checkpointKindName(CheckpointEntry::Kind::Valid));
-            j.key("point");
-            writeDesignPointJson(j, out.point);
-            break;
-          case SweepPointOutcome::Poisoned:
-            j.field("kind", "poisoned");
-            j.field("error", out.error);
-            break;
-          case SweepPointOutcome::Skipped:
-            break; // unreachable: thrown above
-        }
+        writeSweepOutcomeJson(j, outcomes[k]);
         j.endObject();
     }
     j.endArray();

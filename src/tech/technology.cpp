@@ -44,41 +44,16 @@ TechnologyModel::cyclesToNs(int64_t cycles) const
 uint64_t
 TechnologyModel::fingerprint() const
 {
-    // FNV-1a over the raw bit patterns, so models differing by even
-    // one ULP in any parameter fingerprint differently.  Field order
-    // is fixed; appending new fields keeps old digests distinct.
+    // FNV-1a over the raw bit patterns of every named parameter, so
+    // models differing by even one ULP in any of them fingerprint
+    // differently.
     uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](uint64_t v) {
-        h ^= v;
+    forEachTechParameter(*this, [&h](const char *, const auto &v) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(v));
+        h ^= bits;
         h *= 1099511628211ull;
-    };
-    const auto mixDouble = [&](double v) {
-        uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    mixDouble(dramEnergyPerBit);
-    mixDouble(d2dEnergyPerBit);
-    mixDouble(l2EnergyPerBitAt32K);
-    mixDouble(l1EnergyPerBitAt1K);
-    mixDouble(rfEnergyPerBitRmw);
-    mixDouble(macEnergyPerOp);
-    mixDouble(nocEnergyPerBit);
-    mixDouble(sramEnergyPerBitKb.offset);
-    mixDouble(sramEnergyPerBitKb.slope);
-    mixDouble(sramAreaMm2Kb.offset);
-    mixDouble(sramAreaMm2Kb.slope);
-    mixDouble(rfAreaMm2Kb.offset);
-    mixDouble(rfAreaMm2Kb.slope);
-    mixDouble(macAreaUm2);
-    mixDouble(grsPhyAreaMm2);
-    mixDouble(ddrPhyAreaMm2);
-    mixDouble(frequencyGhz);
-    mix(static_cast<uint64_t>(dramBitsPerCycle) << 32 |
-        static_cast<uint32_t>(d2dBitsPerCycle));
-    mix(static_cast<uint64_t>(dataBits) << 32 |
-        static_cast<uint32_t>(psumBits));
-    mixDouble(vectorOpEnergyPerOp);
+    });
     return h;
 }
 

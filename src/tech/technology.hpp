@@ -115,14 +115,12 @@ struct TechnologyModel
     double cyclesToNs(int64_t cycles) const;
 
     /**
-     * A 64-bit digest of every parameter a mapping evaluation can
-     * depend on: the table I energy anchors, the SRAM/RF linear fits,
-     * frequency, bandwidths and datapath widths.  Two models that
-     * differ in any of these produce different fingerprints, so a
+     * A 64-bit digest of every parameter forEachTechParameter() names:
+     * the table I energy anchors, the SRAM/RF linear fits, the MAC and
+     * PHY areas, frequency, bandwidths and datapath widths.  Two models
+     * that differ in any of these produce different fingerprints, so a
      * fabric worker's sweepUnit gate can never evaluate under
-     * different technology assumptions than its coordinator.  Area
-     * parameters are included too: they cost nothing and keep the
-     * digest total.
+     * different technology assumptions than its coordinator.
      */
     uint64_t fingerprint() const;
 
@@ -132,6 +130,42 @@ struct TechnologyModel
 
 /** The default 16 nm model used throughout the evaluation. */
 const TechnologyModel &defaultTech();
+
+/**
+ * The one table of technology parameters: calls @p fn(name, member)
+ * for each of the 22, members being double or int.
+ * TechnologyModel::fingerprint() digests exactly these; the names are
+ * those of the serve protocol's "tech" object, which the fabric's
+ * sweepUnit request sends in full.  @p tech is const for encoders and
+ * mutable for parsers.
+ */
+template <typename Tech, typename Fn>
+void
+forEachTechParameter(Tech &tech, Fn &&fn)
+{
+    fn("dramEnergyPerBit", tech.dramEnergyPerBit);
+    fn("d2dEnergyPerBit", tech.d2dEnergyPerBit);
+    fn("l2EnergyPerBitAt32K", tech.l2EnergyPerBitAt32K);
+    fn("l1EnergyPerBitAt1K", tech.l1EnergyPerBitAt1K);
+    fn("rfEnergyPerBitRmw", tech.rfEnergyPerBitRmw);
+    fn("macEnergyPerOp", tech.macEnergyPerOp);
+    fn("nocEnergyPerBit", tech.nocEnergyPerBit);
+    fn("sramEnergyOffset", tech.sramEnergyPerBitKb.offset);
+    fn("sramEnergySlope", tech.sramEnergyPerBitKb.slope);
+    fn("sramAreaOffset", tech.sramAreaMm2Kb.offset);
+    fn("sramAreaSlope", tech.sramAreaMm2Kb.slope);
+    fn("rfAreaOffset", tech.rfAreaMm2Kb.offset);
+    fn("rfAreaSlope", tech.rfAreaMm2Kb.slope);
+    fn("macAreaUm2", tech.macAreaUm2);
+    fn("grsPhyAreaMm2", tech.grsPhyAreaMm2);
+    fn("ddrPhyAreaMm2", tech.ddrPhyAreaMm2);
+    fn("vectorOpEnergyPerOp", tech.vectorOpEnergyPerOp);
+    fn("frequencyGhz", tech.frequencyGhz);
+    fn("dramBitsPerCycle", tech.dramBitsPerCycle);
+    fn("d2dBitsPerCycle", tech.d2dBitsPerCycle);
+    fn("dataBits", tech.dataBits);
+    fn("psumBits", tech.psumBits);
+}
 
 } // namespace nnbaton
 

@@ -32,18 +32,25 @@ normalize() {
 "$BIN" "${SWEEP[@]}" --checkpoint "$DIR/full.json" --json /dev/null \
     >/dev/null 2>&1 || fail "checkpointed sweep failed"
 
-# What an interrupted `pre --search bnb` left behind: half the
-# entries, not complete, mode token "bnb".
+# What an interrupted `pre --search bnb` left behind: a version-1
+# document (the format of that era) with half the entries, not
+# complete, mode token "bnb".  The journal's header and records give
+# its fingerprint and entries.
 python3 - "$DIR/full.json" "$DIR/bnb_ckpt.json" <<'EOF'
 import json
 import sys
 
-doc = json.load(open(sys.argv[1]))
+lines = [json.loads(line) for line in open(sys.argv[1])]
+header, records = lines[0], [r for r in lines[1:] if "key" in r]
 suffix = "|exhaustive|0"
-assert doc["fingerprint"].endswith(suffix), doc["fingerprint"]
-doc["fingerprint"] = doc["fingerprint"][: -len(suffix)] + "|bnb|0"
-doc["entries"] = doc["entries"][: len(doc["entries"]) // 2]
-doc["complete"] = False
+assert header["fingerprint"].endswith(suffix), header["fingerprint"]
+doc = {
+    "format": header["format"],
+    "version": 1,
+    "fingerprint": header["fingerprint"][: -len(suffix)] + "|bnb|0",
+    "complete": False,
+    "entries": records[: len(records) // 2],
+}
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
 

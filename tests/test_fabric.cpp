@@ -32,6 +32,7 @@
 #include "baton/export.hpp"
 #include "common/backoff.hpp"
 #include "common/cancel.hpp"
+#include "common/json.hpp"
 #include "common/net.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
@@ -517,6 +518,81 @@ TEST(FabricWire, WorkerRebuildsTheCoordinatorsSweepIdentity)
     }
 }
 
+/**
+ * A worker scores under the coordinator's technology model.  One
+ * parameter at a time over all 22 that TechnologyModel::fingerprint()
+ * digests, the request a coordinator encodes parses back to the same
+ * fingerprint.  The SRAM/RF area fits and the MAC and PHY areas decide
+ * which points fail the area budget; requests used to leave them out,
+ * so a coordinator that changed one got every worker quarantined.
+ */
+TEST(FabricWire, WorkerRebuildsEveryTechnologyParameter)
+{
+    using Edit =
+        std::pair<const char *, std::function<void(TechnologyModel &)>>;
+    const Edit fields[] = {
+        {"dramEnergyPerBit",
+         [](TechnologyModel &t) { t.dramEnergyPerBit *= 1.5; }},
+        {"d2dEnergyPerBit",
+         [](TechnologyModel &t) { t.d2dEnergyPerBit *= 1.5; }},
+        {"l2EnergyPerBitAt32K",
+         [](TechnologyModel &t) { t.l2EnergyPerBitAt32K *= 1.5; }},
+        {"l1EnergyPerBitAt1K",
+         [](TechnologyModel &t) { t.l1EnergyPerBitAt1K *= 1.5; }},
+        {"rfEnergyPerBitRmw",
+         [](TechnologyModel &t) { t.rfEnergyPerBitRmw *= 1.5; }},
+        {"macEnergyPerOp",
+         [](TechnologyModel &t) { t.macEnergyPerOp *= 1.5; }},
+        {"nocEnergyPerBit",
+         [](TechnologyModel &t) { t.nocEnergyPerBit *= 1.5; }},
+        {"sramEnergyPerBitKb.offset",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.offset *= 1.5; }},
+        {"sramEnergyPerBitKb.slope",
+         [](TechnologyModel &t) { t.sramEnergyPerBitKb.slope *= 1.5; }},
+        {"sramAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.offset *= 1.5; }},
+        {"sramAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.sramAreaMm2Kb.slope *= 1.5; }},
+        {"rfAreaMm2Kb.offset",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.offset *= 1.5; }},
+        {"rfAreaMm2Kb.slope",
+         [](TechnologyModel &t) { t.rfAreaMm2Kb.slope *= 1.5; }},
+        {"macAreaUm2", [](TechnologyModel &t) { t.macAreaUm2 *= 1.5; }},
+        {"grsPhyAreaMm2",
+         [](TechnologyModel &t) { t.grsPhyAreaMm2 *= 1.5; }},
+        {"ddrPhyAreaMm2",
+         [](TechnologyModel &t) { t.ddrPhyAreaMm2 *= 1.5; }},
+        {"frequencyGhz", [](TechnologyModel &t) { t.frequencyGhz *= 1.5; }},
+        {"dramBitsPerCycle",
+         [](TechnologyModel &t) { t.dramBitsPerCycle *= 2; }},
+        {"d2dBitsPerCycle",
+         [](TechnologyModel &t) { t.d2dBitsPerCycle *= 2; }},
+        {"dataBits", [](TechnologyModel &t) { t.dataBits *= 2; }},
+        {"psumBits", [](TechnologyModel &t) { t.psumBits *= 2; }},
+        {"vectorOpEnergyPerOp",
+         [](TechnologyModel &t) { t.vectorOpEnergyPerOp *= 1.5; }},
+    };
+    ASSERT_EQ(std::size(fields), 22u);
+
+    const Model model = tinyModel();
+    const DseOptions opt = sweepOptions();
+    const std::string fp = sweepFingerprint(model, opt);
+    for (const auto &[field, edit] : fields) {
+        TechnologyModel tech = defaultTech();
+        edit(tech);
+        EXPECT_NE(tech.fingerprint(), defaultTech().fingerprint())
+            << field;
+        const std::string line = encodeSweepUnitRequest(
+            writeModelText(model), opt, tech, WorkUnit{0, 0, 1}, fp,
+            techFingerprintHex(tech));
+        const auto parsed = serve::parseRequest(line);
+        ASSERT_TRUE(parsed.ok()) << field << ": "
+                                 << parsed.status().toString();
+        EXPECT_EQ(parsed.value().tech.fingerprint(), tech.fingerprint())
+            << field;
+    }
+}
+
 TEST(Fabric, CoordinatorRefusesAnEffortWorkersCannotRebuild)
 {
     // The effort is not on the wire: under any effort but the rule's,
@@ -563,6 +639,80 @@ TEST(FabricWire, ParseLiftsEnvelopesBackToStatuses)
     ASSERT_FALSE(mismatch.ok());
     EXPECT_EQ(mismatch.status().code(),
               StatusCode::FailedPrecondition);
+}
+
+/**
+ * A reply's entries go through the checkpoint records' codec: every
+ * kind round-trips, a valid point with every energy term (the
+ * vector-ALU term included), a poisoned one with its error.
+ */
+TEST(FabricWire, EntriesRoundTripEveryKindThroughTheOutcomeCodec)
+{
+    SweepPointOutcome valid;
+    valid.kind = SweepPointOutcome::Valid;
+    valid.point.compute = {4, 8, 8, 8};
+    valid.point.memory = {1536, 800, 18432, 65536};
+    valid.point.area = {0.1, 0.2, 0.3, 0.38, 1.0};
+    valid.point.clockGhz = 0.5;
+    valid.point.cost.modelName = "tiny";
+    valid.point.cost.cycles = 1234;
+    valid.point.cost.energy.dram = 1.0 / 3.0;
+    valid.point.cost.energy.vector = 2.0 / 7.0;
+    LayerCost layer;
+    layer.layerName = "c1";
+    layer.cycles = 1234;
+    layer.utilization = 0.75;
+    layer.energy = valid.point.cost.energy;
+    valid.point.cost.layers = {layer};
+    SweepPointOutcome poisoned;
+    poisoned.kind = SweepPointOutcome::Poisoned;
+    poisoned.error = "INTERNAL: injected fault";
+    SweepPointOutcome infeasible;
+    infeasible.kind = SweepPointOutcome::Infeasible;
+    const std::vector<SweepPointOutcome> sent = {
+        SweepPointOutcome{}, infeasible, valid, poisoned};
+
+    std::ostringstream ss;
+    JsonWriter j(ss);
+    j.beginObject();
+    j.field("ok", true);
+    j.field("unitId", 2);
+    j.field("fingerprint", "FP");
+    j.field("techFingerprint", "TFP");
+    j.key("entries").beginArray();
+    for (size_t k = 0; k < sent.size(); ++k) {
+        j.beginObject();
+        j.field("i", static_cast<int64_t>(10 + k));
+        writeSweepOutcomeJson(j, sent[k]);
+        j.endObject();
+    }
+    j.endArray();
+    j.key("stats").beginObject();
+    for (const char *name :
+         {"evaluated", "pruned", "cacheHits", "cacheMisses"})
+        j.field(name, 0);
+    j.endObject();
+    j.endObject();
+
+    const auto got =
+        parseSweepUnitResponse(ss.str(), WorkUnit{2, 10, 14}, "FP", "TFP");
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    const std::vector<SweepPointOutcome> &back = got.value().outcomes;
+    ASSERT_EQ(back.size(), sent.size());
+    for (size_t k = 0; k < sent.size(); ++k)
+        EXPECT_EQ(back[k].kind, sent[k].kind) << k;
+    EXPECT_EQ(back[3].error, poisoned.error);
+    const DesignPoint &p = back[2].point;
+    EXPECT_EQ(p.memory.wl1Bytes, 18432);
+    EXPECT_EQ(p.area.total(), valid.point.area.total());
+    EXPECT_EQ(p.cost.cycles, 1234);
+    EXPECT_EQ(p.cost.energy.dram, valid.point.cost.energy.dram);
+    EXPECT_EQ(p.cost.energy.vector, valid.point.cost.energy.vector);
+    ASSERT_EQ(p.cost.layers.size(), 1u);
+    EXPECT_EQ(p.cost.layers[0].layerName, "c1");
+    EXPECT_EQ(p.cost.layers[0].utilization, 0.75);
+    EXPECT_EQ(p.cost.layers[0].energy.vector,
+              valid.point.cost.energy.vector);
 }
 
 TEST(FabricWire, ParseValidatesIdentityAndShape)

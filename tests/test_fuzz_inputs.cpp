@@ -203,6 +203,20 @@ TEST(CheckpointFuzz, GarbageCheckpointsAreDataLoss)
         "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": 1,"
         " \"fingerprint\": \"f\", \"complete\": true,"
         " \"entries\": [{\"kind\": \"valid\"}]}",
+        // Journals: a header without its fingerprint, an unknown or
+        // non-numeric version, a malformed inner line, a valid record
+        // without its point.
+        "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": 2}\n"
+        "{\"complete\": true}\n",
+        "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": 3,"
+        " \"fingerprint\": \"f\"}\n{\"complete\": true}\n",
+        "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": \"2\","
+        " \"fingerprint\": \"f\"}\n",
+        "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": 2,"
+        " \"fingerprint\": \"f\"}\n{\"key\": \"k\", \"kin\n"
+        "{\"complete\": true}\n",
+        "{\"format\": \"nn-baton-sweep-checkpoint\", \"version\": 2,"
+        " \"fingerprint\": \"f\"}\n{\"key\": \"k\", \"kind\": \"valid\"}\n",
     };
     int idx = 0;
     for (const char *text : bad) {

@@ -265,3 +265,23 @@ TEST(DepthwiseLayer, ValidationRejectsPartialGroups)
     l.groups = 4; // grouped-but-not-depthwise is unsupported
     expectStatusThrow([&] { l.validate(); }, "depthwise");
 }
+
+TEST(Zoo, LooksUpEveryNameAndRefusesOthers)
+{
+    ASSERT_EQ(zooModels().size(), 7u);
+    for (const ZooModel &zoo : zooModels()) {
+        const Model m = makeZooModel(zoo.name, 224);
+        EXPECT_EQ(m.layers().size(), zoo.build(224).layers().size())
+            << zoo.name;
+        EXPECT_FALSE(m.layers().empty()) << zoo.name;
+    }
+    try {
+        makeZooModel("lenet", 224);
+        ADD_FAILURE() << "built an unknown model";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+        EXPECT_EQ(e.status().message(),
+                  "unknown model 'lenet' (try vgg16, resnet50, darknet19, "
+                  "alexnet, mobilenetv2, bert_base or vit_b16)");
+    }
+}

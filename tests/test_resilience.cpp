@@ -9,14 +9,17 @@
 
 #include "expect_status.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cancel.hpp"
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
@@ -589,5 +592,281 @@ TEST(Checkpoint, KillResumeDeterminism)
     EXPECT_EQ(full.resumed,
               static_cast<int64_t>(ckpt.entries.size()));
     expectSameResult(reference, full);
+    std::remove(path.c_str());
+}
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::trunc) << text;
+}
+
+/** The lines of @p text, newlines dropped. */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+int64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+/** An uninterrupted sweep of miniModel() checkpointed to @p path
+ *  after every point. */
+DseResult
+journalledSweep(const std::string &path)
+{
+    std::remove(path.c_str());
+    DseOptions opt = sweepOptions();
+    opt.checkpointPath = path;
+    opt.checkpointEvery = 1;
+    return explore(miniModel(), opt, defaultTech());
+}
+
+/** Resume the sweep of miniModel() from @p path. */
+DseResult
+resumeSweep(const std::string &path)
+{
+    DseOptions opt = sweepOptions();
+    opt.resumePath = path;
+    return explore(miniModel(), opt, defaultTech());
+}
+
+} // namespace
+
+/**
+ * A flush appends what settled since the last one and rewrites
+ * nothing: flushing after every point writes each record once.  The
+ * sink used to rewrite the whole file at every flush, quadratic bytes
+ * in the number of points.
+ */
+TEST(Checkpoint, EveryOutcomeIsWrittenOnce)
+{
+    const std::string path = tmpPath("ckpt_once.json");
+    const int64_t before = counterValue("dse.checkpoint.bytes");
+    const DseResult r = journalledSweep(path);
+    const int64_t written = counterValue("dse.checkpoint.bytes") - before;
+    const int64_t size = static_cast<int64_t>(readFile(path).size());
+    ASSERT_GT(r.swept, 8);
+    EXPECT_GE(written, size);
+    EXPECT_LT(written, 2 * size);
+    // Header, one line per point, completion mark.
+    EXPECT_EQ(static_cast<int64_t>(splitLines(readFile(path)).size()),
+              r.swept + 2);
+    std::remove(path.c_str());
+}
+
+/**
+ * A kill in the middle of an append leaves a torn final line; the
+ * loader keeps every record before it and the resume is bit-identical.
+ */
+TEST(Checkpoint, TornFinalLineKeepsEveryRecordBeforeIt)
+{
+    const std::string path = tmpPath("ckpt_torn.json");
+    const DseResult reference = journalledSweep(path);
+    const std::string text = readFile(path);
+    const std::vector<std::string> lines = splitLines(text);
+    const size_t cut_line = lines.size() / 2;
+    size_t offset = 0;
+    for (size_t i = 0; i < cut_line; ++i)
+        offset += lines[i].size() + 1;
+    writeFile(path, text.substr(0, offset + lines[cut_line].size() / 2));
+
+    const SweepCheckpoint ckpt = loadSweepCheckpoint(path).value();
+    EXPECT_FALSE(ckpt.complete);
+    EXPECT_EQ(ckpt.entries.size(), cut_line - 1); // less the header
+    const DseResult resumed = resumeSweep(path);
+    EXPECT_EQ(resumed.resumed, static_cast<int64_t>(cut_line - 1));
+    expectSameResult(reference, resumed);
+    std::remove(path.c_str());
+}
+
+/** Only the final line may be torn: damage anywhere else is data
+ *  loss, not a shorter resume. */
+TEST(Checkpoint, MalformedInnerLineIsDataLoss)
+{
+    const std::string path = tmpPath("ckpt_inner.json");
+    journalledSweep(path);
+    std::vector<std::string> lines = splitLines(readFile(path));
+    lines[lines.size() / 2].resize(lines[lines.size() / 2].size() / 2);
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    writeFile(path, text);
+    EXPECT_EQ(loadSweepCheckpoint(path).status().code(),
+              StatusCode::DataLoss);
+    std::remove(path.c_str());
+}
+
+/** A checkpoint never records a poisoned point, so a record of that
+ *  kind, or of a kind no build wrote, is data loss. */
+TEST(Checkpoint, PoisonedOrUnknownKindIsDataLoss)
+{
+    const std::string path = tmpPath("ckpt_kind.json");
+    journalledSweep(path);
+    const std::vector<std::string> lines = splitLines(readFile(path));
+    for (const char *record :
+         {R"({"key":"k","kind":"poisoned","error":"INTERNAL: boom"})",
+          R"({"key":"k","kind":"skipped"})",
+          R"({"key":"k","kind":"exploded"})"}) {
+        writeFile(path, lines[0] + "\n" + record + "\n" + lines[1] + "\n");
+        EXPECT_EQ(loadSweepCheckpoint(path).status().code(),
+                  StatusCode::DataLoss)
+            << record;
+    }
+    std::remove(path.c_str());
+}
+
+/** Version-1 checkpoints, one document rewritten at every flush,
+ *  still resume bit-identically. */
+TEST(Checkpoint, Version1DocumentStillResumes)
+{
+    const std::string path = tmpPath("ckpt_v1.json");
+    const DseResult reference = journalledSweep(path);
+    std::vector<std::string> lines = splitLines(readFile(path));
+    // The form earlier builds wrote: the header's members, then the
+    // records, in key order, as the "entries" array.
+    std::string header = lines.front();
+    const std::string v2 = "\"version\":2";
+    ASSERT_NE(header.find(v2), std::string::npos) << header;
+    header.replace(header.find(v2), v2.size(), "\"version\":1");
+    header.pop_back(); // the closing brace
+    std::vector<std::string> records(lines.begin() + 1, lines.end() - 1);
+    std::sort(records.begin(), records.end());
+    std::string doc = header + ",\"complete\":true,\"entries\":[";
+    for (size_t i = 0; i < records.size(); ++i)
+        doc += (i ? "," : "") + records[i];
+    writeFile(path, doc + "]}\n");
+
+    const SweepCheckpoint ckpt = loadSweepCheckpoint(path).value();
+    EXPECT_TRUE(ckpt.complete);
+    EXPECT_EQ(static_cast<int64_t>(ckpt.entries.size()), reference.swept);
+    const DseResult resumed = resumeSweep(path);
+    EXPECT_EQ(resumed.resumed, reference.swept);
+    expectSameResult(reference, resumed);
+    std::remove(path.c_str());
+}
+
+/**
+ * A resume that checkpoints to the path it resumed from carries every
+ * restored outcome into its own journal, so a second interruption
+ * loses none of them.
+ */
+TEST(Checkpoint, ResumeIntoItsOwnPathKeepsRestoredOutcomes)
+{
+    const Model model = miniModel();
+    const std::string path = tmpPath("ckpt_own_path.json");
+    std::remove(path.c_str());
+    const DseResult reference =
+        explore(model, sweepOptions(), defaultTech());
+    ASSERT_GT(reference.swept, 8);
+
+    const auto interrupted = [&](int64_t after, bool resume) {
+        verif::FaultPlan plan;
+        plan.cancelAfterPoints = after;
+        ScopedFaultPlan armed(plan);
+        CancelToken token;
+        DseOptions opt = sweepOptions();
+        opt.threads = 1;
+        opt.checkpointPath = path;
+        opt.checkpointEvery = 1;
+        opt.cancel = &token;
+        if (resume)
+            opt.resumePath = path;
+        EXPECT_FALSE(explore(model, opt, defaultTech()).complete);
+        return loadSweepCheckpoint(path).value();
+    };
+    const SweepCheckpoint first = interrupted(3, false);
+    ASSERT_EQ(first.entries.size(), 3u);
+    const SweepCheckpoint second = interrupted(3, true);
+    EXPECT_EQ(second.entries.size(), 6u);
+    for (const auto &entry : first.entries)
+        EXPECT_EQ(second.entries.count(entry.first), 1u) << entry.first;
+
+    DseOptions resume = sweepOptions();
+    resume.resumePath = path;
+    const DseResult full = explore(model, resume, defaultTech());
+    EXPECT_EQ(full.resumed, 6);
+    expectSameResult(reference, full);
+    std::remove(path.c_str());
+}
+
+/** A flush that fails keeps its records pending; the next flush writes
+ *  them, so the journal loses nothing the sweep settled. */
+TEST(Checkpoint, FailedFlushKeepsItsOutcomesForTheNext)
+{
+    const std::string path = tmpPath("ckpt_failed_flush.json");
+    std::remove(path.c_str());
+    verif::FaultPlan plan;
+    plan.failNextCheckpointWrite = true;
+    plan.cancelAfterPoints = 6;
+    ScopedFaultPlan armed(plan);
+    CancelToken token;
+    DseOptions opt = sweepOptions();
+    opt.threads = 1;
+    opt.checkpointPath = path;
+    opt.checkpointEvery = 4;
+    opt.cancel = &token;
+    const int64_t failures = counterValue("dse.checkpoint.failures");
+    const DseResult r = explore(miniModel(), opt, defaultTech());
+    EXPECT_FALSE(r.complete);
+    EXPECT_EQ(counterValue("dse.checkpoint.failures") - failures, 1);
+    // The first flush (4 points) failed; the final flush wrote them
+    // with the 2 settled after.
+    const SweepCheckpoint ckpt = loadSweepCheckpoint(path).value();
+    EXPECT_FALSE(ckpt.complete);
+    EXPECT_EQ(ckpt.entries.size(), 6u);
+    std::remove(path.c_str());
+}
+
+/**
+ * A record carries every energy term.  The vector-ALU term (softmax
+ * post-ops in attention) used to be left out, so a resumed or
+ * distributed transformer sweep restored every point without it: a
+ * BERT-base sweep came back cheaper than the sweep that wrote it.
+ */
+TEST(Checkpoint, RecordsKeepTheVectorEnergyTerm)
+{
+    Model model("attention", 64);
+    model.addLayer(makeGemm("scores", 64, 64, 32, 4, 3));
+    model.addLayer(makeGemm("context", 64, 32, 64, 4));
+    const std::string path = tmpPath("ckpt_vector.json");
+    std::remove(path.c_str());
+    DseOptions opt = sweepOptions();
+    opt.checkpointPath = path;
+    const DseResult fresh = explore(model, opt, defaultTech());
+    ASSERT_FALSE(fresh.points.empty());
+    EXPECT_GT(fresh.points.front().cost.energy.vector, 0.0);
+
+    DseOptions resume = sweepOptions();
+    resume.resumePath = path;
+    const DseResult again = explore(model, resume, defaultTech());
+    EXPECT_EQ(again.resumed, fresh.swept);
+    expectSameResult(fresh, again);
+    for (size_t i = 0; i < fresh.points.size() && i < again.points.size();
+         ++i) {
+        EXPECT_EQ(again.points[i].cost.energy.vector,
+                  fresh.points[i].cost.energy.vector);
+        EXPECT_EQ(again.points[i].cost.layers[0].energy.vector,
+                  fresh.points[i].cost.layers[0].energy.vector);
+    }
     std::remove(path.c_str());
 }

@@ -23,8 +23,8 @@
  *             as a table, JSON, or Prometheus text exposition.
  *
  * Models come from the zoo (vgg16, resnet50, darknet19, alexnet,
- * mobilenetv2) or from a text description file via --model-file (see
- * nn/parser.hpp for the format).
+ * mobilenetv2, bert_base, vit_b16) or from a text description file via
+ * --model-file (see nn/parser.hpp for the format).
  */
 
 #include <cerrno>
@@ -391,26 +391,7 @@ loadModel(const Args &args)
     };
     if (!args.modelFile.empty())
         return finish(loadModelFile(args.modelFile).value());
-    const std::string &n = args.model;
-    const int res = args.resolution;
-    if (n == "vgg16")
-        return finish(makeVgg16(res));
-    if (n == "resnet50")
-        return finish(makeResNet50(res));
-    if (n == "darknet19")
-        return finish(makeDarkNet19(res));
-    if (n == "alexnet")
-        return finish(makeAlexNet(res));
-    if (n == "mobilenetv2")
-        return finish(makeMobileNetV2(res));
-    if (n == "bert_base")
-        return finish(makeBertBase(res));
-    if (n == "vit_b16")
-        return finish(makeVitB16(res));
-    throwStatus(errInvalidArgument(
-        "unknown model '%s' (try vgg16, resnet50, darknet19, alexnet, "
-        "mobilenetv2, bert_base or vit_b16)",
-        n.c_str()));
+    return finish(makeZooModel(args.model, args.resolution));
 }
 
 /**
@@ -634,14 +615,12 @@ runModels(const Args &args)
         std::printf("%s", writeModelText(loadModel(args)).c_str());
         return 0;
     }
-    for (const char *name : {"alexnet", "vgg16", "resnet50",
-                             "darknet19", "mobilenetv2", "bert_base",
-                             "vit_b16"}) {
+    for (const ZooModel &zoo : zooModels()) {
         Args a = args;
-        a.model = name;
+        a.model = zoo.name;
         const Model m = loadModel(a);
         std::printf("%-12s %2zu layers, %7.2f GMACs, %6.2f M weights\n",
-                    name, m.layers().size(),
+                    zoo.name, m.layers().size(),
                     static_cast<double>(m.totalMacs()) * 1e-9,
                     static_cast<double>(m.totalWeights()) * 1e-6);
     }
