@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,50 +19,71 @@ JsonWriter::separator()
     }
     if (!hasElement_.empty()) {
         if (hasElement_.back())
-            os_ << ",";
+            buf_ += ',';
         hasElement_.back() = true;
     }
 }
 
 void
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
-    os_ << '"';
-    for (char c : s) {
+    buf_ += '"';
+    size_t run = 0; // start of the bytes that need no escape
+    for (size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        buf_.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
-            os_ << "\\\"";
+            buf_ += "\\\"";
             break;
           case '\\':
-            os_ << "\\\\";
+            buf_ += "\\\\";
             break;
           case '\n':
-            os_ << "\\n";
+            buf_ += "\\n";
             break;
           case '\t':
-            os_ << "\\t";
+            buf_ += "\\t";
             break;
           case '\r':
-            os_ << "\\r";
+            buf_ += "\\r";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os_ << buf;
-            } else {
-                os_ << c;
-            }
+          default: {
+            const char hex[] = "0123456789abcdef";
+            const char code[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                 hex[c & 0xf]};
+            buf_.append(code, sizeof(code));
+          }
         }
     }
-    os_ << '"';
+    buf_.append(s.data() + run, s.size() - run);
+    buf_ += '"';
+}
+
+void
+JsonWriter::ended()
+{
+    if (hasElement_.empty() || buf_.size() >= kFlushBytes)
+        flush();
+}
+
+void
+JsonWriter::flush()
+{
+    if (buf_.empty())
+        return;
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
     separator();
-    os_ << "{";
+    buf_ += '{';
     hasElement_.push_back(false);
     return *this;
 }
@@ -74,7 +94,8 @@ JsonWriter::endObject()
     if (hasElement_.empty())
         panic("JsonWriter: endObject without beginObject");
     hasElement_.pop_back();
-    os_ << "}";
+    buf_ += '}';
+    ended();
     return *this;
 }
 
@@ -82,7 +103,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     separator();
-    os_ << "[";
+    buf_ += '[';
     hasElement_.push_back(false);
     return *this;
 }
@@ -93,39 +114,38 @@ JsonWriter::endArray()
     if (hasElement_.empty())
         panic("JsonWriter: endArray without beginArray");
     hasElement_.pop_back();
-    os_ << "]";
+    buf_ += ']';
+    ended();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     separator();
     escape(name);
-    os_ << ":";
+    buf_ += ':';
     pendingKey_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
     escape(v);
+    ended();
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter &
 JsonWriter::value(int64_t v)
 {
     separator();
-    os_ << v;
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    buf_.append(buf, r.ptr);
+    ended();
     return *this;
 }
 
@@ -134,12 +154,15 @@ JsonWriter::value(double v)
 {
     separator();
     if (!std::isfinite(v)) {
-        os_ << "null";
-        return *this;
+        buf_ += "null";
+    } else {
+        // The text of snprintf("%.9g"), without the format parsing.
+        char buf[32];
+        const std::to_chars_result r = std::to_chars(
+            buf, buf + sizeof(buf), v, std::chars_format::general, 9);
+        buf_.append(buf, r.ptr);
     }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    os_ << buf;
+    ended();
     return *this;
 }
 
@@ -148,12 +171,14 @@ JsonWriter::valueExact(double v)
 {
     separator();
     if (!std::isfinite(v)) {
-        os_ << "null";
-        return *this;
+        buf_ += "null";
+    } else {
+        char buf[32]; // the longest shortest form is 24 characters
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof(buf), v);
+        buf_.append(buf, r.ptr);
     }
-    char buf[32]; // the longest shortest form is 24 characters
-    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
-    os_.write(buf, r.ptr - buf);
+    ended();
     return *this;
 }
 
@@ -161,12 +186,13 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     separator();
-    os_ << (v ? "true" : "false");
+    buf_ += v ? "true" : "false";
+    ended();
     return *this;
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (type != Type::Object)
         return nullptr;
@@ -183,7 +209,7 @@ namespace {
 class JsonParser
 {
   public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
+    explicit JsonParser(std::string_view text) : text_(text) {}
 
     JsonParseResult
     parse()
@@ -324,10 +350,10 @@ class JsonParser
             skipWs();
             if (!expect(':'))
                 return false;
-            JsonValue v;
-            if (!parseValue(v))
+            // Parsed in place: a failed document is discarded whole.
+            out.object.emplace_back(std::move(key), JsonValue{});
+            if (!parseValue(out.object.back().second))
                 return false;
-            out.object.emplace_back(std::move(key), std::move(v));
             skipWs();
             if (atEnd()) {
                 error_ = "unterminated object";
@@ -352,10 +378,8 @@ class JsonParser
             return true;
         }
         while (true) {
-            JsonValue v;
-            if (!parseValue(v))
+            if (!parseValue(out.array.emplace_back()))
                 return false;
-            out.array.push_back(std::move(v));
             skipWs();
             if (atEnd()) {
                 error_ = "unterminated array";
@@ -375,6 +399,11 @@ class JsonParser
         ++pos_; // '"'
         out.clear();
         while (true) {
+            // Append the run up to the next quote or escape at once.
+            const size_t run = pos_;
+            while (!atEnd() && peek() != '"' && peek() != '\\')
+                ++pos_;
+            out.append(text_.data() + run, pos_ - run);
             if (atEnd()) {
                 error_ = "unterminated string";
                 return false;
@@ -382,10 +411,6 @@ class JsonParser
             char c = text_[pos_++];
             if (c == '"')
                 return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (atEnd()) {
                 error_ = "unterminated escape";
                 return false;
@@ -460,24 +485,35 @@ class JsonParser
                 peek() == '+' || peek() == '-')) {
             ++pos_;
         }
-        const std::string token = text_.substr(start, pos_ - start);
+        const std::string_view token = text_.substr(start, pos_ - start);
         if (token.empty()) {
             error_ = "invalid value";
             return false;
         }
-        char *end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-            error_ = strprintf("invalid number '%s'", token.c_str());
-            pos_ = start;
-            return false;
+        const char *const last = token.data() + token.size();
+        double v = 0.0;
+        const std::from_chars_result r =
+            std::from_chars(token.data(), last, v);
+        if (r.ec != std::errc() || r.ptr != last) {
+            // from_chars reads the tokens strtod reads, with the same
+            // value, except a leading '+' and a result out of range
+            // (strtod gives +-inf or the underflowed value); strtod
+            // decides those rare tokens, and rejects the malformed.
+            const std::string text(token);
+            char *end = nullptr;
+            v = std::strtod(text.c_str(), &end);
+            if (end != text.c_str() + text.size()) {
+                error_ = strprintf("invalid number '%s'", text.c_str());
+                pos_ = start;
+                return false;
+            }
         }
         out.type = JsonValue::Type::Number;
         out.number = v;
         return true;
     }
 
-    const std::string &text_;
+    const std::string_view text_;
     size_t pos_ = 0;
     int depth_ = 0;
     std::string error_;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,11 +32,25 @@ namespace nnbaton {
  *   j.key("tiles").beginArray().value(4).value(8).endArray();
  *   j.endObject();
  * @endcode
+ *
+ * Text is appended to an internal buffer and handed to the stream
+ * when a top-level value ends, whenever the buffer reaches
+ * kFlushBytes, and at destruction: a small document costs one stream
+ * write, and a large one (a sweep export) never sits in memory whole.
+ * Once a top-level value has ended, the stream holds all of it, so a
+ * caller may write to the stream directly between documents.
  */
 class JsonWriter
 {
   public:
+    /** Buffered bytes that go to the stream mid-document. */
+    static constexpr size_t kFlushBytes = size_t{64} << 10;
+
     explicit JsonWriter(std::ostream &os) : os_(os) {}
+    ~JsonWriter() { flush(); }
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
@@ -43,12 +58,13 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Write an object key; must be followed by a value or begin*(). */
-    JsonWriter &key(const std::string &name);
+    JsonWriter &key(std::string_view name);
 
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &value(std::string_view v);
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(int64_t v);
     JsonWriter &value(int v) { return value(static_cast<int64_t>(v)); }
+    /** %.9g for display (non-finite values as null). */
     JsonWriter &value(double v);
     JsonWriter &value(bool v);
 
@@ -63,7 +79,7 @@ class JsonWriter
     /** key() + value() in one call. */
     template <typename T>
     JsonWriter &
-    field(const std::string &name, T v)
+    field(std::string_view name, const T &v)
     {
         key(name);
         return value(v);
@@ -71,7 +87,7 @@ class JsonWriter
 
     /** key() + valueExact() in one call. */
     JsonWriter &
-    fieldExact(const std::string &name, double v)
+    fieldExact(std::string_view name, double v)
     {
         key(name);
         return valueExact(v);
@@ -79,9 +95,14 @@ class JsonWriter
 
   private:
     void separator();
-    void escape(const std::string &s);
+    void escape(std::string_view s);
+    /** A value just ended: flush at the top level or a full buffer. */
+    void ended();
+    /** Hand the buffer to the stream. */
+    void flush();
 
     std::ostream &os_;
+    std::string buf_;
     std::vector<bool> hasElement_; //!< per nesting level
     bool pendingKey_ = false;
 };
@@ -118,7 +139,7 @@ struct JsonValue
     bool isObject() const { return type == Type::Object; }
 
     /** Object member by key, or nullptr (also for non-objects). */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 };
 
 /** parseJson() outcome: a value, or an error with its text offset. */

@@ -568,7 +568,7 @@ CheckpointSink::seed(const std::string &key, const SweepPointOutcome &out)
 }
 
 void
-CheckpointSink::record(const std::string &key,
+CheckpointSink::record(const SweepTask &task,
                        const SweepPointOutcome &out)
 {
     if (!enabled() || out.kind == SweepPointOutcome::Poisoned ||
@@ -576,7 +576,8 @@ CheckpointSink::record(const std::string &key,
         return;
     }
     // The lane serialises its own outcome; the lock covers the append.
-    const std::string line = recordLine(key, out);
+    const std::string line =
+        recordLine(designPointKey(task.compute, task.memory), out);
     std::lock_guard<std::mutex> lock(mutex_);
     pending_ += line;
     if (++sinceFlush_ >= every_)

@@ -140,8 +140,10 @@ class CheckpointSink
      *  journal, so a later resume of THIS run still sees it. */
     void seed(const std::string &key, const SweepPointOutcome &out);
 
-    /** Record a settled point; flushes every N completions. */
-    void record(const std::string &key, const SweepPointOutcome &out);
+    /** Record @p task's settled outcome, keyed by designPointKey()
+     *  (built only when a journal is open); flushes every N
+     *  completions. */
+    void record(const SweepTask &task, const SweepPointOutcome &out);
 
     /** Final flush; @p complete marks a full (uninterrupted) sweep. */
     void finish(bool complete);

@@ -210,9 +210,7 @@ explore(const Model &model, const DseOptions &options,
                                             tasks[i], i, cache);
             if (out.kind == SweepPointOutcome::Skipped)
                 return;
-            sink.record(designPointKey(tasks[i].compute,
-                                       tasks[i].memory),
-                        out);
+            sink.record(tasks[i], out);
             progressDone.fetch_add(1, std::memory_order_relaxed);
             progressHits.fetch_add(out.stats.cacheHits,
                                    std::memory_order_relaxed);

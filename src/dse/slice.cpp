@@ -18,7 +18,7 @@ SweepTaskSpace::SweepTaskSpace(const DseOptions &options)
             static_cast<long long>(options.totalMacs)));
     }
     if (!proportional_)
-        memories_ = enumerateMemory();
+        memories_ = enumerateMemory(); // the process-wide grid, not a copy
 }
 
 int64_t

@@ -61,7 +61,7 @@ class SweepTaskSpace
 
   private:
     std::vector<ComputeAllocation> computes_;
-    std::vector<MemoryAllocation> memories_; //!< empty when proportional
+    std::span<const MemoryAllocation> memories_; //!< empty when proportional
     bool proportional_ = false;
 };
 

@@ -48,19 +48,23 @@ enumerateCompute(int64_t total_macs)
     return out;
 }
 
-std::vector<MemoryAllocation>
+const std::vector<MemoryAllocation> &
 enumerateMemory()
 {
-    std::vector<MemoryAllocation> out;
-    for (int64_t ol1 : kOl1Options)
-        for (int64_t al1 : sizeLadder(1_KB, 128_KB, false))
-            for (int64_t wl1 : sizeLadder(2_KB, 256_KB, true))
-                for (int64_t al2 : sizeLadder(32_KB, 256_KB, true)) {
-                    if (al1 > al2)
-                        continue; // invalid: core buffer exceeds shared
-                    out.push_back({ol1, al1, wl1, al2});
-                }
-    return out;
+    // Every sweep and every sweepUnit request reads the same grid.
+    static const std::vector<MemoryAllocation> grid = [] {
+        std::vector<MemoryAllocation> out;
+        for (int64_t ol1 : kOl1Options)
+            for (int64_t al1 : sizeLadder(1_KB, 128_KB, false))
+                for (int64_t wl1 : sizeLadder(2_KB, 256_KB, true))
+                    for (int64_t al2 : sizeLadder(32_KB, 256_KB, true)) {
+                        if (al1 > al2)
+                            continue; // invalid: core buffer exceeds shared
+                        out.push_back({ol1, al1, wl1, al2});
+                    }
+        return out;
+    }();
+    return grid;
 }
 
 int64_t

@@ -50,9 +50,9 @@ std::vector<ComputeAllocation> enumerateCompute(int64_t total_macs);
  * The table II memory grid: O-L1 {48,96,144} B, A-L1 {1..128} KB and
  * W-L1 {2..256} KB in power-of-two steps, A-L2 {32..256} KB.  The
  * paper's validity pruning (a core's A-L1 must not exceed the shared
- * A-L2) is applied here.
+ * A-L2) is applied here.  Built once per process, on first use.
  */
-std::vector<MemoryAllocation> enumerateMemory();
+const std::vector<MemoryAllocation> &enumerateMemory();
 
 /** Total table II memory grid size before pruning. */
 int64_t memoryGridSize();

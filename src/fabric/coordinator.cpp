@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -23,8 +24,12 @@ namespace {
 
 /** Unit size when the caller did not pick one: small enough that
  *  every worker gets several units (so stealing has something to
- *  steal and a crashed worker forfeits little work), large enough
- *  that framing cost stays negligible. */
+ *  steal and a crashed worker forfeits little work), and at most 32
+ *  points.  Framing is not negligible at that size: for the 3-layer
+ *  benchmark window a worker spends about 100 of a unit's 600 us
+ *  encoding its 22 KB reply, and the lane about 200 us decoding it.
+ *  Two units in flight hide the decode behind the worker's next
+ *  unit; the encode stays on the worker's clock. */
 int64_t
 autoUnitPoints(int64_t remaining, size_t workers)
 {
@@ -114,46 +119,61 @@ coordinateSweep(const Model &model, const DseOptions &options,
     std::atomic<int64_t> retriesTotal{0};
     std::atomic<int64_t> quarantined{0};
 
+    // One lane per worker, keeping kUnitsInFlight units outstanding
+    // on its connection so the worker evaluates the next unit while
+    // the lane decodes and merges the last reply.
     const auto workerMain = [&](const std::string &endpoint) {
         WorkerClient client(endpoint, fabric.worker);
-        while (std::optional<WorkUnit> unit =
-                   table.claim(options.cancel)) {
-            dispatched.fetch_add(1, std::memory_order_relaxed);
-            const std::string request = encodeSweepUnitRequest(
-                modelText, options, tech, *unit, fingerprint, techFp);
-            StatusOr<SweepUnitResult> result = client.callUnit(
-                request, *unit, fingerprint, techFp, options.cancel);
-            if (result.ok()) {
-                // First completion wins; the winner is the only
-                // writer of this unit's outcome slots and checkpoint
-                // entries, so a late duplicate can never tear them.
-                if (!table.complete(unit->id))
-                    continue;
-                SweepUnitResult unitResult = std::move(result).value();
-                for (int64_t k = 0; k < unit->points(); ++k) {
-                    const int64_t i = unit->begin + k;
-                    outcomes[i] = std::move(
-                        unitResult.outcomes[static_cast<size_t>(k)]);
-                    sink.record(designPointKey(tasks[i].compute,
-                                               tasks[i].memory),
-                                outcomes[i]);
+        for (;;) {
+            // Only an idle lane waits for a claim: one that still
+            // holds a unit must not wait on its own live lease at the
+            // sweep's tail.
+            while (client.outstanding() < kUnitsInFlight) {
+                std::optional<WorkUnit> unit =
+                    client.outstanding() == 0 ? table.claim(options.cancel)
+                                              : table.tryClaim();
+                if (!unit)
+                    break;
+                dispatched.fetch_add(1, std::memory_order_relaxed);
+                client.submit(*unit, encodeSweepUnitRequest(
+                                         modelText, options, tech, *unit,
+                                         fingerprint, techFp));
+            }
+            if (client.outstanding() == 0)
+                break; // every unit complete, or cancelled
+
+            const WorkUnit unit = client.oldest();
+            StatusOr<SweepUnitResult> result =
+                client.receive(fingerprint, techFp, options.cancel);
+            if (!result.ok()) {
+                // This worker is not going to finish its units: hand
+                // every one back so peers can steal them without
+                // waiting out the leases.
+                for (const WorkUnit &held : client.takeOutstanding())
+                    table.release(held.id);
+                if (client.quarantined()) {
+                    warn("fabric: %s", result.status().toString().c_str());
+                    quarantined.fetch_add(1, std::memory_order_relaxed);
                 }
-                {
-                    std::lock_guard<std::mutex> lock(mergeMutex);
-                    remoteStats += unitResult.stats;
-                }
-                completed.fetch_add(1, std::memory_order_relaxed);
+                break; // quarantined or cancelled — this lane is done
+            }
+            // First completion wins; the winner is the only writer of
+            // this unit's outcome slots and checkpoint entries, so a
+            // late duplicate can never tear them.
+            if (!table.complete(unit.id))
                 continue;
+            SweepUnitResult unitResult = std::move(result).value();
+            for (int64_t k = 0; k < unit.points(); ++k) {
+                const int64_t i = unit.begin + k;
+                outcomes[i] = std::move(
+                    unitResult.outcomes[static_cast<size_t>(k)]);
+                sink.record(tasks[i], outcomes[i]);
             }
-            // This worker is not going to finish the unit: hand it
-            // back immediately so a peer can steal it without
-            // waiting out the lease.
-            table.release(unit->id);
-            if (client.quarantined()) {
-                warn("fabric: %s", result.status().toString().c_str());
-                quarantined.fetch_add(1, std::memory_order_relaxed);
+            {
+                std::lock_guard<std::mutex> lock(mergeMutex);
+                remoteStats += unitResult.stats;
             }
-            break; // quarantined or cancelled — this lane is done
+            completed.fetch_add(1, std::memory_order_relaxed);
         }
         retriesTotal.fetch_add(client.retries(),
                                std::memory_order_relaxed);
@@ -193,9 +213,7 @@ coordinateSweep(const Model &model, const DseOptions &options,
                 const int64_t i = unit.begin + k;
                 outcomes[i] =
                     std::move(local[static_cast<size_t>(k)]);
-                sink.record(designPointKey(tasks[i].compute,
-                                           tasks[i].memory),
-                            outcomes[i]);
+                sink.record(tasks[i], outcomes[i]);
             }
             table.complete(unit.id);
             ++stats.localFallbackUnits;

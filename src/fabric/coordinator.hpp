@@ -15,8 +15,9 @@
  *
  * Fault tolerance, by layer:
  *
- *  - per-attempt: WorkerClient retries transient failures with
- *    exponential backoff and quarantines misbehaving endpoints;
+ *  - per-attempt: WorkerClient re-sends its outstanding units
+ *    (kUnitsInFlight per lane) on a fresh connection after
+ *    exponential backoff, and quarantines misbehaving endpoints;
  *  - per-unit: leases expire and units are re-issued to other
  *    workers (work stealing), first completion wins;
  *  - per-sweep: when every worker is quarantined the remaining units
@@ -51,8 +52,9 @@ struct FabricOptions
     int64_t unitPoints = 0;
 
     /** Lease TTL before an unfinished unit becomes stealable.  Should
-     *  comfortably exceed a unit's evaluation time; expiry is the
-     *  crash/straggler recovery path, not the common case. */
+     *  comfortably exceed two units' evaluation time (a lane's second
+     *  unit waits behind its first); expiry is the crash/straggler
+     *  recovery path, not the common case. */
     double leaseSeconds = 60.0;
 
     /** Per-worker connect/IO/retry/quarantine policy. */
@@ -63,9 +65,9 @@ struct FabricOptions
 struct FabricStats
 {
     int64_t units = 0;             //!< work units in the sweep
-    int64_t unitsDispatched = 0;   //!< claim → worker call attempts
+    int64_t unitsDispatched = 0;   //!< units claimed for workers
     int64_t unitsCompleted = 0;    //!< first completions by workers
-    int64_t retries = 0;           //!< worker attempt retries
+    int64_t retries = 0; //!< failed worker attempts that were retried
     int64_t leasesExpired = 0;     //!< re-issues of expired leases
     int64_t workersQuarantined = 0;
     int64_t duplicateCompletions = 0; //!< late finishes, dropped

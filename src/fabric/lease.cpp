@@ -22,6 +22,35 @@ LeaseTable::LeaseTable(std::vector<WorkUnit> units, double leaseSeconds)
 }
 
 std::optional<WorkUnit>
+LeaseTable::claimLocked(SteadyClock::time_point now)
+{
+    Slot *pick = nullptr;
+    for (Slot &slot : slots_) {
+        if (slot.state == State::Pending) {
+            pick = &slot;
+            break;
+        }
+    }
+    if (pick == nullptr) {
+        // No pending work: steal the longest-expired lease, if any
+        // (its holder crashed or stalled past the TTL).
+        for (Slot &slot : slots_) {
+            if (slot.state != State::Leased || slot.leaseDeadline > now)
+                continue;
+            if (pick == nullptr ||
+                slot.leaseDeadline < pick->leaseDeadline)
+                pick = &slot;
+        }
+        if (pick == nullptr)
+            return std::nullopt;
+        ++leasesExpired_;
+    }
+    pick->state = State::Leased;
+    pick->leaseDeadline = now + leaseTtl_;
+    return pick->unit;
+}
+
+std::optional<WorkUnit>
 LeaseTable::claim(const CancelToken *cancel)
 {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -32,34 +61,8 @@ LeaseTable::claim(const CancelToken *cancel)
             return std::nullopt;
 
         const auto now = SteadyClock::now();
-        Slot *pick = nullptr;
-        for (Slot &slot : slots_) {
-            if (slot.state == State::Pending) {
-                pick = &slot;
-                break;
-            }
-        }
-        bool expired = false;
-        if (pick == nullptr) {
-            // No pending work: steal the longest-expired lease, if
-            // any (its holder crashed or stalled past the TTL).
-            for (Slot &slot : slots_) {
-                if (slot.state != State::Leased ||
-                    slot.leaseDeadline > now)
-                    continue;
-                if (pick == nullptr ||
-                    slot.leaseDeadline < pick->leaseDeadline)
-                    pick = &slot;
-            }
-            expired = pick != nullptr;
-        }
-        if (pick != nullptr) {
-            if (expired)
-                ++leasesExpired_;
-            pick->state = State::Leased;
-            pick->leaseDeadline = now + leaseTtl_;
-            return pick->unit;
-        }
+        if (std::optional<WorkUnit> unit = claimLocked(now))
+            return unit;
 
         // Every incomplete unit holds a live lease.  Sleep until the
         // nearest lease can expire (or a completion wakes us), then
@@ -73,6 +76,13 @@ LeaseTable::claim(const CancelToken *cancel)
         wake = std::min(wake, now + std::chrono::milliseconds(100));
         cv_.wait_until(lock, wake);
     }
+}
+
+std::optional<WorkUnit>
+LeaseTable::tryClaim()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return claimLocked(SteadyClock::now());
 }
 
 void

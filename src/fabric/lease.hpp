@@ -53,6 +53,15 @@ class LeaseTable
     std::optional<WorkUnit> claim(const CancelToken *cancel);
 
     /**
+     * claim() without the wait: a pending unit, else the
+     * longest-expired lease, else nullopt at once.  Never takes a
+     * live lease.  A lane that still holds a unit claims its next one
+     * this way: waiting would, at the sweep's tail, block it on its
+     * own live lease until the TTL expired.
+     */
+    std::optional<WorkUnit> tryClaim();
+
+    /**
      * Return a claimed unit to the pending pool immediately (the
      * claimer hit a failure and is not going to finish it); other
      * workers can pick it up without waiting out the lease.
@@ -76,6 +85,11 @@ class LeaseTable
     int64_t duplicateCompletions() const;
 
   private:
+    /** The pending-then-expired pick shared by both claims; leases
+     *  it until @p now + TTL.  Caller holds mutex_. */
+    std::optional<WorkUnit>
+    claimLocked(std::chrono::steady_clock::time_point now);
+
     enum class State
     {
         Pending,

@@ -32,63 +32,75 @@ WorkerClient::WorkerClient(std::string endpoint, WorkerPolicy policy)
 {
 }
 
-StatusOr<std::string>
-WorkerClient::attempt(const std::string &requestLine)
+void
+WorkerClient::submit(const WorkUnit &unit, std::string requestLine)
+{
+    window_.push_back(Request{unit, std::move(requestLine)});
+}
+
+std::vector<WorkUnit>
+WorkerClient::takeOutstanding()
+{
+    std::vector<WorkUnit> units;
+    for (const Request &request : window_)
+        units.push_back(request.unit);
+    window_.clear();
+    sent_ = 0;
+    return units;
+}
+
+Status
+WorkerClient::flush()
 {
     if (!channel_.connected()) {
+        sent_ = 0;
         StatusOr<LineChannel> channel = connectLineChannel(
             endpoint_, policy_.connectTimeoutSeconds);
         if (!channel.ok())
             return channel.status();
         channel_ = std::move(channel).value();
     }
-    Status sent = channel_.sendLine(requestLine,
-                                    policy_.ioTimeoutSeconds);
-    if (!sent.ok()) {
-        channel_.close();
-        return sent;
+    for (; sent_ < window_.size(); ++sent_) {
+        Status sent = channel_.sendLine(window_[sent_].line,
+                                        policy_.ioTimeoutSeconds);
+        if (!sent.ok())
+            return sent;
     }
-    StatusOr<std::string> line =
-        channel_.recvLine(policy_.ioTimeoutSeconds);
-    if (!line.ok()) {
-        // The connection is in an unknown framing state (half a
-        // response may still be in flight); drop it so the next
-        // attempt starts clean.
-        channel_.close();
-        return line.status();
-    }
-    return line;
+    return Status::okStatus();
 }
 
 StatusOr<SweepUnitResult>
-WorkerClient::callUnit(const std::string &requestLine,
-                       const WorkUnit &unit, const std::string &sweepFp,
-                       const std::string &techFp,
-                       const CancelToken *cancel)
+WorkerClient::receive(const std::string &sweepFp,
+                      const std::string &techFp,
+                      const CancelToken *cancel)
 {
     for (;;) {
         if (cancel && cancel->cancelled())
             return errCancelled("fabric: sweep cancelled");
 
-        Status failure = Status::okStatus();
-        StatusOr<std::string> line = attempt(requestLine);
-        if (line.ok()) {
-            StatusOr<SweepUnitResult> result = parseSweepUnitResponse(
-                line.value(), unit, sweepFp, techFp);
-            if (result.ok()) {
-                consecutiveFailures_ = 0;
-                backoff_.reset();
-                return result;
+        Status failure = flush();
+        if (failure.ok()) {
+            StatusOr<std::string> line =
+                channel_.recvLine(policy_.ioTimeoutSeconds);
+            if (line.ok()) {
+                StatusOr<SweepUnitResult> result = parseSweepUnitResponse(
+                    line.value(), oldest(), sweepFp, techFp);
+                if (result.ok()) {
+                    window_.pop_front();
+                    --sent_;
+                    consecutiveFailures_ = 0;
+                    backoff_.reset();
+                    return result;
+                }
+                failure = result.status();
+            } else {
+                failure = line.status();
             }
-            failure = result.status();
-            if (failure.code() == StatusCode::DataLoss) {
-                // Corrupt frame: subsequent bytes on this connection
-                // cannot be trusted to line up with requests.
-                channel_.close();
-            }
-        } else {
-            failure = line.status();
         }
+        // The connection is out of step with the outstanding requests
+        // (half a reply may be in flight, a frame torn, a later reply
+        // queued); drop it so a retry starts clean.
+        channel_.close();
 
         if (!retryableFailure(failure)) {
             // The worker answered coherently but wrongly (fingerprint
@@ -99,6 +111,7 @@ WorkerClient::callUnit(const std::string &requestLine,
                 strprintf("worker %s quarantined", endpoint_.c_str()));
         }
 
+        // One failed attempt, however many units were outstanding.
         ++retries_;
         ++consecutiveFailures_;
         if (consecutiveFailures_ >= policy_.maxFailures) {
@@ -108,10 +121,10 @@ WorkerClient::callUnit(const std::string &requestLine,
                 endpoint_.c_str(), consecutiveFailures_));
         }
         const int64_t delayMs = backoff_.nextDelayMs();
-        debugLog("fabric: worker %s unit %lld failed (%s); retry in "
-                 "%lldms",
-                 endpoint_.c_str(), static_cast<long long>(unit.id),
-                 failure.toString().c_str(),
+        debugLog("fabric: worker %s unit %lld failed (%s); re-sending "
+                 "%zu unit(s) in %lldms",
+                 endpoint_.c_str(), static_cast<long long>(oldest().id),
+                 failure.toString().c_str(), window_.size(),
                  static_cast<long long>(delayMs));
         if (!sleepWithCancel(delayMs, cancel))
             return errCancelled("fabric: sweep cancelled");

@@ -12,16 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -370,6 +373,37 @@ TEST(LeaseTable, CancelUnblocksWaitingClaim)
     waiter.join();
     EXPECT_EQ(got, std::nullopt);
     EXPECT_EQ(table.incompleteUnits().size(), 1u);
+}
+
+TEST(LeaseTable, TryClaimNeverWaitsNorStealsALiveLease)
+{
+    LeaseTable table(threeUnits(), 30.0);
+    EXPECT_EQ(table.tryClaim()->id, 0);
+    EXPECT_EQ(table.claim(nullptr)->id, 1);
+    EXPECT_EQ(table.tryClaim()->id, 2);
+    // Every unit holds a live lease: claim() would wait up to the
+    // 30 s TTL for one to expire, tryClaim() answers at once.
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(table.tryClaim(), std::nullopt);
+    EXPECT_EQ(table.tryClaim(), std::nullopt);
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              1.0);
+    EXPECT_EQ(table.leasesExpired(), 0);
+    table.release(1);
+    EXPECT_EQ(table.tryClaim()->id, 1);
+    for (int64_t id = 0; id < 3; ++id)
+        EXPECT_TRUE(table.complete(id));
+    EXPECT_EQ(table.tryClaim(), std::nullopt);
+
+    // An expired lease is fair game, as for claim().
+    LeaseTable expiring({WorkUnit{0, 0, 1}}, 0.05);
+    ASSERT_EQ(expiring.tryClaim()->id, 0);
+    EXPECT_EQ(expiring.tryClaim(), std::nullopt);
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    EXPECT_EQ(expiring.tryClaim()->id, 0);
+    EXPECT_EQ(expiring.leasesExpired(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -832,6 +866,150 @@ TEST(Fabric, CancelledSweepMarksRemainingSkipped)
     EXPECT_TRUE(r.points.empty());
 }
 
+namespace {
+
+/**
+ * A worker scripted over common/net in front of an in-process
+ * EvalService, serving one connection at a time like a one-lane
+ * daemon.  It holds each connection's first reply until that
+ * connection's second request line has arrived — so a lane that
+ * waits for each reply before sending its next request times out
+ * against it — and records the unit id of every request, per
+ * connection.  With @p dropFirstConnection it closes its first
+ * connection, unanswered, once those two lines are in.
+ */
+class ScriptedWorker
+{
+  public:
+    explicit ScriptedWorker(bool dropFirstConnection = false)
+        : service_(serve::ServiceOptions{}),
+          dropFirst_(dropFirstConnection)
+    {
+        Endpoint any;
+        any.tcp = true;
+        any.host = "127.0.0.1";
+        listenFd_ = listenEndpoint(any).value();
+        port_ = boundPort(listenFd_);
+        thread_ = std::thread([this] { serve(); });
+    }
+
+    ~ScriptedWorker()
+    {
+        stop_ = true;
+        thread_.join();
+        ::close(listenFd_);
+    }
+
+    std::string
+    endpoint() const
+    {
+        return "127.0.0.1:" + std::to_string(port_);
+    }
+
+    /** The unit ids each connection asked for, in arrival order. */
+    std::vector<std::vector<int64_t>>
+    requests() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return requests_;
+    }
+
+  private:
+    void
+    serve()
+    {
+        while (!stop_) {
+            pollfd p{listenFd_, POLLIN, 0};
+            if (::poll(&p, 1, 20) <= 0)
+                continue;
+            const int fd = ::accept(listenFd_, nullptr, nullptr);
+            if (fd >= 0)
+                serveConnection(LineChannel(fd));
+        }
+    }
+
+    void
+    serveConnection(LineChannel channel)
+    {
+        size_t connection = 0;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            connection = requests_.size();
+            requests_.emplace_back();
+        }
+        std::vector<std::string> held; // received, not yet answered
+        bool holding = true;           // the first reply waits
+        while (!stop_) {
+            StatusOr<std::string> line = channel.recvLine(0.02);
+            if (!line.ok()) {
+                if (line.status().code() == StatusCode::DeadlineExceeded)
+                    continue;
+                return; // the coordinator hung up
+            }
+            const int64_t unitId =
+                serve::parseRequest(line.value()).value().unitId;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                requests_[connection].push_back(unitId);
+            }
+            held.push_back(std::move(line).value());
+            if (holding && held.size() < 2)
+                continue;
+            if (holding && dropFirst_ && connection == 0)
+                return; // drop with two units outstanding
+            holding = false;
+            for (const std::string &request : held) {
+                if (!channel
+                         .sendLine(service_.handleLine(request).response,
+                                   30.0)
+                         .ok())
+                    return;
+            }
+            held.clear();
+        }
+    }
+
+    serve::EvalService service_;
+    const bool dropFirst_;
+    int listenFd_ = -1;
+    int port_ = 0;
+    std::atomic<bool> stop_{false};
+    mutable std::mutex mutex_;
+    std::vector<std::vector<int64_t>> requests_;
+    std::thread thread_;
+};
+
+} // namespace
+
+TEST(Fabric, LaneKeepsTwoUnitsInFlight)
+{
+    ScriptedWorker worker;
+    FabricOptions fab;
+    fab.workers = {worker.endpoint()};
+    fab.unitPoints = 2;
+    // A lane that sent one unit and waited would time out here, retry
+    // until quarantined and finish the sweep locally.
+    fab.worker.ioTimeoutSeconds = 2.0;
+    fab.worker.backoff.initialDelayMs = 5;
+    FabricStats stats;
+    const Model model = tinyModel();
+    const DseResult r = coordinateSweep(model, sweepOptions(),
+                                        defaultTech(), fab, &stats);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(leanPreBytes(r), serialBaseline());
+    EXPECT_GT(stats.units, 2);
+    EXPECT_EQ(stats.retries, 0);
+    EXPECT_EQ(stats.workersQuarantined, 0);
+    EXPECT_EQ(stats.localFallbackUnits, 0);
+    EXPECT_EQ(stats.unitsCompleted, stats.units);
+    // One connection carried every unit, in claim order.
+    const std::vector<std::vector<int64_t>> requests = worker.requests();
+    ASSERT_EQ(requests.size(), 1u);
+    EXPECT_EQ(static_cast<int64_t>(requests[0].size()), stats.units);
+    for (size_t k = 0; k < requests[0].size(); ++k)
+        EXPECT_EQ(requests[0][k], static_cast<int64_t>(k));
+}
+
 // ---------------------------------------------------------------------
 // Chaos: injected transport faults, worker loss, crash recovery.
 // ---------------------------------------------------------------------
@@ -870,6 +1048,34 @@ TEST(Chaos, DroppedConnectionIsRetriedToTheSameBytes)
     EXPECT_EQ(leanPreBytes(r), serialBaseline());
     EXPECT_GE(stats.retries, 1);
     EXPECT_EQ(stats.workersQuarantined, 0);
+}
+
+TEST(Chaos, DropWithTwoUnitsOutstandingResendsBothInOrder)
+{
+    ScriptedWorker worker(/*dropFirstConnection=*/true);
+    FabricOptions fab;
+    fab.workers = {worker.endpoint()};
+    fab.unitPoints = 2;
+    fab.worker.backoff.initialDelayMs = 5;
+    FabricStats stats;
+    const Model model = tinyModel();
+    const DseResult r = coordinateSweep(model, sweepOptions(),
+                                        defaultTech(), fab, &stats);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(leanPreBytes(r), serialBaseline());
+    EXPECT_EQ(stats.retries, 1); // one failed attempt, two units
+    EXPECT_EQ(stats.duplicateCompletions, 0);
+    EXPECT_EQ(stats.workersQuarantined, 0);
+    EXPECT_EQ(stats.localFallbackUnits, 0);
+    // Both outstanding units went out again, in order, on the fresh
+    // connection, ahead of any new claim.
+    const std::vector<std::vector<int64_t>> requests = worker.requests();
+    ASSERT_EQ(requests.size(), 2u);
+    EXPECT_EQ(requests[0], (std::vector<int64_t>{0, 1}));
+    ASSERT_GE(requests[1].size(), 2u);
+    EXPECT_EQ(requests[1][0], 0);
+    EXPECT_EQ(requests[1][1], 1);
+    EXPECT_EQ(static_cast<int64_t>(requests[1].size()), stats.units);
 }
 
 TEST(Chaos, CorruptFrameIsRetriedToTheSameBytes)
