@@ -104,8 +104,8 @@ class CheckpointSink;
  * A fingerprint from before the model-text digest (keyed by the
  * model's name) is accepted only for an unedited zoo model at batch 1,
  * the one case the name identified; an Anneal fingerprint from before
- * the move budget was keyed is refused.  explore() and the fabric
- * coordinator share this.
+ * the move budget was keyed is refused.  The sweep driver
+ * (dse/driver.hpp) calls this for local and distributed sweeps alike.
  */
 int64_t restoreSweepCheckpoint(const std::string &path,
                                const Model &model,
@@ -115,9 +115,9 @@ int64_t restoreSweepCheckpoint(const std::string &path,
                                CheckpointSink &sink);
 
 /**
- * The checkpoint journal being written.  Sweep lanes (local pool lanes
- * or fabric unit completions) serialise each settled outcome
- * themselves and append the line under the mutex; every
+ * The checkpoint journal being written.  Sweep lanes, local or
+ * remote, serialise each settled outcome themselves and append the
+ * line under the mutex; every
  * checkpointEvery completions the lines not yet flushed are written to
  * the journal.  A failed write is counted (dse.checkpoint.failures)
  * and warned about, never fatal, and its lines stay pending for the

@@ -3,7 +3,7 @@
  * The pre-design flow: sweep the table II space under MAC-count and
  * chiplet-area budgets, evaluate each design with the optimal
  * per-layer mapping, and report energy / runtime / EDP (paper
- * sections IV-D and VI-B).
+ * sections IV-D and VI-B), on the sweep driver (dse/driver.hpp).
  */
 
 #ifndef NNBATON_DSE_EXPLORER_HPP
@@ -57,8 +57,10 @@ struct DseOptions
     SearchEffort effort = SearchEffort::Fast;
     Objective objective = Objective::MinEnergy;
 
-    /** Worker lanes for the sweep (including the caller); <= 1 runs
-     *  serially.  Results are bit-identical across thread counts. */
+    /** Local lanes for the sweep (including the caller); <= 1 runs
+     *  serially.  Under coordinateSweep() they evaluate only what a
+     *  lost fleet left.  Results are bit-identical across thread
+     *  counts. */
     int threads = 1;
 
     /** Score-bound pruning inside the mapping search (sound). */
@@ -81,9 +83,9 @@ struct DseOptions
      * Progress heartbeat period in seconds (--progress[=secs]; <= 0
      * disables).  A sweep-side thread logs points done/total,
      * points/sec, ETA and cache-hit / prune rates every period and
-     * mirrors them as dse.progress.* gauges, so a long sweep (or a
-     * fleet worker's daemon) is monitorable mid-flight.  Observation
-     * only: never changes results.
+     * mirrors them as dse.progress.* gauges, so a long sweep, local
+     * or distributed, is monitorable mid-flight.  Observation only:
+     * never changes results.
      */
     double progressSeconds = 0.0;
 

@@ -1,9 +1,8 @@
-#include "fabric/lease.hpp"
+#include "dse/lease.hpp"
 
 #include <algorithm>
 
 namespace nnbaton {
-namespace fabric {
 
 namespace {
 
@@ -157,5 +156,4 @@ LeaseTable::duplicateCompletions() const
     return duplicates_;
 }
 
-} // namespace fabric
 } // namespace nnbaton

@@ -1,26 +1,26 @@
 /**
  * @file
- * The coordinator's lease table: which sweep units are pending,
- * leased, or done.
+ * The sweep's lease table: which work units are pending, leased, or
+ * done.  Every lane of a sweep (dse/driver.hpp) claims from one.
  *
  * Work stealing falls out of the lease discipline.  claim() hands out
  * pending units first; when none remain it re-issues the unit whose
  * lease expired longest ago — covering both crashed workers (their
- * lease times out and another worker finishes the unit) and
+ * lease times out and another lane finishes the unit) and
  * stragglers (a stalled worker's unit is re-evaluated elsewhere; the
  * first completion wins).  complete() is idempotent: exactly one
  * caller gets `true` per unit and owns writing the merged outcome,
- * so a late duplicate from a slow worker can never race the winner's
+ * so a late duplicate from a slow lane can never race the winner's
  * writes — it is counted and dropped.
  *
  * All waiting happens on the internal condition variable with short
- * timeouts, re-checking cancellation and lease expiry, so a
- * coordinator with every worker wedged still makes progress (claim
- * returns the expired unit to whoever asks next).
+ * timeouts, re-checking cancellation and lease expiry, so a sweep
+ * with every worker wedged still makes progress (claim returns the
+ * expired unit to whoever asks next).
  */
 
-#ifndef NNBATON_FABRIC_LEASE_HPP
-#define NNBATON_FABRIC_LEASE_HPP
+#ifndef NNBATON_DSE_LEASE_HPP
+#define NNBATON_DSE_LEASE_HPP
 
 #include <chrono>
 #include <condition_variable>
@@ -30,10 +30,9 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "fabric/wire.hpp"
+#include "dse/slice.hpp"
 
 namespace nnbaton {
-namespace fabric {
 
 class LeaseTable
 {
@@ -64,7 +63,7 @@ class LeaseTable
     /**
      * Return a claimed unit to the pending pool immediately (the
      * claimer hit a failure and is not going to finish it); other
-     * workers can pick it up without waiting out the lease.
+     * lanes can pick it up without waiting out the lease.
      */
     void release(int64_t unitId);
 
@@ -74,6 +73,9 @@ class LeaseTable
      * duplicates (counted, dropped).
      */
     bool complete(int64_t unitId);
+
+    /** Units in the table. */
+    int64_t size() const { return static_cast<int64_t>(slots_.size()); }
 
     /** True once every unit has completed. */
     bool allDone() const;
@@ -112,7 +114,6 @@ class LeaseTable
     int64_t duplicates_ = 0;
 };
 
-} // namespace fabric
 } // namespace nnbaton
 
-#endif // NNBATON_FABRIC_LEASE_HPP
+#endif // NNBATON_DSE_LEASE_HPP

@@ -113,35 +113,6 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     return out;
 }
 
-SweepPointOutcome
-evaluateSweepPointGuarded(const Model &model, const DseOptions &options,
-                          const TechnologyModel &tech,
-                          const SweepTask &task, int64_t index,
-                          MappingCache &cache)
-{
-    SweepPointOutcome out;
-    try {
-        verif::injectPointFault(index);
-        return evaluateSweepPoint(model, options, tech, task, cache);
-    } catch (const StatusError &e) {
-        const StatusCode code = e.status().code();
-        if (code == StatusCode::Cancelled ||
-            code == StatusCode::DeadlineExceeded) {
-            out.kind = SweepPointOutcome::Skipped;
-            return out;
-        }
-        if (options.strict)
-            throw;
-        out.error = e.status().toString();
-    } catch (const std::exception &e) {
-        if (options.strict)
-            throw;
-        out.error = e.what();
-    }
-    out.kind = SweepPointOutcome::Poisoned;
-    return out;
-}
-
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
@@ -155,11 +126,25 @@ evaluateSweepSlice(const Model &model, const DseOptions &options,
             out.kind = SweepPointOutcome::Skipped;
             continue;
         }
-        out = evaluateSweepPointGuarded(model, options, tech, slice[k],
-                                        begin + static_cast<int64_t>(k),
-                                        cache);
-        if (out.kind != SweepPointOutcome::Skipped)
-            verif::notifyPointCompleted(options.cancel);
+        try {
+            verif::injectPointFault(begin + static_cast<int64_t>(k));
+            out = evaluateSweepPoint(model, options, tech, slice[k],
+                                     cache);
+        } catch (const std::exception &e) {
+            const auto *status = dynamic_cast<const StatusError *>(&e);
+            const StatusCode code =
+                status ? status->status().code() : StatusCode::Internal;
+            if (code == StatusCode::Cancelled ||
+                code == StatusCode::DeadlineExceeded) {
+                out.kind = SweepPointOutcome::Skipped;
+                continue;
+            }
+            if (options.strict)
+                throw;
+            out.kind = SweepPointOutcome::Poisoned;
+            out.error = e.what(); // a StatusError's is its status text
+        }
+        verif::notifyPointCompleted(options.cancel);
     }
     return outcomes;
 }

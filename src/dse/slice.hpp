@@ -1,13 +1,13 @@
 /**
  * @file
  * The sweep decomposed into its order-independent pieces, so one
- * design-point evaluation pipeline serves three callers:
+ * design-point evaluation pipeline serves both places a unit of the
+ * sweep is evaluated:
  *
- *  - explore() (dse/explorer.cpp), the single-process sweep;
- *  - the serve daemon's `sweepUnit` op, which evaluates one
- *    contiguous slice of the fingerprinted task list on behalf of a
- *    remote coordinator;
- *  - the fabric coordinator's local fallback and final merge.
+ *  - a local lane of the sweep driver (dse/driver.hpp), which runs
+ *    explore() and whatever units a lost fabric fleet left;
+ *  - the serve daemon's `sweepUnit` op, which evaluates one unit on
+ *    behalf of a remote lane.
  *
  * The contract that makes distribution safe: enumerateSweepTasks() is
  * a pure function of DseOptions (deterministic order), every task is
@@ -69,6 +69,17 @@ class SweepTaskSpace
  *  like SweepTaskSpace's constructor. */
 std::vector<SweepTask> enumerateSweepTasks(const DseOptions &options);
 
+/** One contiguous slice [begin, end) of the task enumeration, the
+ *  unit a sweep lane claims (dse/lease.hpp). */
+struct WorkUnit
+{
+    int64_t id = -1;
+    int64_t begin = 0;
+    int64_t end = 0;
+
+    int64_t points() const { return end - begin; }
+};
+
 /** Per-design-point evaluation outcome, kept in sweep order so any
  *  parallel or distributed collection is bit-identical to serial.
  *  The one record of a settled point: checkpoints and the fabric's
@@ -103,26 +114,15 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      MappingCache &cache);
 
 /**
- * Evaluate task @p index (its absolute sweep index) under the sweep's
- * fault policy, the one explore() and evaluateSweepSlice() share so a
- * slice evaluated remotely merges without translation.  The point
- * first passes through verif::injectPointFault.  A Cancelled or
- * DeadlineExceeded error marks it Skipped; any other error is
- * rethrown under options.strict and otherwise quarantines the point
- * as Poisoned with its status text.
- */
-SweepPointOutcome evaluateSweepPointGuarded(const Model &model,
-                                            const DseOptions &options,
-                                            const TechnologyModel &tech,
-                                            const SweepTask &task,
-                                            int64_t index,
-                                            MappingCache &cache);
-
-/**
  * Evaluate a contiguous slice of the sweep serially: @p slice holds
  * tasks [begin, begin + slice.size()), and slot k of the result holds
- * task begin + k's outcome, under evaluateSweepPointGuarded().  A
- * fired options.cancel marks the remaining slots Skipped.
+ * task begin + k's outcome, under the sweep's fault policy, so a
+ * slice evaluated remotely merges without translation.  Each point
+ * first passes through verif::injectPointFault with its absolute
+ * sweep index.  A Cancelled or DeadlineExceeded error marks it
+ * Skipped; any other error is rethrown under options.strict and
+ * otherwise quarantines the point as Poisoned with its status text.
+ * A fired options.cancel marks the remaining slots Skipped.
  */
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,

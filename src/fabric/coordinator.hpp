@@ -1,17 +1,15 @@
 /**
  * @file
- * The distributed sweep coordinator: the fault-tolerant counterpart of
- * explore() (dse/explorer.hpp) that shards the fingerprinted design
- * space across `nn-baton serve` workers instead of local threads.
+ * The distributed sweep coordinator: the sweep driver
+ * (dse/driver.hpp) with one remote lane per `nn-baton serve` worker.
  *
- * The determinism contract is inherited from dse/slice.hpp: the
- * coordinator enumerates the same task list as a local sweep, leases
- * contiguous units of it to workers (fabric/lease.hpp), validates
- * every response against the sweep and technology fingerprints
- * (fabric/wire.hpp), and folds the completed outcome vector with the
- * same collectSweepOutcomes() a local sweep uses — so the merged
- * report is bit-identical to a single-process run no matter how units
- * were scattered, retried, stolen or re-evaluated.
+ * The determinism contract is the driver's: the coordinator leases
+ * contiguous units of the same task enumeration a local sweep walks,
+ * validates every response against the sweep and technology
+ * fingerprints (fabric/wire.hpp), and settles it through the same
+ * first-completion-wins path a local lane uses — so the merged report
+ * is bit-identical to a single-process run no matter how units were
+ * scattered, retried, stolen or re-evaluated.
  *
  * Fault tolerance, by layer:
  *
@@ -20,10 +18,9 @@
  *    exponential backoff, and quarantines misbehaving endpoints;
  *  - per-unit: leases expire and units are re-issued to other
  *    workers (work stealing), first completion wins;
- *  - per-sweep: when every worker is quarantined the remaining units
- *    degrade to local in-process evaluation, and the coordinator's
- *    checkpoint (same format as --checkpoint, interchangeable with a
- *    local sweep's) lets a killed coordinator resume mid-sweep.
+ *  - per-sweep: once every worker is quarantined the driver's local
+ *    lanes evaluate the remaining units, and the checkpoint (the same
+ *    file a local sweep writes) lets a killed coordinator resume.
  */
 
 #ifndef NNBATON_FABRIC_COORDINATOR_HPP
@@ -76,11 +73,13 @@ struct FabricStats
 
 /**
  * Run the pre-design sweep for @p model distributed across
- * @p fabric.workers.  Honours the same DseOptions resilience surface
- * as explore(): checkpointPath / resumePath (same file format — the
- * two are interchangeable), cancel, strict (local fallback only;
- * remote workers always quarantine poisoned points).  Throws
- * StatusError like explore() does for unusable inputs.
+ * @p fabric.workers.  Honours the same DseOptions surface as
+ * explore(): checkpointPath / resumePath (same file format — the two
+ * are interchangeable), cancel, progressSeconds, and threads and
+ * strict for the local lanes (remote workers always quarantine
+ * poisoned points).  Throws StatusError like explore() does for
+ * unusable inputs, and INVALID_ARGUMENT for an effort the workers
+ * cannot rebuild.
  */
 DseResult coordinateSweep(const Model &model, const DseOptions &options,
                           const TechnologyModel &tech,

@@ -28,15 +28,7 @@
 namespace nnbaton {
 namespace fabric {
 
-/** One leased slice [begin, end) of the canonical task enumeration. */
-struct WorkUnit
-{
-    int64_t id = -1;
-    int64_t begin = 0;
-    int64_t end = 0;
-
-    int64_t points() const { return end - begin; }
-};
+using nnbaton::WorkUnit; // dse/slice.hpp
 
 /** The fixed %016llx rendering of TechnologyModel::fingerprint(). */
 std::string techFingerprintHex(const TechnologyModel &tech);

@@ -71,7 +71,6 @@ class WorkerClient
   public:
     WorkerClient(std::string endpoint, WorkerPolicy policy);
 
-    const std::string &endpoint() const { return endpoint_; }
     bool quarantined() const { return quarantined_; }
     int64_t retries() const { return retries_; }
 

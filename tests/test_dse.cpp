@@ -8,8 +8,8 @@
 #include "expect_status.hpp"
 
 #include "common/util.hpp"
+#include "dse/driver.hpp"
 #include "dse/explorer.hpp"
-#include "dse/progress.hpp"
 #include "dse/slice.hpp"
 #include "dse/space.hpp"
 #include "nn/model.hpp"

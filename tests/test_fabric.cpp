@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,12 +37,14 @@
 #include "common/backoff.hpp"
 #include "common/cancel.hpp"
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "common/net.hpp"
+#include "common/trace.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
+#include "dse/lease.hpp"
 #include "dse/slice.hpp"
 #include "fabric/coordinator.hpp"
-#include "fabric/lease.hpp"
 #include "fabric/wire.hpp"
 #include "nn/parser.hpp"
 #include "serve/protocol.hpp"
@@ -154,6 +157,18 @@ struct Fleet
         }
     }
 };
+
+/** dse.design_point spans traced so far, per trace thread id. */
+std::map<uint32_t, int64_t>
+designPointSpansPerThread()
+{
+    std::map<uint32_t, int64_t> spans;
+    for (const obs::TraceEvent &e : obs::snapshotTrace()) {
+        if (std::string(e.name) == "dse.design_point")
+            ++spans[e.tid];
+    }
+    return spans;
+}
 
 std::string
 uniqueTempFile(const char *tag)
@@ -850,6 +865,36 @@ TEST(Fabric, DistributedSweepMatchesSerialBitForBit)
     EXPECT_EQ(stats.workersQuarantined, 0);
 }
 
+/**
+ * A distributed sweep runs the local sweep's driver: its --progress
+ * heartbeat reports every point and it publishes the dse.points.*
+ * counters.  The coordinator used to do neither.
+ */
+TEST(Fabric, DistributedSweepReportsProgressAndPointCounters)
+{
+    const std::string &serial = serialBaseline();
+    Fleet fleet(3);
+    FabricOptions fab;
+    fab.workers = fleet.endpoints;
+    fab.unitPoints = 2;
+    DseOptions opt = sweepOptions();
+    opt.progressSeconds = 0.01;
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    reg.gauge("dse.progress.done").set(0.0);
+    reg.gauge("dse.progress.total").set(0.0);
+    const int64_t sweptBefore = reg.counter("dse.points.swept").value();
+    const DseResult r =
+        coordinateSweep(tinyModel(), opt, defaultTech(), fab, nullptr);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(leanPreBytes(r), serial);
+    EXPECT_DOUBLE_EQ(reg.gauge("dse.progress.done").value(),
+                     static_cast<double>(r.swept));
+    EXPECT_DOUBLE_EQ(reg.gauge("dse.progress.total").value(),
+                     static_cast<double>(r.swept));
+    EXPECT_EQ(reg.counter("dse.points.swept").value() - sweptBefore,
+              r.swept);
+}
+
 TEST(Fabric, CancelledSweepMarksRemainingSkipped)
 {
     CancelToken token;
@@ -1146,6 +1191,53 @@ TEST(Chaos, EveryWorkerLostFallsBackToLocalEvaluation)
     EXPECT_EQ(stats.workersQuarantined, 2);
     EXPECT_EQ(stats.unitsCompleted, 0);
     EXPECT_EQ(stats.localFallbackUnits, stats.units);
+}
+
+/**
+ * A lost fleet's units go to DseOptions::threads local lanes, not to
+ * one: with four lanes and one-point units, more than one thread
+ * evaluates design points, and the export is still the serial
+ * sweep's.  DarkNet-19 makes the sweep long enough (about 0.2 s on
+ * one lane) that every lane is running well before the table drains.
+ */
+TEST(Chaos, LostFleetFallsBackOnEveryLane)
+{
+    const Model model = makeZooModel("darknet19", 224);
+    DseOptions opt = sweepOptions();
+    opt.totalMacs = 1024;
+    const std::string serial =
+        leanPreBytes(explore(model, opt, defaultTech()));
+
+    FabricOptions fab;
+    fab.workers = {"127.0.0.1:1"}; // nothing listens
+    fab.worker.maxFailures = 1;
+    fab.worker.connectTimeoutSeconds = 1.0;
+    fab.worker.backoff.initialDelayMs = 1;
+    fab.unitPoints = 1;
+    opt.threads = 4;
+    FabricStats stats;
+    const std::map<uint32_t, int64_t> before = designPointSpansPerThread();
+    obs::setTracingEnabled(true);
+    const DseResult r =
+        coordinateSweep(model, opt, defaultTech(), fab, &stats);
+    obs::setTracingEnabled(false);
+    const std::map<uint32_t, int64_t> after = designPointSpansPerThread();
+
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(leanPreBytes(r), serial);
+    EXPECT_EQ(stats.workersQuarantined, 1);
+    EXPECT_EQ(stats.units, r.swept);
+    EXPECT_EQ(stats.localFallbackUnits, stats.units);
+    int64_t spans = 0;
+    int lanes = 0;
+    for (const auto &[tid, count] : after) {
+        const auto was = before.find(tid);
+        const int64_t grew = count - (was == before.end() ? 0 : was->second);
+        spans += grew;
+        lanes += grew > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(spans, r.swept);
+    EXPECT_GT(lanes, 1);
 }
 
 TEST(Chaos, LocalPartialCheckpointResumesDistributed)

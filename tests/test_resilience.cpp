@@ -21,8 +21,10 @@
 #include "common/cancel.hpp"
 #include "common/metrics.hpp"
 #include "common/status.hpp"
+#include "common/trace.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
+#include "dse/slice.hpp"
 #include "mapper/cache.hpp"
 #include "nn/model.hpp"
 #include "tech/technology.hpp"
@@ -217,6 +219,47 @@ TEST(ResilientSweep, StrictModeRethrows)
     expectStatusThrow(
         [&] { explore(miniModel(), opt, defaultTech()); },
         "injected fault");
+}
+
+/**
+ * --strict stays fail-fast with several lanes: the first point that
+ * throws stops every lane at its next claim, so the others do not
+ * drain the 72,000-point table II sweep before the error surfaces.
+ * A fault at point 0 fires before the other lanes have started; one
+ * at point 1,280, the first of the 41st 32-point unit, fires once
+ * every lane is running.
+ */
+TEST(ResilientSweep, StrictStopsEveryLane)
+{
+    const auto designPointSpans = [] {
+        int64_t n = 0;
+        for (const obs::TraceEvent &e : obs::snapshotTrace())
+            n += std::string(e.name) == "dse.design_point" ? 1 : 0;
+        return n;
+    };
+    DseOptions opt = sweepOptions();
+    opt.proportionalMem = false;
+    opt.effort = sweepEffort(false);
+    opt.threads = 4;
+    opt.strict = true;
+    const int64_t points =
+        static_cast<int64_t>(enumerateSweepTasks(opt).size());
+    ASSERT_GT(points, 10000);
+    for (const int64_t failAt : {int64_t{0}, int64_t{1280}}) {
+        verif::FaultPlan plan;
+        plan.failAtPoint = failAt;
+        ScopedFaultPlan armed(plan);
+        const int64_t before = designPointSpans();
+        obs::setTracingEnabled(true);
+        expectStatusThrow(
+            [&] { explore(miniModel(), opt, defaultTech()); },
+            "injected fault");
+        obs::setTracingEnabled(false);
+        const int64_t evaluated = designPointSpans() - before;
+        EXPECT_LT(10 * evaluated, points)
+            << "fault at " << failAt << ": " << evaluated << " of "
+            << points << " points evaluated";
+    }
 }
 
 TEST(ResilientSweep, SearchBlockFaultIsQuarantinedToo)

@@ -149,7 +149,9 @@ usage()
         "  --anneal-seed <n>     anneal: RNG seed [1]\n"
         "  --anneal-iters <n>    anneal: moves per layer search [400]\n"
         "  --threads <n>         worker threads (1 = serial; results\n"
-        "                        are identical) [hardware concurrency]\n"
+        "                        are identical); with --workers, the\n"
+        "                        local lanes that take over a lost\n"
+        "                        fleet's units [hardware concurrency]\n"
         "  --chiplets/--cores/--lanes/--vector <n>\n"
         "                        post/compare hardware shape\n"
         "  --ol1/--al1/--wl1/--al2 <bytes>\n"
@@ -206,9 +208,10 @@ usage()
         "                        signal dumps the flight recorder\n"
         "                        [serve: <socket>.flight.json]\n"
         "  --format <f>          stats: table, json or prom [table]\n"
-        "  --progress[=secs]     pre: log points done/total, rate, ETA\n"
-        "                        and cache/prune rates every period\n"
-        "                        (and as dse.progress.* gauges) [5]\n"
+        "  --progress[=secs]     pre (also with --workers): log points\n"
+        "                        done/total, rate, ETA and cache/prune\n"
+        "                        rates every period (and as\n"
+        "                        dse.progress.* gauges) [5]\n"
         "  --trace <path>        write a Chrome trace-event JSON file\n"
         "                        (open in Perfetto / chrome://tracing)\n"
         "  --metrics             print the metrics table to stderr at\n"
