@@ -11,13 +11,11 @@
  * chiplet count (the figure's colour classes) plus the optimum design
  * per model, then times the same sweep serially and with the parallel
  * engine, verifies the two produce bit-identical results, and writes
- * the timings and search counters to BENCH_dse.json, next to anneal's
- * energy gap and wall-clock against the exhaustive search.
+ * the timings and search counters to BENCH_dse.json.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -157,54 +155,6 @@ identicalResults(const DseResult &a, const DseResult &b)
            a.search.cacheMisses == b.search.cacheMisses;
 }
 
-/** Anneal's quality against its wall-clock (the BENCH_dse.json
- *  "anneal" block): one serial mapModel per mode. */
-struct AnnealBench
-{
-    double exhaustiveSeconds = 0.0;
-    double exhaustiveEnergy = 0.0; //!< pJ
-    double annealSeconds = 0.0;
-    double annealEnergy = 0.0; //!< pJ
-
-    /** Relative energy anneal gives up (>= 0: it never beats the
-     *  optimum). */
-    double energyGap() const
-    {
-        return exhaustiveEnergy > 0.0
-                   ? annealEnergy / exhaustiveEnergy - 1.0
-                   : 0.0;
-    }
-};
-
-/**
- * DarkNet-19@224 mapped once at Exhaustive effort on the case-study
- * hardware (what `post` runs), by the exhaustive search and by anneal
- * at its defaults (seed 1, 400 moves per layer search).
- */
-AnnealBench
-benchAnneal()
-{
-    const Model model = makeDarkNet19(224);
-    const auto run = [&](SearchMode mode, double &seconds,
-                         double &energy) {
-        SearchOptions search;
-        search.mode = mode;
-        const auto t0 = std::chrono::steady_clock::now();
-        const ModelMappingResult r =
-            mapModel(model, caseStudyConfig(), defaultTech(),
-                     SearchEffort::Exhaustive, Objective::MinEnergy,
-                     search);
-        seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-        energy = r.cost.energy.total();
-    };
-    AnnealBench r;
-    run(SearchMode::Exhaustive, r.exhaustiveSeconds, r.exhaustiveEnergy);
-    run(SearchMode::Anneal, r.annealSeconds, r.annealEnergy);
-    return r;
-}
-
 /**
  * Serial-vs-parallel timing on the DarkNet@224 sweep (the smallest of
  * the three), with the determinism cross-check the parallel engine
@@ -215,12 +165,6 @@ benchSweep(int threads)
 {
     const Model model = makeDarkNet19(224);
     DseOptions opt = figureOptions();
-
-    // The anneal comparison runs first: its passes are fractions of a
-    // second, so measuring them after minutes of all-core sweeps would
-    // fold whatever load the machine has accumulated by then into the
-    // signal.  Both passes still share identical conditions.
-    const AnnealBench anneal = benchAnneal();
 
     // The timed serial and parallel sweeps run with tracing disabled
     // (its cost there is one relaxed load per span site), keeping the
@@ -263,13 +207,6 @@ benchSweep(int threads)
                 traced.elapsedSeconds, 100.0 * trace_overhead);
     std::printf("results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
-    std::printf("\n=== anneal vs exhaustive (darknet19@224, one serial "
-                "mapModel, Exhaustive effort) ===\n");
-    std::printf("exhaustive: %.3f s, %.4f mJ\n", anneal.exhaustiveSeconds,
-                anneal.exhaustiveEnergy * 1e-9);
-    std::printf("anneal:     %.3f s, %.4f mJ (energy gap %+.2f%%)\n",
-                anneal.annealSeconds, anneal.annealEnergy * 1e-9,
-                100.0 * anneal.energyGap());
 
     std::printf("%s", obs::formatProfile(profile).c_str());
 
@@ -298,20 +235,6 @@ benchSweep(int threads)
     j.field("cache_hits", serial.search.cacheHits);
     j.field("cache_misses", serial.search.cacheMisses);
     j.field("cache_entries", serial.cacheEntries);
-    j.endObject();
-    j.key("anneal").beginObject();
-    j.field("model", "darknet19@224");
-    j.key("exhaustive").beginObject();
-    j.field("seconds", anneal.exhaustiveSeconds);
-    j.field("energy_mj", anneal.exhaustiveEnergy * 1e-9);
-    j.endObject();
-    j.key("anneal").beginObject();
-    j.field("seconds", anneal.annealSeconds);
-    j.field("energy_mj", anneal.annealEnergy * 1e-9);
-    j.field("seed", static_cast<int64_t>(SearchOptions{}.annealSeed));
-    j.field("iterations", SearchOptions{}.annealIterations);
-    j.endObject();
-    j.field("energy_gap", anneal.energyGap());
     j.endObject();
     j.key("profile");
     obs::writeProfileJson(j, profile);

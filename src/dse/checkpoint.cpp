@@ -375,28 +375,21 @@ textDigest(const std::string &text)
     return h;
 }
 
-/** The options part of a fingerprint, ending "|mode|seed", plus
- *  "|moves" under Anneal.  The anneal seed and move budget only
- *  matter when that mode is active; keying them unconditionally would
- *  reject resumes between deterministic sweeps that merely carried
- *  different (unused) values.  Anneal checkpoints written before the
- *  budget was keyed therefore no longer match. */
+/** The options part of a fingerprint.  Its "|exhaustive|0" tail is
+ *  the search mode and seed fields of the time when the search had
+ *  modes; it stays, as a literal, so that journals written then,
+ *  legacy name-keyed zoo checkpoints and the "|bnb|0" rewrite in
+ *  loadSweepCheckpoint() still match.  An "|anneal|..." checkpoint
+ *  matches nothing and is refused. */
 std::string
 optionsFingerprint(const DseOptions &options)
 {
-    const bool anneal = options.searchMode == SearchMode::Anneal;
-    std::string fp = strprintf(
-        "%lld|%.17g|%d|%d|%d|%s|%llu",
-        static_cast<long long>(options.totalMacs), options.areaLimitMm2,
-        options.proportionalMem ? 1 : 0,
-        static_cast<int>(options.effort),
-        static_cast<int>(options.objective),
-        toString(options.searchMode),
-        anneal ? static_cast<unsigned long long>(options.annealSeed)
-               : 0ull);
-    if (anneal)
-        fp += strprintf("|%d", options.annealIterations);
-    return fp;
+    return strprintf("%lld|%.17g|%d|%d|%d|exhaustive|0",
+                     static_cast<long long>(options.totalMacs),
+                     options.areaLimitMm2,
+                     options.proportionalMem ? 1 : 0,
+                     static_cast<int>(options.effort),
+                     static_cast<int>(options.objective));
 }
 
 /** The fingerprint checkpoints carried before it digested the model

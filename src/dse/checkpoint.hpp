@@ -65,8 +65,8 @@ std::string designPointKey(const ComputeAllocation &compute,
 /** Stable identity of a sweep: the model's name, resolution and a
  *  digest of its writeModelText() form, plus every option that shapes
  *  the space or the scores (threads excluded — results are
- *  thread-count independent).  Ends "|<search mode>|<anneal seed>",
- *  plus "|<anneal moves>" under Anneal. */
+ *  thread-count independent).  Ends "|exhaustive|0", the search
+ *  mode and seed fields of older checkpoints, which still resume. */
 std::string sweepFingerprint(const Model &model,
                              const DseOptions &options);
 
@@ -103,8 +103,8 @@ class CheckpointSink;
  * FAILED_PRECONDITION when the checkpoint belongs to another sweep.
  * A fingerprint from before the model-text digest (keyed by the
  * model's name) is accepted only for an unedited zoo model at batch 1,
- * the one case the name identified; an Anneal fingerprint from before
- * the move budget was keyed is refused.  The sweep driver
+ * the one case the name identified; a checkpoint of the retired
+ * anneal search is refused.  The sweep driver
  * (dse/driver.hpp) calls this for local and distributed sweeps alike.
  */
 int64_t restoreSweepCheckpoint(const std::string &path,

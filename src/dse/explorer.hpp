@@ -66,14 +66,6 @@ struct DseOptions
     /** Score-bound pruning inside the mapping search (sound). */
     bool boundPruning = true;
 
-    /** Per-layer search strategy (docs/search.md); Anneal is
-     *  approximate and seeded. */
-    SearchMode searchMode = SearchMode::Exhaustive;
-
-    /** RNG seed / move budget for SearchMode::Anneal. */
-    uint64_t annealSeed = 1;
-    int annealIterations = 400;
-
     /** Record latency histograms (per design point and per layer
      *  search) into the obs metrics registry (the --metrics CLI
      *  flag).  Observation only: never changes results. */
@@ -121,9 +113,9 @@ struct DseOptions
      * defaults to a private cache scoped to one explore() call; a
      * long-lived caller (the serving daemon) passes its process-wide
      * cache here so tables stay warm across sweeps.  Tables hold no
-     * technology, objective or search-mode state, so sharing them is
-     * safe, and results and work counters do not depend on what the
-     * cache held before.
+     * technology or objective state, so sharing them is safe, and
+     * results and work counters do not depend on what the cache held
+     * before.
      */
     MappingCache *cache = nullptr;
 };

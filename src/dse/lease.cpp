@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hpp"
+
 namespace nnbaton {
 
 namespace {
@@ -16,20 +18,31 @@ LeaseTable::LeaseTable(std::vector<WorkUnit> units, double leaseSeconds)
               leaseSeconds > 0 ? leaseSeconds : 1.0)))
 {
     slots_.reserve(units.size());
-    for (WorkUnit &unit : units)
+    for (WorkUnit &unit : units) {
+        if (unit.id != static_cast<int64_t>(slots_.size())) {
+            panic("lease table: unit %lld at position %zu",
+                  static_cast<long long>(unit.id), slots_.size());
+        }
         slots_.push_back(Slot{unit, State::Pending, {}});
+    }
+}
+
+LeaseTable::Slot *
+LeaseTable::slotOf(int64_t unitId)
+{
+    return unitId >= 0 && unitId < static_cast<int64_t>(slots_.size())
+               ? &slots_[static_cast<size_t>(unitId)]
+               : nullptr;
 }
 
 std::optional<WorkUnit>
 LeaseTable::claimLocked(SteadyClock::time_point now)
 {
-    Slot *pick = nullptr;
-    for (Slot &slot : slots_) {
-        if (slot.state == State::Pending) {
-            pick = &slot;
-            break;
-        }
-    }
+    while (firstPending_ < slots_.size() &&
+           slots_[firstPending_].state != State::Pending)
+        ++firstPending_;
+    Slot *pick = firstPending_ < slots_.size() ? &slots_[firstPending_]
+                                               : nullptr;
     if (pick == nullptr) {
         // No pending work: steal the longest-expired lease, if any
         // (its holder crashed or stalled past the TTL).
@@ -89,12 +102,11 @@ LeaseTable::release(int64_t unitId)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (Slot &slot : slots_) {
-            if (slot.unit.id != unitId)
-                continue;
-            if (slot.state == State::Leased)
-                slot.state = State::Pending;
-            break;
+        Slot *slot = slotOf(unitId);
+        if (slot && slot->state == State::Leased) {
+            slot->state = State::Pending;
+            firstPending_ =
+                std::min(firstPending_, static_cast<size_t>(unitId));
         }
     }
     cv_.notify_all();
@@ -106,17 +118,14 @@ LeaseTable::complete(int64_t unitId)
     bool first = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (Slot &slot : slots_) {
-            if (slot.unit.id != unitId)
-                continue;
-            if (slot.state == State::Done) {
+        if (Slot *slot = slotOf(unitId)) {
+            if (slot->state == State::Done) {
                 ++duplicates_;
             } else {
-                slot.state = State::Done;
+                slot->state = State::Done;
                 ++done_;
                 first = true;
             }
-            break;
         }
     }
     cv_.notify_all();

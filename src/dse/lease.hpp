@@ -37,8 +37,9 @@ namespace nnbaton {
 class LeaseTable
 {
   public:
-    /** @p leaseSeconds is how long a claimed unit stays exclusively
-     *  leased before it becomes claimable again. */
+    /** @p units are numbered by position (units[i].id == i), so an id
+     *  names its slot.  @p leaseSeconds is how long a claimed unit
+     *  stays exclusively leased before it becomes claimable again. */
     LeaseTable(std::vector<WorkUnit> units, double leaseSeconds);
 
     /**
@@ -105,9 +106,16 @@ class LeaseTable
         std::chrono::steady_clock::time_point leaseDeadline{};
     };
 
+    /** The slot of @p unitId, or null for an id not in the table.
+     *  Caller holds mutex_. */
+    Slot *slotOf(int64_t unitId);
+
     mutable std::mutex mutex_;
     mutable std::condition_variable cv_;
-    std::vector<Slot> slots_;
+    std::vector<Slot> slots_; //!< slots_[id] holds unit id
+    /** No slot before this one is Pending, so a claim never rescans
+     *  the claimed prefix; release() moves it back. */
+    size_t firstPending_ = 0;
     const std::chrono::steady_clock::duration leaseTtl_;
     int64_t done_ = 0;
     int64_t leasesExpired_ = 0;

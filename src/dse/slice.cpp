@@ -83,9 +83,6 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     SearchOptions search;
     search.threads = 1; // point-level parallelism only (nested-free)
     search.boundPruning = options.boundPruning;
-    search.mode = options.searchMode;
-    search.annealSeed = options.annealSeed;
-    search.annealIterations = options.annealIterations;
     search.detailedMetrics = options.detailedMetrics;
     search.cancel = options.cancel;
     const uint64_t t0 = options.detailedMetrics ? obs::traceNowNs() : 0;

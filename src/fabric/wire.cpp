@@ -54,14 +54,6 @@ statInt(const JsonValue &stats, const char *name)
 } // namespace
 
 std::string
-techFingerprintHex(const TechnologyModel &tech)
-{
-    return strprintf(
-        "%016llx",
-        static_cast<unsigned long long>(tech.fingerprint()));
-}
-
-std::string
 encodeSweepUnitRequest(const std::string &modelText,
                        const DseOptions &options,
                        const TechnologyModel &tech,
@@ -81,13 +73,6 @@ encodeSweepUnitRequest(const std::string &modelText,
     j.field("objective", options.objective == Objective::MinEdp
                              ? "edp"
                              : "energy");
-    j.field("search", nnbaton::toString(options.searchMode));
-    if (options.searchMode == SearchMode::Anneal) {
-        j.field("annealSeed",
-                static_cast<int64_t>(options.annealSeed));
-        j.field("annealIterations",
-                static_cast<int64_t>(options.annealIterations));
-    }
     // Every technology parameter travels so the worker scores under
     // the coordinator's exact model and reproduces its fingerprint.
     j.key("tech").beginObject();

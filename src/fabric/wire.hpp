@@ -28,10 +28,8 @@
 namespace nnbaton {
 namespace fabric {
 
-using nnbaton::WorkUnit; // dse/slice.hpp
-
-/** The fixed %016llx rendering of TechnologyModel::fingerprint(). */
-std::string techFingerprintHex(const TechnologyModel &tech);
+using nnbaton::WorkUnit;           // dse/slice.hpp
+using nnbaton::techFingerprintHex; // tech/technology.hpp
 
 /**
  * Encode the sweepUnit request line for @p unit.  @p modelText is the

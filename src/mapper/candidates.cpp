@@ -1,6 +1,7 @@
 #include "mapper/candidates.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "common/util.hpp"
@@ -21,9 +22,9 @@ struct Skeleton
 
 std::vector<Skeleton>
 enumerateSkeletons(const ConvLayer &layer, const AcceleratorConfig &cfg,
-                   SearchEffort effort, bool has_pkg_filter,
-                   PackagePartition pkg_filter, bool has_chip_filter,
-                   ChipletPartition chip_filter)
+                   SearchEffort effort,
+                   std::optional<PackagePartition> pkg_filter,
+                   std::optional<ChipletPartition> chip_filter)
 {
     const int np = cfg.package.chiplets;
     const int nc = cfg.chiplet.cores;
@@ -35,10 +36,10 @@ enumerateSkeletons(const ConvLayer &layer, const AcceleratorConfig &cfg,
         PlanarSplit split;
     };
     std::vector<PkgOpt> pkg_opts;
-    if (!has_pkg_filter || pkg_filter == PackagePartition::Channel)
+    if (!pkg_filter || *pkg_filter == PackagePartition::Channel)
         pkg_opts.push_back({PackagePartition::Channel, {1, 1}});
-    if (np > 1 && (!has_pkg_filter ||
-                   pkg_filter == PackagePartition::Plane)) {
+    if (np > 1 &&
+        (!pkg_filter || *pkg_filter == PackagePartition::Plane)) {
         auto splits = enumerateSplits(np, layer.ho, layer.wo);
         const size_t keep =
             effort == SearchEffort::Exhaustive ? splits.size()
@@ -59,7 +60,7 @@ enumerateSkeletons(const ConvLayer &layer, const AcceleratorConfig &cfg,
     };
     std::vector<ChipOpt> chip_opts;
     auto want_chip = [&](ChipletPartition c) {
-        return !has_chip_filter || chip_filter == c;
+        return !chip_filter || *chip_filter == c;
     };
     if (want_chip(ChipletPartition::Channel))
         chip_opts.push_back({ChipletPartition::Channel, nc, {1, 1}});
@@ -169,139 +170,75 @@ coreTilePlanes(const ConvLayer &layer, const AcceleratorConfig &cfg,
     return out;
 }
 
-/** The two loop orders in grid-index order (index 0 and 1). */
+/** The two loop orders, channel priority first. */
 constexpr LoopOrder kOrders[] = {LoopOrder::ChannelPriority,
                                  LoopOrder::PlanePriority};
 
-std::vector<CandidateSpace::Subtree>
-buildSubtrees(const ConvLayer &layer, const AcceleratorConfig &cfg,
-              SearchEffort effort, bool has_pkg, PackagePartition pkg,
-              bool has_chip, ChipletPartition chip)
-{
-    std::vector<CandidateSpace::Subtree> out;
-    const auto skeletons = enumerateSkeletons(layer, cfg, effort,
-                                              has_pkg, pkg, has_chip,
-                                              chip);
-    const auto planes = coreTilePlanes(layer, cfg, effort);
-    int64_t ordinal = 0;
-    for (const auto &sk : skeletons) {
-        // Macro workload per chiplet under this package split.
-        const int macro_ho =
-            sk.pkg == PackagePartition::Plane
-                ? static_cast<int>(ceilDiv(layer.ho, sk.pkgSplit.fh))
-                : layer.ho;
-        const int macro_wo =
-            sk.pkg == PackagePartition::Plane
-                ? static_cast<int>(ceilDiv(layer.wo, sk.pkgSplit.fw))
-                : layer.wo;
-        const int macro_co =
-            sk.pkg == PackagePartition::Channel
-                ? static_cast<int>(ceilDiv(layer.co,
-                                           cfg.package.chiplets))
-                : layer.co;
-        for (auto [hoc, woc] : planes) {
-            CandidateSpace::Subtree st;
-            st.pkg = sk.pkg;
-            st.pkgSplit = sk.pkgSplit;
-            st.chip = sk.chip;
-            st.cw = sk.cw;
-            st.chipSplit = sk.chipSplit;
-            st.hoC = hoc;
-            st.woC = woc;
-            st.macro = {macro_ho, macro_wo, macro_co};
-            // Chiplet tiles grow from the core split in power-of-two
-            // steps along the plane and in lane multiples along CO.
-            st.baseH = hoc * sk.chipSplit.fh;
-            st.baseW = woc * sk.chipSplit.fw;
-            st.baseC = cfg.core.lanes * sk.cw;
-            st.ladderH =
-                pow2Ladder(std::max(1, macro_ho / st.baseH), effort);
-            st.ladderW =
-                pow2Ladder(std::max(1, macro_wo / st.baseW), effort);
-            st.ladderC =
-                pow2Ladder(std::max(1, macro_co / st.baseC), effort);
-            st.firstOrdinal = ordinal;
-            ordinal += st.gridLeaves();
-            out.push_back(std::move(st));
-        }
-    }
-    return out;
-}
-
-} // namespace
-
-CandidateSpace::CandidateSpace(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               SearchEffort effort)
-    : layer_(layer), cfg_(cfg),
-      subtrees_(buildSubtrees(layer, cfg, effort, false,
-                              PackagePartition::Channel, false,
-                              ChipletPartition::Channel))
-{
-}
-
-CandidateSpace::CandidateSpace(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               SearchEffort effort, PackagePartition pkg,
-                               ChipletPartition chip)
-    : layer_(layer), cfg_(cfg),
-      subtrees_(
-          buildSubtrees(layer, cfg, effort, true, pkg, true, chip))
-{
-}
-
-std::optional<CandidateSpace::Leaf>
-CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
-                         size_t order) const
-{
-    const Subtree &st = subtrees_[i];
-    Mapping m;
-    m.pkgSpatial = st.pkg;
-    m.pkgSplit = st.pkgSplit;
-    m.chipSpatial = st.chip;
-    m.chipChannelWays = st.cw;
-    m.chipSplit = st.chipSplit;
-    m.chipletTile = {
-        std::min(st.baseH * st.ladderH[ih], st.macro.ho),
-        std::min(st.baseW * st.ladderW[iw], st.macro.wo),
-        std::min(st.baseC * st.ladderC[ic], st.macro.co)};
-    m.hoC = st.hoC;
-    m.woC = st.woC;
-    m.pkgOrder = kOrders[order / 2];
-    m.chipOrder = kOrders[order % 2];
-    MappingShapes sh;
-    if (!checkMapping(layer_, cfg_, m, sh).empty())
-        return std::nullopt;
-    Leaf leaf;
-    leaf.mapping = m;
-    leaf.ordinal =
-        st.firstOrdinal +
-        static_cast<int64_t>(
-            ((ih * st.ladderW.size() + iw) * st.ladderC.size() + ic) *
-                4 +
-            order);
-    leaf.fullLane = sh.coreMacro.co >= cfg_.core.lanes;
-    return leaf;
-}
-
-namespace {
-
-/** Every legal leaf of @p space in ascending ordinal order, reduced to
- *  the full-lane class when the layer has any full-lane leaf. */
+/** enumerateCandidates(), kept to the given package and chiplet
+ *  partition primitives when they are set. */
 std::vector<Mapping>
-collectFromSpace(const CandidateSpace &space)
+collectCandidates(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                  SearchEffort effort,
+                  std::optional<PackagePartition> pkg_filter,
+                  std::optional<ChipletPartition> chip_filter)
 {
     std::vector<Mapping> full, degraded;
-    for (size_t i = 0; i < space.size(); ++i) {
-        const CandidateSpace::Subtree &st = space.subtree(i);
-        for (size_t ih = 0; ih < st.ladderH.size(); ++ih) {
-            for (size_t iw = 0; iw < st.ladderW.size(); ++iw) {
-                for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
-                    for (size_t order = 0; order < 4; ++order) {
-                        if (auto leaf = space.makeLeaf(i, ih, iw, ic,
-                                                       order)) {
-                            (leaf->fullLane ? full : degraded)
-                                .push_back(leaf->mapping);
+    const auto skeletons = enumerateSkeletons(layer, cfg, effort,
+                                              pkg_filter, chip_filter);
+    const auto planes = coreTilePlanes(layer, cfg, effort);
+    for (const auto &sk : skeletons) {
+        // Macro workload per chiplet under this package split.
+        const WorkShape macro{
+            sk.pkg == PackagePartition::Plane
+                ? static_cast<int>(ceilDiv(layer.ho, sk.pkgSplit.fh))
+                : layer.ho,
+            sk.pkg == PackagePartition::Plane
+                ? static_cast<int>(ceilDiv(layer.wo, sk.pkgSplit.fw))
+                : layer.wo,
+            sk.pkg == PackagePartition::Channel
+                ? static_cast<int>(
+                      ceilDiv(layer.co, cfg.package.chiplets))
+                : layer.co};
+        for (auto [hoc, woc] : planes) {
+            // Chiplet tiles grow from the core split in power-of-two
+            // steps along the plane and in lane multiples along CO:
+            // tile = min(base * rung, macro).
+            const int base_h = hoc * sk.chipSplit.fh;
+            const int base_w = woc * sk.chipSplit.fw;
+            const int base_c = cfg.core.lanes * sk.cw;
+            const auto ladder_h =
+                pow2Ladder(std::max(1, macro.ho / base_h), effort);
+            const auto ladder_w =
+                pow2Ladder(std::max(1, macro.wo / base_w), effort);
+            const auto ladder_c =
+                pow2Ladder(std::max(1, macro.co / base_c), effort);
+            Mapping m;
+            m.pkgSpatial = sk.pkg;
+            m.pkgSplit = sk.pkgSplit;
+            m.chipSpatial = sk.chip;
+            m.chipChannelWays = sk.cw;
+            m.chipSplit = sk.chipSplit;
+            m.hoC = hoc;
+            m.woC = woc;
+            for (int rh : ladder_h) {
+                for (int rw : ladder_w) {
+                    for (int rc : ladder_c) {
+                        m.chipletTile = {std::min(base_h * rh, macro.ho),
+                                         std::min(base_w * rw, macro.wo),
+                                         std::min(base_c * rc, macro.co)};
+                        for (LoopOrder pkg_order : kOrders) {
+                            for (LoopOrder chip_order : kOrders) {
+                                m.pkgOrder = pkg_order;
+                                m.chipOrder = chip_order;
+                                MappingShapes sh;
+                                if (!checkMapping(layer, cfg, m, sh)
+                                         .empty())
+                                    continue;
+                                (sh.coreMacro.co >= cfg.core.lanes
+                                     ? full
+                                     : degraded)
+                                    .push_back(m);
+                            }
                         }
                     }
                 }
@@ -319,7 +256,8 @@ std::vector<Mapping>
 enumerateCandidates(const ConvLayer &layer, const AcceleratorConfig &cfg,
                     SearchEffort effort)
 {
-    return collectFromSpace(CandidateSpace(layer, cfg, effort));
+    return collectCandidates(layer, cfg, effort, std::nullopt,
+                             std::nullopt);
 }
 
 std::vector<Mapping>
@@ -327,8 +265,7 @@ enumerateCandidatesFor(const ConvLayer &layer,
                        const AcceleratorConfig &cfg, SearchEffort effort,
                        PackagePartition pkg, ChipletPartition chip)
 {
-    return collectFromSpace(
-        CandidateSpace(layer, cfg, effort, pkg, chip));
+    return collectCandidates(layer, cfg, effort, pkg, chip);
 }
 
 } // namespace nnbaton

@@ -12,24 +12,11 @@
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
-#include "mapper/anneal.hpp"
 #include "mapper/bound.hpp"
 #include "mapper/cache.hpp"
 #include "verif/fault.hpp"
 
 namespace nnbaton {
-
-const char *
-toString(SearchMode mode)
-{
-    switch (mode) {
-      case SearchMode::Exhaustive:
-        return "exhaustive";
-      case SearchMode::Anneal:
-        return "anneal";
-    }
-    panic("bad SearchMode");
-}
 
 MappingChoice
 evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
@@ -290,9 +277,8 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
 }
 
 /**
- * Strategy dispatch for one layer search.  @p table (Exhaustive only)
- * is the cache's memory-axis view for this search, or null to
- * enumerate.
+ * One layer search.  @p table is the cache's memory-axis view for
+ * this search, or null to enumerate the candidates.
  */
 std::optional<MappingChoice>
 runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
@@ -301,23 +287,13 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
                ThreadPool *pool, SearchStats *stats,
                const MemoryAxisTable::View *table)
 {
-    switch (search.mode) {
-      case SearchMode::Exhaustive: {
-        std::vector<Mapping> candidates;
-        if (!table) {
-            NNBATON_TRACE_SCOPE("mapper.candidates");
-            candidates = enumerateCandidates(layer, cfg, effort);
-        }
-        return pickBest(layer, cfg, tech, candidates, table, objective,
-                        search, pool, stats);
-      }
-      case SearchMode::Anneal: {
-        const CandidateSpace space(layer, cfg, effort);
-        return searchAnneal(layer, cfg, tech, space, objective, search,
-                            stats);
-      }
+    std::vector<Mapping> candidates;
+    if (!table) {
+        NNBATON_TRACE_SCOPE("mapper.candidates");
+        candidates = enumerateCandidates(layer, cfg, effort);
     }
-    panic("bad SearchMode");
+    return pickBest(layer, cfg, tech, candidates, table, objective,
+                    search, pool, stats);
 }
 
 } // namespace
@@ -411,10 +387,10 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
             m_hits.add();
         } else {
             // From the second search of this (shape, geometry,
-            // effort) in the caller's cache on, an exhaustive search
-            // reads its candidates and fills from a memory-axis table.
+            // effort) in the caller's cache on, the search reads its
+            // candidates and fills from a memory-axis table.
             std::shared_ptr<const MemoryAxisTable::View> table;
-            if (cache && search.mode == SearchMode::Exhaustive)
+            if (cache)
                 table = cache->tableView(layer, cfg, effort);
             memo.emplace_back(
                 key, runLayerSearch(layer, cfg, tech, effort, objective,

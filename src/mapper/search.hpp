@@ -37,22 +37,6 @@ enum class Objective
 };
 
 /**
- * Search strategy over the candidate grid (docs/search.md).
- * Exhaustive is the reference; Anneal is an opt-in stochastic mode
- * whose result depends on SearchOptions::annealSeed.  The retired
- * "bnb" name parses to Exhaustive, which returns the winners bnb was
- * required to match bit for bit.
- */
-enum class SearchMode
-{
-    Exhaustive, //!< flat enumerate-then-evaluate with per-candidate
-                //!< bound pruning (the default)
-    Anneal,     //!< seeded simulated annealing; approximate
-};
-
-const char *toString(SearchMode mode);
-
-/**
  * Work counters for the mapping search.  All counters are
  * deterministic: pruning decisions are made at fixed block boundaries
  * independent of the thread count, a memory-axis table returns the
@@ -89,18 +73,6 @@ struct SearchOptions
      *  bound.hpp) cannot beat the incumbent.  Sound: never changes
      *  the selected mapping. */
     bool boundPruning = true;
-
-    /** Search strategy (docs/search.md); Anneal is approximate and
-     *  seeded. */
-    SearchMode mode = SearchMode::Exhaustive;
-
-    /** RNG seed for SearchMode::Anneal; the per-layer RNG mixes this
-     *  with the layer/config fingerprint so equal seeds reproduce
-     *  equal results. */
-    uint64_t annealSeed = 1;
-
-    /** Annealing move budget per layer search. */
-    int annealIterations = 400;
 
     /** Record latency histograms (per-layer search time) into the
      *  obs metrics registry (the --metrics CLI flag).  Observation
@@ -201,7 +173,7 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
 
 /**
  * mapModel() with explicit execution options.  When @p cache is
- * non-null, exhaustive searches draw their candidates from its
+ * non-null, the searches draw their candidates from its
  * memory-axis tables (thread-safe, shared across design points), so
  * a shape searched again at another memory allocation of the same
  * compute geometry skips enumeration — the DSE sweep's dominant

@@ -200,7 +200,6 @@ parseRequest(const std::string &line)
         member("modelText", req.modelText);
         member("resolution", req.resolution);
         member("batch", req.batch);
-        member("annealIterations", req.annealIterations);
         member("deadlineSeconds", req.deadlineSeconds);
         member("progressSeconds", req.progressSeconds);
         member("macs", req.macs);
@@ -231,27 +230,19 @@ parseRequest(const std::string &line)
             }
             req.edpObjective = value.string == "edp";
         } else if (key == "search") {
+            // Exhaustive is the only search.  "bnb" names the retired
+            // branch-and-bound mode, whose winners were exhaustive
+            // search's bit for bit; anneal's were not, so it is no
+            // alias.
             if (!value.isString()) {
                 return errInvalidArgument(
                     "'search' must be a string");
             }
-            // "bnb" is the retired branch-and-bound mode, whose
-            // winners were exhaustive search's bit for bit.
-            if (value.string == "exhaustive" || value.string == "bnb") {
-                req.searchMode = SearchMode::Exhaustive;
-            } else if (value.string == "anneal") {
-                req.searchMode = SearchMode::Anneal;
-            } else {
+            if (value.string != "exhaustive" && value.string != "bnb") {
                 return errInvalidArgument(
-                    "'search' must be \"exhaustive\" or \"anneal\", "
-                    "got '%s'",
+                    "'search' must be \"exhaustive\", got '%s'",
                     value.string.c_str());
             }
-        } else if (key == "annealSeed") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.annealSeed = static_cast<uint64_t>(n.value());
         } else if (key == "proportional") {
             if (!value.isBool()) {
                 return errInvalidArgument(

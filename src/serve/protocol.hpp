@@ -33,9 +33,8 @@
  *              "al2Bytes":65536},   // post: hardware overrides
  *    "tech":{"macEnergyPerOp":0.024,...}, // forEachTechParameter()
  *    "objective":"energy" | "edp",
- *    "search":"exhaustive" | "anneal",  // docs/search.md; "bnb"
- *                                       // is read as "exhaustive"
- *    "annealSeed":1,"annealIterations":400,     // anneal only
+ *    "search":"exhaustive",         // the one search (docs/search.md);
+ *                                   // "bnb" is read as "exhaustive"
  *    "deadlineSeconds":30,          // per-request budget
  *    "macs":2048,"areaMm2":3.0,"proportional":false,  // pre only
  *    "progressSeconds":5,           // pre: heartbeat to daemon stderr
@@ -112,12 +111,6 @@ struct ServeRequest
     bool proportional = false;
 
     bool edpObjective = false;
-
-    // Mapping-search strategy ("search" / "annealSeed" /
-    // "annealIterations" members; docs/search.md).
-    SearchMode searchMode = SearchMode::Exhaustive;
-    uint64_t annealSeed = 1;
-    int annealIterations = 400;
 
     double deadlineSeconds = 0.0; //!< <= 0: server default applies
 

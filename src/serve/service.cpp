@@ -112,9 +112,6 @@ sweepRequestOptions(const ServeRequest &req)
     opt.effort = sweepEffort(req.proportional);
     opt.objective = req.edpObjective ? Objective::MinEdp
                                      : Objective::MinEnergy;
-    opt.searchMode = req.searchMode;
-    opt.annealSeed = req.annealSeed;
-    opt.annealIterations = req.annealIterations;
     opt.threads = 1; // concurrency lives across requests
     opt.progressSeconds = req.progressSeconds;
     return opt;
@@ -311,9 +308,6 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
     SearchOptions search;
     search.threads = 1; // concurrency lives across requests
     search.cancel = &cancel;
-    search.mode = req.searchMode;
-    search.annealSeed = req.annealSeed;
-    search.annealIterations = req.annealIterations;
     PostDesignFlow flow(req.config, req.tech, SearchEffort::Exhaustive,
                         req.edpObjective ? Objective::MinEdp
                                          : Objective::MinEnergy,
@@ -322,7 +316,7 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().cacheHit->add(report.stats.cacheHits);
     serveMetrics().cacheMiss->add(report.stats.cacheMisses);
     serveMetrics().recordSearch(report.stats);
-    audit.search = nnbaton::toString(req.searchMode);
+    audit.search = "exhaustive";
     audit.cacheHits = report.stats.cacheHits;
     audit.cacheMisses = report.stats.cacheMisses;
 
@@ -346,7 +340,7 @@ EvalService::runPre(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().cacheHit->add(report.sweep.search.cacheHits);
     serveMetrics().cacheMiss->add(report.sweep.search.cacheMisses);
     serveMetrics().recordSearch(report.sweep.search);
-    audit.search = nnbaton::toString(req.searchMode);
+    audit.search = "exhaustive";
     audit.cacheHits = report.sweep.search.cacheHits;
     audit.cacheMisses = report.sweep.search.cacheMisses;
 
@@ -382,9 +376,7 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
             static_cast<long long>(req.unitId), fp.c_str(),
             req.sweepFp.c_str()));
     }
-    const std::string techFp = strprintf(
-        "%016llx",
-        static_cast<unsigned long long>(req.tech.fingerprint()));
+    const std::string techFp = techFingerprintHex(req.tech);
     if (techFp != req.techFp) {
         throwStatus(errFailedPrecondition(
             "sweepUnit %lld: technology fingerprint mismatch (worker "
@@ -425,7 +417,7 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().recordSearch(stats);
     serveMetrics().unitPoints->add(
         static_cast<int64_t>(outcomes.size()));
-    audit.search = nnbaton::toString(req.searchMode);
+    audit.search = "exhaustive";
     audit.cacheHits = stats.cacheHits;
     audit.cacheMisses = stats.cacheMisses;
 

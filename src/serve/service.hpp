@@ -130,7 +130,7 @@ class EvalService
     {
         uint64_t rid = 0;
         const char *op = "invalid"; //!< wire op, or "invalid"
-        const char *search = "";    //!< post/pre: the search mode
+        const char *search = "";    //!< eval ops: "exhaustive"
         int64_t cacheHits = 0;      //!< post/pre: this request's hits
         int64_t cacheMisses = 0;
         std::string outcome = "OK"; //!< "OK" or the StatusCode name

@@ -87,4 +87,12 @@ defaultTech()
     return tech;
 }
 
+std::string
+techFingerprintHex(const TechnologyModel &tech)
+{
+    return strprintf(
+        "%016llx",
+        static_cast<unsigned long long>(tech.fingerprint()));
+}
+
 } // namespace nnbaton

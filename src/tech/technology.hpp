@@ -131,6 +131,11 @@ struct TechnologyModel
 /** The default 16 nm model used throughout the evaluation. */
 const TechnologyModel &defaultTech();
 
+/** The fixed %016llx rendering of TechnologyModel::fingerprint(), the
+ *  form a sweepUnit request carries.  The coordinator sends it and a
+ *  worker's identity gate compares with it, so both call this. */
+std::string techFingerprintHex(const TechnologyModel &tech);
+
 /**
  * The one table of technology parameters: calls @p fn(name, member)
  * for each of the 22, members being double or int.

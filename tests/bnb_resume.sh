@@ -6,6 +6,9 @@
 # "bnb" must resume under both --search bnb and --search exhaustive to
 # the bytes of an uninterrupted sweep.
 #
+# The retired anneal search is no alias: its answers differed, so
+# `--search anneal` and its `--anneal-seed` flag are usage errors.
+#
 # Usage: bnb_resume.sh <path-to-nn-baton>
 set -euo pipefail
 
@@ -26,6 +29,19 @@ fail() {
 normalize() {
     sed 's/"resumed":[0-9]*/"resumed":0/' "$1"
 }
+
+# nn-baton run with all but the first argument must exit 2 and name
+# the first argument on stderr.
+expect_usage_error() {
+    local needle=$1 rc=0
+    shift
+    "$BIN" "$@" >/dev/null 2>"$DIR/usage.err" || rc=$?
+    [[ $rc == 2 ]] || fail "$* exited $rc, not 2"
+    grep -q -- "$needle" "$DIR/usage.err" \
+        || fail "$* did not name $needle: $(cat "$DIR/usage.err")"
+}
+expect_usage_error exhaustive "${SWEEP[@]}" --search anneal
+expect_usage_error --anneal-seed "${SWEEP[@]}" --anneal-seed 7
 
 "$BIN" "${SWEEP[@]}" --json "$DIR/reference.json" >/dev/null 2>&1 \
     || fail "reference sweep failed"

@@ -180,9 +180,8 @@ TEST(Determinism, TransformerLayersAcrossThreadsAndModes)
 {
     // Transformer-era shapes (batched GEMMs, the lowered attention
     // block with its vector-op tail) must keep the bit-identical
-    // promise at every thread count and under both search
-    // strategies; the repeated GEMM exercises the batch/postOps-aware
-    // cache key on the way.
+    // promise at every thread count; the repeated GEMM exercises the
+    // batch/postOps-aware cache key on the way.
     Model m("tf", 24);
     appendAttentionBlock(m, "a", 24, 96, 4, 2);
     m.addLayer(makeGemm("g1", 48, 64, 96, 3, 2));
@@ -190,32 +189,25 @@ TEST(Determinism, TransformerLayersAcrossThreadsAndModes)
     const AcceleratorConfig cfg = caseStudyConfig();
     const TechnologyModel &tech = defaultTech();
 
-    for (SearchMode mode : {SearchMode::Exhaustive, SearchMode::Anneal}) {
-        SearchOptions base;
-        base.mode = mode;
-        base.threads = 1;
-        const ModelMappingResult serial =
-            mapModel(m, cfg, tech, SearchEffort::Fast,
-                     Objective::MinEnergy, base);
-        SCOPED_TRACE(static_cast<int>(mode));
-        ASSERT_TRUE(serial.feasible);
-        EXPECT_EQ(serial.stats.cacheHits, 1); // g2 repeats g1 exactly
-        for (int threads : {2, 4}) {
-            SearchOptions opt = base;
-            opt.threads = threads;
-            const ModelMappingResult parallel = mapModel(
-                m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy,
-                opt);
-            SCOPED_TRACE(threads);
-            EXPECT_EQ(parallel.cost.energy.total(),
-                      serial.cost.energy.total());
-            EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
-            ASSERT_EQ(parallel.choices.size(), serial.choices.size());
-            for (size_t i = 0; i < serial.choices.size(); ++i) {
-                EXPECT_EQ(parallel.choices[i].mapping.toString(),
-                          serial.choices[i].mapping.toString())
-                    << i;
-            }
+    SearchOptions base;
+    base.threads = 1;
+    const ModelMappingResult serial = mapModel(
+        m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy, base);
+    ASSERT_TRUE(serial.feasible);
+    EXPECT_EQ(serial.stats.cacheHits, 1); // g2 repeats g1 exactly
+    for (int threads : {2, 4}) {
+        SearchOptions opt = base;
+        opt.threads = threads;
+        const ModelMappingResult parallel = mapModel(
+            m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy, opt);
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(parallel.cost.energy.total(), serial.cost.energy.total());
+        EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
+        ASSERT_EQ(parallel.choices.size(), serial.choices.size());
+        for (size_t i = 0; i < serial.choices.size(); ++i) {
+            EXPECT_EQ(parallel.choices[i].mapping.toString(),
+                      serial.choices[i].mapping.toString())
+                << i;
         }
     }
 }

@@ -85,7 +85,6 @@ sweepOptions()
     opt.proportionalMem = true;
     opt.effort = sweepEffort(opt.proportionalMem);
     opt.objective = Objective::MinEnergy;
-    opt.searchMode = SearchMode::Exhaustive;
     opt.threads = 1;
     return opt;
 }
@@ -358,6 +357,14 @@ TEST(LeaseTable, ReleasedUnitIsImmediatelyReclaimable)
     // No lease wait: the failed claimer handed it straight back.
     EXPECT_EQ(table.claim(nullptr)->id, 0);
     EXPECT_EQ(table.leasesExpired(), 0);
+
+    // A released unit behind later claims is the next one handed out.
+    LeaseTable three(threeUnits(), 30.0);
+    for (int64_t id = 0; id < 3; ++id)
+        ASSERT_EQ(three.claim(nullptr)->id, id);
+    three.release(0);
+    EXPECT_EQ(three.claim(nullptr)->id, 0);
+    EXPECT_EQ(three.leasesExpired(), 0);
 }
 
 TEST(LeaseTable, ExpiredLeaseIsStolen)
@@ -520,18 +527,6 @@ TEST(FabricWire, WorkerRebuildsTheCoordinatorsSweepIdentity)
          }},
         {"objective",
          [](DseOptions &o) { o.objective = Objective::MinEdp; }},
-        {"searchMode",
-         [](DseOptions &o) { o.searchMode = SearchMode::Anneal; }},
-        {"annealSeed under anneal",
-         [](DseOptions &o) {
-             o.searchMode = SearchMode::Anneal;
-             o.annealSeed = 7;
-         }},
-        {"annealIterations under anneal",
-         [](DseOptions &o) {
-             o.searchMode = SearchMode::Anneal;
-             o.annealIterations = 10;
-         }},
     };
 
     const std::string tfp = techFingerprintHex(defaultTech());

@@ -460,45 +460,44 @@ TEST(Checkpoint, LegacyZooCheckpointStillResumes)
 }
 
 /**
- * An anneal checkpoint names its move budget.  A 10-move AlexNet
- * sweep resumed at 400 moves used to restore all 20 points and
- * recommend the 10-move winner (8-8-16-4; a fresh 400-move sweep
- * picks 8-4-16-8).  A checkpoint written before the budget was keyed
- * cannot say which budget produced it, so it is refused too.
+ * Checkpoints of the retired anneal search are refused: their
+ * fingerprints end "|anneal|<seed>|<moves>", or "|anneal|<seed>"
+ * before the move budget was keyed, where every sweep's now ends
+ * "|exhaustive|0".
  */
-TEST(Checkpoint, AnnealCheckpointKeysItsMoveBudget)
+TEST(Checkpoint, AnnealCheckpointIsRefused)
 {
     const Model model = makeAlexNet(224);
     const std::string path = tmpPath("ckpt_anneal.json");
-    DseOptions brief;
-    brief.totalMacs = 4096;
-    brief.proportionalMem = true;
-    brief.searchMode = SearchMode::Anneal;
-    brief.annealIterations = 10;
-    DseOptions write = brief;
+    DseOptions opt;
+    opt.totalMacs = 4096;
+    opt.proportionalMem = true;
+    DseOptions write = opt;
     write.checkpointPath = path;
     const DseResult fresh = explore(model, write, defaultTech());
 
-    DseOptions resume = brief;
+    DseOptions resume = opt;
     resume.resumePath = path;
     EXPECT_EQ(explore(model, resume, defaultTech()).resumed, fresh.swept);
 
-    resume.annealIterations = 400;
-    expectOtherSweep([&] { explore(model, resume, defaultTech()); });
-
-    // The pre-budget form ends "|anneal|<seed>".
-    const std::string fp = sweepFingerprint(model, brief);
-    ASSERT_NO_FATAL_FAILURE(
-        rewriteFingerprint(path, fp, fp.substr(0, fp.rfind('|'))));
-    resume.annealIterations = brief.annealIterations;
-    expectOtherSweep([&] { explore(model, resume, defaultTech()); });
+    const std::string fp = sweepFingerprint(model, opt);
+    const std::string tail = "|exhaustive|0";
+    ASSERT_TRUE(fp.ends_with(tail)) << fp;
+    const std::string stem = fp.substr(0, fp.size() - tail.size());
+    std::string from = fp;
+    for (const char *anneal : {"|anneal|1|400", "|anneal|1"}) {
+        ASSERT_NO_FATAL_FAILURE(
+            rewriteFingerprint(path, from, stem + anneal));
+        from = stem + anneal;
+        expectOtherSweep([&] { explore(model, resume, defaultTech()); });
+    }
     std::remove(path.c_str());
 }
 
 /**
  * The sweep fingerprint changes with every DseOptions field that
  * changes a sweep's answers, one field at a time, and with nothing
- * else.  The anneal seed and move budget count under Anneal only.
+ * else.
  */
 TEST(Checkpoint, FingerprintChangesWithEveryFieldThatChangesASweep)
 {
@@ -513,17 +512,6 @@ TEST(Checkpoint, FingerprintChangesWithEveryFieldThatChangesASweep)
         {"effort", [](DseOptions &o) { o.effort = SearchEffort::Sketch; }},
         {"objective",
          [](DseOptions &o) { o.objective = Objective::MinEdp; }},
-        {"searchMode",
-         [](DseOptions &o) {
-             o.searchMode = o.searchMode == SearchMode::Anneal
-                                ? SearchMode::Exhaustive
-                                : SearchMode::Anneal;
-         }},
-    };
-    const Edit anneal_fields[] = {
-        {"annealSeed", [](DseOptions &o) { o.annealSeed = 7; }},
-        {"annealIterations",
-         [](DseOptions &o) { o.annealIterations = 10; }},
     };
     CancelToken token;
     MappingCache cache;
@@ -541,27 +529,18 @@ TEST(Checkpoint, FingerprintChangesWithEveryFieldThatChangesASweep)
         {"cancel", [&](DseOptions &o) { o.cancel = &token; }},
         {"cache", [&](DseOptions &o) { o.cache = &cache; }},
     };
-    for (const SearchMode mode :
-         {SearchMode::Exhaustive, SearchMode::Anneal}) {
-        DseOptions base = sweepOptions();
-        base.searchMode = mode;
-        const std::string fp = sweepFingerprint(model, base);
-        const auto changed = [&](const std::function<void(DseOptions &)>
-                                     &edit) {
+    const DseOptions base = sweepOptions();
+    const std::string fp = sweepFingerprint(model, base);
+    const auto changed =
+        [&](const std::function<void(DseOptions &)> &edit) {
             DseOptions o = base;
             edit(o);
             return sweepFingerprint(model, o) != fp;
         };
-        for (const auto &[field, edit] : sweep_fields)
-            EXPECT_TRUE(changed(edit)) << field << " under "
-                                       << toString(mode);
-        for (const auto &[field, edit] : anneal_fields)
-            EXPECT_EQ(changed(edit), mode == SearchMode::Anneal)
-                << field << " under " << toString(mode);
-        for (const auto &[field, edit] : neutral_fields)
-            EXPECT_FALSE(changed(edit)) << field << " under "
-                                        << toString(mode);
-    }
+    for (const auto &[field, edit] : sweep_fields)
+        EXPECT_TRUE(changed(edit)) << field;
+    for (const auto &[field, edit] : neutral_fields)
+        EXPECT_FALSE(changed(edit)) << field;
 }
 
 TEST(Checkpoint, InjectedWriteFailureDoesNotAbortSweep)

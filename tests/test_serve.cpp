@@ -214,7 +214,31 @@ TEST(ServeProtocol, BnbSearchParsesToExhaustive)
     // winners bit for bit, so its name stays accepted as an alias.
     const auto r = parseRequest("{\"op\":\"post\",\"search\":\"bnb\"}");
     ASSERT_TRUE(r.ok()) << r.status().toString();
-    EXPECT_EQ(r.value().searchMode, SearchMode::Exhaustive);
+}
+
+TEST(ServeProtocol, AnnealIsRefused)
+{
+    // Exhaustive is the only search.  Anneal returned other winners,
+    // so reading it as an alias would silently change answers.
+    const auto r =
+        parseRequest("{\"op\":\"post\",\"search\":\"anneal\"}");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(r.status().message().find("exhaustive"), std::string::npos)
+        << r.status().toString();
+
+    // Its seed and move budget are unknown members.
+    for (const char *member :
+         {"\"annealSeed\":7", "\"annealIterations\":10"}) {
+        const auto m = parseRequest(
+            std::string("{\"op\":\"post\",") + member + "}");
+        ASSERT_FALSE(m.ok()) << member;
+        EXPECT_EQ(m.status().code(), StatusCode::InvalidArgument)
+            << member;
+        EXPECT_NE(m.status().message().find("unknown request member"),
+                  std::string::npos)
+            << m.status().toString();
+    }
 }
 
 TEST(ServeProtocol, RejectsMalformedAndUnknown)

@@ -80,9 +80,6 @@ struct Args
     double areaMm2 = 0.0;
     bool proportional = false;
     bool edpObjective = false;
-    SearchMode searchMode = SearchMode::Exhaustive;
-    uint64_t annealSeed = 1;    //!< --anneal-seed
-    int annealIterations = 400; //!< --anneal-iters
     int threads = hardwareThreads();
     // Resilience options for long `pre` sweeps.
     std::string checkpointPath; //!< --checkpoint: snapshot file
@@ -141,13 +138,9 @@ usage()
         "  --area <mm2>          pre: chiplet area budget [none]\n"
         "  --proportional        pre: memory proportional to compute\n"
         "  --edp                 optimise EDP instead of energy\n"
-        "  --search <mode>       mapping search strategy: exhaustive\n"
-        "                        or anneal (seeded simulated\n"
-        "                        annealing: faster, approximate)\n"
-        "                        [exhaustive]; bnb is an alias of\n"
-        "                        exhaustive\n"
-        "  --anneal-seed <n>     anneal: RNG seed [1]\n"
-        "  --anneal-iters <n>    anneal: moves per layer search [400]\n"
+        "  --search <mode>       mapping search; exhaustive is the only\n"
+        "                        one, and bnb an alias of it\n"
+        "                        [exhaustive]\n"
         "  --threads <n>         worker threads (1 = serial; results\n"
         "                        are identical); with --workers, the\n"
         "                        local lanes that take over a lost\n"
@@ -254,26 +247,16 @@ parseArgs(int argc, char **argv, Args &args)
         } else if (opt == "--edp") {
             args.edpObjective = true;
         } else if (opt == "--search") {
+            // Exhaustive is the only search; bnb returned its winners.
             const std::string mode = next();
-            if (mode == "exhaustive") {
-                args.searchMode = SearchMode::Exhaustive;
-            } else if (mode == "bnb") {
+            if (mode == "bnb") {
                 warn("--search bnb was retired; running exhaustive, "
                      "which returns the same winners");
-                args.searchMode = SearchMode::Exhaustive;
-            } else if (mode == "anneal") {
-                args.searchMode = SearchMode::Anneal;
-            } else {
+            } else if (mode != "exhaustive") {
                 throwStatus(errInvalidArgument(
-                    "--search expects exhaustive or anneal, got '%s'",
+                    "--search expects exhaustive, got '%s'",
                     mode.c_str()));
             }
-        } else if (opt == "--anneal-seed") {
-            args.annealSeed = static_cast<uint64_t>(
-                parsePositiveInt64(name, next()).value());
-        } else if (opt == "--anneal-iters") {
-            args.annealIterations =
-                parsePositiveInt(name, next()).value();
         } else if (opt == "--threads") {
             args.threads = parsePositiveInt(name, next()).value();
         } else if (opt == "--chiplets") {
@@ -475,9 +458,6 @@ runPost(const Args &args)
     args.config.validate();
     SearchOptions search;
     search.threads = args.threads;
-    search.mode = args.searchMode;
-    search.annealSeed = args.annealSeed;
-    search.annealIterations = args.annealIterations;
     search.detailedMetrics = args.metrics;
     PostDesignFlow flow(args.config, defaultTech(),
                         SearchEffort::Exhaustive,
@@ -520,9 +500,6 @@ runPre(const Args &args)
     opt.effort = sweepEffort(args.proportional);
     opt.objective = args.edpObjective ? Objective::MinEdp
                                       : Objective::MinEnergy;
-    opt.searchMode = args.searchMode;
-    opt.annealSeed = args.annealSeed;
-    opt.annealIterations = args.annealIterations;
     opt.threads = args.threads;
     opt.detailedMetrics = args.metrics;
     opt.progressSeconds = args.progressSeconds;
