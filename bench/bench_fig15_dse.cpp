@@ -25,8 +25,8 @@
 #include "baton/baton.hpp"
 #include "mapper/search.hpp"
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/profile.hpp"
 #include "common/table.hpp"
 #include "common/trace.hpp"
 #include "common/util.hpp"
@@ -166,25 +166,23 @@ benchSweep(int threads)
     const Model model = makeDarkNet19(224);
     DseOptions opt = figureOptions();
 
-    // The timed serial and parallel sweeps run with tracing disabled
-    // (its cost there is one relaxed load per span site), keeping the
-    // numbers comparable across revisions.  A third, traced parallel
-    // sweep supplies the per-phase breakdown for BENCH_dse.json and
-    // measures the tracing-enabled overhead.
+    // The timed serial and parallel sweeps run with tracing disabled,
+    // keeping the numbers comparable across revisions.  A third,
+    // traced parallel sweep measures the tracing-enabled overhead, and
+    // its span histograms (the registry is reset just before it) give
+    // the per-phase breakdown for BENCH_dse.json.  The trace drops
+    // spans past its per-thread cap; the histograms count them all.
     opt.threads = 1;
     const DseResult serial = explore(model, opt, defaultTech());
     opt.threads = threads;
     const DseResult parallel = explore(model, opt, defaultTech());
 
-    const size_t spansBefore = obs::snapshotTrace().size();
+    obs::MetricsRegistry::instance().reset();
     obs::setTracingEnabled(true);
     const DseResult traced = explore(model, opt, defaultTech());
     obs::setTracingEnabled(false);
-    std::vector<obs::TraceEvent> spans = obs::snapshotTrace();
-    spans.erase(spans.begin(),
-                spans.begin() + static_cast<int64_t>(std::min(
-                                    spansBefore, spans.size())));
-    const obs::ProfileReport profile = obs::buildProfile(spans);
+    obs::MetricsSnapshot phases;
+    phases.histograms = obs::spanHistograms();
 
     const bool identical = identicalResults(serial, parallel) &&
                            identicalResults(parallel, traced);
@@ -208,7 +206,7 @@ benchSweep(int threads)
     std::printf("results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
 
-    std::printf("%s", obs::formatProfile(profile).c_str());
+    std::printf("%s", obs::formatMetrics(phases).c_str());
 
     std::ofstream out("BENCH_dse.json");
     JsonWriter j(out);
@@ -222,6 +220,7 @@ benchSweep(int threads)
     j.field("speedup", speedup);
     j.field("traced_seconds", traced.elapsedSeconds);
     j.field("trace_overhead", trace_overhead);
+    j.field("trace_dropped_events", obs::droppedTraceEvents());
     j.field("identical", identical);
     j.key("sweep").beginObject();
     j.field("swept", serial.swept);
@@ -236,8 +235,8 @@ benchSweep(int threads)
     j.field("cache_misses", serial.search.cacheMisses);
     j.field("cache_entries", serial.cacheEntries);
     j.endObject();
-    j.key("profile");
-    obs::writeProfileJson(j, profile);
+    j.key("phases");
+    obs::writeMetricsJson(j, phases);
     j.endObject();
     out << "\n";
     std::printf("wrote BENCH_dse.json\n\n");

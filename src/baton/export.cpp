@@ -2,24 +2,20 @@
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
-#include "common/profile.hpp"
 
 namespace nnbaton {
 
 namespace {
 
 /**
- * The shared observability block: the per-phase profile aggregated
- * from any collected trace spans (empty when tracing was off) and a
- * snapshot of the metrics registry, so an exported report carries the
- * cost of producing it.
+ * The shared observability block: a snapshot of the metrics registry,
+ * whose "<span>_ns" histograms time every phase, so an exported
+ * report carries the cost of producing it.
  */
 void
 writeObservability(JsonWriter &j)
 {
     j.beginObject();
-    j.key("profile");
-    obs::writeProfileJson(j, obs::buildProfile());
     j.key("metrics");
     obs::writeMetricsJson(j,
                           obs::MetricsRegistry::instance().snapshot());

@@ -23,7 +23,7 @@ namespace nnbaton {
 
 /**
  * Export shaping.  The default carries the observability block
- * (profile + metrics snapshot) and, for sweeps, wall-clock and
+ * (the metrics snapshot, phases included) and, for sweeps, wall-clock and
  * cache-work counters.  `lean()` drops everything run-dependent so
  * the bytes are a pure function of the inputs — the serving daemon
  * emits lean exports, which is what makes a served response
@@ -32,7 +32,7 @@ namespace nnbaton {
  */
 struct ExportOptions
 {
-    /** The run-dependent members: the observability block (profile +
+    /** The run-dependent members: the observability block (the
      *  metrics snapshot) and, for sweeps, elapsedSeconds and the
      *  search block. */
     bool runDependent = true;

@@ -191,6 +191,15 @@ JsonWriter::value(bool v)
     return *this;
 }
 
+JsonWriter &
+JsonWriter::rawValue(std::string_view json)
+{
+    separator();
+    buf_ += json;
+    ended();
+    return *this;
+}
+
 const JsonValue *
 JsonValue::find(std::string_view key) const
 {

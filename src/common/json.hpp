@@ -68,6 +68,9 @@ class JsonWriter
     JsonWriter &value(double v);
     JsonWriter &value(bool v);
 
+    /** Write @p json, one already serialized JSON value, verbatim. */
+    JsonWriter &rawValue(std::string_view json);
+
     /**
      * Write a double as the shortest text that reads back to the same
      * double (std::to_chars), where value() rounds to %.9g for

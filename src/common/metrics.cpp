@@ -9,6 +9,7 @@
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
+#include "common/trace.hpp"
 
 namespace nnbaton {
 namespace obs {
@@ -50,6 +51,20 @@ Histogram::reset()
     sum_.store(0, std::memory_order_relaxed);
     min_.store(kInt64Max, std::memory_order_relaxed);
     max_.store(kInt64Min, std::memory_order_relaxed);
+}
+
+void
+HistogramSnapshot::merge(const Histogram &h)
+{
+    const int64_t n = h.count();
+    if (!n)
+        return;
+    minValue = count ? std::min(minValue, h.minValue()) : h.minValue();
+    maxValue = count ? std::max(maxValue, h.maxValue()) : h.maxValue();
+    count += n;
+    sum += h.sum();
+    for (int b = 0; b < Histogram::kBuckets; ++b)
+        buckets[b] += h.bucketCount(b);
 }
 
 double
@@ -140,6 +155,7 @@ MetricsRegistry::reset()
         g->reset();
     for (auto &[name, h] : histograms_)
         h->reset();
+    resetSpanHistograms();
 }
 
 MetricsSnapshot
@@ -152,16 +168,11 @@ MetricsRegistry::snapshot() const
     for (const auto &[name, g] : gauges_)
         s.gauges.emplace_back(name, g->value());
     for (const auto &[name, h] : histograms_) {
-        HistogramSnapshot hs;
-        hs.name = name;
-        hs.count = h->count();
-        hs.sum = h->sum();
-        hs.minValue = h->minValue();
-        hs.maxValue = h->maxValue();
-        for (int b = 0; b < Histogram::kBuckets; ++b)
-            hs.buckets[b] = h->bucketCount(b);
-        s.histograms.push_back(std::move(hs));
+        s.histograms.emplace_back().name = name;
+        s.histograms.back().merge(*h);
     }
+    for (HistogramSnapshot &hs : spanHistograms())
+        s.histograms.push_back(std::move(hs));
     return s;
 }
 
@@ -233,7 +244,7 @@ writeMetricsJson(JsonWriter &j, const MetricsSnapshot &snapshot)
 
 namespace {
 
-/** "serve.request_us" -> "nnbaton_serve_request_us". */
+/** "serve.request_ns" -> "nnbaton_serve_request_ns". */
 std::string
 promName(const std::string &name)
 {

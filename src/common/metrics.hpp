@@ -19,6 +19,8 @@
  * between different instruments); registration and snapshotting take
  * a registry mutex.  reset() zeroes every registered instrument so
  * tests and benches can measure deltas.
+ * snapshot() also reports every trace span as a "<span>_ns"
+ * histogram (common/trace), so phases need no timer of their own.
  */
 
 #ifndef NNBATON_COMMON_METRICS_HPP
@@ -136,6 +138,24 @@ class Histogram
         }
     }
 
+    /** record() for a histogram only the calling thread writes: no
+     *  read-modify-write; a reader may see a sample half recorded. */
+    void
+    recordOwned(int64_t v)
+    {
+        const auto add = [](std::atomic<int64_t> &a, int64_t d) {
+            a.store(a.load(std::memory_order_relaxed) + d,
+                    std::memory_order_relaxed);
+        };
+        add(buckets_[bucketIndex(v)], 1);
+        add(count_, 1);
+        add(sum_, v);
+        if (v < min_.load(std::memory_order_relaxed))
+            min_.store(v, std::memory_order_relaxed);
+        if (v > max_.load(std::memory_order_relaxed))
+            max_.store(v, std::memory_order_relaxed);
+    }
+
     int64_t
     count() const
     {
@@ -197,6 +217,9 @@ struct HistogramSnapshot
         return count ? static_cast<double>(sum) / count : 0.0;
     }
 
+    /** Add @p h's current samples (the name stays). */
+    void merge(const Histogram &h);
+
     /**
      * Estimate the @p q quantile (q in [0,1]) from the log2 buckets by
      * linear interpolation inside the containing bucket, with the
@@ -228,9 +251,11 @@ class MetricsRegistry
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
-    /** Zero every registered instrument (names stay registered). */
+    /** Zero every registered instrument and span histogram (names
+     *  stay registered).  Not safe while spans are being recorded. */
     void reset();
 
+    /** Every registered instrument, then spanHistograms(). */
     MetricsSnapshot snapshot() const;
 
   private:

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 
@@ -15,6 +16,8 @@
 #include <unistd.h>
 
 #include "common/json.hpp"
+#include "common/logging.hpp"
+#include "common/metrics.hpp"
 
 namespace nnbaton {
 namespace obs {
@@ -43,6 +46,13 @@ struct FlightSlot
     std::atomic<uint64_t> rid{0};
 };
 
+/** One span name's latency histogram (ns) in one thread's ledger. */
+struct SpanSlot
+{
+    std::atomic<const char *> name{nullptr}; //!< null while free
+    Histogram latency; //!< written by the owning thread only
+};
+
 /**
  * A chunked append-only event buffer owned by one writer thread.
  *
@@ -60,6 +70,9 @@ struct ThreadBuffer
     static constexpr size_t kMaxEvents = size_t(1) << 20;
     /** Flight-ring capacity (power of two; newest events win). */
     static constexpr size_t kFlightEvents = 512;
+    /** Ledger slots: room for every distinct span name one thread
+     *  records (15 in the program, a few more in its tests). */
+    static constexpr size_t kSpanSlots = 64;
 
     const uint32_t tid;
 
@@ -78,6 +91,10 @@ struct ThreadBuffer
     // locks) and from the JSON exporter.
     std::array<FlightSlot, kFlightEvents> flight;
     std::atomic<uint64_t> flightCount{0};
+
+    // The latency ledger: slots keyed by the name literal's address,
+    // claimed in first-use order and never freed.
+    std::array<SpanSlot, kSpanSlots> spans;
 
     /** Intrusive lock-free list link for the signal-safe walker;
      *  buffers are registry-owned and never freed, so raw pointers
@@ -109,6 +126,23 @@ struct ThreadBuffer
         e.durNs = durNs;
         e.rid = rid;
         count.store(n + 1, std::memory_order_release);
+    }
+
+    void
+    tally(const char *name, uint64_t durNs)
+    {
+        for (SpanSlot &s : spans) {
+            const char *owner = s.name.load(std::memory_order_relaxed);
+            if (!owner)
+                s.name.store(name, std::memory_order_release); // claim
+            else if (owner != name)
+                continue;
+            s.latency.recordOwned(static_cast<int64_t>(durNs));
+            return;
+        }
+        panic("span ledger full: thread %u has no slot for span '%s' "
+              "(%zu names already)",
+              tid, name, kSpanSlots);
     }
 
     void
@@ -218,6 +252,7 @@ recordSpan(const char *name, uint64_t startNs, uint64_t endNs)
     const uint64_t durNs = endNs >= startNs ? endNs - startNs : 0;
     const uint64_t rid = currentRid;
     ThreadBuffer &buf = threadBuffer();
+    buf.tally(name, durNs);
     if (tracingEnabled())
         buf.append(name, startNs, durNs, rid);
     if (flightRecorderEnabled())
@@ -238,6 +273,37 @@ snapshotTrace()
         }
     }
     return out;
+}
+
+std::vector<HistogramSnapshot>
+spanHistograms()
+{
+    // Slots are keyed by address; two sites (or translation units)
+    // may hold the same name at different addresses, so merge by text.
+    std::map<std::string, HistogramSnapshot> byName;
+    for (const auto &buf : TraceRegistry::instance().snapshotBuffers()) {
+        for (const SpanSlot &s : buf->spans) {
+            const char *name = s.name.load(std::memory_order_acquire);
+            if (!name)
+                break;
+            byName[name].merge(s.latency);
+        }
+    }
+    std::vector<HistogramSnapshot> out;
+    for (auto &[name, h] : byName) {
+        h.name = name + "_ns";
+        out.push_back(std::move(h));
+    }
+    return out;
+}
+
+void
+resetSpanHistograms()
+{
+    for (const auto &buf : TraceRegistry::instance().snapshotBuffers()) {
+        for (SpanSlot &s : buf->spans)
+            s.latency.reset();
+    }
 }
 
 int64_t
@@ -296,90 +362,32 @@ flightMark(const char *name)
     threadBuffer().appendFlight(name, traceNowNs(), 0, currentRid);
 }
 
-void
-writeFlightRecorderJson(JsonWriter &j, size_t maxEventsPerThread)
-{
-    bool truncated = false;
-    j.beginObject();
-    j.field("capacity",
-            static_cast<int64_t>(ThreadBuffer::kFlightEvents));
-    j.key("threads").beginArray();
-    for (const auto &buf :
-         TraceRegistry::instance().snapshotBuffers()) {
-        const uint64_t n =
-            buf->flightCount.load(std::memory_order_acquire);
-        if (!n)
-            continue;
-        // Oldest retained event first.  Slots older than capacity have
-        // been overwritten; an explicit per-thread cap keeps only the
-        // newest maxEventsPerThread.
-        uint64_t keep = std::min<uint64_t>(
-            n, ThreadBuffer::kFlightEvents);
-        if (n > ThreadBuffer::kFlightEvents)
-            truncated = true;
-        if (maxEventsPerThread && keep > maxEventsPerThread) {
-            keep = maxEventsPerThread;
-            truncated = true;
-        }
-        j.beginObject();
-        j.field("tid", static_cast<int64_t>(buf->tid));
-        j.key("events").beginArray();
-        for (uint64_t i = n - keep; i < n; ++i) {
-            const FlightSlot &s =
-                buf->flight[i % ThreadBuffer::kFlightEvents];
-            const char *name =
-                s.name.load(std::memory_order_relaxed);
-            if (!name)
-                continue;
-            j.beginObject();
-            j.field("name", name);
-            j.field("rid", static_cast<int64_t>(
-                               s.rid.load(std::memory_order_relaxed)));
-            j.field("startNs",
-                    static_cast<int64_t>(s.startNs.load(
-                        std::memory_order_relaxed)));
-            j.field("durNs",
-                    static_cast<int64_t>(
-                        s.durNs.load(std::memory_order_relaxed)));
-            j.endObject();
-        }
-        j.endArray();
-        j.endObject();
-    }
-    j.endArray();
-    j.field("truncated", truncated);
-    j.endObject();
-}
-
-void
-writeFlightRecorder(std::ostream &os, size_t maxEventsPerThread)
-{
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("flightRecorder");
-    writeFlightRecorderJson(j, maxEventsPerThread);
-    j.endObject();
-    os << "\n";
-}
-
 namespace {
 
 /**
  * A tiny async-signal-safe writer: fixed stack buffer, write(2) on
  * flush, hand-rolled integer formatting.  No locks, no allocation, no
- * stdio — everything a signal handler is allowed to do.
+ * stdio — everything a signal handler is allowed to do.  Flushing
+ * into a string instead allocates: not for the signal handler.
  */
 struct FdWriter
 {
-    int fd;
+    int fd = -1;
+    std::string *out = nullptr;
     char buf[512];
     size_t len = 0;
 
     explicit FdWriter(int f) : fd(f) {}
+    explicit FdWriter(std::string *s) : out(s) {}
 
     void
     flush()
     {
+        if (out) {
+            out->append(buf, len);
+            len = 0;
+            return;
+        }
         size_t off = 0;
         while (off < len) {
             const ssize_t n = ::write(fd, buf + off, len - off);
@@ -436,16 +444,16 @@ struct FdWriter
     }
 };
 
-} // namespace
-
+/** The flight recorder's JSON value (flightRecorderJson()'s shape),
+ *  walking the lock-free buffer list. */
 void
-writeFlightRecorderToFd(int fd)
+writeFlightValue(FdWriter &w)
 {
-    FdWriter w(fd);
-    w.str("{\"flightRecorder\":{\"capacity\":");
+    w.str("{\"capacity\":");
     w.u64(ThreadBuffer::kFlightEvents);
-    w.str(",\"signalSafe\":true,\"threads\":[");
+    w.str(",\"threads\":[");
     bool firstThread = true;
+    bool truncated = false;
     for (ThreadBuffer *buf =
              flightListHead.load(std::memory_order_acquire);
          buf; buf = buf->flightNextBuffer) {
@@ -453,12 +461,15 @@ writeFlightRecorderToFd(int fd)
             buf->flightCount.load(std::memory_order_acquire);
         if (!n)
             continue;
+        truncated = truncated || n > ThreadBuffer::kFlightEvents;
         if (!firstThread)
             w.put(',');
         firstThread = false;
         w.str("{\"tid\":");
         w.u64(buf->tid);
         w.str(",\"events\":[");
+        // Oldest retained event first; slots older than the capacity
+        // have been overwritten.
         const uint64_t keep =
             std::min<uint64_t>(n, ThreadBuffer::kFlightEvents);
         bool firstEvent = true;
@@ -483,7 +494,28 @@ writeFlightRecorderToFd(int fd)
         }
         w.str("]}");
     }
-    w.str("]}}\n");
+    w.str(truncated ? "],\"truncated\":true}" : "],\"truncated\":false}");
+}
+
+} // namespace
+
+std::string
+flightRecorderJson()
+{
+    std::string out;
+    FdWriter w(&out);
+    writeFlightValue(w);
+    w.flush();
+    return out;
+}
+
+void
+writeFlightRecorderToFd(int fd)
+{
+    FdWriter w(fd);
+    w.str("{\"flightRecorder\":");
+    writeFlightValue(w);
+    w.str("}\n");
     w.flush();
 }
 

@@ -3,20 +3,24 @@
  * Scoped trace spans for the DSE/mapping pipeline.
  *
  * Usage: drop NNBATON_TRACE_SCOPE("dse.map_model") at the top of a
- * scope; when tracing is enabled (obs::setTracingEnabled) the span's
- * wall-clock extent is recorded into a per-thread buffer and can be
- * exported as Chrome trace-event JSON (open in Perfetto or
- * chrome://tracing).  When tracing is disabled the macro costs one
- * relaxed atomic load and a predictable branch; defining
+ * scope.  While the flight recorder (on by default) or tracing is on,
+ * the span's wall-clock extent is timed into the calling thread's
+ * buffer: always into its latency ledger, which the metrics registry
+ * reports as one "<span>_ns" histogram per span name and which never
+ * drops a span; into its flight ring (below); and, when tracing is
+ * enabled (obs::setTracingEnabled), into its Chrome trace buffer,
+ * exported as trace-event JSON (open in Perfetto or chrome://tracing)
+ * and capped per thread.  With both off the macro costs two relaxed
+ * atomic loads and a predictable branch; defining
  * NNBATON_TRACE_DISABLED compiles every span site away entirely.
  *
- * Recording is observation-only and lock-free on the hot path: each
- * thread appends to its own chunked buffer and publishes the event
- * count with a release store, so writers never block each other and
- * the exporter (which reads under the rarely-taken chunk mutex with
- * an acquire load of the count) sees only fully written events.  The
- * buffers are owned by a process-wide registry and outlive their
- * threads, so pools may come and go between export calls.
+ * Recording is observation-only and lock-free on the hot path: only
+ * the owning thread writes its buffer, publishing each trace event
+ * with a release store of the count, so writers never block each
+ * other and the exporter (which reads under the rarely-taken chunk
+ * mutex with an acquire load of the count) sees only fully written
+ * events.  The buffers are owned by a process-wide registry and
+ * outlive their threads, so pools may come and go between reads.
  *
  * Span names must be string literals (or otherwise outlive the
  * process): buffers store the pointer, not a copy.
@@ -33,9 +37,9 @@
 
 namespace nnbaton {
 
-class JsonWriter; // common/json.hpp
-
 namespace obs {
+
+struct HistogramSnapshot; // common/metrics.hpp
 
 /** One completed span, times in nanoseconds since the trace origin. */
 struct TraceEvent
@@ -56,8 +60,16 @@ bool tracingEnabled();
 /** Nanoseconds since the process trace origin (steady clock). */
 uint64_t traceNowNs();
 
-/** Append a completed span to the calling thread's buffer. */
+/** Record a completed span in the calling thread's buffer.  Panics,
+ *  naming the span, when the ledger has no slot left for the name. */
 void recordSpan(const char *name, uint64_t startNs, uint64_t endNs);
+
+/** One histogram of span durations (ns) per span name, named
+ *  "<span>_ns", merged over every thread that ever recorded it. */
+std::vector<HistogramSnapshot> spanHistograms();
+
+/** Zero every span histogram; not safe while spans are recorded. */
+void resetSpanHistograms();
 
 /**
  * Copy out every event recorded so far, in per-thread buffer order.
@@ -131,26 +143,21 @@ size_t flightRingCapacity();
 void flightMark(const char *name);
 
 /**
- * Write the flight recorder as a JSON *value* at the writer's current
- * position: {"capacity":N,"truncated":b,"threads":[{"tid":t,
- * "events":[{"name":...,"rid":...,"startNs":...,"durNs":...}]}]}.
- * @p maxEventsPerThread 0 dumps each full ring; a smaller cap keeps
- * only the newest events and sets "truncated".
+ * The flight recorder as a JSON value: {"capacity":N,"threads":[
+ * {"tid":t,"events":[{"name":...,"rid":...,"startNs":...,"durNs":...}
+ * ]}],"truncated":b}, oldest event first.  "truncated" means some ring
+ * wrapped, so older events of that thread are gone.
  */
-void writeFlightRecorderJson(JsonWriter &j,
-                             size_t maxEventsPerThread = 0);
-
-/** writeFlightRecorderJson wrapped as {"flightRecorder":...}. */
-void writeFlightRecorder(std::ostream &os,
-                         size_t maxEventsPerThread = 0);
+std::string flightRecorderJson();
 
 /**
- * Async-signal-safe flight dump: walks a lock-free buffer list and
- * hand-formats the same JSON document straight to @p fd (no locks, no
- * allocation, write(2) only).  Events may be torn mid-overwrite under
- * concurrent writers — fields are individually consistent (each slot
- * field is an atomic) but a slot can mix two events; acceptable for a
- * best-effort postmortem.
+ * Async-signal-safe flight dump: {"flightRecorder":<the value
+ * above>} and a newline, hand-formatted straight to @p fd from a
+ * lock-free buffer list (no locks, no allocation, write(2) only).
+ * flightRecorderJson() runs the same formatter into a string.  Events
+ * may be torn mid-overwrite under concurrent writers: fields are
+ * individually consistent (each slot field is an atomic) but a slot
+ * can mix two events; acceptable for a best-effort postmortem.
  */
 void writeFlightRecorderToFd(int fd);
 
@@ -185,7 +192,7 @@ class TraceScope
     TraceScope &operator=(const TraceScope &) = delete;
 
   private:
-    const char *name_ = nullptr; //!< null when tracing was off at entry
+    const char *name_ = nullptr; //!< null when nothing was recording
     uint64_t start_ = 0;
 };
 

@@ -66,11 +66,6 @@ struct DseOptions
     /** Score-bound pruning inside the mapping search (sound). */
     bool boundPruning = true;
 
-    /** Record latency histograms (per design point and per layer
-     *  search) into the obs metrics registry (the --metrics CLI
-     *  flag).  Observation only: never changes results. */
-    bool detailedMetrics = false;
-
     /**
      * Progress heartbeat period in seconds (--progress[=secs]; <= 0
      * disables).  A sweep-side thread logs points done/total,

@@ -1,7 +1,6 @@
 #include "dse/slice.hpp"
 
 #include "common/logging.hpp"
-#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
 #include "verif/fault.hpp"
@@ -83,19 +82,10 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     SearchOptions search;
     search.threads = 1; // point-level parallelism only (nested-free)
     search.boundPruning = options.boundPruning;
-    search.detailedMetrics = options.detailedMetrics;
     search.cancel = options.cancel;
-    const uint64_t t0 = options.detailedMetrics ? obs::traceNowNs() : 0;
     ModelMappingResult mapped =
         mapModel(model, cfg, tech, options.effort, options.objective,
                  search, &cache);
-    if (options.detailedMetrics) {
-        static obs::Histogram &m_point_us =
-            obs::MetricsRegistry::instance().histogram(
-                "dse.point_latency_us");
-        m_point_us.record(
-            static_cast<int64_t>((obs::traceNowNs() - t0) / 1000));
-    }
     out.stats = mapped.stats;
     if (!mapped.feasible) {
         out.kind = SweepPointOutcome::Infeasible;

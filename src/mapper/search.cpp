@@ -368,16 +368,13 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &m_hits = reg.counter("mapper.cache.hits");
     static obs::Counter &m_misses = reg.counter("mapper.cache.misses");
-    static obs::Histogram &m_layer_us =
-        reg.histogram("mapper.layer_search_us");
 
     for (const ConvLayer &layer : model.layers()) {
         if (search.cancel && search.cancel->cancelled())
             throwStatus(search.cancel->toStatus());
+        NNBATON_TRACE_SCOPE("mapper.layer_search");
         const MappingCache::Key key =
             MappingCache::tableKey(layer, cfg, effort);
-        const uint64_t t0 =
-            search.detailedMetrics ? obs::traceNowNs() : 0;
         auto hit = std::find_if(memo.begin(), memo.end(),
                                 [&](const auto &m) {
                                     return m.first == key;
@@ -399,10 +396,6 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
             hit = memo.end() - 1;
             ++result.stats.cacheMisses;
             m_misses.add();
-        }
-        if (search.detailedMetrics) {
-            m_layer_us.record(static_cast<int64_t>(
-                (obs::traceNowNs() - t0) / 1000));
         }
 
         const std::optional<MappingChoice> &choice = hit->second;

@@ -74,11 +74,6 @@ struct SearchOptions
      *  the selected mapping. */
     bool boundPruning = true;
 
-    /** Record latency histograms (per-layer search time) into the
-     *  obs metrics registry (the --metrics CLI flag).  Observation
-     *  only: adds clock reads but never changes results. */
-    bool detailedMetrics = false;
-
     /**
      * Cooperative cancellation, polled at prune-block boundaries and
      * between layers.  Borrowed, may be null.  A fired token unwinds

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -33,7 +34,6 @@ struct ServeMetrics
     obs::Counter *sloViolations;
     obs::Counter *overloadRejected;
     obs::Counter *unitPoints;
-    obs::Histogram *latencyUs;
     // Mapping-search work done on behalf of requests (SearchStats
     // mirrored per request; see mapper/search.hpp).
     obs::Counter *searchEvaluated;
@@ -50,7 +50,6 @@ struct ServeMetrics
         sloViolations = &reg.counter("serve.slo.violations");
         overloadRejected = &reg.counter("serve.overload.rejected");
         unitPoints = &reg.counter("serve.unit.points");
-        latencyUs = &reg.histogram("serve.request_us");
         searchEvaluated = &reg.counter("serve.search.evaluated");
         searchPruned = &reg.counter("serve.search.pruned");
     }
@@ -285,9 +284,10 @@ EvalService::handleLine(const std::string &line)
     if (evictions > seen)
         m.cacheEvicted->add(evictions - seen);
 
+    // The serve.request span times the request for the metrics
+    // registry; this clock read feeds the SLO and the access log.
     const int64_t us =
         static_cast<int64_t>((obs::traceNowNs() - t0) / 1000);
-    m.latencyUs->record(us);
     if (options_.sloUs > 0 && us > options_.sloUs)
         m.sloViolations->add();
 
@@ -478,9 +478,7 @@ EvalService::runMetrics()
 std::string
 EvalService::runFlight()
 {
-    std::ostringstream ss;
-    obs::writeFlightRecorder(ss);
-    return oneLine(ss);
+    return "{\"flightRecorder\":" + obs::flightRecorderJson() + "}";
 }
 
 void
@@ -514,20 +512,25 @@ EvalService::dumpFlightOnError(uint64_t rid, const Status &status)
     obs::flightMark("serve.request.error");
     if (options_.flightDumpPath.empty())
         return;
-    std::ofstream out(options_.flightDumpPath, std::ios::trunc);
-    if (!out) {
-        warn("cannot write flight dump '%s'",
-             options_.flightDumpPath.c_str());
-        return;
+    // Lanes fail concurrently: each dump goes to its own file and is
+    // renamed over the path whole, so dumps replace, never interleave.
+    const std::string &path = options_.flightDumpPath;
+    const std::string tmp = path + "." + std::to_string(rid) + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc);
+        JsonWriter j(out);
+        j.beginObject();
+        j.field("failedRequestId", static_cast<int64_t>(rid));
+        j.field("error", status.toString());
+        j.key("flightRecorder").rawValue(obs::flightRecorderJson());
+        j.endObject();
+        out << "\n";
+        out.close();
+        if (out && std::rename(tmp.c_str(), path.c_str()) == 0)
+            return;
     }
-    JsonWriter j(out);
-    j.beginObject();
-    j.field("failedRequestId", static_cast<int64_t>(rid));
-    j.field("error", status.toString());
-    j.key("flightRecorder");
-    obs::writeFlightRecorderJson(j);
-    j.endObject();
-    out << "\n";
+    warn("cannot write flight dump '%s'", path.c_str());
+    std::remove(tmp.c_str());
 }
 
 } // namespace serve

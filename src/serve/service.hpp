@@ -153,7 +153,9 @@ class EvalService
     void writeAccessLog(const RequestAudit &audit);
 
     /** Dump the flight recorder after a failed request (when
-     *  flightDumpPath is set), tagged with the failing rid. */
+     *  flightDumpPath is set), tagged with the failing rid.  Each
+     *  dump is written whole to "<path>.<rid>.tmp" and renamed over
+     *  the path, so concurrent failures never interleave. */
     void dumpFlightOnError(uint64_t rid, const Status &status);
 
     ServiceOptions options_;

@@ -8,8 +8,9 @@
  * N_P - 1 transfers every chiplet has seen the whole tensor.  P-type
  * partitions rotate weights the same way.  This module computes the
  * exact per-step schedule — bits per link, cycles per step, and the
- * overlap with compute — used by the runtime simulator and the ring
- * ablation.
+ * overlap with compute.  It is a test reference: nothing outside
+ * src/sim/ calls planRotation(), and tests/test_ring.cpp checks it
+ * against the access model's D2D traffic.
  */
 
 #ifndef NNBATON_SIM_RING_HPP

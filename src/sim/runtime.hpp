@@ -4,11 +4,13 @@
  * obtain the runtime for a specific workload").
  *
  * Two implementations share one machine model:
- *  - estimateRuntime(): closed-form cycle estimate used inside the
- *    mapping search and the DSE sweeps (O(1) per evaluation);
+ *  - estimateRuntime(): closed-form cycle estimate (O(1) per
+ *    evaluation).  Every runtime the program reports comes from it:
+ *    the mapping search, the DSE sweeps and the exports;
  *  - RuntimeSimulator: a per-tile phase simulator with double-buffered
- *    load/compute overlap, ring-rotation steps, and edge tiles, used
- *    for the final reported numbers and to validate the estimate.
+ *    load/compute overlap, ring-rotation steps, and edge tiles.  It
+ *    is a test reference: only tests/test_sim.cpp runs it, to check
+ *    the estimate against it.
  *
  * Runtime depends on the total MAC count and the achieved utilisation
  * (lane/vector padding plus transfer-bound stalls), exactly the two

@@ -104,8 +104,8 @@ grep -q '"cache":{[^}]*"builds":[1-9]' "$DIR/cache.json" \
 
 # 2. `nn-baton stats` scrapes the live daemon in all three formats.
 "$BIN" stats --socket "$SOCK" --format table > "$DIR/stats.table"
-grep -q 'serve.request_us' "$DIR/stats.table" \
-    || fail "stats table misses serve.request_us: $(cat "$DIR/stats.table")"
+grep -q 'serve.request_ns' "$DIR/stats.table" \
+    || fail "stats table misses serve.request_ns: $(cat "$DIR/stats.table")"
 grep -q 'p50' "$DIR/stats.table" \
     || fail "stats table misses quantiles"
 grep -q 'serve.cache.miss' "$DIR/stats.table" \
@@ -114,16 +114,16 @@ grep -q 'serve.cache.miss' "$DIR/stats.table" \
 "$BIN" stats --socket "$SOCK" --format json > "$DIR/stats.json"
 grep -q '"histograms"' "$DIR/stats.json" \
     || fail "stats json misses histograms"
-grep -q '"serve.request_us"' "$DIR/stats.json" \
-    || fail "stats json misses serve.request_us"
+grep -q '"serve.request_ns"' "$DIR/stats.json" \
+    || fail "stats json misses serve.request_ns"
 grep -q '"p99"' "$DIR/stats.json" || fail "stats json misses p99"
 
 "$BIN" stats --socket "$SOCK" --format prom > "$DIR/stats.prom"
-grep -q '^# TYPE nnbaton_serve_request_us histogram' "$DIR/stats.prom" \
+grep -q '^# TYPE nnbaton_serve_request_ns histogram' "$DIR/stats.prom" \
     || fail "prom exposition misses the latency histogram TYPE line"
-grep -q '^nnbaton_serve_request_us_bucket{le="+Inf"} ' "$DIR/stats.prom" \
+grep -q '^nnbaton_serve_request_ns_bucket{le="+Inf"} ' "$DIR/stats.prom" \
     || fail "prom exposition misses the +Inf bucket"
-grep -q '^nnbaton_serve_request_us_p50 ' "$DIR/stats.prom" \
+grep -q '^nnbaton_serve_request_ns_p50 ' "$DIR/stats.prom" \
     || fail "prom exposition misses p50"
 grep -q '^nnbaton_serve_requests_total ' "$DIR/stats.prom" \
     || fail "prom exposition misses the requests counter"

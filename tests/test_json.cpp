@@ -382,8 +382,12 @@ TEST(Export, PostDesignJsonIsStructured)
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const JsonValue *observability = parsed.value.find("observability");
     ASSERT_NE(observability, nullptr);
-    EXPECT_NE(observability->find("profile"), nullptr);
-    EXPECT_NE(observability->find("metrics"), nullptr);
+    const JsonValue *metrics = observability->find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    // The search's phases are there as span histograms.
+    const JsonValue *histograms = metrics->find("histograms");
+    ASSERT_NE(histograms, nullptr);
+    EXPECT_NE(histograms->find("mapper.pick_best_ns"), nullptr);
 }
 
 TEST(Export, PreDesignJsonCarriesPoints)

@@ -724,7 +724,6 @@ TEST(MemoryAxisTable, CountersAreObservationOnly)
 
     const auto run = [&](bool observed, MappingCache &cache) {
         SearchOptions search;
-        search.detailedMetrics = observed;
         obs::setTracingEnabled(observed);
         std::vector<ModelMappingResult> out;
         for (const AcceleratorConfig &cfg : configs) {

@@ -1,22 +1,25 @@
 /**
  * @file
  * Tests for the observability layer: trace spans and their Chrome
- * JSON export (round-tripped through the common/json parser),
- * histogram bucket math at the boundaries, concurrent metric updates
- * under parallelFor, and agreement between the metrics registry and
- * the legacy SearchStats counters on a real DSE run.
+ * JSON export (round-tripped through the common/json parser), the
+ * span histograms that count every span past the trace's cap and
+ * merge across threads, histogram bucket math at the boundaries,
+ * concurrent metric updates under parallelFor, and agreement between
+ * the metrics registry and the SearchStats counters on a real DSE
+ * run.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/profile.hpp"
 #include "common/trace.hpp"
 #include "dse/explorer.hpp"
 #include "nn/model.hpp"
@@ -51,9 +54,29 @@ miniSweep(int threads, double progressSeconds = 0.0)
     opt.proportionalMem = true;
     opt.effort = SearchEffort::Fast;
     opt.threads = threads;
-    opt.detailedMetrics = true;
     opt.progressSeconds = progressSeconds;
     return explore(miniModel(), opt, defaultTech());
+}
+
+/** The histogram named @p name in @p snap, or null. */
+const obs::HistogramSnapshot *
+findHistogram(const obs::MetricsSnapshot &snap, const std::string &name)
+{
+    for (const obs::HistogramSnapshot &h : snap.histograms) {
+        if (h.name == name)
+            return &h;
+    }
+    return nullptr;
+}
+
+/** Spans of @p name counted by the registry so far (0 if none). */
+int64_t
+spanCount(const std::string &name)
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().snapshot();
+    const obs::HistogramSnapshot *h = findHistogram(snap, name + "_ns");
+    return h ? h->count : 0;
 }
 
 } // namespace
@@ -228,11 +251,12 @@ TEST(Metrics, RegistryTotalsMatchSearchStats)
               r.search.cacheMisses);
     EXPECT_EQ(reg.counter("dse.points.swept").value(), r.swept);
 
-    // Detailed metrics recorded one latency sample per layer search
-    // and one per evaluated design point.
-    const int64_t lookups = r.search.cacheHits + r.search.cacheMisses;
-    EXPECT_EQ(reg.histogram("mapper.layer_search_us").count(), lookups);
-    EXPECT_GT(reg.histogram("dse.point_latency_us").count(), 0);
+    // The span histograms time one design point per swept point, one
+    // pickBest() per cache miss and one layer search per lookup.
+    EXPECT_EQ(spanCount("dse.design_point"), r.swept);
+    EXPECT_EQ(spanCount("mapper.pick_best"), r.search.cacheMisses);
+    EXPECT_EQ(spanCount("mapper.layer_search"),
+              r.search.cacheHits + r.search.cacheMisses);
 }
 
 TEST(Determinism, TracingDoesNotChangeResults)
@@ -267,8 +291,8 @@ TEST(Determinism, TracingDoesNotChangeResults)
 
 TEST(Determinism, FullObservabilityStackDoesNotChangeResults)
 {
-    // Everything at once — tracing, the always-on flight recorder, a
-    // very chatty progress heartbeat and detailed metrics — must be
+    // Everything at once — tracing, the always-on flight recorder and
+    // span histograms, and a very chatty progress heartbeat — must be
     // observation-only: the parallel sweep returns the same results
     // and deterministic counters as a bare serial one.
     const DseResult plain = miniSweep(1);
@@ -296,31 +320,95 @@ TEST(Determinism, FullObservabilityStackDoesNotChangeResults)
     EXPECT_GT(reg.gauge("dse.progress.total").value(), 0.0);
 }
 
-TEST(Profile, AggregatesPerPhase)
+TEST(Trace, SpanHistogramsSurviveTheTraceCap)
 {
-    std::vector<obs::TraceEvent> events;
-    events.push_back({"p.a", 1, 0, 2000});
-    events.push_back({"p.a", 1, 5000, 4000});
-    events.push_back({"p.b", 2, 0, 1000});
-    const obs::ProfileReport report = obs::buildProfile(events);
-    ASSERT_EQ(report.phases.size(), 2u);
-    // Sorted by total time: p.a (6us) before p.b (1us).
-    EXPECT_EQ(report.phases[0].name, "p.a");
-    EXPECT_EQ(report.phases[0].count, 2);
-    EXPECT_DOUBLE_EQ(report.phases[0].totalMs, 6e-3);
-    EXPECT_DOUBLE_EQ(report.phases[0].meanUs, 3.0);
-    EXPECT_DOUBLE_EQ(report.phases[0].maxUs, 4.0);
-    EXPECT_EQ(report.phases[1].name, "p.b");
+    // One fresh thread overfills its trace buffer (2^20 events): the
+    // trace drops the rest, the span histogram counts every span.
+    constexpr int64_t kSpans = (int64_t{1} << 20) + 1000;
+    const int64_t droppedBefore = obs::droppedTraceEvents();
+    const int64_t countBefore = spanCount("test.past_the_cap");
+    {
+        TracingOn on;
+        std::thread([] {
+            for (int64_t i = 0; i < kSpans; ++i)
+                obs::recordSpan("test.past_the_cap", 0, 5);
+        }).join();
+    }
+    EXPECT_GE(obs::droppedTraceEvents() - droppedBefore, 1000);
+    EXPECT_EQ(spanCount("test.past_the_cap") - countBefore, kSpans);
+}
 
-    // And the JSON form parses back.
+TEST(Trace, FullSpanLedgerPanicsNamingTheSpan)
+{
+    // A thread that records more distinct span names than its ledger
+    // holds fails loudly on the first name left without a slot.
+    static std::array<std::string, 1024> names;
+    size_t refused = names.size();
+    std::string message;
+    std::thread([&] {
+        for (size_t i = 0; i < names.size(); ++i) {
+            names[i] = "test.ledger." + std::to_string(i);
+            try {
+                obs::recordSpan(names[i].c_str(), 0, 1);
+            } catch (const StatusError &e) {
+                refused = i;
+                message = e.status().message();
+                return;
+            }
+        }
+    }).join();
+    ASSERT_LT(refused, names.size()) << "every name found a slot";
+    EXPECT_NE(message.find(names[refused]), std::string::npos) << message;
+}
+
+TEST(Metrics, SpanHistogramsMergeAcrossThreads)
+{
+    // Two threads record one name: the snapshot holds one histogram
+    // with both threads' spans, and its JSON form reads back whole.
+    obs::MetricsRegistry::instance().reset();
+    const auto record = [](int n, uint64_t durNs) {
+        for (int i = 0; i < n; ++i)
+            obs::recordSpan("test.merged", 100, 100 + durNs);
+    };
+    std::thread a(record, 3, 2000);
+    std::thread b(record, 5, 9);
+    a.join();
+    b.join();
+
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().snapshot();
+    int named = 0;
+    for (const obs::HistogramSnapshot &h : snap.histograms)
+        named += h.name == "test.merged_ns" ? 1 : 0;
+    EXPECT_EQ(named, 1);
+    const obs::HistogramSnapshot *h =
+        findHistogram(snap, "test.merged_ns");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, 8);
+    EXPECT_EQ(h->sum, 3 * 2000 + 5 * 9);
+    EXPECT_EQ(h->minValue, 9);
+    EXPECT_EQ(h->maxValue, 2000);
+    EXPECT_EQ(h->buckets[obs::Histogram::bucketIndex(9)], 5);
+    EXPECT_EQ(h->buckets[obs::Histogram::bucketIndex(2000)], 3);
+
     std::ostringstream ss;
-    JsonWriter j(ss);
-    obs::writeProfileJson(j, report);
+    {
+        JsonWriter j(ss);
+        obs::writeMetricsJson(j, snap);
+    }
     const JsonParseResult parsed = parseJson(ss.str());
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    const JsonValue *phases = parsed.value.find("phases");
-    ASSERT_NE(phases, nullptr);
-    EXPECT_EQ(phases->array.size(), 2u);
+    const StatusOr<obs::MetricsSnapshot> back =
+        obs::metricsSnapshotFromJson(parsed.value);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    const obs::HistogramSnapshot *r =
+        findHistogram(back.value(), "test.merged_ns");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->count, h->count);
+    EXPECT_EQ(r->sum, h->sum);
+    EXPECT_EQ(r->minValue, h->minValue);
+    EXPECT_EQ(r->maxValue, h->maxValue);
+    EXPECT_EQ(r->buckets, h->buckets);
 }
 
 TEST(Metrics, JsonSnapshotRoundTrips)

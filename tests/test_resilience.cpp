@@ -518,8 +518,6 @@ TEST(Checkpoint, FingerprintChangesWithEveryFieldThatChangesASweep)
     const Edit neutral_fields[] = {
         {"threads", [](DseOptions &o) { o.threads = 4; }},
         {"boundPruning", [](DseOptions &o) { o.boundPruning = false; }},
-        {"detailedMetrics",
-         [](DseOptions &o) { o.detailedMetrics = true; }},
         {"progressSeconds", [](DseOptions &o) { o.progressSeconds = 5; }},
         {"strict", [](DseOptions &o) { o.strict = true; }},
         {"checkpointPath",

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -568,10 +570,10 @@ TEST(AccessLog, MetricsOpReturnsQuantilesAndCounters)
         obs::metricsSnapshotFromJson(parsed.value);
     ASSERT_TRUE(snap.ok()) << snap.status().toString();
 
-    // ...and the request-latency histogram answers p50/p90/p99.
+    // ...and the serve.request span's histogram answers p50/p90/p99.
     const JsonValue *hists = parsed.value.find("histograms");
     ASSERT_NE(hists, nullptr);
-    const JsonValue *latency = hists->find("serve.request_us");
+    const JsonValue *latency = hists->find("serve.request_ns");
     ASSERT_NE(latency, nullptr);
     for (const char *key : {"count", "min", "max", "p50", "p90", "p99"})
         EXPECT_NE(latency->find(key), nullptr) << key;
@@ -657,6 +659,50 @@ TEST(AccessLog, FailedRequestDumpsFlightRecorderWithItsRid)
         }
     }
     EXPECT_TRUE(sawFailingRequest);
+}
+
+/**
+ * Lanes that fail at once each leave a whole dump: a dump is written
+ * to its own file and renamed over the path, so a reader never finds
+ * the path cut short or two dumps interleaved, and no temp file stays.
+ */
+TEST(AccessLog, ConcurrentFailuresLeaveWholeFlightDumps)
+{
+    const std::string dumpPath = uniqueTempFile("concurrentdump");
+    std::remove(dumpPath.c_str());
+    ServiceOptions opt;
+    opt.flightDumpPath = dumpPath;
+    EvalService service{opt};
+
+    constexpr int kLanes = 4;
+    constexpr int kFailuresPerLane = 10;
+    std::atomic<int> unreadable{0};
+    std::vector<std::thread> lanes;
+    for (int l = 0; l < kLanes; ++l) {
+        lanes.emplace_back([&] {
+            for (int i = 0; i < kFailuresPerLane; ++i) {
+                service.handleLine("garbage");
+                std::ifstream in(dumpPath);
+                std::stringstream text;
+                text << in.rdbuf();
+                const JsonParseResult dump = parseJson(text.str());
+                if (!dump.ok() || !dump.value.find("failedRequestId"))
+                    unreadable.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : lanes)
+        t.join();
+    EXPECT_EQ(unreadable.load(), 0);
+
+    const std::filesystem::path path(dumpPath);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(path.parent_path())) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(name.starts_with(path.filename().string() + "."))
+            << "left behind: " << name;
+    }
+    std::remove(dumpPath.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -49,7 +49,6 @@
 #include "common/net.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
-#include "common/profile.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
 #include "fabric/coordinator.hpp"
@@ -208,8 +207,8 @@ usage()
         "  --trace <path>        write a Chrome trace-event JSON file\n"
         "                        (open in Perfetto / chrome://tracing)\n"
         "  --metrics             print the metrics table to stderr at\n"
-        "                        exit, and the per-phase profile when\n"
-        "                        --trace is also given\n"
+        "                        exit; its <span>_ns histograms time\n"
+        "                        every phase\n"
         "  --log-level <level>   debug, info, warn or quiet [info]\n");
 }
 
@@ -458,7 +457,6 @@ runPost(const Args &args)
     args.config.validate();
     SearchOptions search;
     search.threads = args.threads;
-    search.detailedMetrics = args.metrics;
     PostDesignFlow flow(args.config, defaultTech(),
                         SearchEffort::Exhaustive,
                         args.edpObjective ? Objective::MinEdp
@@ -501,7 +499,6 @@ runPre(const Args &args)
     opt.objective = args.edpObjective ? Objective::MinEdp
                                       : Objective::MinEnergy;
     opt.threads = args.threads;
-    opt.detailedMetrics = args.metrics;
     opt.progressSeconds = args.progressSeconds;
     opt.strict = args.strict;
     opt.checkpointPath = args.checkpointPath;
@@ -816,9 +813,6 @@ reportObservability(const Args &args)
                      args.tracePath.c_str());
     }
     if (args.metrics) {
-        const obs::ProfileReport profile = obs::buildProfile();
-        if (!profile.empty())
-            std::fputs(obs::formatProfile(profile).c_str(), stderr);
         std::fputs(
             obs::formatMetrics(
                 obs::MetricsRegistry::instance().snapshot())
