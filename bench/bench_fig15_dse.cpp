@@ -21,6 +21,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "baton/baton.hpp"
 #include "mapper/search.hpp"
@@ -170,8 +171,10 @@ benchSweep(int threads)
     // keeping the numbers comparable across revisions.  A third,
     // traced parallel sweep measures the tracing-enabled overhead, and
     // its span histograms (the registry is reset just before it) give
-    // the per-phase breakdown for BENCH_dse.json.  The trace drops
-    // spans past its per-thread cap; the histograms count them all.
+    // the per-phase breakdown for BENCH_dse.json.  The histograms count
+    // every span.  The trace keeps each thread's newest 2^20 spans and
+    // overwrites older ones, so it still holds the one dse.explore
+    // span, which ends last.
     opt.threads = 1;
     const DseResult serial = explore(model, opt, defaultTech());
     opt.threads = threads;
@@ -183,6 +186,10 @@ benchSweep(int threads)
     obs::setTracingEnabled(false);
     obs::MetricsSnapshot phases;
     phases.histograms = obs::spanHistograms();
+    int64_t explore_spans = 0;
+    obs::forEachTraceEvent([&](const obs::TraceEvent &e) {
+        explore_spans += std::string_view(e.name) == "dse.explore";
+    });
 
     const bool identical = identicalResults(serial, parallel) &&
                            identicalResults(parallel, traced);
@@ -221,6 +228,7 @@ benchSweep(int threads)
     j.field("traced_seconds", traced.elapsedSeconds);
     j.field("trace_overhead", trace_overhead);
     j.field("trace_dropped_events", obs::droppedTraceEvents());
+    j.field("trace_explore_spans", explore_spans);
     j.field("identical", identical);
     j.key("sweep").beginObject();
     j.field("swept", serial.swept);

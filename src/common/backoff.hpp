@@ -36,7 +36,7 @@ struct BackoffPolicy
  *   Backoff backoff(policy, seed);
  *   while (!backoff.exhausted()) {
  *       if (tryOnce().ok()) break;
- *       sleepMs(backoff.nextDelayMs());
+ *       if (!sleepWithCancel(backoff.nextDelayMs(), cancel)) break;
  *   }
  * @endcode
  */
@@ -69,9 +69,9 @@ class Backoff
     int attempts_ = 0;
 };
 
-/** Interruptible sleep: returns early (false) once @p cancelled()
- *  reports true, polling every few milliseconds.  Null predicate
- *  sleeps the full delay. */
+/** Interruptible sleep: returns early (false) once @p cancel is
+ *  cancelled, polling every few milliseconds.  A null token sleeps
+ *  the full delay. */
 class CancelToken;
 bool sleepWithCancel(int64_t delayMs, const CancelToken *cancel);
 

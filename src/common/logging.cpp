@@ -87,12 +87,6 @@ parseLogLevel(const std::string &name, LogLevel &out)
 }
 
 void
-setInformEnabled(bool enabled)
-{
-    setLogLevel(enabled ? LogLevel::Info : LogLevel::Warn);
-}
-
-void
 debugLog(const char *fmt, ...)
 {
     if (!levelEnabled(LogLevel::Debug))

@@ -66,12 +66,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/**
- * Enable/disable inform() output (benches silence it).  Kept as a
- * shim over setLogLevel: enabled maps to Info, disabled to Warn.
- */
-void setInformEnabled(bool enabled);
-
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

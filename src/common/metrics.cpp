@@ -135,16 +135,6 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    std::unique_ptr<Histogram> &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
 void
 MetricsRegistry::reset()
 {
@@ -153,8 +143,6 @@ MetricsRegistry::reset()
         c->reset();
     for (auto &[name, g] : gauges_)
         g->reset();
-    for (auto &[name, h] : histograms_)
-        h->reset();
     resetSpanHistograms();
 }
 
@@ -167,10 +155,6 @@ MetricsRegistry::snapshot() const
         s.counters.emplace_back(name, c->value());
     for (const auto &[name, g] : gauges_)
         s.gauges.emplace_back(name, g->value());
-    for (const auto &[name, h] : histograms_) {
-        s.histograms.emplace_back().name = name;
-        s.histograms.back().merge(*h);
-    }
     for (HistogramSnapshot &hs : spanHistograms())
         s.histograms.push_back(std::move(hs));
     return s;

@@ -1,8 +1,8 @@
 /**
  * @file
  * A thread-safe metrics registry for the DSE/mapping pipeline:
- * counters (monotonic), gauges (last-written value) and histograms
- * with fixed log2 buckets.
+ * counters (monotonic) and gauges (last-written value), plus the
+ * fixed log2-bucket histograms that time trace spans.
  *
  * Instruments register by name ("subsystem.what", dot-separated) and
  * are process-wide; hot paths should cache the returned reference in
@@ -19,8 +19,9 @@
  * between different instruments); registration and snapshotting take
  * a registry mutex.  reset() zeroes every registered instrument so
  * tests and benches can measure deltas.
- * snapshot() also reports every trace span as a "<span>_ns"
- * histogram (common/trace), so phases need no timer of their own.
+ * The histograms are the span ledgers: snapshot() reports every trace
+ * span as a "<span>_ns" histogram (common/trace), so phases need no
+ * timer of their own and no histogram registers by name.
  */
 
 #ifndef NNBATON_COMMON_METRICS_HPP
@@ -102,7 +103,8 @@ class Gauge
  * bucket 0 holds values <= 0 and bucket k >= 1 holds
  * [2^(k-1), 2^k - 1], so bucket 1 is exactly {1}, bucket 2 is {2,3},
  * bucket 3 is {4..7}, and the last bucket absorbs everything above
- * 2^(kBuckets-2).
+ * 2^(kBuckets-2).  Each is one span name's slot in one thread's
+ * ledger (common/trace), written by that thread alone.
  */
 class Histogram
 {
@@ -118,30 +120,11 @@ class Histogram
     /** Largest value mapping to bucket @p b. */
     static int64_t bucketUpperBound(int b);
 
+    /** Add one sample.  Only one thread may record into a histogram:
+     *  relaxed loads and stores, no read-modify-write, so a reader may
+     *  see a sample half recorded. */
     void
     record(int64_t v)
-    {
-        buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-        // CAS loops because there is no fetch_min/fetch_max; contention
-        // is rare (only values extending the observed range loop).
-        int64_t cur = min_.load(std::memory_order_relaxed);
-        while (v < cur &&
-               !min_.compare_exchange_weak(cur, v,
-                                           std::memory_order_relaxed)) {
-        }
-        cur = max_.load(std::memory_order_relaxed);
-        while (v > cur &&
-               !max_.compare_exchange_weak(cur, v,
-                                           std::memory_order_relaxed)) {
-        }
-    }
-
-    /** record() for a histogram only the calling thread writes: no
-     *  read-modify-write; a reader may see a sample half recorded. */
-    void
-    recordOwned(int64_t v)
     {
         const auto add = [](std::atomic<int64_t> &a, int64_t d) {
             a.store(a.load(std::memory_order_relaxed) + d,
@@ -249,13 +232,12 @@ class MetricsRegistry
     /** Find-or-create; references stay valid for the process. */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
 
     /** Zero every registered instrument and span histogram (names
      *  stay registered).  Not safe while spans are being recorded. */
     void reset();
 
-    /** Every registered instrument, then spanHistograms(). */
+    /** Every counter and gauge, then spanHistograms(). */
     MetricsSnapshot snapshot() const;
 
   private:
@@ -264,7 +246,6 @@ class MetricsRegistry
     mutable std::mutex m_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 /** Render a snapshot as a column-aligned table (the --metrics view). */

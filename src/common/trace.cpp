@@ -25,7 +25,6 @@ namespace obs {
 namespace {
 
 std::atomic<bool> tracingOn{false};
-std::atomic<bool> flightOn{true};
 std::atomic<int64_t> droppedEvents{0};
 
 std::atomic<uint64_t> ridCounter{0};
@@ -54,20 +53,24 @@ struct SpanSlot
 };
 
 /**
- * A chunked append-only event buffer owned by one writer thread.
+ * A chunked event buffer owned by one writer thread, keeping its
+ * newest kMaxChunks chunks.
  *
  * The writer appends into the current chunk (no synchronisation) and
  * then publishes the new total with a release store of `count`;
  * readers take `chunksMutex` (so the chunk list is stable), load
- * `count` with acquire, and read exactly that many events.  The mutex
- * is only contended when the writer starts a new chunk, which happens
- * once per kChunkEvents spans.
+ * `count` with acquire, and read the events from `firstEvent` up to
+ * it.  The writer takes the mutex only to start a chunk, once per
+ * kChunkEvents spans: a fresh one below the cap, else the oldest,
+ * whose spans it counts as dropped.  No reader is then inside that
+ * chunk, and none reads past `count` in it.
  */
 struct ThreadBuffer
 {
     static constexpr size_t kChunkEvents = 4096;
-    /** Per-thread cap; beyond it spans are counted as dropped. */
-    static constexpr size_t kMaxEvents = size_t(1) << 20;
+    /** Per-thread cap of 2^20 events; past it the oldest chunk is
+     *  recycled. */
+    static constexpr size_t kMaxChunks = 256;
     /** Flight-ring capacity (power of two; newest events win). */
     static constexpr size_t kFlightEvents = 512;
     /** Ledger slots: room for every distinct span name one thread
@@ -76,11 +79,12 @@ struct ThreadBuffer
 
     const uint32_t tid;
 
-    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> count{0}; //!< events ever appended
 
-    std::mutex chunksMutex; //!< guards `chunks` (the vector, not the
-                            //!< events, which are write-once)
-    std::vector<std::unique_ptr<TraceEvent[]>> chunks;
+    std::mutex chunksMutex; //!< guards `chunks` and `firstEvent` (not
+                            //!< the events, published by `count`)
+    std::vector<std::unique_ptr<TraceEvent[]>> chunks; //!< oldest first
+    uint64_t firstEvent = 0; //!< index of chunks[0][0] among all events
 
     // Writer-thread-only state.
     TraceEvent *current = nullptr;
@@ -108,16 +112,24 @@ struct ThreadBuffer
            uint64_t rid)
     {
         const uint64_t n = count.load(std::memory_order_relaxed);
-        if (n >= kMaxEvents) {
-            droppedEvents.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
         if (currentUsed == kChunkEvents) {
-            auto chunk = std::make_unique<TraceEvent[]>(kChunkEvents);
-            current = chunk.get();
-            currentUsed = 0;
+            // Only this thread resizes `chunks`, so it reads the size
+            // unlocked and allocates outside the lock.
+            std::unique_ptr<TraceEvent[]> fresh;
+            if (chunks.size() < kMaxChunks)
+                fresh = std::make_unique<TraceEvent[]>(kChunkEvents);
             std::lock_guard<std::mutex> lock(chunksMutex);
-            chunks.push_back(std::move(chunk));
+            if (fresh) {
+                chunks.push_back(std::move(fresh));
+            } else {
+                std::rotate(chunks.begin(), chunks.begin() + 1,
+                            chunks.end());
+                firstEvent += kChunkEvents;
+                droppedEvents.fetch_add(kChunkEvents,
+                                        std::memory_order_relaxed);
+            }
+            current = chunks.back().get();
+            currentUsed = 0;
         }
         TraceEvent &e = current[currentUsed++];
         e.name = name;
@@ -137,7 +149,7 @@ struct ThreadBuffer
                 s.name.store(name, std::memory_order_release); // claim
             else if (owner != name)
                 continue;
-            s.latency.recordOwned(static_cast<int64_t>(durNs));
+            s.latency.record(static_cast<int64_t>(durNs));
             return;
         }
         panic("span ledger full: thread %u has no slot for span '%s' "
@@ -255,24 +267,20 @@ recordSpan(const char *name, uint64_t startNs, uint64_t endNs)
     buf.tally(name, durNs);
     if (tracingEnabled())
         buf.append(name, startNs, durNs, rid);
-    if (flightRecorderEnabled())
-        buf.appendFlight(name, startNs, durNs, rid);
+    buf.appendFlight(name, startNs, durNs, rid);
 }
 
-std::vector<TraceEvent>
-snapshotTrace()
+void
+forEachTraceEvent(const std::function<void(const TraceEvent &)> &fn)
 {
-    std::vector<TraceEvent> out;
+    constexpr size_t kChunk = ThreadBuffer::kChunkEvents;
     for (const auto &buf : TraceRegistry::instance().snapshotBuffers()) {
         std::lock_guard<std::mutex> lock(buf->chunksMutex);
-        const uint64_t n = buf->count.load(std::memory_order_acquire);
-        for (uint64_t i = 0; i < n; ++i) {
-            out.push_back(
-                buf->chunks[i / ThreadBuffer::kChunkEvents]
-                           [i % ThreadBuffer::kChunkEvents]);
-        }
+        const uint64_t n =
+            buf->count.load(std::memory_order_acquire) - buf->firstEvent;
+        for (uint64_t i = 0; i < n; ++i)
+            fn(buf->chunks[i / kChunk][i % kChunk]);
     }
-    return out;
 }
 
 std::vector<HistogramSnapshot>
@@ -336,18 +344,6 @@ currentThreadTag()
     return threadBuffer().tid;
 }
 
-void
-setFlightRecorderEnabled(bool enabled)
-{
-    flightOn.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-flightRecorderEnabled()
-{
-    return flightOn.load(std::memory_order_relaxed);
-}
-
 size_t
 flightRingCapacity()
 {
@@ -357,8 +353,6 @@ flightRingCapacity()
 void
 flightMark(const char *name)
 {
-    if (!flightRecorderEnabled())
-        return;
     threadBuffer().appendFlight(name, traceNowNs(), 0, currentRid);
 }
 
@@ -577,7 +571,6 @@ installFlightSignalHandler(const char *path)
 void
 writeChromeTrace(std::ostream &os)
 {
-    const std::vector<TraceEvent> events = snapshotTrace();
     JsonWriter j(os);
     j.beginObject();
     j.key("traceEvents").beginArray();
@@ -594,23 +587,25 @@ writeChromeTrace(std::ostream &os)
     j.endObject();
     j.endObject();
 
-    for (const TraceEvent &e : events) {
+    forEachTraceEvent([&j](const TraceEvent &e) {
         j.beginObject();
         j.field("ph", "X");
         j.field("pid", 0);
         j.field("tid", static_cast<int64_t>(e.tid));
         j.field("name", e.name);
         j.field("cat", categoryOf(e.name));
-        // Chrome timestamps are microseconds.
-        j.field("ts", static_cast<double>(e.startNs) * 1e-3);
-        j.field("dur", static_cast<double>(e.durNs) * 1e-3);
+        // Chrome timestamps are microseconds.  The shortest exact
+        // text of ns / 1e3 keeps every nanosecond digit for the first
+        // 52 days of trace clock.
+        j.fieldExact("ts", static_cast<double>(e.startNs) / 1e3);
+        j.fieldExact("dur", static_cast<double>(e.durNs) / 1e3);
         if (e.rid) {
             j.key("args").beginObject();
             j.field("rid", static_cast<int64_t>(e.rid));
             j.endObject();
         }
         j.endObject();
-    }
+    });
     j.endArray();
     j.field("droppedEvents", droppedTraceEvents());
     j.endObject();

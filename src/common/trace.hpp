@@ -3,24 +3,23 @@
  * Scoped trace spans for the DSE/mapping pipeline.
  *
  * Usage: drop NNBATON_TRACE_SCOPE("dse.map_model") at the top of a
- * scope.  While the flight recorder (on by default) or tracing is on,
- * the span's wall-clock extent is timed into the calling thread's
- * buffer: always into its latency ledger, which the metrics registry
+ * scope.  Every span's wall-clock extent is timed into the calling
+ * thread's buffer: into its latency ledger, which the metrics registry
  * reports as one "<span>_ns" histogram per span name and which never
  * drops a span; into its flight ring (below); and, when tracing is
  * enabled (obs::setTracingEnabled), into its Chrome trace buffer,
- * exported as trace-event JSON (open in Perfetto or chrome://tracing)
- * and capped per thread.  With both off the macro costs two relaxed
- * atomic loads and a predictable branch; defining
- * NNBATON_TRACE_DISABLED compiles every span site away entirely.
+ * exported as trace-event JSON (open in Perfetto or chrome://tracing).
+ * The trace buffer keeps each thread's newest 2^20 spans: past that
+ * cap it overwrites its oldest 4,096-span chunk.
  *
  * Recording is observation-only and lock-free on the hot path: only
  * the owning thread writes its buffer, publishing each trace event
  * with a release store of the count, so writers never block each
- * other and the exporter (which reads under the rarely-taken chunk
- * mutex with an acquire load of the count) sees only fully written
- * events.  The buffers are owned by a process-wide registry and
- * outlive their threads, so pools may come and go between reads.
+ * other and the exporter (which reads under the chunk mutex, taken by
+ * the writer once per chunk, with an acquire load of the count) sees
+ * only fully written events.  The buffers are owned by a process-wide
+ * registry and outlive their threads, so pools may come and go
+ * between reads.
  *
  * Span names must be string literals (or otherwise outlive the
  * process): buffers store the pointer, not a copy.
@@ -31,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -72,19 +72,24 @@ std::vector<HistogramSnapshot> spanHistograms();
 void resetSpanHistograms();
 
 /**
- * Copy out every event recorded so far, in per-thread buffer order.
- * Safe to call while other threads are still tracing: events
- * published before the call are included, later ones are not.
+ * Call @p fn on every trace event each thread still holds, thread by
+ * thread, oldest first.  Each thread's buffer is walked under its
+ * chunk mutex, so @p fn must not record spans.  Safe while other
+ * threads are still tracing: a thread's events published before its
+ * walk starts are included, later ones are not; a thread that needs a
+ * new chunk meanwhile waits for its walk to end.
  */
-std::vector<TraceEvent> snapshotTrace();
+void forEachTraceEvent(const std::function<void(const TraceEvent &)> &fn);
 
-/** Events discarded because a thread buffer hit its capacity. */
+/** Trace events overwritten because a thread buffer hit its cap. */
 int64_t droppedTraceEvents();
 
 /**
- * Write the collected spans as a Chrome trace-event JSON object
- * ({"traceEvents":[...]}).  The "cat" of each event is the span-name
- * prefix before the first '.'.
+ * Stream the collected spans as a Chrome trace-event JSON object
+ * ({"traceEvents":[...],"droppedEvents":n}) through
+ * forEachTraceEvent(), with no copy of the trace.  The "cat" of each
+ * event is the span-name prefix before the first '.'; "ts" and "dur"
+ * are exact microseconds.
  */
 void writeChromeTrace(std::ostream &os);
 
@@ -126,15 +131,9 @@ class RequestIdScope
 // ---------------------------------------------------------------------
 // Flight recorder: an always-on, fixed-size per-thread ring of the
 // most recent spans and marks (riding the same thread buffers as the
-// tracer).  Unlike tracing it is bounded and enabled by default, so a
-// crash, deadline blowup or failed request can always dump the last
-// few hundred events per thread as a postmortem.
-
-/** Turn the flight recorder on or off (ON by default). */
-void setFlightRecorderEnabled(bool enabled);
-
-/** True when spans/marks are being captured into the flight rings. */
-bool flightRecorderEnabled();
+// tracer).  Unlike tracing it is bounded and never off, so a crash,
+// deadline blowup or failed request can always dump the last few
+// hundred events per thread as a postmortem.
 
 /** Per-thread flight ring capacity in events (a power of two). */
 size_t flightRingCapacity();
@@ -175,25 +174,18 @@ class TraceScope
 {
   public:
     explicit TraceScope(const char *name)
+        : name_(name), start_(traceNowNs())
     {
-        if (tracingEnabled() || flightRecorderEnabled()) {
-            name_ = name;
-            start_ = traceNowNs();
-        }
     }
 
-    ~TraceScope()
-    {
-        if (name_)
-            recordSpan(name_, start_, traceNowNs());
-    }
+    ~TraceScope() { recordSpan(name_, start_, traceNowNs()); }
 
     TraceScope(const TraceScope &) = delete;
     TraceScope &operator=(const TraceScope &) = delete;
 
   private:
-    const char *name_ = nullptr; //!< null when nothing was recording
-    uint64_t start_ = 0;
+    const char *name_;
+    const uint64_t start_;
 };
 
 } // namespace obs
@@ -202,13 +194,9 @@ class TraceScope
 #define NNBATON_TRACE_CAT2(a, b) a##b
 #define NNBATON_TRACE_CAT(a, b) NNBATON_TRACE_CAT2(a, b)
 
-#ifdef NNBATON_TRACE_DISABLED
-#define NNBATON_TRACE_SCOPE(name) static_cast<void>(0)
-#else
 /** Trace the enclosing scope as a span named @p name (a literal). */
 #define NNBATON_TRACE_SCOPE(name)                                       \
     ::nnbaton::obs::TraceScope NNBATON_TRACE_CAT(nnbatonTraceScope_,    \
                                                  __LINE__)(name)
-#endif
 
 #endif // NNBATON_COMMON_TRACE_HPP

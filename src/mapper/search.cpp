@@ -256,22 +256,15 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     st.pruned += pruned_here;
 
     // Mirror the SearchStats work counters into the metrics registry
-    // (totals stay equal by construction) and keep a histogram of how
-    // many candidates the bound killed per search — the pruning
-    // effectiveness distribution.
+    // (totals stay equal by construction).
     static obs::Counter &m_evaluated =
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.evaluated");
     static obs::Counter &m_pruned =
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.pruned");
-    static obs::Histogram &m_prune_hist =
-        obs::MetricsRegistry::instance().histogram(
-            "mapper.prune.pruned_per_search");
     m_evaluated.add(evaluated_here);
     m_pruned.add(pruned_here);
-    if (prune)
-        m_prune_hist.record(pruned_here);
 
     return best;
 }

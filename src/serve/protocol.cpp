@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -11,6 +13,12 @@ namespace nnbaton {
 namespace serve {
 
 namespace {
+
+/** Wire op names, indexed by Op. */
+constexpr std::array<const char *, 8> kOpNames = {
+    "post",    "pre",    "sweepUnit", "stats",
+    "metrics", "flight", "ping",      "shutdown"};
+static_assert(kOpNames.size() == static_cast<size_t>(Op::Shutdown) + 1);
 
 /** A JSON number that is an exact positive integer within range. */
 StatusOr<int64_t>
@@ -166,28 +174,16 @@ parseRequest(const std::string &line)
     const JsonValue *op = root.find("op");
     if (!op || !op->isString())
         return errInvalidArgument("request needs a string 'op'");
-    if (op->string == "post")
-        req.op = Op::Post;
-    else if (op->string == "pre")
-        req.op = Op::Pre;
-    else if (op->string == "sweepUnit")
-        req.op = Op::SweepUnit;
-    else if (op->string == "stats")
-        req.op = Op::Stats;
-    else if (op->string == "metrics")
-        req.op = Op::Metrics;
-    else if (op->string == "flight")
-        req.op = Op::Flight;
-    else if (op->string == "ping")
-        req.op = Op::Ping;
-    else if (op->string == "shutdown")
-        req.op = Op::Shutdown;
-    else {
-        return errInvalidArgument(
-            "unknown op '%s' (post, pre, sweepUnit, stats, metrics, "
-            "flight, ping, shutdown)",
-            op->string.c_str());
+    const auto named =
+        std::find(kOpNames.begin(), kOpNames.end(), op->string);
+    if (named == kOpNames.end()) {
+        std::string known;
+        for (const char *name : kOpNames)
+            known.append(known.empty() ? "" : ", ").append(name);
+        return errInvalidArgument("unknown op '%s' (%s)",
+                                  op->string.c_str(), known.c_str());
     }
+    req.op = static_cast<Op>(named - kOpNames.begin());
 
     for (const auto &[key, value] : root.object) {
         // The members that are a plain string or positive number.
@@ -284,25 +280,7 @@ parseRequest(const std::string &line)
 const char *
 toString(Op op)
 {
-    switch (op) {
-      case Op::Post:
-        return "post";
-      case Op::Pre:
-        return "pre";
-      case Op::SweepUnit:
-        return "sweepUnit";
-      case Op::Stats:
-        return "stats";
-      case Op::Metrics:
-        return "metrics";
-      case Op::Flight:
-        return "flight";
-      case Op::Ping:
-        return "ping";
-      case Op::Shutdown:
-        return "shutdown";
-    }
-    return "?";
+    return kOpNames.at(static_cast<size_t>(op));
 }
 
 bool

@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -23,41 +22,25 @@ namespace serve {
 
 namespace {
 
-/** Request-path instruments, registered once. */
+/** Request-path instruments, registered once.  The search work done
+ *  on behalf of requests is counted where it happens, under
+ *  mapper.cache.* and mapper.candidates.*. */
 struct ServeMetrics
 {
     obs::Counter *requests;
     obs::Counter *errors;
-    obs::Counter *cacheHit;
-    obs::Counter *cacheMiss;
-    obs::Counter *cacheEvicted;
     obs::Counter *sloViolations;
     obs::Counter *overloadRejected;
     obs::Counter *unitPoints;
-    // Mapping-search work done on behalf of requests (SearchStats
-    // mirrored per request; see mapper/search.hpp).
-    obs::Counter *searchEvaluated;
-    obs::Counter *searchPruned;
 
     ServeMetrics()
     {
         obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
         requests = &reg.counter("serve.requests");
         errors = &reg.counter("serve.errors");
-        cacheHit = &reg.counter("serve.cache.hit");
-        cacheMiss = &reg.counter("serve.cache.miss");
-        cacheEvicted = &reg.counter("serve.cache.evicted");
         sloViolations = &reg.counter("serve.slo.violations");
         overloadRejected = &reg.counter("serve.overload.rejected");
         unitPoints = &reg.counter("serve.unit.points");
-        searchEvaluated = &reg.counter("serve.search.evaluated");
-        searchPruned = &reg.counter("serve.search.pruned");
-    }
-
-    void recordSearch(const SearchStats &s) const
-    {
-        searchEvaluated->add(s.evaluated);
-        searchPruned->add(s.pruned);
     }
 };
 
@@ -222,15 +205,16 @@ EvalService::handleLine(const std::string &line)
             }
         }
 
-        // Per-request cancellation: the request deadline (capped by
-        // the service maximum) plus the service-wide stop token.
+        // Per-request cancellation: the request deadline plus the
+        // service-wide stop token.  A positive service maximum caps
+        // the deadline and always bounds sweeps; 0 caps nothing.
         CancelToken cancel;
         cancel.linkParent(options_.stop);
-        double deadline =
-            std::min(req.deadlineSeconds, options_.maxDeadlineSeconds);
-        if ((req.op == Op::Pre || req.op == Op::SweepUnit) &&
-            req.deadlineSeconds <= 0)
-            deadline = options_.maxDeadlineSeconds; // always bounded
+        double deadline = req.deadlineSeconds;
+        const double cap = options_.maxDeadlineSeconds;
+        const bool sweep = req.op == Op::Pre || req.op == Op::SweepUnit;
+        if (cap > 0 && (deadline > cap || (sweep && deadline <= 0)))
+            deadline = cap;
         if (deadline > 0)
             cancel.setDeadlineAfter(deadline);
 
@@ -276,14 +260,6 @@ EvalService::handleLine(const std::string &line)
         dumpFlightOnError(rid, status);
     }
 
-    // Mirror the shared cache's eviction total into the serve counter
-    // (exchange keeps concurrent deltas from double-counting).
-    const int64_t evictions = cache_.evictions();
-    const int64_t seen = evictionsSeen_.exchange(
-        evictions, std::memory_order_relaxed);
-    if (evictions > seen)
-        m.cacheEvicted->add(evictions - seen);
-
     // The serve.request span times the request for the metrics
     // registry; this clock read feeds the SLO and the access log.
     const int64_t us =
@@ -313,9 +289,6 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
                                          : Objective::MinEnergy,
                         search);
     const PostDesignReport report = flow.run(model, &cache_);
-    serveMetrics().cacheHit->add(report.stats.cacheHits);
-    serveMetrics().cacheMiss->add(report.stats.cacheMisses);
-    serveMetrics().recordSearch(report.stats);
     audit.search = "exhaustive";
     audit.cacheHits = report.stats.cacheHits;
     audit.cacheMisses = report.stats.cacheMisses;
@@ -337,9 +310,6 @@ EvalService::runPre(const ServeRequest &req, CancelToken &cancel,
     opt.cache = &cache_;
     PreDesignFlow flow(opt, req.tech);
     const PreDesignReport report = flow.run(model);
-    serveMetrics().cacheHit->add(report.sweep.search.cacheHits);
-    serveMetrics().cacheMiss->add(report.sweep.search.cacheMisses);
-    serveMetrics().recordSearch(report.sweep.search);
     audit.search = "exhaustive";
     audit.cacheHits = report.sweep.search.cacheHits;
     audit.cacheMisses = report.sweep.search.cacheMisses;
@@ -412,9 +382,6 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
             throwStatus(cancel.toStatus());
         stats += out.stats;
     }
-    serveMetrics().cacheHit->add(stats.cacheHits);
-    serveMetrics().cacheMiss->add(stats.cacheMisses);
-    serveMetrics().recordSearch(stats);
     serveMetrics().unitPoints->add(
         static_cast<int64_t>(outcomes.size()));
     audit.search = "exhaustive";

@@ -19,8 +19,8 @@
  * the lean export omits everything run-dependent.
  *
  * Each request runs under its own CancelToken: the request's
- * `deadlineSeconds` (capped by the service maximum, which always
- * bounds pre-design sweeps) arms the deadline, and the token is
+ * `deadlineSeconds` (capped by a positive service maximum, which then
+ * always bounds pre-design sweeps) arms the deadline, and the token is
  * linked under the service-wide stop token so shutdown interrupts
  * in-flight work.  Failures come back as structured Status envelopes,
  * never as a dropped connection.
@@ -48,9 +48,9 @@ struct ServiceOptions
     /** LRU byte cap for the shared memory-axis tables (0 = unbounded). */
     int64_t cacheBytes = 256ll << 20;
 
-    /** Hard per-request wall-clock cap.  Pre-design sweeps always run
-     *  under min(request deadline, this); post queries only get a
-     *  deadline when the request asks for one. */
+    /** Hard per-request wall-clock cap (0 = none).  Pre-design sweeps
+     *  always run under min(request deadline, this); post queries only
+     *  get a deadline when the request asks for one. */
     double maxDeadlineSeconds = 300.0;
 
     /** Request-latency SLO in microseconds (--slo-us; 0 disables).
@@ -163,7 +163,6 @@ class EvalService
     std::FILE *accessLog_ = nullptr; //!< owned; null when disabled
     std::atomic<int64_t> requests_{0};
     std::atomic<int64_t> errors_{0};
-    std::atomic<int64_t> evictionsSeen_{0};
     std::atomic<int> inflight_{0}; //!< heavy ops currently evaluating
 };
 

@@ -108,7 +108,7 @@ grep -q 'serve.request_ns' "$DIR/stats.table" \
     || fail "stats table misses serve.request_ns: $(cat "$DIR/stats.table")"
 grep -q 'p50' "$DIR/stats.table" \
     || fail "stats table misses quantiles"
-grep -q 'serve.cache.miss' "$DIR/stats.table" \
+grep -q 'mapper.cache.misses' "$DIR/stats.table" \
     || fail "stats table misses cache counters"
 
 "$BIN" stats --socket "$SOCK" --format json > "$DIR/stats.json"

@@ -162,10 +162,10 @@ std::map<uint32_t, int64_t>
 designPointSpansPerThread()
 {
     std::map<uint32_t, int64_t> spans;
-    for (const obs::TraceEvent &e : obs::snapshotTrace()) {
+    obs::forEachTraceEvent([&spans](const obs::TraceEvent &e) {
         if (std::string(e.name) == "dse.design_point")
             ++spans[e.tid];
-    }
+    });
     return spans;
 }
 

@@ -1,21 +1,25 @@
 /**
  * @file
  * Tests for the observability layer: trace spans and their Chrome
- * JSON export (round-tripped through the common/json parser), the
- * span histograms that count every span past the trace's cap and
- * merge across threads, histogram bucket math at the boundaries,
- * concurrent metric updates under parallelFor, and agreement between
- * the metrics registry and the SearchStats counters on a real DSE
- * run.
+ * JSON export (round-tripped through the common/json parser, with
+ * exact timestamps), the trace keeping each thread's newest spans
+ * while walks run, the span histograms that count every span past the
+ * trace's cap and merge across threads, histogram bucket math at the
+ * boundaries, concurrent counter updates under parallelFor, and
+ * agreement between the metrics registry and the SearchStats counters
+ * on a real DSE run.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <limits>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
@@ -69,6 +73,16 @@ findHistogram(const obs::MetricsSnapshot &snap, const std::string &name)
     return nullptr;
 }
 
+/** Every trace event still held, copied out. */
+std::vector<obs::TraceEvent>
+tracedEvents()
+{
+    std::vector<obs::TraceEvent> out;
+    obs::forEachTraceEvent(
+        [&out](const obs::TraceEvent &e) { out.push_back(e); });
+    return out;
+}
+
 /** Spans of @p name counted by the registry so far (0 if none). */
 int64_t
 spanCount(const std::string &name)
@@ -84,16 +98,16 @@ spanCount(const std::string &name)
 TEST(Trace, DisabledRecordsNothing)
 {
     obs::setTracingEnabled(false);
-    const size_t before = obs::snapshotTrace().size();
+    const size_t before = tracedEvents().size();
     {
         NNBATON_TRACE_SCOPE("test.should_not_appear");
     }
-    EXPECT_EQ(obs::snapshotTrace().size(), before);
+    EXPECT_EQ(tracedEvents().size(), before);
 }
 
 TEST(Trace, SpansNestAndCarryDurations)
 {
-    const size_t before = obs::snapshotTrace().size();
+    const size_t before = tracedEvents().size();
     {
         TracingOn on;
         NNBATON_TRACE_SCOPE("test.outer");
@@ -101,7 +115,7 @@ TEST(Trace, SpansNestAndCarryDurations)
             NNBATON_TRACE_SCOPE("test.inner");
         }
     }
-    const std::vector<obs::TraceEvent> all = obs::snapshotTrace();
+    const std::vector<obs::TraceEvent> all = tracedEvents();
     ASSERT_GE(all.size(), before + 2);
     bool sawOuter = false, sawInner = false;
     for (size_t i = before; i < all.size(); ++i) {
@@ -166,6 +180,34 @@ TEST(Trace, ChromeJsonRoundTripsThroughParser)
     EXPECT_TRUE(sawB);
 }
 
+TEST(Trace, ChromeTimestampsAreExactMicroseconds)
+{
+    // 20 minutes into the trace clock, %.9g would write this start as
+    // 1.23456789e+09 us, 1.123 us early.
+    constexpr uint64_t kStartNs = 1234567891123;
+    {
+        TracingOn on;
+        obs::recordSpan("test.exact_ts", kStartNs, kStartNs + 1500);
+    }
+    std::ostringstream ss;
+    obs::writeChromeTrace(ss);
+    const JsonParseResult parsed = parseJson(ss.str());
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const JsonValue *events = parsed.value.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const JsonValue *span = nullptr;
+    for (const JsonValue &e : events->array) {
+        const JsonValue *name = e.find("name");
+        if (name && name->string == "test.exact_ts")
+            span = &e;
+    }
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->find("ts")->number, 1234567891.123);
+    EXPECT_EQ(span->find("dur")->number, 1.5);
+    EXPECT_NE(ss.str().find("\"ts\":1234567891.123,\"dur\":1.5"),
+              std::string::npos);
+}
+
 TEST(Histogram, BucketIndexBoundaries)
 {
     using H = obs::Histogram;
@@ -218,18 +260,12 @@ TEST(Metrics, ConcurrentIncrementsUnderParallelFor)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     obs::Counter &c = reg.counter("test.concurrent.counter");
-    obs::Histogram &h = reg.histogram("test.concurrent.hist");
     c.reset();
-    h.reset();
 
     constexpr int64_t kN = 20000;
     ThreadPool pool(4);
-    pool.parallelFor(kN, [&](int64_t i) {
-        c.add(1);
-        h.record(i % 100);
-    });
+    pool.parallelFor(kN, [&](int64_t) { c.add(1); });
     EXPECT_EQ(c.value(), kN);
-    EXPECT_EQ(h.count(), kN);
 }
 
 TEST(Metrics, RegistryTotalsMatchSearchStats)
@@ -278,7 +314,7 @@ TEST(Determinism, TracingDoesNotChangeResults)
     }
     // The traced parallel sweep covered every instrumented phase.
     std::set<std::string> phases;
-    for (const obs::TraceEvent &e : obs::snapshotTrace())
+    for (const obs::TraceEvent &e : tracedEvents())
         phases.insert(e.name);
     for (const char *expected :
          {"dse.explore", "dse.enumerate_space", "dse.design_point",
@@ -299,7 +335,6 @@ TEST(Determinism, FullObservabilityStackDoesNotChangeResults)
     DseResult observed;
     {
         TracingOn on;
-        obs::setFlightRecorderEnabled(true);
         observed = miniSweep(4, /*progressSeconds=*/0.01);
     }
     EXPECT_EQ(plain.swept, observed.swept);
@@ -323,7 +358,8 @@ TEST(Determinism, FullObservabilityStackDoesNotChangeResults)
 TEST(Trace, SpanHistogramsSurviveTheTraceCap)
 {
     // One fresh thread overfills its trace buffer (2^20 events): the
-    // trace drops the rest, the span histogram counts every span.
+    // trace overwrites its oldest spans, the span histogram counts
+    // every span.
     constexpr int64_t kSpans = (int64_t{1} << 20) + 1000;
     const int64_t droppedBefore = obs::droppedTraceEvents();
     const int64_t countBefore = spanCount("test.past_the_cap");
@@ -336,6 +372,89 @@ TEST(Trace, SpanHistogramsSurviveTheTraceCap)
     }
     EXPECT_GE(obs::droppedTraceEvents() - droppedBefore, 1000);
     EXPECT_EQ(spanCount("test.past_the_cap") - countBefore, kSpans);
+}
+
+TEST(Trace, FullTraceKeepsItsNewestSpans)
+{
+    // A fresh thread overfills its trace buffer, then records one span
+    // under a new name: the trace overwrites its oldest spans, keeps
+    // the new span as the thread's last event, and counts every span
+    // it overwrote.
+    constexpr int64_t kSpans = (int64_t{1} << 20) + 1000;
+    const int64_t droppedBefore = obs::droppedTraceEvents();
+    uint32_t tid = 0;
+    {
+        TracingOn on;
+        std::thread([&tid] {
+            tid = obs::currentThreadTag();
+            for (int64_t i = 0; i < kSpans; ++i)
+                obs::recordSpan("test.overfill", 0, 5);
+            obs::recordSpan("test.newest", 0, 5);
+        }).join();
+    }
+    int64_t kept = 0;
+    std::string last;
+    obs::forEachTraceEvent([&](const obs::TraceEvent &e) {
+        if (e.tid == tid) {
+            ++kept;
+            last = e.name;
+        }
+    });
+    EXPECT_EQ(last, "test.newest");
+    EXPECT_EQ(kept + obs::droppedTraceEvents() - droppedBefore,
+              kSpans + 1);
+}
+
+TEST(Trace, WalksRunWhileAThreadRecordsPastTheCap)
+{
+    // One thread records spans numbered by their start, past its cap,
+    // while this one writes the Chrome trace and walks the events:
+    // every walk sees that thread's spans as one unbroken run of at
+    // most 2^20 consecutive numbers.  Under TSan this also checks that
+    // the walks read only published events of recycled chunks.
+    constexpr int64_t kCap = int64_t{1} << 20;
+    constexpr int64_t kSpans = kCap + (int64_t{1} << 18);
+    std::atomic<uint32_t> tid{0};
+    std::atomic<int64_t> recorded{0};
+    TracingOn on;
+    std::thread recorder([&] {
+        tid.store(obs::currentThreadTag());
+        for (int64_t i = 0; i < kSpans; ++i) {
+            const uint64_t start = static_cast<uint64_t>(i);
+            obs::recordSpan("test.walked", start, start + 1);
+            recorded.store(i + 1, std::memory_order_relaxed);
+        }
+    });
+
+    bool unbroken = true;
+    const auto walk = [&] {
+        int64_t kept = 0;
+        uint64_t next = 0;
+        obs::forEachTraceEvent([&](const obs::TraceEvent &e) {
+            if (e.tid != tid.load())
+                return;
+            unbroken = unbroken && (kept == 0 || e.startNs == next);
+            next = e.startNs + 1;
+            ++kept;
+        });
+        unbroken = unbroken && kept <= kCap;
+        return std::pair{kept, next};
+    };
+    // A walk holds the recorder's chunk mutex, so walking back to back
+    // would stall it; two walks past the cap are enough.
+    while (recorded.load(std::memory_order_relaxed) < kCap)
+        std::this_thread::yield();
+    std::ostream sink(nullptr); // formats every event, keeps no bytes
+    for (int w = 0; w < 2; ++w) {
+        obs::writeChromeTrace(sink);
+        walk();
+    }
+    recorder.join();
+
+    const auto [kept, next] = walk();
+    EXPECT_TRUE(unbroken);
+    EXPECT_EQ(kept, kCap);
+    EXPECT_EQ(next, static_cast<uint64_t>(kSpans));
 }
 
 TEST(Trace, FullSpanLedgerPanicsNamingTheSpan)
@@ -416,7 +535,7 @@ TEST(Metrics, JsonSnapshotRoundTrips)
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     reg.counter("test.json.counter").add(42);
     reg.gauge("test.json.gauge").set(1.5);
-    reg.histogram("test.json.hist").record(9);
+    obs::recordSpan("test.json.span", 100, 109);
 
     std::ostringstream ss;
     JsonWriter j(ss);
@@ -432,7 +551,7 @@ TEST(Metrics, JsonSnapshotRoundTrips)
 
     const JsonValue *hists = parsed.value.find("histograms");
     ASSERT_NE(hists, nullptr);
-    const JsonValue *h = hists->find("test.json.hist");
+    const JsonValue *h = hists->find("test.json.span_ns");
     ASSERT_NE(h, nullptr);
     const JsonValue *buckets = h->find("buckets");
     ASSERT_NE(buckets, nullptr);

@@ -233,8 +233,9 @@ TEST(ResilientSweep, StrictStopsEveryLane)
 {
     const auto designPointSpans = [] {
         int64_t n = 0;
-        for (const obs::TraceEvent &e : obs::snapshotTrace())
+        obs::forEachTraceEvent([&n](const obs::TraceEvent &e) {
             n += std::string(e.name) == "dse.design_point" ? 1 : 0;
+        });
         return n;
     };
     DseOptions opt = sweepOptions();

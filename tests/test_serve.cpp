@@ -267,6 +267,31 @@ TEST(ServeProtocol, RejectsMalformedAndUnknown)
                      .ok());
 }
 
+TEST(ServeProtocol, EveryOpRoundTripsThroughItsName)
+{
+    // Every Op parses back from its wire name, and an unknown op's
+    // error lists every name, in Op order.
+    const Status unknown = parseRequest("{\"op\":\"dance\"}").status();
+    std::string names;
+    for (int i = 0; i <= static_cast<int>(Op::Shutdown); ++i) {
+        const Op op = static_cast<Op>(i);
+        const std::string name = toString(op);
+        names += (names.empty() ? "" : ", ") + name;
+        std::string line = "{\"op\":\"" + name + "\"";
+        if (op == Op::SweepUnit) {
+            line += ",\"unitId\":0,\"begin\":0,\"end\":1,"
+                    "\"fingerprint\":\"f\",\"techFingerprint\":\"t\"";
+        }
+        const StatusOr<ServeRequest> req = parseRequest(line + "}");
+        ASSERT_TRUE(req.ok()) << name << ": " << req.status().toString();
+        EXPECT_EQ(req.value().op, op) << name;
+    }
+    EXPECT_EQ(unknown.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(unknown.message().find("'dance' (" + names + ")"),
+              std::string::npos)
+        << unknown.message();
+}
+
 TEST(ServeProtocol, ErrorResponseShape)
 {
     const std::string line =
@@ -325,6 +350,31 @@ TEST(EvalService, PostDeadlineExceededIsStructured)
             .response;
     EXPECT_TRUE(isErrorEnvelope(response, "DEADLINE_EXCEEDED"))
         << response;
+}
+
+TEST(EvalService, ZeroDeadlineCapKeepsTheRequestDeadline)
+{
+    // A service maximum of 0 caps nothing, so a request's own deadline
+    // still bounds it: a post query answers DEADLINE_EXCEEDED and a
+    // pre sweep its partial result.
+    ServiceOptions opt;
+    opt.maxDeadlineSeconds = 0;
+    EvalService service{opt};
+    const std::string post =
+        service
+            .handleLine(std::string("{\"op\":\"post\",\"modelText\":\"") +
+                        kTinyModel + "\",\"deadlineSeconds\":1e-9}")
+            .response;
+    EXPECT_TRUE(isErrorEnvelope(post, "DEADLINE_EXCEEDED"))
+        << post.substr(0, 200);
+    const std::string pre =
+        service
+            .handleLine(std::string("{\"op\":\"pre\",\"modelText\":\"") +
+                        kTinyModel +
+                        "\",\"macs\":512,\"deadlineSeconds\":1e-9}")
+            .response;
+    EXPECT_NE(pre.find("\"complete\":false"), std::string::npos)
+        << pre.substr(0, 200);
 }
 
 TEST(EvalService, PostMatchesOneShotFlowBitForBit)
@@ -412,9 +462,9 @@ TEST(EvalService, WorkCountersDoNotDependOnCacheHistory)
         std::string("{\"op\":\"pre\",\"modelText\":\"") + kTinyModel +
         "\",\"macs\":512";
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    const char *counters[] = {"serve.search.evaluated",
-                              "serve.search.pruned", "serve.cache.hit",
-                              "serve.cache.miss"};
+    const char *counters[] = {"mapper.candidates.evaluated",
+                              "mapper.candidates.pruned",
+                              "mapper.cache.hits", "mapper.cache.misses"};
     const auto work = [&](const std::string &line) {
         std::vector<int64_t> before;
         for (const char *name : counters)
@@ -581,7 +631,7 @@ TEST(AccessLog, MetricsOpReturnsQuantilesAndCounters)
     const JsonValue *counters = parsed.value.find("counters");
     ASSERT_NE(counters, nullptr);
     EXPECT_NE(counters->find("serve.requests"), nullptr);
-    EXPECT_NE(counters->find("serve.cache.miss"), nullptr);
+    EXPECT_NE(counters->find("mapper.cache.misses"), nullptr);
 }
 
 TEST(AccessLog, FlightOpAnswersWithRecentSpans)
