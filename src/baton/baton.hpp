@@ -60,18 +60,7 @@ class PostDesignFlow
                             const TechnologyModel &tech = defaultTech(),
                             SearchEffort effort = SearchEffort::Exhaustive,
                             Objective objective = Objective::MinEnergy,
-                            int threads = 1)
-        : cfg_(std::move(cfg)), tech_(tech), effort_(effort),
-          objective_(objective)
-    {
-        search_.threads = threads;
-        cfg_.validate();
-    }
-
-    /** Full execution-options variant (threads, pruning, metrics). */
-    PostDesignFlow(AcceleratorConfig cfg, const TechnologyModel &tech,
-                   SearchEffort effort, Objective objective,
-                   const SearchOptions &search)
+                            const SearchOptions &search = {})
         : cfg_(std::move(cfg)), tech_(tech), effort_(effort),
           objective_(objective), search_(search)
     {
@@ -99,8 +88,7 @@ class PostDesignFlow
     const TechnologyModel &tech_;
     SearchEffort effort_;
     Objective objective_;
-    SearchOptions search_; //!< execution options; results identical
-                           //!< at any thread count
+    SearchOptions search_; //!< pruning and cancellation
 };
 
 /** Pre-design flow output. */

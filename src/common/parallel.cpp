@@ -1,24 +1,11 @@
 #include "common/parallel.hpp"
 
-#include <algorithm>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace nnbaton {
-
-namespace {
-
-/** Set while a thread executes a parallelFor body (caller or worker). */
-thread_local bool t_in_parallel = false;
-
-struct RegionGuard
-{
-    // Save/restore rather than set/clear: an inline nested region
-    // must not clear the outer region's flag when it ends.
-    bool prev;
-    RegionGuard() : prev(t_in_parallel) { t_in_parallel = true; }
-    ~RegionGuard() { t_in_parallel = prev; }
-};
-
-} // namespace
 
 int
 hardwareThreads()
@@ -27,111 +14,27 @@ hardwareThreads()
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
-bool
-ThreadPool::inParallelRegion()
-{
-    return t_in_parallel;
-}
-
-ThreadPool::ThreadPool(int threads)
-{
-    const int workers = std::max(0, threads - 1);
-    workers_.reserve(workers);
-    for (int i = 0; i < workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
 void
-ThreadPool::runIndices(const std::function<void(int64_t)> &fn)
+runLanes(int lanes, const std::function<void()> &fn)
 {
-    RegionGuard guard;
-    for (;;) {
-        const int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_)
-            return;
+    std::mutex m;
+    std::exception_ptr error; //!< first captured exception
+    const auto lane = [&] {
         try {
-            fn(i);
+            fn();
         } catch (...) {
-            std::lock_guard<std::mutex> lock(m_);
-            if (!error_)
-                error_ = std::current_exception();
-            // Abandon the remaining indices: no later claim can win.
-            next_.store(n_, std::memory_order_relaxed);
-            return;
+            std::lock_guard<std::mutex> lock(m);
+            if (!error)
+                error = std::current_exception();
         }
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    uint64_t seen = 0;
-    for (;;) {
-        const std::function<void(int64_t)> *fn = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(m_);
-            wake_.wait(lock,
-                       [&] { return stop_ || jobId_ != seen; });
-            if (stop_)
-                return;
-            seen = jobId_;
-            fn = fn_;
-        }
-        runIndices(*fn);
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            if (--active_ == 0)
-                done_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::parallelFor(int64_t n,
-                        const std::function<void(int64_t)> &fn)
-{
-    if (n <= 0)
-        return;
-    // Serial paths: no workers, trivial range, or nested call from a
-    // worker (running inline keeps thread counts from multiplying).
-    if (workers_.empty() || n == 1 || t_in_parallel) {
-        RegionGuard guard;
-        for (int64_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
+    };
     {
-        std::lock_guard<std::mutex> lock(m_);
-        fn_ = &fn;
-        n_ = n;
-        next_.store(0, std::memory_order_relaxed);
-        error_ = nullptr;
-        active_ = static_cast<int>(workers_.size());
-        ++jobId_;
-    }
-    wake_.notify_all();
-
-    runIndices(fn);
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        done_.wait(lock, [&] { return active_ == 0; });
-        fn_ = nullptr;
-        error = error_;
-        error_ = nullptr;
+        // A jthread joins when destroyed, so the lanes already
+        // started are joined even if starting the next one throws.
+        std::vector<std::jthread> others;
+        for (int i = 1; i < lanes; ++i)
+            others.emplace_back(lane);
+        lane();
     }
     if (error)
         std::rethrow_exception(error);

@@ -195,8 +195,7 @@ SweepDriver::runLocalLanes()
     CancelToken stop;
     stop.linkParent(options_.cancel);
     std::atomic<int64_t> settled{0};
-    ThreadPool pool(options_.threads);
-    pool.parallelFor(pool.threads(), [&](int64_t) {
+    runLanes(options_.threads, [&] {
         try {
             while (std::optional<WorkUnit> unit = leases_.claim(&stop)) {
                 std::vector<SweepPointOutcome> outcomes = evaluateSweepSlice(

@@ -80,7 +80,6 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
         return out;
     }
     SearchOptions search;
-    search.threads = 1; // point-level parallelism only (nested-free)
     search.boundPruning = options.boundPruning;
     search.cancel = options.cancel;
     ModelMappingResult mapped =

@@ -41,6 +41,11 @@ cacheMetrics()
 
 } // namespace
 
+MappingCache::MappingCache()
+{
+    cacheMetrics();
+}
+
 MappingCache::Key
 MappingCache::tableKey(const ConvLayer &layer,
                        const AcceleratorConfig &cfg, SearchEffort effort)

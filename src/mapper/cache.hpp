@@ -48,6 +48,10 @@ namespace nnbaton {
 class MappingCache
 {
   public:
+    /** Registers the `mapper.cache.evicted` and `mapper.table.*`
+     *  counters, so they read 0 before the first table or eviction. */
+    MappingCache();
+
     /**
      * The memory-axis table key: the layer shape, the compute geometry
      * and the effort — everything candidate enumeration reads except

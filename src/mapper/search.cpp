@@ -9,7 +9,6 @@
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
 #include "mapper/bound.hpp"
@@ -35,11 +34,10 @@ namespace {
 
 /**
  * Candidates are consumed in fixed blocks: pruning decisions use the
- * incumbent frozen at the block boundary, so they depend only on the
- * candidate order — never on the thread count or timing — and the
- * parallel search is bit-identical to the serial one (counters
- * included).  The block size trades pruning strength (incumbent
- * refreshes) against parallel width; it must stay a constant.
+ * incumbent frozen at the block boundary, and cancellation is polled
+ * once per block.  The block size fixes the `evaluated` and `pruned`
+ * counters that the golden files and perfbench pins record, so it
+ * must stay a constant.
  */
 constexpr size_t kPruneBlock = 32;
 
@@ -148,8 +146,7 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
          const TechnologyModel &tech,
          const std::vector<Mapping> &candidates,
          const MemoryAxisTable::View *table, Objective objective,
-         const SearchOptions &search, ThreadPool *pool,
-         SearchStats *stats)
+         const SearchOptions &search, SearchStats *stats)
 {
     NNBATON_TRACE_SCOPE("mapper.pick_best");
 
@@ -167,9 +164,7 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     const BufferRates rates = table ? bufferRates(cfg, tech) : BufferRates{};
 
     const size_t n = table ? table->size() : candidates.size();
-    double scores[kPruneBlock];
     size_t survivors[kPruneBlock];
-    size_t survivor_count = 0;
 
     for (size_t base = 0; base < n; base += kPruneBlock) {
         // Cancellation granularity: one poll per prune block, so a
@@ -183,11 +178,11 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
             verif::injectSearchBlockFault();
 
         const size_t count = std::min(kPruneBlock, n - base);
+        size_t survivor_count = 0;
 
         // Pruning pass against the block-boundary incumbent.
         {
             NNBATON_TRACE_SCOPE("mapper.bound_prune");
-            survivor_count = 0;
             for (size_t i = 0; i < count; ++i) {
                 if (prune && found) {
                     const double bound =
@@ -202,48 +197,31 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
                         continue;
                     }
                 }
-                survivors[survivor_count++] = i;
+                survivors[survivor_count++] = base + i;
             }
         }
 
-        // Score the survivors, in parallel when a pool is available
-        // (indices write disjoint slots; no ordering: the evaluator is
-        // stateless, so any lane may score any index).
+        // Score the survivors in candidate order and reduce as we go;
+        // strict '<' keeps the earliest candidate on score ties.
         {
             NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
-            const auto evaluate = [&](size_t i) {
-                scores[i] =
+            for (size_t j = 0; j < survivor_count; ++j) {
+                const size_t i = survivors[j];
+                const double score =
                     table ? tableScore(layer, cfg, tech, rates,
-                                       *(*table)[base + i], objective,
+                                       *(*table)[i], objective,
                                        cross_check)
                           : scoreOf(evaluateMapping(layer, cfg, tech,
-                                                    candidates[base + i]),
+                                                    candidates[i]),
                                     objective);
-            };
-            if (pool) {
-                pool->parallelFor(
-                    static_cast<int64_t>(survivor_count),
-                    [&](int64_t j) {
-                        evaluate(survivors[static_cast<size_t>(j)]);
-                    });
-            } else {
-                for (size_t j = 0; j < survivor_count; ++j)
-                    evaluate(survivors[j]);
+                if (!found || score < best_score) {
+                    found = true;
+                    best_index = i;
+                    best_score = score;
+                }
             }
         }
         evaluated_here += static_cast<int64_t>(survivor_count);
-
-        // Deterministic reduction in candidate order; strict '<'
-        // keeps the earliest candidate on score ties, matching the
-        // serial search.
-        for (size_t j = 0; j < survivor_count; ++j) {
-            const size_t i = survivors[j];
-            if (!found || scores[i] < best_score) {
-                found = true;
-                best_index = base + i;
-                best_score = scores[i];
-            }
-        }
     }
     std::optional<MappingChoice> best;
     if (found) {
@@ -277,8 +255,7 @@ std::optional<MappingChoice>
 runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
                const TechnologyModel &tech, SearchEffort effort,
                Objective objective, const SearchOptions &search,
-               ThreadPool *pool, SearchStats *stats,
-               const MemoryAxisTable::View *table)
+               SearchStats *stats, const MemoryAxisTable::View *table)
 {
     std::vector<Mapping> candidates;
     if (!table) {
@@ -286,7 +263,7 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
         candidates = enumerateCandidates(layer, cfg, effort);
     }
     return pickBest(layer, cfg, tech, candidates, table, objective,
-                    search, pool, stats);
+                    search, stats);
 }
 
 } // namespace
@@ -294,23 +271,11 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
 std::optional<MappingChoice>
 searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
             const TechnologyModel &tech, SearchEffort effort,
-            Objective objective)
-{
-    return searchLayer(layer, cfg, tech, effort, objective,
-                       SearchOptions{});
-}
-
-std::optional<MappingChoice>
-searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
-            const TechnologyModel &tech, SearchEffort effort,
             Objective objective, const SearchOptions &search,
             SearchStats *stats)
 {
-    std::unique_ptr<ThreadPool> pool;
-    if (search.threads > 1 && !ThreadPool::inParallelRegion())
-        pool = std::make_unique<ThreadPool>(search.threads);
     return runLayerSearch(layer, cfg, tech, effort, objective, search,
-                          pool.get(), stats, /*table=*/nullptr);
+                          stats, /*table=*/nullptr);
 }
 
 std::optional<MappingChoice>
@@ -323,17 +288,7 @@ searchLayerWithSpatial(const ConvLayer &layer,
     const std::vector<Mapping> candidates =
         enumerateCandidatesFor(layer, cfg, effort, pkg, chip);
     return pickBest(layer, cfg, tech, candidates, /*table=*/nullptr,
-                    objective, SearchOptions{}, /*pool=*/nullptr,
-                    /*stats=*/nullptr);
-}
-
-ModelMappingResult
-mapModel(const Model &model, const AcceleratorConfig &cfg,
-         const TechnologyModel &tech, SearchEffort effort,
-         Objective objective)
-{
-    return mapModel(model, cfg, tech, effort, objective,
-                    SearchOptions{});
+                    objective, SearchOptions{}, /*stats=*/nullptr);
 }
 
 ModelMappingResult
@@ -353,10 +308,6 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
     // effort to the shape, keys the memo.
     std::vector<std::pair<MappingCache::Key, std::optional<MappingChoice>>>
         memo;
-
-    std::unique_ptr<ThreadPool> pool;
-    if (search.threads > 1 && !ThreadPool::inParallelRegion())
-        pool = std::make_unique<ThreadPool>(search.threads);
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &m_hits = reg.counter("mapper.cache.hits");
@@ -384,8 +335,7 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
                 table = cache->tableView(layer, cfg, effort);
             memo.emplace_back(
                 key, runLayerSearch(layer, cfg, tech, effort, objective,
-                                    search, pool.get(), &result.stats,
-                                    table.get()));
+                                    search, &result.stats, table.get()));
             hit = memo.end() - 1;
             ++result.stats.cacheMisses;
             m_misses.add();

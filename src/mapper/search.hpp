@@ -27,7 +27,6 @@
 namespace nnbaton {
 
 class MappingCache; // mapper/cache.hpp
-class ThreadPool;   // common/parallel.hpp
 
 /** Search objective. */
 enum class Objective
@@ -38,11 +37,10 @@ enum class Objective
 
 /**
  * Work counters for the mapping search.  All counters are
- * deterministic: pruning decisions are made at fixed block boundaries
- * independent of the thread count, a memory-axis table returns the
- * same counters as enumeration, and repeats are counted within one
- * mapModel() call, so the totals depend neither on the thread count
- * nor on what a shared cache held before.
+ * deterministic: pruning decisions are made at fixed block
+ * boundaries, a memory-axis table returns the same counters as
+ * enumeration, and repeats are counted within one mapModel() call, so
+ * the totals do not depend on what a shared cache held before.
  */
 struct SearchStats
 {
@@ -65,8 +63,8 @@ struct SearchStats
 /** Execution options for the mapping search. */
 struct SearchOptions
 {
-    /** Total threads (including the caller); <= 1 runs serially.
-     *  Results are bit-identical across thread counts. */
+    /** Read by nothing: a search runs on its caller's thread.  Kept
+     *  only so callers that still set it compile. */
     int threads = 1;
 
     /** Skip candidates whose cheap score lower bound (mapper/
@@ -112,25 +110,17 @@ MappingChoice evaluateMapping(const ConvLayer &layer,
                               const AnalysisOptions &options = {});
 
 /**
- * Search the best mapping for one layer.  Returns std::nullopt when
- * no legal candidate exists (the configuration cannot run the layer).
+ * Search the best mapping for one layer, on the calling thread.
+ * Returns std::nullopt when no legal candidate exists (the
+ * configuration cannot run the layer).  @p stats, when non-null,
+ * accumulates work counters.
  */
 std::optional<MappingChoice>
 searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
             const TechnologyModel &tech,
             SearchEffort effort = SearchEffort::Exhaustive,
-            Objective objective = Objective::MinEnergy);
-
-/**
- * searchLayer() with explicit execution options: candidate evaluation
- * parallelised across @p search.threads lanes and (optionally)
- * score-bound pruned.  @p stats, when non-null, accumulates work
- * counters.
- */
-std::optional<MappingChoice>
-searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
-            const TechnologyModel &tech, SearchEffort effort,
-            Objective objective, const SearchOptions &search,
+            Objective objective = Objective::MinEnergy,
+            const SearchOptions &search = {},
             SearchStats *stats = nullptr);
 
 /**
@@ -155,29 +145,23 @@ struct ModelMappingResult
 };
 
 /**
- * Map every layer of @p model with a per-layer search.  Layers with
- * identical shapes share one search (ResNet-style repeated blocks),
- * which the result re-expands to model order.  No result outlives the
- * call.
- */
-ModelMappingResult
-mapModel(const Model &model, const AcceleratorConfig &cfg,
-         const TechnologyModel &tech,
-         SearchEffort effort = SearchEffort::Exhaustive,
-         Objective objective = Objective::MinEnergy);
-
-/**
- * mapModel() with explicit execution options.  When @p cache is
- * non-null, the searches draw their candidates from its
- * memory-axis tables (thread-safe, shared across design points), so
- * a shape searched again at another memory allocation of the same
+ * Map every layer of @p model with a per-layer search, on the calling
+ * thread.  Layers with identical shapes share one search
+ * (ResNet-style repeated blocks), which the result re-expands to
+ * model order.  No result outlives the call.
+ *
+ * When @p cache is non-null, the searches draw their candidates from
+ * its memory-axis tables (thread-safe, shared across design points),
+ * so a shape searched again at another memory allocation of the same
  * compute geometry skips enumeration — the DSE sweep's dominant
  * saving.  Results and counters are the same with or without it.
  */
 ModelMappingResult
 mapModel(const Model &model, const AcceleratorConfig &cfg,
-         const TechnologyModel &tech, SearchEffort effort,
-         Objective objective, const SearchOptions &search,
+         const TechnologyModel &tech,
+         SearchEffort effort = SearchEffort::Exhaustive,
+         Objective objective = Objective::MinEnergy,
+         const SearchOptions &search = {},
          MappingCache *cache = nullptr);
 
 } // namespace nnbaton

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -16,6 +15,9 @@ namespace nnbaton {
 namespace serve {
 
 namespace {
+
+/** Listen- and connection-socket poll period for stop checks. */
+constexpr int kPollMs = 50;
 
 /** Make the service options point at the server's stop token. */
 ServiceOptions
@@ -84,12 +86,10 @@ Server::run()
 {
     if (listenFd_ < 0 && tcpFd_ < 0)
         throwStatus(errFailedPrecondition("run() before start()"));
-    const int lanes = options_.threads < 1 ? 1 : options_.threads;
-    ThreadPool pool(lanes);
-    // Every lane (workers + this thread) runs an accept loop until
-    // the stop token fires; requests on different connections are
-    // thus answered concurrently on the common/parallel pool.
-    pool.parallelFor(lanes, [this](int64_t) { acceptLoop(); });
+    // Every lane (this thread included) runs an accept loop until the
+    // stop token fires, so requests on different connections are
+    // answered concurrently.
+    runLanes(options_.threads, [this] { acceptLoop(); });
     return service_.requestsHandled();
 }
 
@@ -122,8 +122,8 @@ Server::acceptLoop()
             fds[i].events = POLLIN;
             fds[i].revents = 0;
         }
-        const int ready = ::poll(fds, static_cast<nfds_t>(nfds),
-                                 options_.pollMs);
+        const int ready =
+            ::poll(fds, static_cast<nfds_t>(nfds), kPollMs);
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -162,7 +162,7 @@ Server::handleConnection(LineChannel channel)
         // Read in poll-period slices so an idle connection cannot pin
         // the lane past a stop request; a partial line stays buffered.
         StatusOr<std::string> line =
-            channel.recvLine(std::max(options_.pollMs, 1) / 1000.0);
+            channel.recvLine(kPollMs / 1000.0);
         if (!line.ok()) {
             const StatusCode code = line.status().code();
             if (code == StatusCode::DeadlineExceeded)

@@ -3,12 +3,11 @@
  * Socket transport for the persistent evaluation service
  * (`nn-baton serve`), over common/net's listeners and line channels.
  *
- * The server binds a Unix and/or TCP socket, then drives N accept/handle
- * lanes on the existing common/parallel ThreadPool: run() issues one
- * blocking parallelFor(lanes) whose body is an accept loop, so every
- * pool lane (including the caller) serves connections concurrently.
- * Inside a lane the mapping search runs serially (the pool is
- * nested-free), which keeps thread counts flat no matter how many
+ * The server binds a Unix and/or TCP socket, then run() starts N
+ * accept/handle lanes with common/parallel's runLanes(): each lane
+ * (the caller included) runs an accept loop, so the lanes serve
+ * connections concurrently.  A request's mapping search runs on its
+ * lane's thread, which keeps thread counts flat no matter how many
  * clients connect — throughput scales across requests, exactly the
  * shape a heavy-traffic deployment wants.
  *
@@ -58,9 +57,6 @@ struct ServerOptions
     /** External stop (SIGINT); the server also stops on a shutdown
      *  request.  Borrowed, may be null. */
     CancelToken *cancel = nullptr;
-
-    /** Listen- and connection-socket poll period for stop checks. */
-    int pollMs = 50;
 
     ServiceOptions service;
 };

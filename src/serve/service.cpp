@@ -282,7 +282,6 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
     req.config.validate();
 
     SearchOptions search;
-    search.threads = 1; // concurrency lives across requests
     search.cancel = &cancel;
     PostDesignFlow flow(req.config, req.tech, SearchEffort::Exhaustive,
                         req.edpObjective ? Objective::MinEdp

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for `nn-baton serve`:
+#   0. a fresh daemon exposes its table cache's counters at 0, before
+#      any table is built;
 #   1. the daemon comes up and answers a post-design request, twice,
 #      with bytes identical to the one-shot CLI's --no-obs JSON export;
 #      the repeat searches on the memory-axis tables it built, which
@@ -86,6 +88,15 @@ done
 # The socket exists; a ping proves the accept loop is live too.
 "$BIN" request --socket "$SOCK" --request '{"op":"ping"}' \
     | grep -q '"pong":true' || fail "daemon did not answer a ping"
+
+# 0. The eviction and table counters exist from the start, so a
+# scraper's rates do not begin mid-run with the first table.
+"$BIN" stats --socket "$SOCK" --format prom > "$DIR/fresh.prom"
+for series in mapper_cache_evicted mapper_table_builds mapper_table_hits \
+    mapper_table_leaves mapper_table_bytes; do
+    grep -q "^nnbaton_${series}_total 0\$" "$DIR/fresh.prom" \
+        || fail "fresh daemon misses $series: $(cat "$DIR/fresh.prom")"
+done
 
 # 1. Post request -> bit-identical to the CLI export; the repeat's
 # second misses build the shapes' tables and search on them, with the

@@ -1,9 +1,9 @@
 /**
  * @file
- * The parallel sweep engine's central promise: explore() and
- * mapModel() produce bit-identical results (points, scores, mapping
- * choices, and work counters) at any thread count, with or without
- * the shared cross-point cache.
+ * The parallel sweep engine's central promise: explore() produces
+ * bit-identical results (points, scores, mapping choices, and work
+ * counters) at any thread count, and mapModel() the same results
+ * with or without the shared cross-point cache.
  */
 
 #include <gtest/gtest.h>
@@ -120,96 +120,19 @@ TEST(Determinism, ExploreCountersAreConsistent)
     EXPECT_GT(r.search.evaluated, 0);
 }
 
-TEST(Determinism, MapModelParallelMatchesSerial)
-{
-    const Model model = miniModel();
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const TechnologyModel &tech = defaultTech();
-
-    SearchOptions serial_opt;
-    serial_opt.threads = 1;
-    const ModelMappingResult serial =
-        mapModel(model, cfg, tech, SearchEffort::Fast,
-                 Objective::MinEnergy, serial_opt);
-
-    for (int threads : {2, 4}) {
-        SearchOptions par_opt;
-        par_opt.threads = threads;
-        const ModelMappingResult parallel =
-            mapModel(model, cfg, tech, SearchEffort::Fast,
-                     Objective::MinEnergy, par_opt);
-        SCOPED_TRACE(threads);
-        EXPECT_EQ(parallel.feasible, serial.feasible);
-        EXPECT_EQ(parallel.stats.evaluated, serial.stats.evaluated);
-        EXPECT_EQ(parallel.stats.pruned, serial.stats.pruned);
-        EXPECT_EQ(parallel.stats.cacheHits, serial.stats.cacheHits);
-        EXPECT_EQ(parallel.stats.cacheMisses,
-                  serial.stats.cacheMisses);
-        EXPECT_EQ(parallel.cost.energy.total(),
-                  serial.cost.energy.total());
-        EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
-        ASSERT_EQ(parallel.choices.size(), serial.choices.size());
-        for (size_t i = 0; i < serial.choices.size(); ++i) {
-            EXPECT_EQ(parallel.choices[i].mapping.toString(),
-                      serial.choices[i].mapping.toString())
-                << i;
-            EXPECT_EQ(parallel.choices[i].energy.total(),
-                      serial.choices[i].energy.total())
-                << i;
-        }
-    }
-}
-
-TEST(Determinism, MapModelLegacyOverloadUnchanged)
-{
-    // The four-argument overload must behave exactly like the new one
-    // with default options (serial, pruning on): existing callers see
-    // identical results.
-    const Model model = miniModel();
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const ModelMappingResult legacy =
-        mapModel(model, cfg, defaultTech(), SearchEffort::Fast);
-    const ModelMappingResult current =
-        mapModel(model, cfg, defaultTech(), SearchEffort::Fast,
-                 Objective::MinEnergy, SearchOptions{});
-    EXPECT_EQ(legacy.cost.energy.total(), current.cost.energy.total());
-    EXPECT_EQ(legacy.cost.cycles, current.cost.cycles);
-}
-
 TEST(Determinism, TransformerLayersAcrossThreadsAndModes)
 {
     // Transformer-era shapes (batched GEMMs, the lowered attention
-    // block with its vector-op tail) must keep the bit-identical
-    // promise at every thread count; the repeated GEMM exercises the
-    // batch/postOps-aware cache key on the way.
+    // block with its vector-op tail) map feasibly, and the repeated
+    // GEMM exercises the batch/postOps-aware cache key.
     Model m("tf", 24);
     appendAttentionBlock(m, "a", 24, 96, 4, 2);
     m.addLayer(makeGemm("g1", 48, 64, 96, 3, 2));
     m.addLayer(makeGemm("g2", 48, 64, 96, 3, 2)); // cache repeat
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const TechnologyModel &tech = defaultTech();
-
-    SearchOptions base;
-    base.threads = 1;
-    const ModelMappingResult serial = mapModel(
-        m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy, base);
-    ASSERT_TRUE(serial.feasible);
-    EXPECT_EQ(serial.stats.cacheHits, 1); // g2 repeats g1 exactly
-    for (int threads : {2, 4}) {
-        SearchOptions opt = base;
-        opt.threads = threads;
-        const ModelMappingResult parallel = mapModel(
-            m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy, opt);
-        SCOPED_TRACE(threads);
-        EXPECT_EQ(parallel.cost.energy.total(), serial.cost.energy.total());
-        EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
-        ASSERT_EQ(parallel.choices.size(), serial.choices.size());
-        for (size_t i = 0; i < serial.choices.size(); ++i) {
-            EXPECT_EQ(parallel.choices[i].mapping.toString(),
-                      serial.choices[i].mapping.toString())
-                << i;
-        }
-    }
+    const ModelMappingResult r =
+        mapModel(m, caseStudyConfig(), defaultTech(), SearchEffort::Fast);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(r.stats.cacheHits, 1); // g2 repeats g1 exactly
 }
 
 TEST(Determinism, BatchChangesCacheKeyNotDeterminism)

@@ -591,11 +591,9 @@ TEST(MemoryAxisTable, TableSearchMatchesFreshSearch)
         for (const ComputeAllocation &compute : someComputes(g, 2)) {
             for (int point = 0; point < 4; ++point) {
                 const AcceleratorConfig cfg = randomConfig(g, compute);
-                SearchOptions search;
-                search.threads = point % 2 ? 2 : 1;
                 const ModelMappingResult viaCache =
                     mapModel(model, cfg, defaultTech(), effort,
-                             objective, search, &shared);
+                             objective, SearchOptions{}, &shared);
                 SearchStats fresh_stats;
                 const std::optional<MappingChoice> fresh =
                     searchLayer(layer, cfg, defaultTech(), effort,

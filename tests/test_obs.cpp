@@ -5,7 +5,7 @@
  * exact timestamps), the trace keeping each thread's newest spans
  * while walks run, the span histograms that count every span past the
  * trace's cap and merge across threads, histogram bucket math at the
- * boundaries, concurrent counter updates under parallelFor, and
+ * boundaries, concurrent counter updates from runLanes() lanes, and
  * agreement between the metrics registry and the SearchStats counters
  * on a real DSE run.
  */
@@ -262,10 +262,13 @@ TEST(Metrics, ConcurrentIncrementsUnderParallelFor)
     obs::Counter &c = reg.counter("test.concurrent.counter");
     c.reset();
 
-    constexpr int64_t kN = 20000;
-    ThreadPool pool(4);
-    pool.parallelFor(kN, [&](int64_t) { c.add(1); });
-    EXPECT_EQ(c.value(), kN);
+    constexpr int kLanes = 4;
+    constexpr int64_t kPerLane = 5000;
+    runLanes(kLanes, [&] {
+        for (int64_t i = 0; i < kPerLane; ++i)
+            c.add(1);
+    });
+    EXPECT_EQ(c.value(), kLanes * kPerLane);
 }
 
 TEST(Metrics, RegistryTotalsMatchSearchStats)

@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for the thread-pool / parallel-for utility: index
- * coverage, serial degeneration, the nested-free guarantee, and
- * exception propagation.
+ * Unit tests for runLanes(): every lane runs once, the caller is one of
+ * the lanes, one lane or fewer runs inline on the caller, and a lane's
+ * exception (a StatusError intact) reaches the caller once every lane
+ * has joined.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,136 +26,124 @@ TEST(HardwareThreads, AtLeastOne)
     EXPECT_GE(hardwareThreads(), 1);
 }
 
-TEST(ThreadPool, LaneCountIncludesCaller)
+TEST(ParallelLanes, EveryLaneRunsExactlyOnce)
 {
-    EXPECT_EQ(ThreadPool(1).threads(), 1);
-    EXPECT_EQ(ThreadPool(0).threads(), 1); // degenerates, never 0
-    EXPECT_EQ(ThreadPool(4).threads(), 4);
-}
-
-TEST(ThreadPool, VisitsEveryIndexExactlyOnce)
-{
-    for (int threads : {1, 2, 4, 7}) {
-        ThreadPool pool(threads);
+    // The lanes share a cursor, as the sweep lanes do: every index is
+    // claimed exactly once and every lane runs fn exactly once.
+    for (int lanes : {1, 2, 4, 7}) {
         constexpr int64_t n = 1000;
         std::vector<std::atomic<int>> visits(n);
-        pool.parallelFor(n, [&](int64_t i) {
-            visits[static_cast<size_t>(i)].fetch_add(1);
+        std::atomic<int64_t> next{0};
+        std::atomic<int> calls{0};
+        runLanes(lanes, [&] {
+            ++calls;
+            for (int64_t i = next++; i < n; i = next++)
+                visits[static_cast<size_t>(i)].fetch_add(1);
         });
+        EXPECT_EQ(calls.load(), lanes);
         for (int64_t i = 0; i < n; ++i)
             ASSERT_EQ(visits[static_cast<size_t>(i)].load(), 1)
-                << "threads " << threads << " index " << i;
+                << "lanes " << lanes << " index " << i;
     }
 }
 
-TEST(ThreadPool, EmptyAndNegativeRangesRunNothing)
+TEST(ParallelLanes, CallerIsOneOfTheLanes)
 {
-    ThreadPool pool(4);
-    int calls = 0;
-    pool.parallelFor(0, [&](int64_t) { ++calls; });
-    pool.parallelFor(-5, [&](int64_t) { ++calls; });
-    EXPECT_EQ(calls, 0);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int lanes : {2, 4, 7}) {
+        std::mutex m;
+        std::multiset<std::thread::id> threads;
+        runLanes(lanes, [&] {
+            std::lock_guard<std::mutex> lock(m);
+            threads.insert(std::this_thread::get_id());
+        });
+        // The caller runs one lane and `lanes - 1` new threads run the
+        // rest, each on its own thread (no lane joins before runLanes()
+        // returns, so no thread id is reused).
+        EXPECT_EQ(threads.size(), static_cast<size_t>(lanes)) << lanes;
+        EXPECT_EQ(threads.count(caller), 1u) << lanes;
+        EXPECT_EQ(std::set<std::thread::id>(threads.begin(), threads.end())
+                      .size(),
+                  static_cast<size_t>(lanes))
+            << lanes;
+    }
 }
 
-TEST(ThreadPool, SingleIndexRunsInlineOnCaller)
+TEST(ParallelLanes, OneLaneRunsInlineOnCaller)
 {
-    ThreadPool pool(4);
     const std::thread::id caller = std::this_thread::get_id();
+    int calls = 0;
     std::thread::id ran;
-    pool.parallelFor(1, [&](int64_t) {
+    runLanes(1, [&] {
+        ++calls;
         ran = std::this_thread::get_id();
     });
+    EXPECT_EQ(calls, 1);
     EXPECT_EQ(ran, caller);
 }
 
-TEST(ThreadPool, ReusableAcrossManyJobs)
+TEST(ParallelLanes, ZeroAndNegativeLanesRunOnceInline)
 {
-    ThreadPool pool(4);
-    std::atomic<int64_t> sum{0};
-    for (int job = 0; job < 50; ++job)
-        pool.parallelFor(10, [&](int64_t i) { sum += i; });
-    EXPECT_EQ(sum.load(), 50 * 45);
-}
-
-TEST(ThreadPool, NestedParallelForRunsInline)
-{
-    ThreadPool outer(4);
-    ThreadPool inner(4);
-    std::atomic<int> nested_parallel{0};
-    std::atomic<int64_t> inner_calls{0};
-    EXPECT_FALSE(ThreadPool::inParallelRegion());
-    outer.parallelFor(8, [&](int64_t) {
-        EXPECT_TRUE(ThreadPool::inParallelRegion());
-        const std::thread::id me = std::this_thread::get_id();
-        inner.parallelFor(8, [&](int64_t) {
-            ++inner_calls;
-            // The nested-free guarantee: inner indices stay on the
-            // thread that owns the outer index.
-            if (std::this_thread::get_id() != me)
-                ++nested_parallel;
+    // A lane count below one degenerates to the caller's lane; it never
+    // runs fn zero times.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int lanes : {0, -3}) {
+        int calls = 0;
+        runLanes(lanes, [&] {
+            ++calls;
+            EXPECT_EQ(std::this_thread::get_id(), caller) << lanes;
         });
-    });
-    EXPECT_FALSE(ThreadPool::inParallelRegion());
-    EXPECT_EQ(inner_calls.load(), 64);
-    EXPECT_EQ(nested_parallel.load(), 0);
-}
-
-TEST(ThreadPool, ExceptionPropagatesToCaller)
-{
-    for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        EXPECT_THROW(pool.parallelFor(100,
-                                      [&](int64_t i) {
-                                          if (i == 42)
-                                              throw std::runtime_error(
-                                                  "boom");
-                                      }),
-                     std::runtime_error)
-            << "threads " << threads;
-        // The pool survives a throwing job.
-        std::atomic<int64_t> ok{0};
-        pool.parallelFor(10, [&](int64_t) { ++ok; });
-        EXPECT_EQ(ok.load(), 10);
+        EXPECT_EQ(calls, 1) << lanes;
     }
 }
 
-TEST(ThreadPool, StatusErrorCrossesTheJoinIntact)
+TEST(ParallelLanes, ExceptionPropagatesToCaller)
 {
-    // The resilient sweep relies on a worker's StatusError arriving
-    // at the caller with its code and message preserved (the pool
-    // rethrows via std::exception_ptr, not a flattened copy).
-    ThreadPool pool(4);
-    try {
-        pool.parallelFor(64, [&](int64_t i) {
-            if (i == 17) {
-                throwStatus(errUnavailable("lane fault at %d",
-                                           static_cast<int>(i)));
-            }
-        });
-        ADD_FAILURE() << "expected a StatusError";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::Unavailable);
-        EXPECT_EQ(e.status().message(), "lane fault at 17");
+    // One lane throws; the caller sees that exception, and the other
+    // lanes still run to their end (runLanes() does not stop them).
+    for (int lanes : {1, 4}) {
+        std::atomic<bool> thrown{false};
+        std::atomic<int> finished{0};
+        try {
+            runLanes(lanes, [&] {
+                if (!thrown.exchange(true))
+                    throw std::runtime_error("boom");
+                ++finished;
+            });
+            ADD_FAILURE() << "expected a runtime_error, lanes " << lanes;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom");
+        }
+        EXPECT_EQ(finished.load(), lanes - 1) << lanes;
+        // Nothing is left behind: the next call runs every lane.
+        std::atomic<int> ok{0};
+        runLanes(lanes, [&] { ++ok; });
+        EXPECT_EQ(ok.load(), lanes);
     }
-    // The pool survives and is reusable after the rethrow.
-    std::atomic<int64_t> ok{0};
-    pool.parallelFor(8, [&](int64_t) { ++ok; });
-    EXPECT_EQ(ok.load(), 8);
 }
 
-TEST(ThreadPool, ExceptionAbandonsRemainingIndices)
+TEST(ParallelLanes, StatusErrorCrossesTheJoinIntact)
 {
-    // Serial pool: indices run in order, so everything after the
-    // throwing index must be skipped.
-    ThreadPool pool(1);
-    std::vector<int> visited;
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [&](int64_t i) {
-                                      visited.push_back(
-                                          static_cast<int>(i));
-                                      if (i == 5)
-                                          throw std::runtime_error("x");
-                                  }),
-                 std::runtime_error);
-    EXPECT_EQ(visited.size(), 6u);
+    // The resilient sweep relies on a lane's StatusError arriving at
+    // the caller with its code and message preserved, whichever lane
+    // threw, and only after the other lanes have finished.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (bool callerThrows : {true, false}) {
+        std::atomic<bool> thrown{false};
+        std::atomic<int> finished{0};
+        try {
+            runLanes(4, [&] {
+                const bool onCaller = std::this_thread::get_id() == caller;
+                if (onCaller == callerThrows && !thrown.exchange(true))
+                    throwStatus(errUnavailable("lane fault"));
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                ++finished;
+            });
+            ADD_FAILURE() << "expected a StatusError";
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::Unavailable);
+            EXPECT_EQ(e.status().message(), "lane fault");
+        }
+        EXPECT_EQ(finished.load(), 3) << "callerThrows " << callerThrows;
+    }
 }

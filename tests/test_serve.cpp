@@ -67,11 +67,7 @@ expectedPost(const std::string &modelText, const TechnologyModel &tech)
 {
     const ParseResult parsed = parseModelString(modelText);
     EXPECT_TRUE(parsed.ok()) << parsed.error;
-    SearchOptions search;
-    search.threads = 1;
-    PostDesignFlow flow(caseStudyConfig(), tech,
-                        SearchEffort::Exhaustive, Objective::MinEnergy,
-                        search);
+    PostDesignFlow flow(caseStudyConfig(), tech);
     const PostDesignReport report = flow.run(*parsed.model);
     std::ostringstream ss;
     exportPostDesign(report, ss, ExportOptions::lean());

@@ -140,10 +140,12 @@ usage()
         "  --search <mode>       mapping search; exhaustive is the only\n"
         "                        one, and bnb an alias of it\n"
         "                        [exhaustive]\n"
-        "  --threads <n>         worker threads (1 = serial; results\n"
-        "                        are identical); with --workers, the\n"
-        "                        local lanes that take over a lost\n"
-        "                        fleet's units [hardware concurrency]\n"
+        "  --threads <n>         pre/coordinate: local sweep lanes\n"
+        "                        (results are identical; with\n"
+        "                        --workers, the lanes that take over\n"
+        "                        a lost fleet's units); serve:\n"
+        "                        request lanes; post/compare search\n"
+        "                        on one thread [hardware concurrency]\n"
         "  --chiplets/--cores/--lanes/--vector <n>\n"
         "                        post/compare hardware shape\n"
         "  --ol1/--al1/--wl1/--al2 <bytes>\n"
@@ -455,13 +457,10 @@ runPost(const Args &args)
 {
     const Model model = loadModel(args);
     args.config.validate();
-    SearchOptions search;
-    search.threads = args.threads;
     PostDesignFlow flow(args.config, defaultTech(),
                         SearchEffort::Exhaustive,
                         args.edpObjective ? Objective::MinEdp
-                                          : Objective::MinEnergy,
-                        search);
+                                          : Objective::MinEnergy);
     const PostDesignReport report = flow.run(model);
     std::printf("%s", report.toString().c_str());
     if (!args.jsonPath.empty()) {
