@@ -1,5 +1,6 @@
 #include "common/cancel.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 
@@ -28,12 +29,22 @@ cancelSignalHandler(int)
 
 } // namespace
 
+std::chrono::steady_clock::duration
+steadyDuration(double seconds)
+{
+    constexpr double kNeverSeconds = 1e9;
+    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(
+            !(seconds < kNeverSeconds) ? kNeverSeconds
+                                       : std::max(seconds, 0.0)));
+}
+
 void
 CancelToken::setDeadlineAfter(double seconds)
 {
-    int64_t ns = steadyNowNs() +
-                 static_cast<int64_t>(seconds * 1e9);
-    deadlineNs_.store(ns, std::memory_order_relaxed);
+    const std::chrono::nanoseconds span = steadyDuration(seconds);
+    deadlineNs_.store(steadyNowNs() + span.count(),
+                      std::memory_order_relaxed);
 }
 
 void

@@ -20,11 +20,20 @@
 #define NNBATON_COMMON_CANCEL_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "common/status.hpp"
 
 namespace nnbaton {
+
+/**
+ * @p seconds as a steady_clock duration, for a deadline or a lease
+ * TTL: a negative span is zero, and 1e9 s (about 32 years) or more,
+ * NaN included, saturates there and so means "never" instead of
+ * overflowing into a time already past.
+ */
+std::chrono::steady_clock::duration steadyDuration(double seconds);
 
 class CancelToken
 {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdlib>
 #include <cstring>
 
@@ -534,6 +535,77 @@ JsonParseResult
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+const JsonValue *
+JsonReader::get(const JsonValue *v, std::string_view name,
+                JsonValue::Type type)
+{
+    if (v != nullptr && v->type == type)
+        return v;
+    static constexpr const char *kTypeNames[] = {
+        "null", "a boolean", "a number", "a string", "an array",
+        "an object"};
+    if (v == nullptr) {
+        refuse("missing '%.*s'", static_cast<int>(name.size()),
+               name.data());
+    } else {
+        refuse("'%.*s' must be %s", static_cast<int>(name.size()),
+               name.data(), kTypeNames[static_cast<int>(type)]);
+    }
+    return nullptr;
+}
+
+std::optional<int64_t>
+JsonReader::integer(const JsonValue *v, std::string_view name,
+                    int64_t lo, int64_t hi)
+{
+    if (get(v, name, JsonValue::Type::Number) == nullptr)
+        return std::nullopt;
+    // [-2^63, 2^63) holds every int64_t and is exact in a double, so
+    // the cast below is defined; NaN fails the comparisons.
+    const double d = v->number;
+    if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+        const int64_t n = static_cast<int64_t>(d);
+        if (n >= lo && n <= hi)
+            return n;
+    }
+    refuse("'%.*s' must be an integer in [%lld, %lld], got %.17g",
+           static_cast<int>(name.size()), name.data(),
+           static_cast<long long>(lo), static_cast<long long>(hi), d);
+    return std::nullopt;
+}
+
+void
+JsonReader::read(const JsonValue *v, std::string_view name, double &out)
+{
+    if (get(v, name, JsonValue::Type::Number) == nullptr)
+        return;
+    if (!std::isfinite(v->number)) {
+        refuse("'%.*s' must be a finite number, got %g",
+               static_cast<int>(name.size()), name.data(), v->number);
+        return;
+    }
+    out = v->number;
+}
+
+void
+JsonReader::read(const JsonValue *v, std::string_view name,
+                 std::string &out)
+{
+    if (get(v, name, JsonValue::Type::String) != nullptr)
+        out = v->string;
+}
+
+void
+JsonReader::refuse(const char *fmt, ...)
+{
+    if (!status_.ok())
+        return;
+    va_list ap;
+    va_start(ap, fmt);
+    status_ = Status(code_, vstrprintf(fmt, ap));
+    va_end(ap);
 }
 
 } // namespace nnbaton

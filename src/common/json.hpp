@@ -12,13 +12,19 @@
 #ifndef NNBATON_COMMON_JSON_HPP
 #define NNBATON_COMMON_JSON_HPP
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/status.hpp"
 
 namespace nnbaton {
 
@@ -113,7 +119,8 @@ class JsonWriter
 /**
  * A parsed JSON document node.  Objects keep their members in
  * insertion order (the writer's emit order), numbers are stored as
- * doubles (the writer never emits integers above 2^53).
+ * doubles (the writer never emits integers above 2^53).  Documents
+ * from outside the process are read through JsonReader.
  */
 struct JsonValue
 {
@@ -157,6 +164,71 @@ struct JsonParseResult
 
 /** Parse one JSON document; trailing whitespace is allowed. */
 JsonParseResult parseJson(const std::string &text);
+
+/**
+ * Checked reads of a parsed document that came from outside the
+ * process (a request, a checkpoint journal, a sweepUnit reply, a
+ * metrics scrape), and the one reader of JsonValue::number.  A read
+ * asks one question of a member: is it there with the given type, is
+ * it an exact integer in a range that fits its field, is it a finite
+ * number.  The first refusal sticks, names the member and carries the
+ * caller's StatusCode; a refused read leaves its field alone.
+ *
+ * @code
+ *   JsonReader in(StatusCode::DataLoss);
+ *   in.read(cost.find("cycles"), "cycles", p.cycles, 0);
+ *   in.read(cost.find("clockGhz"), "clockGhz", p.clockGhz);
+ *   if (!in.ok())
+ *       return in.status();
+ * @endcode
+ */
+class JsonReader
+{
+  public:
+    explicit JsonReader(StatusCode code) : code_(code) {}
+
+    /** @p v, a find() result (nullptr when absent), when it has type
+     *  @p type; else nullptr. */
+    const JsonValue *get(const JsonValue *v, std::string_view name,
+                         JsonValue::Type type);
+
+    /** Set @p out to @p v when it is an exact integer in
+     *  [@p lo, @p hi] and in the range of @p out's type. */
+    template <std::signed_integral Int>
+    void
+    read(const JsonValue *v, std::string_view name, Int &out,
+         int64_t lo = std::numeric_limits<Int>::min(),
+         int64_t hi = std::numeric_limits<Int>::max())
+    {
+        using Limits = std::numeric_limits<Int>;
+        if (const std::optional<int64_t> n =
+                integer(v, name, std::max<int64_t>(lo, Limits::min()),
+                        std::min<int64_t>(hi, Limits::max())))
+            out = static_cast<Int>(*n);
+    }
+
+    /** Set @p out to @p v when it is a finite number. */
+    void read(const JsonValue *v, std::string_view name, double &out);
+
+    /** Set @p out to @p v when it is a string. */
+    void read(const JsonValue *v, std::string_view name,
+              std::string &out);
+
+    /** Refuse the document for a reason of the caller's own. */
+    void refuse(const char *fmt, ...)
+        __attribute__((format(printf, 2, 3)));
+
+    bool ok() const { return status_.ok(); }
+    const Status &status() const { return status_; }
+
+  private:
+    std::optional<int64_t> integer(const JsonValue *v,
+                                   std::string_view name, int64_t lo,
+                                   int64_t hi);
+
+    const StatusCode code_;
+    Status status_;
+};
 
 } // namespace nnbaton
 

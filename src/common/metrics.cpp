@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -287,97 +286,48 @@ writePrometheus(std::ostream &os, const MetricsSnapshot &snapshot)
     }
 }
 
-namespace {
-
-StatusOr<int64_t>
-jsonInt(const char *what, const JsonValue &v)
-{
-    if (!v.isNumber() || v.number != std::floor(v.number)) {
-        return errInvalidArgument("metrics json: %s must be an integer",
-                                  what);
-    }
-    return static_cast<int64_t>(v.number);
-}
-
-} // namespace
-
 StatusOr<MetricsSnapshot>
 metricsSnapshotFromJson(const JsonValue &root)
 {
-    if (!root.isObject())
-        return errInvalidArgument("metrics json: not an object");
-    const JsonValue *counters = root.find("counters");
-    const JsonValue *gauges = root.find("gauges");
-    const JsonValue *histograms = root.find("histograms");
-    if (!counters || !counters->isObject() || !gauges ||
-        !gauges->isObject() || !histograms || !histograms->isObject()) {
-        return errInvalidArgument(
-            "metrics json: needs counters/gauges/histograms objects");
-    }
+    JsonReader in(StatusCode::InvalidArgument);
+    const JsonValue *counters = in.get(root.find("counters"), "counters",
+                                       JsonValue::Type::Object);
+    const JsonValue *gauges =
+        in.get(root.find("gauges"), "gauges", JsonValue::Type::Object);
+    const JsonValue *histograms = in.get(
+        root.find("histograms"), "histograms", JsonValue::Type::Object);
+    if (!in.ok())
+        return in.status().withContext("metrics json");
 
     MetricsSnapshot s;
-    for (const auto &[name, v] : counters->object) {
-        StatusOr<int64_t> n = jsonInt(name.c_str(), v);
-        if (!n.ok())
-            return n.status();
-        s.counters.emplace_back(name, n.value());
-    }
-    for (const auto &[name, v] : gauges->object) {
-        if (!v.isNumber()) {
-            return errInvalidArgument(
-                "metrics json: gauge %s must be a number", name.c_str());
-        }
-        s.gauges.emplace_back(name, v.number);
-    }
+    for (const auto &[name, v] : counters->object)
+        in.read(&v, name, s.counters.emplace_back(name, 0).second);
+    for (const auto &[name, v] : gauges->object)
+        in.read(&v, name, s.gauges.emplace_back(name, 0.0).second);
+    if (!in.ok())
+        return in.status().withContext("metrics json");
     for (const auto &[name, v] : histograms->object) {
-        if (!v.isObject()) {
-            return errInvalidArgument(
-                "metrics json: histogram %s must be an object",
-                name.c_str());
-        }
-        HistogramSnapshot hs;
+        HistogramSnapshot &hs = s.histograms.emplace_back();
         hs.name = name;
-        for (const auto &[what, member] :
-             {std::pair<const char *, int64_t *>{"count", &hs.count},
-              {"sum", &hs.sum},
-              {"min", &hs.minValue},
-              {"max", &hs.maxValue}}) {
-            const JsonValue *m = v.find(what);
-            if (!m) {
-                return errInvalidArgument(
-                    "metrics json: histogram %s misses '%s'",
-                    name.c_str(), what);
-            }
-            StatusOr<int64_t> n = jsonInt(what, *m);
-            if (!n.ok())
-                return n.status();
-            *member = n.value();
-        }
-        const JsonValue *buckets = v.find("buckets");
-        if (!buckets || !buckets->isArray()) {
-            return errInvalidArgument(
-                "metrics json: histogram %s misses 'buckets'",
-                name.c_str());
-        }
-        for (const JsonValue &b : buckets->array) {
-            const JsonValue *lo = b.find("lo");
-            const JsonValue *n = b.find("n");
-            if (!b.isObject() || !lo || !n) {
-                return errInvalidArgument(
-                    "metrics json: histogram %s has a malformed bucket",
-                    name.c_str());
-            }
-            StatusOr<int64_t> loV = jsonInt("lo", *lo);
-            StatusOr<int64_t> nV = jsonInt("n", *n);
-            if (!loV.ok())
-                return loV.status();
-            if (!nV.ok())
-                return nV.status();
+        in.read(v.find("count"), "count", hs.count);
+        in.read(v.find("sum"), "sum", hs.sum);
+        in.read(v.find("min"), "min", hs.minValue);
+        in.read(v.find("max"), "max", hs.maxValue);
+        const JsonValue *buckets =
+            in.get(v.find("buckets"), "buckets", JsonValue::Type::Array);
+        for (size_t i = 0; buckets && i < buckets->array.size(); ++i) {
+            int64_t lo = 0;
+            int64_t n = 0;
+            in.read(buckets->array[i].find("lo"), "lo", lo);
+            in.read(buckets->array[i].find("n"), "n", n);
             // A bucket is identified by its lower bound; indices
             // reconstruct exactly because lower bounds are unique.
-            hs.buckets[Histogram::bucketIndex(loV.value())] = nV.value();
+            hs.buckets[Histogram::bucketIndex(lo)] = n;
         }
-        s.histograms.push_back(std::move(hs));
+        if (!in.ok()) {
+            return in.status().withContext("metrics json: histogram " +
+                                           name);
+        }
     }
     return s;
 }

@@ -15,6 +15,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/cancel.hpp"
+
 namespace nnbaton {
 
 namespace {
@@ -22,15 +24,11 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 /** now + @p seconds; an infinite (or absurdly long) wait never
- *  expires. */
+ *  expires (steadyDuration()). */
 SteadyClock::time_point
 deadlineAfter(double seconds)
 {
-    if (!(seconds < 1e9))
-        return SteadyClock::time_point::max();
-    return SteadyClock::now() +
-           std::chrono::duration_cast<SteadyClock::duration>(
-               std::chrono::duration<double>(seconds));
+    return SteadyClock::now() + steadyDuration(seconds);
 }
 
 double

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hpp"
@@ -37,22 +38,58 @@ constexpr std::array<const char *, 4> kKindNames = {
  *  many bytes, so a resume holds no second copy of them. */
 constexpr size_t kSeedChunkBytes = 1 << 20;
 
-/** The energy terms a record carries, in array order.  Arrays written
- *  before the vector-ALU term was recorded stop after mac; they read
- *  with vector = 0, exact for every model without vector post-ops. */
+/** The members a record's arrays carry, in array order: compute
+ *  fields are positive ints, byte sizes non-negative int64_t, the rest
+ *  finite doubles.  Energy arrays written before the vector-ALU term
+ *  was recorded stop after mac; they read with vector = 0, exact for
+ *  every model without vector post-ops. */
+constexpr int ComputeAllocation::*kComputeTerms[] = {
+    &ComputeAllocation::chiplets, &ComputeAllocation::cores,
+    &ComputeAllocation::lanes, &ComputeAllocation::vectorSize};
+constexpr int64_t MemoryAllocation::*kMemoryTerms[] = {
+    &MemoryAllocation::ol1Bytes, &MemoryAllocation::al1Bytes,
+    &MemoryAllocation::wl1Bytes, &MemoryAllocation::al2Bytes};
+constexpr double AreaBreakdown::*kAreaTerms[] = {
+    &AreaBreakdown::macs, &AreaBreakdown::sram, &AreaBreakdown::rf,
+    &AreaBreakdown::grsPhy, &AreaBreakdown::ddrPhy};
 constexpr double EnergyBreakdown::*kEnergyTerms[] = {
     &EnergyBreakdown::dram, &EnergyBreakdown::d2d, &EnergyBreakdown::noc,
     &EnergyBreakdown::al2,  &EnergyBreakdown::al1, &EnergyBreakdown::wl1,
     &EnergyBreakdown::ol1,  &EnergyBreakdown::ol2, &EnergyBreakdown::mac,
     &EnergyBreakdown::vector};
 
+/** Write @p terms of @p t as an array, doubles exact. */
+template <typename T, typename F, size_t N>
 void
-writeEnergyArray(JsonWriter &j, const EnergyBreakdown &e)
+writeTerms(JsonWriter &j, const T &t, F T::*const (&terms)[N])
 {
     j.beginArray();
-    for (double EnergyBreakdown::*term : kEnergyTerms)
-        j.valueExact(e.*term);
+    for (F T::*term : terms) {
+        if constexpr (std::is_same_v<F, double>)
+            j.valueExact(t.*term);
+        else
+            j.value(t.*term);
+    }
     j.endArray();
+}
+
+/** Inverse of writeTerms() for the array @p v; it may stop
+ *  @p optional terms short, which keep their values, and an integer
+ *  term is at least @p lo. */
+template <typename T, typename F, size_t N>
+void
+readTerms(JsonReader &in, const JsonValue *v, const char *name, T &t,
+          F T::*const (&terms)[N], size_t optional = 0, int64_t lo = 0)
+{
+    v = in.get(v, name, JsonValue::Type::Array);
+    if (v && (v->array.size() + optional < N || v->array.size() > N))
+        in.refuse("'%s' has %zu terms, not %zu", name, v->array.size(), N);
+    for (size_t i = 0; in.ok() && i < v->array.size(); ++i) {
+        if constexpr (std::is_same_v<F, double>)
+            in.read(&v->array[i], name, t.*terms[i]);
+        else
+            in.read(&v->array[i], name, t.*terms[i], lo);
+    }
 }
 
 /** A full DesignPoint, doubles exact (JsonWriter::valueExact). */
@@ -60,31 +97,18 @@ void
 writeDesignPoint(JsonWriter &j, const DesignPoint &p)
 {
     j.beginObject();
-    j.key("compute").beginArray();
-    j.value(p.compute.chiplets)
-        .value(p.compute.cores)
-        .value(p.compute.lanes)
-        .value(p.compute.vectorSize);
-    j.endArray();
-    j.key("memory").beginArray();
-    j.value(p.memory.ol1Bytes)
-        .value(p.memory.al1Bytes)
-        .value(p.memory.wl1Bytes)
-        .value(p.memory.al2Bytes);
-    j.endArray();
-    j.key("area").beginArray();
-    j.valueExact(p.area.macs)
-        .valueExact(p.area.sram)
-        .valueExact(p.area.rf)
-        .valueExact(p.area.grsPhy)
-        .valueExact(p.area.ddrPhy);
-    j.endArray();
+    j.key("compute");
+    writeTerms(j, p.compute, kComputeTerms);
+    j.key("memory");
+    writeTerms(j, p.memory, kMemoryTerms);
+    j.key("area");
+    writeTerms(j, p.area, kAreaTerms);
     j.fieldExact("clockGhz", p.clockGhz);
     j.key("cost").beginObject();
     j.field("model", p.cost.modelName);
     j.field("cycles", p.cost.cycles);
     j.key("energy");
-    writeEnergyArray(j, p.cost.energy);
+    writeTerms(j, p.cost.energy, kEnergyTerms);
     j.key("layers").beginArray();
     for (const LayerCost &l : p.cost.layers) {
         j.beginObject();
@@ -92,7 +116,7 @@ writeDesignPoint(JsonWriter &j, const DesignPoint &p)
         j.field("cycles", l.cycles);
         j.fieldExact("utilization", l.utilization);
         j.key("energy");
-        writeEnergyArray(j, l.energy);
+        writeTerms(j, l.energy, kEnergyTerms);
         j.endObject();
     }
     j.endArray();
@@ -100,115 +124,40 @@ writeDesignPoint(JsonWriter &j, const DesignPoint &p)
     j.endObject(); // point
 }
 
-Status
-readEnergyArray(const JsonValue *v, EnergyBreakdown &out,
-                const char *where)
-{
-    const size_t terms = std::size(kEnergyTerms);
-    if (v == nullptr || !v->isArray() || v->array.size() + 1 < terms ||
-        v->array.size() > terms) {
-        return errDataLoss("bad energy array in %s", where);
-    }
-    out = EnergyBreakdown{};
-    for (size_t i = 0; i < v->array.size(); ++i) {
-        if (!v->array[i].isNumber())
-            return errDataLoss("non-numeric energy in %s", where);
-        out.*kEnergyTerms[i] = v->array[i].number;
-    }
-    return Status::okStatus();
-}
-
-Status
-readNumberArray(const JsonValue *v, size_t n, const char *where,
-                double *out)
-{
-    if (v == nullptr || !v->isArray() || v->array.size() != n)
-        return errDataLoss("bad %s array", where);
-    for (size_t i = 0; i < n; ++i) {
-        if (!v->array[i].isNumber())
-            return errDataLoss("non-numeric %s entry", where);
-        out[i] = v->array[i].number;
-    }
-    return Status::okStatus();
-}
-
 /** Inverse of writeDesignPoint(). */
 Status
 readDesignPoint(const JsonValue &v, DesignPoint &p)
 {
-    if (!v.isObject())
-        return errDataLoss("point is not an object");
-
-    double compute[4], memory[4], area[5];
-    Status s = readNumberArray(v.find("compute"), 4, "compute", compute);
-    if (!s.ok())
-        return s;
-    s = readNumberArray(v.find("memory"), 4, "memory", memory);
-    if (!s.ok())
-        return s;
-    s = readNumberArray(v.find("area"), 5, "area", area);
-    if (!s.ok())
-        return s;
-    p.compute.chiplets = static_cast<int>(compute[0]);
-    p.compute.cores = static_cast<int>(compute[1]);
-    p.compute.lanes = static_cast<int>(compute[2]);
-    p.compute.vectorSize = static_cast<int>(compute[3]);
-    p.memory.ol1Bytes = static_cast<int64_t>(memory[0]);
-    p.memory.al1Bytes = static_cast<int64_t>(memory[1]);
-    p.memory.wl1Bytes = static_cast<int64_t>(memory[2]);
-    p.memory.al2Bytes = static_cast<int64_t>(memory[3]);
-    p.area.macs = area[0];
-    p.area.sram = area[1];
-    p.area.rf = area[2];
-    p.area.grsPhy = area[3];
-    p.area.ddrPhy = area[4];
-
-    const JsonValue *clock = v.find("clockGhz");
-    if (clock == nullptr || !clock->isNumber())
-        return errDataLoss("point missing clockGhz");
-    p.clockGhz = clock->number;
-
-    const JsonValue *cost = v.find("cost");
-    if (cost == nullptr || !cost->isObject())
-        return errDataLoss("point missing cost");
-    const JsonValue *model = cost->find("model");
-    const JsonValue *cycles = cost->find("cycles");
-    if (model == nullptr || !model->isString() || cycles == nullptr ||
-        !cycles->isNumber()) {
-        return errDataLoss("malformed cost record");
+    JsonReader in(StatusCode::DataLoss);
+    readTerms(in, v.find("compute"), "compute", p.compute, kComputeTerms,
+              0, 1);
+    readTerms(in, v.find("memory"), "memory", p.memory, kMemoryTerms);
+    readTerms(in, v.find("area"), "area", p.area, kAreaTerms);
+    in.read(v.find("clockGhz"), "clockGhz", p.clockGhz);
+    const JsonValue *cost =
+        in.get(v.find("cost"), "cost", JsonValue::Type::Object);
+    if (cost == nullptr)
+        return in.status();
+    in.read(cost->find("model"), "model", p.cost.modelName);
+    in.read(cost->find("cycles"), "cycles", p.cost.cycles, 0);
+    p.cost.energy = EnergyBreakdown{};
+    readTerms(in, cost->find("energy"), "energy", p.cost.energy,
+              kEnergyTerms, 1);
+    const JsonValue *layers =
+        in.get(cost->find("layers"), "layers", JsonValue::Type::Array);
+    if (layers == nullptr)
+        return in.status();
+    p.cost.layers.assign(layers->array.size(), LayerCost{});
+    for (size_t i = 0; in.ok() && i < layers->array.size(); ++i) {
+        const JsonValue &lv = layers->array[i];
+        LayerCost &lc = p.cost.layers[i];
+        in.read(lv.find("name"), "name", lc.layerName);
+        in.read(lv.find("cycles"), "cycles", lc.cycles, 0);
+        in.read(lv.find("utilization"), "utilization", lc.utilization);
+        readTerms(in, lv.find("energy"), "energy", lc.energy,
+                  kEnergyTerms, 1);
     }
-    p.cost.modelName = model->string;
-    p.cost.cycles = static_cast<int64_t>(cycles->number);
-    s = readEnergyArray(cost->find("energy"), p.cost.energy, "cost");
-    if (!s.ok())
-        return s;
-
-    const JsonValue *layers = cost->find("layers");
-    if (layers == nullptr || !layers->isArray())
-        return errDataLoss("cost missing layers");
-    p.cost.layers.clear();
-    p.cost.layers.reserve(layers->array.size());
-    for (const JsonValue &lv : layers->array) {
-        if (!lv.isObject())
-            return errDataLoss("layer cost not an object");
-        LayerCost lc;
-        const JsonValue *name = lv.find("name");
-        const JsonValue *lcycles = lv.find("cycles");
-        const JsonValue *util = lv.find("utilization");
-        if (name == nullptr || !name->isString() || lcycles == nullptr ||
-            !lcycles->isNumber() || util == nullptr ||
-            !util->isNumber()) {
-            return errDataLoss("malformed layer cost");
-        }
-        lc.layerName = name->string;
-        lc.cycles = static_cast<int64_t>(lcycles->number);
-        lc.utilization = util->number;
-        s = readEnergyArray(lv.find("energy"), lc.energy, "layer");
-        if (!s.ok())
-            return s;
-        p.cost.layers.push_back(std::move(lc));
-    }
-    return Status::okStatus();
+    return in.status();
 }
 
 /** One journal line: {"key":...,<outcome>}. */
@@ -234,11 +183,19 @@ readRecord(const JsonValue &record, SweepCheckpoint &out)
         return errDataLoss("malformed entry");
     SweepPointOutcome outcome;
     Status s = readSweepOutcomeJson(record, outcome);
+    // A checkpoint never records a poisoned point: a resume retries it.
+    if (s.ok() && outcome.kind == SweepPointOutcome::Poisoned)
+        s = errDataLoss("poisoned");
+    // A valid point must sit under its own key, or a resume would put
+    // it in another task's slot.
+    if (s.ok() && outcome.kind == SweepPointOutcome::Valid) {
+        const std::string own =
+            designPointKey(outcome.point.compute, outcome.point.memory);
+        if (own != key->string)
+            s = errDataLoss("its point is %s", own.c_str());
+    }
     if (!s.ok())
         return s.withContext("entry " + key->string);
-    // A checkpoint never records a poisoned point: a resume retries it.
-    if (outcome.kind == SweepPointOutcome::Poisoned)
-        return errDataLoss("entry %s is poisoned", key->string.c_str());
     out.entries.emplace(key->string, std::move(outcome));
     return Status::okStatus();
 }
@@ -488,27 +445,19 @@ loadSweepCheckpoint(const std::string &path)
     }
     const JsonValue &root = parsed.value;
     const JsonValue *format = root.find("format");
-    const JsonValue *version = root.find("version");
-    const JsonValue *fingerprint = root.find("fingerprint");
     if (format == nullptr || !format->isString() ||
         format->string != kFormat) {
         return errDataLoss("checkpoint %s: not a sweep checkpoint",
                            path.c_str());
     }
-    if (version == nullptr || !version->isNumber() ||
-        (version->number != 1 && version->number != kVersion)) {
-        return errDataLoss("checkpoint %s: unsupported version",
-                           path.c_str());
-    }
-    if (fingerprint == nullptr || !fingerprint->isString()) {
-        return errDataLoss("checkpoint %s: malformed header",
-                           path.c_str());
-    }
-
+    JsonReader in(StatusCode::DataLoss);
     SweepCheckpoint out;
-    out.fingerprint = fingerprint->string;
-    const Status s = version->number == 1 ? readVersion1(root, out)
-                                          : readJournal(is, out);
+    int version = 0;
+    in.read(root.find("version"), "version", version, 1, kVersion);
+    in.read(root.find("fingerprint"), "fingerprint", out.fingerprint);
+    Status s = in.status();
+    if (s.ok())
+        s = version == 1 ? readVersion1(root, out) : readJournal(is, out);
     if (!s.ok())
         return s.withContext("checkpoint " + path);
     // Sweeps run under the retired "bnb" mode (whose unused seed field

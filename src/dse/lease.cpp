@@ -13,9 +13,7 @@ using SteadyClock = std::chrono::steady_clock;
 } // namespace
 
 LeaseTable::LeaseTable(std::vector<WorkUnit> units, double leaseSeconds)
-    : leaseTtl_(std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(
-              leaseSeconds > 0 ? leaseSeconds : 1.0)))
+    : leaseTtl_(steadyDuration(leaseSeconds > 0 ? leaseSeconds : 1.0))
 {
     slots_.reserve(units.size());
     for (WorkUnit &unit : units) {

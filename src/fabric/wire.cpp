@@ -1,57 +1,18 @@
 #include "fabric/wire.hpp"
 
+#include <optional>
 #include <sstream>
+#include <string>
 #include <type_traits>
 
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "dse/checkpoint.hpp"
 #include "mapper/search.hpp"
+#include "serve/protocol.hpp"
 
 namespace nnbaton {
 namespace fabric {
-
-namespace {
-
-/** Lift an error envelope back into the Status it carried.  The
- *  retryable codes round-trip exactly (the coordinator's backoff
- *  predicate keys on them); everything else collapses to the
- *  non-retryable FAILED_PRECONDITION. */
-Status
-statusFromEnvelope(const JsonValue &root)
-{
-    std::string code = "?";
-    std::string message = "worker error";
-    if (const JsonValue *error = root.find("error");
-        error && error->isObject()) {
-        if (const JsonValue *c = error->find("code");
-            c && c->isString())
-            code = c->string;
-        if (const JsonValue *m = error->find("message");
-            m && m->isString())
-            message = m->string;
-    }
-    if (code == "UNAVAILABLE")
-        return errUnavailable("worker: %s", message.c_str());
-    if (code == "CANCELLED")
-        return errCancelled("worker: %s", message.c_str());
-    if (code == "DEADLINE_EXCEEDED")
-        return errDeadlineExceeded("worker: %s", message.c_str());
-    return errFailedPrecondition("worker: %s: %s", code.c_str(),
-                                 message.c_str());
-}
-
-StatusOr<int64_t>
-statInt(const JsonValue &stats, const char *name)
-{
-    const JsonValue *v = stats.find(name);
-    if (v == nullptr || !v->isNumber())
-        return errDataLoss("unit response: bad stats member '%s'",
-                           name);
-    return static_cast<int64_t>(v->number);
-}
-
-} // namespace
 
 std::string
 encodeSweepUnitRequest(const std::string &modelText,
@@ -97,87 +58,77 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
                        const std::string &sweepFp,
                        const std::string &techFp)
 {
+    const long long id = unit.id;
     const JsonParseResult parsed = parseJson(line);
     if (!parsed.ok()) {
-        return errDataLoss("unit %lld: corrupt response frame: %s",
-                           static_cast<long long>(unit.id),
+        return errDataLoss("unit %lld: corrupt response frame: %s", id,
                            parsed.error.c_str());
     }
-    const JsonValue &root = parsed.value;
-    if (!root.isObject()) {
-        return errDataLoss("unit %lld: response is not an object",
-                           static_cast<long long>(unit.id));
+    // The retryable codes round-trip exactly (the coordinator's
+    // backoff predicate keys on them); every other code collapses to
+    // the non-retryable FAILED_PRECONDITION.
+    if (std::optional<Status> failed =
+            serve::statusFromErrorResponse(line)) {
+        if (serve::isRetryableCode(failed->code()))
+            return failed->withContext("worker");
+        return errFailedPrecondition("worker: %s",
+                                     failed->toString().c_str());
     }
-    const JsonValue *ok = root.find("ok");
-    if (ok == nullptr || !ok->isBool()) {
-        return errDataLoss("unit %lld: response missing 'ok'",
-                           static_cast<long long>(unit.id));
-    }
-    if (!ok->boolean)
-        return statusFromEnvelope(root);
 
-    const JsonValue *unitId = root.find("unitId");
-    const JsonValue *fp = root.find("fingerprint");
-    const JsonValue *tfp = root.find("techFingerprint");
-    const JsonValue *entries = root.find("entries");
-    const JsonValue *stats = root.find("stats");
-    if (unitId == nullptr || !unitId->isNumber() || fp == nullptr ||
-        !fp->isString() || tfp == nullptr || !tfp->isString() ||
-        entries == nullptr || !entries->isArray() ||
-        stats == nullptr || !stats->isObject()) {
-        return errDataLoss("unit %lld: malformed response document",
-                           static_cast<long long>(unit.id));
-    }
-    if (static_cast<int64_t>(unitId->number) != unit.id) {
+    const JsonValue &root = parsed.value;
+    JsonReader in(StatusCode::DataLoss);
+    int64_t unitId = -1;
+    std::string fp;
+    std::string tfp;
+    const JsonValue *ok = in.get(root.find("ok"), "ok",
+                                 JsonValue::Type::Bool);
+    in.read(root.find("unitId"), "unitId", unitId, 0);
+    in.read(root.find("fingerprint"), "fingerprint", fp);
+    in.read(root.find("techFingerprint"), "techFingerprint", tfp);
+    const JsonValue *entries = in.get(root.find("entries"), "entries",
+                                      JsonValue::Type::Array);
+    const JsonValue *stats = in.get(root.find("stats"), "stats",
+                                    JsonValue::Type::Object);
+    if (ok && !ok->boolean)
+        in.refuse("'ok' is false outside an error envelope");
+    if (!in.ok())
+        return in.status().withContext(strprintf("unit %lld", id));
+    if (unitId != unit.id) {
         return errFailedPrecondition(
-            "unit %lld: response is for unit %lld",
-            static_cast<long long>(unit.id),
-            static_cast<long long>(unitId->number));
+            "unit %lld: response is for unit %lld", id,
+            static_cast<long long>(unitId));
     }
     // Fingerprint echo: the worker proved it enumerated the same
     // space before evaluating; a mismatch here means the response
     // was built against a different sweep and must not be merged.
-    if (fp->string != sweepFp || tfp->string != techFp) {
+    if (fp != sweepFp || tfp != techFp) {
         return errFailedPrecondition(
             "unit %lld: response fingerprints do not match the sweep",
-            static_cast<long long>(unit.id));
+            id);
     }
     if (static_cast<int64_t>(entries->array.size()) != unit.points()) {
-        return errDataLoss(
-            "unit %lld: expected %lld entries, got %zu",
-            static_cast<long long>(unit.id),
-            static_cast<long long>(unit.points()),
-            entries->array.size());
+        return errDataLoss("unit %lld: expected %lld entries, got %zu",
+                           id, static_cast<long long>(unit.points()),
+                           entries->array.size());
     }
 
     SweepUnitResult result;
     result.outcomes.resize(entries->array.size());
     for (size_t k = 0; k < entries->array.size(); ++k) {
         const JsonValue &ev = entries->array[k];
-        if (!ev.isObject()) {
-            return errDataLoss("unit %lld: entry %zu not an object",
-                               static_cast<long long>(unit.id), k);
+        const int64_t expected = unit.begin + static_cast<int64_t>(k);
+        int64_t index = -1;
+        in.read(ev.find("i"), "i", index, 0);
+        if (in.ok() && index != expected) {
+            in.refuse("entry is for index %lld, expected %lld",
+                      static_cast<long long>(index),
+                      static_cast<long long>(expected));
         }
-        const JsonValue *index = ev.find("i");
-        if (index == nullptr || !index->isNumber()) {
-            return errDataLoss("unit %lld: malformed entry %zu",
-                               static_cast<long long>(unit.id), k);
-        }
-        if (static_cast<int64_t>(index->number) !=
-            unit.begin + static_cast<int64_t>(k)) {
-            return errDataLoss(
-                "unit %lld: entry %zu is for index %lld, expected "
-                "%lld",
-                static_cast<long long>(unit.id), k,
-                static_cast<long long>(index->number),
-                static_cast<long long>(unit.begin +
-                                       static_cast<int64_t>(k)));
-        }
-        Status s = readSweepOutcomeJson(ev, result.outcomes[k]);
+        Status s = in.ok() ? readSweepOutcomeJson(ev, result.outcomes[k])
+                           : in.status();
         if (!s.ok()) {
-            return s.withContext(strprintf(
-                "unit %lld entry %zu", static_cast<long long>(unit.id),
-                k));
+            return s.withContext(
+                strprintf("unit %lld entry %zu", id, k));
         }
     }
 
@@ -192,11 +143,11 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
         {"cacheMisses", &SearchStats::cacheMisses},
     };
     for (const auto &member : kStatMembers) {
-        StatusOr<int64_t> v = statInt(*stats, member.name);
-        if (!v.ok())
-            return v.status();
-        result.stats.*(member.member) = v.value();
+        in.read(stats->find(member.name), member.name,
+                result.stats.*(member.member), 0);
     }
+    if (!in.ok())
+        return in.status().withContext(strprintf("unit %lld stats", id));
     return result;
 }
 

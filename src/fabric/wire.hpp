@@ -9,9 +9,12 @@
  * design space, and pins the sweep + technology fingerprints the
  * worker must reproduce before evaluating anything.  The response is
  * parsed back into SweepPointOutcome slots and validated against the
- * request: wrong unit id, wrong fingerprint, wrong entry count or a
- * malformed frame all become Statuses the worker client can act on —
- * never silently merged points.
+ * request: wrong unit id, wrong fingerprint, wrong entry count, a
+ * malformed frame, and a number that is not what its field holds (unit
+ * ids, entry indices and work counters are exact non-negative
+ * int64_t integers, the outcome codec's numbers are those of a
+ * checkpoint record) all become Statuses the worker client can act on
+ * — never silently merged points.
  */
 
 #ifndef NNBATON_FABRIC_WIRE_HPP
@@ -61,8 +64,8 @@ struct SweepUnitResult
  *  - error envelopes come back as their Status (retryable
  *    UNAVAILABLE / CANCELLED / DEADLINE_EXCEEDED, or a definitive
  *    code like FAILED_PRECONDITION);
- *  - malformed frames (chaos-injected corruption, truncation) come
- *    back as errDataLoss;
+ *  - malformed frames (chaos-injected corruption, truncation) and
+ *    numbers that do not fit their field come back as errDataLoss;
  *  - a well-formed response for the wrong unit or fingerprint comes
  *    back as errFailedPrecondition.
  */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <optional>
 #include <sstream>
 #include <type_traits>
@@ -20,86 +19,29 @@ constexpr std::array<const char *, 8> kOpNames = {
     "metrics", "flight", "ping",      "shutdown"};
 static_assert(kOpNames.size() == static_cast<size_t>(Op::Shutdown) + 1);
 
-/** A JSON number that is an exact positive integer within range. */
-StatusOr<int64_t>
-positiveInt(const std::string &name, const JsonValue &v)
-{
-    if (!v.isNumber()) {
-        return errInvalidArgument("'%s' must be a number",
-                                  name.c_str());
-    }
-    const double d = v.number;
-    if (d <= 0 || d != std::floor(d) || d > 9.007199254740992e15) {
-        return errInvalidArgument(
-            "'%s' must be a positive integer, got %g", name.c_str(), d);
-    }
-    return static_cast<int64_t>(d);
-}
+/** The largest integer a request member may carry: 2^53, above which
+ *  a double no longer holds every integer. */
+constexpr int64_t kMaxRequestInt = int64_t{1} << 53;
 
-/** A JSON number that is an exact integer >= 0. */
-StatusOr<int64_t>
-nonNegativeInt(const std::string &name, const JsonValue &v)
-{
-    if (!v.isNumber()) {
-        return errInvalidArgument("'%s' must be a number",
-                                  name.c_str());
-    }
-    const double d = v.number;
-    if (d < 0 || d != std::floor(d) || d > 9.007199254740992e15) {
-        return errInvalidArgument(
-            "'%s' must be a non-negative integer, got %g",
-            name.c_str(), d);
-    }
-    return static_cast<int64_t>(d);
-}
-
-StatusOr<int>
-positiveInt32(const std::string &name, const JsonValue &v)
-{
-    StatusOr<int64_t> wide = positiveInt(name, v);
-    if (!wide.ok())
-        return wide.status();
-    if (wide.value() > 0x7fffffff) {
-        return errInvalidArgument("'%s' out of int range",
-                                  name.c_str());
-    }
-    return static_cast<int>(wide.value());
-}
-
-StatusOr<double>
-positiveDouble(const std::string &name, const JsonValue &v)
-{
-    if (!v.isNumber() || v.number <= 0 || !std::isfinite(v.number)) {
-        return errInvalidArgument(
-            "'%s' must be a positive finite number", name.c_str());
-    }
-    return v.number;
-}
-
-/** Set @p member from @p value: a string, or a positive number of the
- *  member's type. */
+/** Set @p member from @p value: a string, a positive finite double, or
+ *  an integer of the member's type in [@p lo, kMaxRequestInt]. */
 template <typename T>
 Status
-assignMember(const std::string &key, const JsonValue &value, T &member)
+assignMember(const std::string &key, const JsonValue &value, T &member,
+             int64_t lo = 1)
 {
-    StatusOr<T> v = [&]() -> StatusOr<T> {
-        if constexpr (std::is_same_v<T, std::string>) {
-            if (!value.isString()) {
-                return errInvalidArgument("'%s' must be a string",
-                                          key.c_str());
-            }
-            return value.string;
-        } else if constexpr (std::is_same_v<T, double>) {
-            return positiveDouble(key, value);
-        } else if constexpr (std::is_same_v<T, int>) {
-            return positiveInt32(key, value);
-        } else {
-            return positiveInt(key, value);
-        }
-    }();
-    if (v.ok())
-        member = v.value();
-    return v.status();
+    JsonReader in(StatusCode::InvalidArgument);
+    if constexpr (std::is_same_v<T, double>) {
+        in.read(&value, key, member);
+        if (in.ok() && !(member > 0))
+            in.refuse("'%s' must be a positive finite number",
+                      key.c_str());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        in.read(&value, key, member);
+    } else {
+        in.read(&value, key, member, lo, kMaxRequestInt);
+    }
+    return in.status();
 }
 
 /**
@@ -186,11 +128,12 @@ parseRequest(const std::string &line)
     req.op = static_cast<Op>(named - kOpNames.begin());
 
     for (const auto &[key, value] : root.object) {
-        // The members that are a plain string or positive number.
+        // The members that are a plain string or number.
         std::optional<Status> plain;
-        const auto member = [&](const char *name, auto &field) {
+        const auto member = [&](const char *name, auto &field,
+                                int64_t lo = 1) {
             if (key == name)
-                plain = assignMember(key, value, field);
+                plain = assignMember(key, value, field, lo);
         };
         member("model", req.model);
         member("modelText", req.modelText);
@@ -200,6 +143,8 @@ parseRequest(const std::string &line)
         member("progressSeconds", req.progressSeconds);
         member("macs", req.macs);
         member("areaMm2", req.areaMm2);
+        member("unitId", req.unitId, 0);
+        member("begin", req.unitBegin, 0);
         member("end", req.unitEnd);
         member("fingerprint", req.sweepFp);
         member("techFingerprint", req.techFp);
@@ -245,16 +190,6 @@ parseRequest(const std::string &line)
                     "'proportional' must be a boolean");
             }
             req.proportional = value.boolean;
-        } else if (key == "unitId") {
-            StatusOr<int64_t> n = nonNegativeInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.unitId = n.value();
-        } else if (key == "begin") {
-            StatusOr<int64_t> n = nonNegativeInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.unitBegin = n.value();
         } else {
             return errInvalidArgument("unknown request member '%s'",
                                       key.c_str());
@@ -292,6 +227,28 @@ isRetryableCode(StatusCode code)
     return code == StatusCode::Unavailable ||
            code == StatusCode::Cancelled ||
            code == StatusCode::DeadlineExceeded;
+}
+
+std::optional<Status>
+statusFromErrorResponse(const std::string &response)
+{
+    if (!response.starts_with("{\"ok\":false"))
+        return std::nullopt;
+    const JsonValue root = parseJson(response).value;
+    JsonReader in(StatusCode::DataLoss);
+    std::string code;
+    std::string message;
+    if (const JsonValue *error = in.get(root.find("error"), "error",
+                                        JsonValue::Type::Object)) {
+        in.read(error->find("code"), "code", code);
+        in.read(error->find("message"), "message", message);
+    }
+    for (int c = 1; in.ok() && c <= static_cast<int>(StatusCode::Unavailable);
+         ++c) {
+        if (code == nnbaton::toString(static_cast<StatusCode>(c)))
+            return Status(static_cast<StatusCode>(c), message);
+    }
+    return errDataLoss("malformed error envelope: %s", response.c_str());
 }
 
 std::string

@@ -16,8 +16,10 @@
  *    "error":{"code":"INVALID_ARGUMENT","message":"..."}}
  * @endcode
  *
- * Result documents never carry a top-level "ok" member, so one
- * `find("ok")` distinguishes the two shapes.
+ * Every envelope begins {"ok":false, and no result document does (a
+ * sweepUnit reply begins {"ok":true), so statusFromErrorResponse(),
+ * the one decoder of envelopes, tells the shapes apart by that prefix
+ * without parsing a result.
  *
  * Request schema (see docs/serving.md for the full reference):
  *
@@ -56,12 +58,14 @@
  * recorder dump ({"flightRecorder":...}, docs/observability.md).
  *
  * Unknown members are rejected (InvalidArgument) so typos fail loudly
- * instead of silently evaluating something else.
+ * instead of silently evaluating something else, and so is a number
+ * that is not exact, finite and in range for its member.
  */
 
 #ifndef NNBATON_SERVE_PROTOCOL_HPP
 #define NNBATON_SERVE_PROTOCOL_HPP
 
+#include <optional>
 #include <string>
 
 #include "arch/config.hpp"
@@ -144,6 +148,14 @@ StatusOr<ServeRequest> parseRequest(const std::string &line);
  * retry with backoff, false for definitive rejections.
  */
 std::string errorResponse(const Status &status, uint64_t rid = 0);
+
+/**
+ * Inverse of errorResponse(): the Status an envelope carries, or
+ * nullopt when @p response does not begin {"ok":false and so is no
+ * envelope (a result is never parsed here).  An envelope without a
+ * known code and a message reads as DATA_LOSS.
+ */
+std::optional<Status> statusFromErrorResponse(const std::string &response);
 
 /** True when a failure with @p code is worth retrying elsewhere or
  *  later (the coordinator's re-lease / backoff predicate). */

@@ -428,6 +428,17 @@ TEST(LeaseTable, TryClaimNeverWaitsNorStealsALiveLease)
     EXPECT_EQ(expiring.leasesExpired(), 1);
 }
 
+/** A TTL past what a steady_clock duration holds saturates: the
+ *  lease lives for good instead of expiring at once. */
+TEST(LeaseTable, HugeTtlLeaseIsNeverStolen)
+{
+    LeaseTable table(threeUnits(), 1e12);
+    for (int64_t id = 0; id < 3; ++id)
+        EXPECT_EQ(table.tryClaim()->id, id);
+    EXPECT_EQ(table.tryClaim(), std::nullopt);
+    EXPECT_EQ(table.leasesExpired(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Wire format.
 // ---------------------------------------------------------------------
@@ -806,6 +817,56 @@ TEST(FabricWire, ParseValidatesIdentityAndShape)
     ASSERT_EQ(good.value().outcomes.size(), 1u);
     EXPECT_EQ(good.value().outcomes[0].kind,
               SweepPointOutcome::AreaRejected);
+}
+
+/**
+ * Unit ids, entry indices and work counters are exact non-negative
+ * int64_t integers.  A reply whose number is a fraction, an overflow
+ * or a string is DATA_LOSS, never merged as some nearby integer.
+ */
+TEST(FabricWire, ParseRefusesNumbersThatDoNotFitTheirField)
+{
+    const WorkUnit unit{7, 0, 1};
+    const auto reply = [](const std::string &slot,
+                          const std::string &text) {
+        const auto num = [&](const char *name, const char *good) {
+            return name == slot ? text : std::string(good);
+        };
+        return "{\"ok\":true,\"unitId\":" + num("unitId", "7") +
+               ",\"fingerprint\":\"FP\",\"techFingerprint\":\"TFP\","
+               "\"entries\":[{\"i\":" + num("i", "0") +
+               ",\"kind\":\"area_rejected\"}],\"stats\":{\"evaluated\":" +
+               num("evaluated", "0") + ",\"pruned\":" + num("pruned", "0") +
+               ",\"cacheHits\":" + num("cacheHits", "0") +
+               ",\"cacheMisses\":" + num("cacheMisses", "0") + "}}";
+    };
+    ASSERT_TRUE(parseSweepUnitResponse(reply("", ""), unit, "FP", "TFP")
+                    .ok());
+    for (const char *slot : {"unitId", "i", "evaluated", "pruned",
+                             "cacheHits", "cacheMisses"}) {
+        for (const char *bad : {"2.5", "1e400", "-1e300",
+                                "9223372036854775808", "\"7\""}) {
+            const auto r =
+                parseSweepUnitResponse(reply(slot, bad), unit, "FP", "TFP");
+            ASSERT_FALSE(r.ok()) << slot << "=" << bad;
+            EXPECT_EQ(r.status().code(), StatusCode::DataLoss)
+                << slot << "=" << bad << ": " << r.status().toString();
+            EXPECT_NE(r.status().message().find(std::string("'") + slot),
+                      std::string::npos)
+                << r.status().toString();
+        }
+    }
+
+    // Each of these used to truncate: unit 7.5 as 7, entry 0.9 as 0,
+    // 2.5 points evaluated as 2, 1e300 pruned as INT64_MIN.
+    const auto r = parseSweepUnitResponse(
+        "{\"ok\":true,\"unitId\":7.5,\"fingerprint\":\"FP\","
+        "\"techFingerprint\":\"TFP\",\"entries\":[{\"i\":0.9,"
+        "\"kind\":\"area_rejected\"}],\"stats\":{\"evaluated\":2.5,"
+        "\"pruned\":1e300,\"cacheHits\":0,\"cacheMisses\":0}}",
+        unit, "FP", "TFP");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::DataLoss);
 }
 
 TEST(FabricWire, SweepUnitMaterialisesOnlyItsRangeAndChecksTheTotal)

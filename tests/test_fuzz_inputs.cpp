@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/parse.hpp"
@@ -228,4 +231,83 @@ TEST(CheckpointFuzz, GarbageCheckpointsAreDataLoss)
         EXPECT_EQ(r.status().code(), StatusCode::DataLoss) << text;
         std::remove(path.c_str());
     }
+
+    // A journal whose one number @p slot (the header's "version", a
+    // record's "cycles", its "compute1" array term, ...) reads @p text.
+    // Compute terms are positive ints, byte sizes and cycles
+    // non-negative int64_t, every other number a finite double.
+    const std::string key = "1-16-16-16|48|1024|49152|49152";
+    const auto journal = [&key](const std::string &slot,
+                                const std::string &text) {
+        const auto num = [&](const std::string &name, const char *good) {
+            return name == slot ? text : std::string(good);
+        };
+        const auto terms = [&](const std::string &name,
+                               std::vector<const char *> goods) {
+            std::string out = "[";
+            for (size_t i = 0; i < goods.size(); ++i) {
+                out += (i ? "," : "") +
+                       num(name + std::to_string(i), goods[i]);
+            }
+            return out + "]";
+        };
+        const std::vector<const char *> energy(10, "1.5");
+        return "{\"format\":\"nn-baton-sweep-checkpoint\",\"version\":" +
+               num("version", "2") + ",\"fingerprint\":\"f\"}\n" +
+               "{\"key\":\"" + key + "\",\"kind\":\"valid\",\"point\":{" +
+               "\"compute\":" + terms("compute", {"1", "16", "16", "16"}) +
+               ",\"memory\":" +
+               terms("memory", {"48", "1024", "49152", "49152"}) +
+               ",\"area\":" +
+               terms("area", {"0.5", "0.2", "0.01", "0.38", "1"}) +
+               ",\"clockGhz\":" + num("clockGhz", "0.5") +
+               ",\"cost\":{\"model\":\"m\",\"cycles\":" +
+               num("cycles", "4244503") + ",\"energy\":" +
+               terms("energy", energy) +
+               ",\"layers\":[{\"name\":\"c1\",\"cycles\":" +
+               num("layerCycles", "62730") + ",\"utilization\":" +
+               num("utilization", "0.25") + ",\"energy\":" +
+               terms("layerEnergy", energy) + "}]}}}\n{\"complete\":true}\n";
+    };
+    const std::string path = tmpFile("fuzz_ckpt_numbers.json", "");
+    const auto load = [&path, &journal](const std::string &slot,
+                                        const std::string &text) {
+        std::ofstream(path, std::ios::trunc) << journal(slot, text);
+        return loadSweepCheckpoint(path).status();
+    };
+    ASSERT_TRUE(load("", "").ok()) << load("", "").toString();
+    std::vector<std::pair<std::string, const char *>> slots = {
+        {"version", "3"},
+        {"cycles", "9223372036854775808"},
+        {"layerCycles", "9223372036854775808"}};
+    for (int i = 0; i < 4; ++i) {
+        slots.emplace_back("compute" + std::to_string(i), "2147483648");
+        slots.emplace_back("memory" + std::to_string(i),
+                           "9223372036854775808");
+    }
+    for (const auto &[slot, onePast] : slots) {
+        for (const char *bad : {"2.5", "1e400", "-1e300", onePast, "\"7\""}) {
+            const Status s = load(slot, bad);
+            EXPECT_EQ(s.code(), StatusCode::DataLoss)
+                << slot << "=" << bad << ": " << s.toString();
+            if (slot != "version") {
+                EXPECT_NE(s.message().find("entry " + key),
+                          std::string::npos)
+                    << s.toString();
+            }
+        }
+    }
+    std::vector<std::string> doubles = {"clockGhz", "utilization"};
+    for (int i = 0; i < 10; ++i) {
+        if (i < 5)
+            doubles.push_back("area" + std::to_string(i));
+        doubles.push_back("energy" + std::to_string(i));
+        doubles.push_back("layerEnergy" + std::to_string(i));
+    }
+    for (const std::string &slot : doubles) {
+        const Status s = load(slot, "1e400");
+        EXPECT_EQ(s.code(), StatusCode::DataLoss)
+            << slot << ": " << s.toString();
+    }
+    std::remove(path.c_str());
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -181,6 +182,20 @@ TEST(CancelToken, FlagAndDeadline)
     token.setDeadlineAfter(3600.0); // far future
     EXPECT_FALSE(token.cancelled());
     token.reset();
+}
+
+/** A deadline past what a steady_clock count holds saturates at
+ *  "never" instead of overflowing into a time already past. */
+TEST(CancelToken, HugeDeadlineNeverFires)
+{
+    CancelToken token;
+    for (double seconds : {1e10, 1e30,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+        token.setDeadlineAfter(seconds);
+        EXPECT_FALSE(token.cancelled()) << seconds;
+        EXPECT_TRUE(token.toStatus().ok()) << seconds;
+    }
 }
 
 TEST(ResilientSweep, PoisonedPointIsQuarantined)
@@ -753,6 +768,71 @@ TEST(Checkpoint, PoisonedOrUnknownKindIsDataLoss)
                   StatusCode::DataLoss)
             << record;
     }
+    std::remove(path.c_str());
+}
+
+/**
+ * A record whose cycles overflow an int64_t, or whose point is not the
+ * one its key names, refuses to resume with DATA_LOSS naming the
+ * record.  Both used to resume: the overflow as a negative cycle count
+ * (and so a negative EDP that won the sweep), the foreign point in its
+ * key's slot.
+ */
+TEST(Checkpoint, RecordThatDoesNotReadBackRefusesToResume)
+{
+    const std::string path = tmpPath("ckpt_numbers.json");
+    journalledSweep(path);
+    const std::vector<std::string> lines = splitLines(readFile(path));
+    std::vector<size_t> valid;
+    for (size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i].find("\"kind\":\"valid\"") != std::string::npos)
+            valid.push_back(i);
+    }
+    ASSERT_GE(valid.size(), 2u);
+    const auto keyOf = [&lines](size_t i) {
+        return parseJson(lines[i]).value.find("key")->string;
+    };
+    const auto expectDataLoss = [&](size_t target, const std::string &line,
+                                    const std::string &key) {
+        std::string text;
+        for (size_t i = 0; i < lines.size(); ++i)
+            text += (i == target ? line : lines[i]) + "\n";
+        writeFile(path, text);
+        try {
+            resumeSweep(path);
+            ADD_FAILURE() << "resumed " << line.substr(0, 120);
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::DataLoss) << e.what();
+            EXPECT_NE(std::string(e.what()).find("entry " + key),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // The model's cycle count, the record's first "cycles" member.
+    const std::string &first = lines[valid[0]];
+    const size_t at = first.find("\"cycles\":") + 9;
+    expectDataLoss(valid[0],
+                   first.substr(0, at) + "1e30" +
+                       first.substr(first.find(',', at)),
+                   keyOf(valid[0]));
+
+    // Another point's key on this point's record.
+    const std::string theirs = keyOf(valid[1]);
+    std::string foreign = first;
+    foreign.replace(foreign.find(keyOf(valid[0])), keyOf(valid[0]).size(),
+                    theirs);
+    expectDataLoss(valid[0], foreign, theirs);
+
+    // A version-1 document is held to the same rule.
+    writeFile(path, "{\"format\":\"nn-baton-sweep-checkpoint\","
+                    "\"version\":1,\"fingerprint\":\"f\","
+                    "\"complete\":false,\"entries\":[" +
+                        foreign + "]}\n");
+    const Status v1 = loadSweepCheckpoint(path).status();
+    EXPECT_EQ(v1.code(), StatusCode::DataLoss) << v1.toString();
+    EXPECT_NE(v1.message().find("entry " + theirs), std::string::npos)
+        << v1.toString();
     std::remove(path.c_str());
 }
 

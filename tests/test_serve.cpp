@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <poll.h>
@@ -261,6 +262,64 @@ TEST(ServeProtocol, RejectsMalformedAndUnknown)
     EXPECT_FALSE(parseRequest("{\"op\":\"post\",\"model\":\"vgg16\","
                               "\"modelText\":\"model m 32\"}")
                      .ok());
+}
+
+/**
+ * Every numeric request member keeps its rule: ints and int64_t
+ * counts are exact positive integers (unitId and begin may be 0) up to
+ * their type's limit or 2^53, doubles positive and finite.  Each
+ * refusal is INVALID_ARGUMENT naming the member.
+ */
+TEST(ServeProtocol, RejectsNumbersThatDoNotFitTheirMember)
+{
+    // {member, where it sits, first integer past its range or nullptr
+    // for a double}.  2^53 + 1 reads as 2^53, so the int64_t members
+    // are tried at 2^53 + 2.
+    struct Member
+    {
+        std::string name;
+        std::string object;
+        const char *onePast;
+    };
+    std::vector<Member> members = {
+        {"resolution", "", "2147483648"},
+        {"batch", "", "2147483648"},
+        {"macs", "", "9007199254740994"},
+        {"unitId", "", "9007199254740994"},
+        {"begin", "", "9007199254740994"},
+        {"end", "", "9007199254740994"},
+        {"deadlineSeconds", "", nullptr},
+        {"progressSeconds", "", nullptr},
+        {"areaMm2", "", nullptr}};
+    for (const char *name : {"chiplets", "cores", "lanes", "vectorSize"})
+        members.push_back({name, "config", "2147483648"});
+    for (const char *name : {"ol1Bytes", "al1Bytes", "wl1Bytes", "al2Bytes"})
+        members.push_back({name, "config", "9007199254740994"});
+    TechnologyModel tech = defaultTech();
+    forEachTechParameter(tech, [&members](const char *name, auto &v) {
+        members.push_back(
+            {name, "tech",
+             std::is_same_v<std::decay_t<decltype(v)>, double>
+                 ? nullptr
+                 : "2147483648"});
+    });
+    for (const Member &m : members) {
+        std::vector<const char *> bad = {"1e400"};
+        if (m.onePast)
+            bad = {"2.5", "1e400", "-1e300", m.onePast, "\"7\""};
+        for (const char *text : bad) {
+            std::string member = "\"" + m.name + "\":" + text;
+            if (!m.object.empty())
+                member = "\"" + m.object + "\":{" + member + "}";
+            const auto r = parseRequest("{\"op\":\"post\"," + member + "}");
+            ASSERT_FALSE(r.ok()) << member;
+            EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument)
+                << member;
+            EXPECT_NE(r.status().message().find("'" + m.name + "'"),
+                      std::string::npos)
+                << r.status().toString();
+        }
+    }
 }
 
 TEST(ServeProtocol, EveryOpRoundTripsThroughItsName)

@@ -265,6 +265,45 @@ TEST(Stats, JsonSnapshotRejectsDrift)
     EXPECT_FALSE(obs::metricsSnapshotFromJson(badHist.value).ok());
 }
 
+/**
+ * A scrape's integers may be any int64_t and its gauges any finite
+ * double; a fraction, an overflow or a string is refused, not read as
+ * some other count.
+ */
+TEST(Stats, JsonSnapshotRefusesNumbersThatDoNotFitTheirField)
+{
+    const auto doc = [](const std::string &slot, const std::string &text) {
+        const auto num = [&](const char *name, const char *good) {
+            return name == slot ? text : std::string(good);
+        };
+        return "{\"counters\":{\"c\":" + num("counter", "7") +
+               "},\"gauges\":{\"g\":" + num("gauge", "2.5") +
+               "},\"histograms\":{\"h\":{\"count\":" + num("count", "1") +
+               ",\"sum\":" + num("sum", "3") + ",\"min\":" + num("min", "3") +
+               ",\"max\":" + num("max", "3") + ",\"buckets\":[{\"lo\":" +
+               num("lo", "2") + ",\"n\":" + num("n", "1") + "}]}}}";
+    };
+    const auto read = [&](const char *slot, const char *text) {
+        const JsonParseResult parsed = parseJson(doc(slot, text));
+        EXPECT_TRUE(parsed.ok()) << slot << " " << text;
+        return obs::metricsSnapshotFromJson(parsed.value).status();
+    };
+    ASSERT_TRUE(read("", "").ok()) << read("", "").toString();
+    for (const char *slot :
+         {"counter", "count", "sum", "min", "max", "lo", "n"}) {
+        for (const char *bad : {"2.5", "1e400", "-1e300",
+                                "9223372036854775808", "\"7\""}) {
+            const Status s = read(slot, bad);
+            EXPECT_EQ(s.code(), StatusCode::InvalidArgument)
+                << slot << "=" << bad << ": " << s.toString();
+        }
+    }
+    const Status gauge = read("gauge", "1e400");
+    EXPECT_EQ(gauge.code(), StatusCode::InvalidArgument) << gauge.toString();
+    EXPECT_NE(gauge.message().find("'g'"), std::string::npos)
+        << gauge.toString();
+}
+
 TEST(Stats, PrometheusExpositionLints)
 {
     obs::MetricsSnapshot snap;

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -699,11 +700,10 @@ runRequest(const Args &args)
             }
 
             if (failure.ok()) {
-                const bool envelope =
-                    response.rfind("{\"ok\":false", 0) == 0;
+                const std::optional<Status> envelope =
+                    serve::statusFromErrorResponse(response);
                 const bool retryable =
-                    envelope && response.find("\"retryable\":true") !=
-                                    std::string::npos;
+                    envelope && serve::isRetryableCode(envelope->code());
                 if (retryable && !backoff.exhausted()) {
                     warn("request: retryable failure (attempt %d): "
                          "%s",
@@ -772,7 +772,7 @@ runStats(const Args &args)
         channel.sendLine("{\"op\":\"metrics\"}", args.timeoutSeconds));
     const std::string response =
         channel.recvLine(args.timeoutSeconds).value();
-    if (response.rfind("{\"ok\":false", 0) == 0) {
+    if (serve::statusFromErrorResponse(response)) {
         std::fprintf(stderr, "nn-baton: %s\n", response.c_str());
         return 1;
     }
