@@ -228,20 +228,17 @@ MemoryAxisTable::Terms::countsAt(int64_t wl1, int64_t al1,
 }
 
 double
-MemoryAxisTable::Candidate::score(const AcceleratorConfig &cfg,
-                                  const TechnologyModel &tech,
-                                  const BufferRates &rates,
-                                  Objective objective) const
+MemoryAxisTable::Terms::score(const Fills &fills,
+                              const AcceleratorConfig &cfg,
+                              const TechnologyModel &tech,
+                              const BufferRates &rates,
+                              Objective objective) const
 {
-    const AccessCounts counts = terms->countsAt(
-        wl1Fill(cfg.core.wl1Bytes * mapping.chipSplit.parts()),
-        al1Fill(cfg.core.al1Bytes), al2Fill(cfg.chiplet.al2Bytes));
-    const double energy = computeEnergy(counts, rates, tech).total();
+    const AccessCounts c = countsAt(fills[0], fills[1], fills[2]);
+    const double energy = computeEnergy(c, rates, tech).total();
     if (objective == Objective::MinEnergy)
         return energy;
-    return energy * tilePhases(terms->tiles, terms->computePerTile,
-                               counts, cfg, tech)
-                        .cycles();
+    return energy * tilePhases(tiles, computePerTile, c, cfg, tech).cycles();
 }
 
 MemoryAxisTable::MemoryAxisTable(const ConvLayer &layer,

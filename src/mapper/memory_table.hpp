@@ -32,13 +32,13 @@
  *
  * MappingCache owns the tables and decides when one is worth building
  * (mapper/cache.hpp); pickBest() prices a view's candidates'
- * bounds with priceLowerBound() and their scores with
- * Candidate::score().
+ * bounds with priceLowerBound() and their scores with Terms::score().
  */
 
 #ifndef NNBATON_MAPPER_MEMORY_TABLE_HPP
 #define NNBATON_MAPPER_MEMORY_TABLE_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -61,6 +61,10 @@ namespace nnbaton {
 class MemoryAxisTable
 {
   public:
+    /** A candidate's three fills at one configuration: W-L1 (pooled
+     *  over the pw cores of a weight stream), A-L1 and A-L2 bytes. */
+    using Fills = std::array<int64_t, 3>;
+
     /** What pricing a candidate needs besides its three fills.  None
      *  of it reads a buffer size or the technology. */
     struct Terms
@@ -90,6 +94,17 @@ class MemoryAxisTable
 
         /** The access counts at fills @p wl1, @p al1 and @p al2. */
         AccessCounts countsAt(int64_t wl1, int64_t al1, int64_t al2) const;
+
+        /** The pickBest() score of evaluateMapping(layer, cfg, tech,
+         *  mapping), bit for bit, for a candidate with these terms and
+         *  @p fills == Candidate::fills(cfg), where @p rates ==
+         *  bufferRates(cfg, tech): the unchanged energy and phase
+         *  arithmetic on the exact counts.  It reads nothing else, so
+         *  equal terms and fills give the same bits.  The bound,
+         *  likewise, is priceLowerBound() of bound. */
+        double score(const Fills &fills, const AcceleratorConfig &cfg,
+                     const TechnologyModel &tech, const BufferRates &rates,
+                     Objective objective) const;
     };
 
     /** One distinct candidate with its memory-independent analysis. */
@@ -118,14 +133,14 @@ class MemoryAxisTable
             return fillAtCapacity(al2Steps, capacity);
         }
 
-        /** The pickBest() score of evaluateMapping(layer, cfg, tech,
-         *  mapping), bit for bit, from @p cfg's three fills and the
-         *  stored terms (@p rates == bufferRates(cfg, tech)): the
-         *  unchanged energy and phase arithmetic on the exact counts.
-         *  The bound, likewise, is priceLowerBound() of terms->bound. */
-        double score(const AcceleratorConfig &cfg,
-                     const TechnologyModel &tech, const BufferRates &rates,
-                     Objective objective) const;
+        /** The fills at @p cfg's buffer sizes: W-L1 at W-L1 bytes x pw,
+         *  A-L1 at A-L1 bytes, A-L2 at A-L2 bytes. */
+        Fills fills(const AcceleratorConfig &cfg) const
+        {
+            return {wl1Fill(cfg.core.wl1Bytes * mapping.chipSplit.parts()),
+                    al1Fill(cfg.core.al1Bytes),
+                    al2Fill(cfg.chiplet.al2Bytes)};
+        }
     };
 
     /** The candidate order of one legality key: exactly the sequence

@@ -73,64 +73,50 @@ sameBits(double a, double b)
     return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-/** Table candidate @p c's lower bound; with @p cross_check it must
- *  equal scoreLowerBound() bit for bit, or the process panics. */
-double
-tableBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
-           const TechnologyModel &tech, const BufferRates &rates,
-           const MemoryAxisTable::Candidate &c, Objective objective,
-           bool cross_check)
+/** Panics unless @p bound, table candidate @p c's bound as pickBest()
+ *  priced or reused it, equals scoreLowerBound() bit for bit. */
+void
+checkTableBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech,
+                const MemoryAxisTable::Candidate &c, Objective objective,
+                double bound)
 {
-    const double bound =
-        priceLowerBound(c.terms->bound, cfg, tech, rates, objective);
-    if (cross_check) {
-        const double fresh =
-            scoreLowerBound(layer, cfg, tech, c.mapping, objective);
-        if (!sameBits(bound, fresh)) {
-            panic("memory-axis table bound cross-check divergence on %s "
-                  "%s (%s): table %.17g, scoreLowerBound %.17g",
-                  layer.name.c_str(), c.mapping.toString().c_str(),
-                  cfg.toString().c_str(), bound, fresh);
-        }
+    const double fresh =
+        scoreLowerBound(layer, cfg, tech, c.mapping, objective);
+    if (!sameBits(bound, fresh)) {
+        panic("memory-axis table bound cross-check divergence on %s "
+              "%s (%s): table %.17g, scoreLowerBound %.17g",
+              layer.name.c_str(), c.mapping.toString().c_str(),
+              cfg.toString().c_str(), bound, fresh);
     }
-    return bound;
 }
 
-/** Table candidate @p c's score; with @p cross_check it is re-derived
- *  through evaluateMapping() and must match bit for bit, fills
- *  included, or the process panics. */
-double
-tableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
-           const TechnologyModel &tech, const BufferRates &rates,
-           const MemoryAxisTable::Candidate &c, Objective objective,
-           bool cross_check)
+/** Panics unless @p fills and @p score, table candidate @p c's fills
+ *  and its score as pickBest() priced or reused it, equal
+ *  evaluateMapping()'s bit for bit. */
+void
+checkTableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech,
+                const MemoryAxisTable::Candidate &c, Objective objective,
+                const MemoryAxisTable::Fills &fills, double score)
 {
-    const double score = c.score(cfg, tech, rates, objective);
-    if (cross_check) {
-        const MappingChoice full =
-            evaluateMapping(layer, cfg, tech, c.mapping);
-        const int64_t wl1 =
-            c.wl1Fill(cfg.core.wl1Bytes * c.mapping.chipSplit.parts());
-        const int64_t al1 = c.al1Fill(cfg.core.al1Bytes);
-        const int64_t al2 = c.al2Fill(cfg.chiplet.al2Bytes);
-        if (full.analysis.wl1.fillBytes != wl1 ||
-            full.analysis.al1.fillBytes != al1 ||
-            full.analysis.al2.fillBytes != al2 ||
-            !sameBits(scoreOf(full, objective), score)) {
-            panic("memory-axis table cross-check divergence on %s %s "
-                  "(%s):\n  table: fills %lld/%lld/%lld, score %.17g\n"
-                  "  full:  fills %lld/%lld/%lld, score %.17g",
-                  layer.name.c_str(), c.mapping.toString().c_str(),
-                  cfg.toString().c_str(), static_cast<long long>(wl1),
-                  static_cast<long long>(al1),
-                  static_cast<long long>(al2), score,
-                  static_cast<long long>(full.analysis.wl1.fillBytes),
-                  static_cast<long long>(full.analysis.al1.fillBytes),
-                  static_cast<long long>(full.analysis.al2.fillBytes),
-                  scoreOf(full, objective));
-        }
+    const MappingChoice full = evaluateMapping(layer, cfg, tech, c.mapping);
+    if (full.analysis.wl1.fillBytes != fills[0] ||
+        full.analysis.al1.fillBytes != fills[1] ||
+        full.analysis.al2.fillBytes != fills[2] ||
+        !sameBits(scoreOf(full, objective), score)) {
+        panic("memory-axis table cross-check divergence on %s %s "
+              "(%s):\n  table: fills %lld/%lld/%lld, score %.17g\n"
+              "  full:  fills %lld/%lld/%lld, score %.17g",
+              layer.name.c_str(), c.mapping.toString().c_str(),
+              cfg.toString().c_str(), static_cast<long long>(fills[0]),
+              static_cast<long long>(fills[1]),
+              static_cast<long long>(fills[2]), score,
+              static_cast<long long>(full.analysis.wl1.fillBytes),
+              static_cast<long long>(full.analysis.al1.fillBytes),
+              static_cast<long long>(full.analysis.al2.fillBytes),
+              scoreOf(full, objective));
     }
-    return score;
 }
 
 /**
@@ -163,6 +149,49 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     const bool cross_check = table && tableCrossCheck();
     const BufferRates rates = table ? bufferRates(cfg, tech) : BufferRates{};
 
+    // A table bound reads only the candidate's Terms, and a table score
+    // only its Terms and fills: the configuration, technology, rates
+    // and objective are fixed for the call.  Loop-order variants sit
+    // next to each other in a view and share one Terms, so a candidate
+    // whose key equals the last priced one's takes that value, with
+    // the same bits, and a run of them is priced once.
+    const MemoryAxisTable::Terms *bound_terms = nullptr;
+    double last_bound = 0;
+    const MemoryAxisTable::Terms *score_terms = nullptr;
+    MemoryAxisTable::Fills score_fills{};
+    double last_score = 0;
+
+    const auto bound_of = [&](size_t i) {
+        if (!table)
+            return scoreLowerBound(layer, cfg, tech, candidates[i],
+                                   objective);
+        const MemoryAxisTable::Candidate &c = *(*table)[i];
+        if (c.terms != bound_terms) {
+            bound_terms = c.terms;
+            last_bound =
+                priceLowerBound(c.terms->bound, cfg, tech, rates, objective);
+        }
+        if (cross_check)
+            checkTableBound(layer, cfg, tech, c, objective, last_bound);
+        return last_bound;
+    };
+    const auto score_of = [&](size_t i) {
+        if (!table)
+            return scoreOf(evaluateMapping(layer, cfg, tech, candidates[i]),
+                           objective);
+        const MemoryAxisTable::Candidate &c = *(*table)[i];
+        const MemoryAxisTable::Fills fills = c.fills(cfg);
+        if (c.terms != score_terms || fills != score_fills) {
+            score_terms = c.terms;
+            score_fills = fills;
+            last_score = c.terms->score(fills, cfg, tech, rates, objective);
+        }
+        if (cross_check)
+            checkTableScore(layer, cfg, tech, c, objective, fills,
+                            last_score);
+        return last_score;
+    };
+
     const size_t n = table ? table->size() : candidates.size();
     size_t survivors[kPruneBlock];
 
@@ -181,44 +210,24 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
         size_t survivor_count = 0;
 
         // Pruning pass against the block-boundary incumbent.
-        {
-            NNBATON_TRACE_SCOPE("mapper.bound_prune");
-            for (size_t i = 0; i < count; ++i) {
-                if (prune && found) {
-                    const double bound =
-                        table ? tableBound(layer, cfg, tech, rates,
-                                           *(*table)[base + i], objective,
-                                           cross_check)
-                              : scoreLowerBound(layer, cfg, tech,
-                                                candidates[base + i],
-                                                objective);
-                    if (bound >= best_score * kPruneMargin) {
-                        ++pruned_here;
-                        continue;
-                    }
-                }
-                survivors[survivor_count++] = base + i;
+        for (size_t i = base; i < base + count; ++i) {
+            if (prune && found &&
+                bound_of(i) >= best_score * kPruneMargin) {
+                ++pruned_here;
+                continue;
             }
+            survivors[survivor_count++] = i;
         }
 
         // Score the survivors in candidate order and reduce as we go;
         // strict '<' keeps the earliest candidate on score ties.
-        {
-            NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
-            for (size_t j = 0; j < survivor_count; ++j) {
-                const size_t i = survivors[j];
-                const double score =
-                    table ? tableScore(layer, cfg, tech, rates,
-                                       *(*table)[i], objective,
-                                       cross_check)
-                          : scoreOf(evaluateMapping(layer, cfg, tech,
-                                                    candidates[i]),
-                                    objective);
-                if (!found || score < best_score) {
-                    found = true;
-                    best_index = i;
-                    best_score = score;
-                }
+        for (size_t j = 0; j < survivor_count; ++j) {
+            const size_t i = survivors[j];
+            const double score = score_of(i);
+            if (!found || score < best_score) {
+                found = true;
+                best_index = i;
+                best_score = score;
             }
         }
         evaluated_here += static_cast<int64_t>(survivor_count);

@@ -14,7 +14,9 @@
 #      client exits non-zero), not a dropped connection;
 #   5. a request line over the 64 MiB bound gets an INVALID_ARGUMENT
 #      envelope and then EOF, and the daemon still answers a ping;
-#   6. the shutdown op stops the daemon cleanly (exit 0).
+#   6. the shutdown op stops the daemon cleanly (exit 0);
+#   7. a --retries or --max-inflight count past INT_MAX is a usage
+#      error (exit 2), not a count that wraps.
 #
 # Usage: serve_smoke.sh <path-to-nn-baton>
 set -euo pipefail
@@ -202,5 +204,26 @@ wait "$DAEMON_PID"
 RC=$?
 DAEMON_PID=
 [[ $RC -eq 0 ]] || fail "daemon exit $RC after shutdown, want 0"
+
+# 7. Counts past INT_MAX are refused before anything connects or
+# listens; a wrapped --retries 4294967296 used to retry zero times.
+# The serve case runs under a timeout, so a build that accepts the
+# count and starts a daemon fails the step instead of hanging it.
+set +e
+"$BIN" request --socket "$SOCK" --retries 4294967296 \
+    --request '{"op":"ping"}' > /dev/null 2> "$DIR/retries.err"
+RC=$?
+timeout 10 "$BIN" serve --socket "$DIR/wrap.sock" \
+    --max-inflight 4294967296 > /dev/null 2> "$DIR/inflight.err"
+RC2=$?
+set -e
+[[ $RC -eq 2 ]] \
+    || fail "--retries 4294967296: exit $RC, want 2: $(cat "$DIR/retries.err")"
+grep -q 'out of range' "$DIR/retries.err" \
+    || fail "--retries 4294967296: $(cat "$DIR/retries.err")"
+[[ $RC2 -eq 2 ]] \
+    || fail "--max-inflight 4294967296: exit $RC2, want 2: $(cat "$DIR/inflight.err")"
+grep -q 'out of range' "$DIR/inflight.err" \
+    || fail "--max-inflight 4294967296: $(cat "$DIR/inflight.err")"
 
 echo "serve_smoke: PASS"

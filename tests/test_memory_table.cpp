@@ -481,7 +481,9 @@ TEST(MemoryAxisTable, StoredTermsPriceLikeFreshEvaluation)
                                                       c->mapping,
                                                       objective))
                                 << ctx();
-                            EXPECT_EQ(c->score(cfg, *tech, rates, objective),
+                            EXPECT_EQ(c->terms->score(c->fills(cfg), cfg,
+                                                      *tech, rates,
+                                                      objective),
                                       objective == Objective::MinEnergy
                                           ? fresh.energy.total()
                                           : fresh.edp())

@@ -322,8 +322,7 @@ TEST(Determinism, TracingDoesNotChangeResults)
     for (const char *expected :
          {"dse.explore", "dse.enumerate_space", "dse.design_point",
           "dse.collect", "mapper.map_model", "mapper.candidates",
-          "mapper.pick_best",
-          "mapper.bound_prune", "mapper.c3p_analysis"}) {
+          "mapper.pick_best"}) {
         EXPECT_TRUE(phases.count(expected)) << expected;
     }
 }

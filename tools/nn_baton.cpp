@@ -310,13 +310,11 @@ parseArgs(int argc, char **argv, Args &args)
             args.timeoutSeconds =
                 parsePositiveDouble(name, next()).value();
         } else if (opt == "--retries") {
-            args.retries = static_cast<int>(
-                parsePositiveInt64(name, next()).value());
+            args.retries = parsePositiveInt(name, next()).value();
         } else if (opt == "--cache-bytes") {
             args.cacheBytes = parsePositiveInt64(name, next()).value();
         } else if (opt == "--max-inflight") {
-            args.maxInflight = static_cast<int>(
-                parsePositiveInt64(name, next()).value());
+            args.maxInflight = parsePositiveInt(name, next()).value();
         } else if (opt == "--request") {
             args.requestBody = next();
         } else if (opt == "--slo-us") {
