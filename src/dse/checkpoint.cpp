@@ -413,16 +413,25 @@ restoreSweepCheckpoint(const std::string &path, const Model &model,
     }
     int64_t restored_points = 0;
     for (size_t i = 0; i < tasks.size(); ++i) {
-        const std::string key =
-            designPointKey(tasks[i].compute, tasks[i].memory);
-        auto it = restored.entries.find(key);
+        auto it = restored.entries.find(
+            designPointKey(tasks[i].compute, tasks[i].memory));
         if (it == restored.entries.end())
             continue;
         SweepPointOutcome &out = outcomes[i];
         out = std::move(it->second);
         out.restored = true;
-        sink.seed(key, out);
         ++restored_points;
+    }
+    // Earlier builds recorded a ledger with every valid point; keep
+    // only those the sweep would have kept.
+    keepWinnerLedgers(outcomes);
+    if (sink.enabled()) {
+        for (size_t i = 0; i < tasks.size(); ++i) {
+            if (outcomes[i].restored) {
+                sink.seed(designPointKey(tasks[i].compute, tasks[i].memory),
+                          outcomes[i]);
+            }
+        }
     }
     return restored_points;
 }

@@ -9,10 +9,13 @@
  * "fingerprint":...}; each later line records one settled point,
  * {"key":<designPointKey()>, <writeSweepOutcomeJson() members>}, and
  * a final {"complete":true} line marks a whole sweep.  Valid points
- * carry the full DesignPoint including the per-layer cost ledger,
- * with doubles exact, so a resumed sweep reproduces bit-identical
- * points and winner.  Poisoned and skipped points are deliberately
- * not recorded: a resume retries them.
+ * carry the DesignPoint with doubles exact, so a resumed sweep
+ * reproduces bit-identical points and winner; its per-layer ledger is
+ * there only for its unit's winners (keepWinnerLedgers() in
+ * dse/slice.hpp), "layers":[] otherwise.  Journals of earlier builds,
+ * with a ledger on every valid point, read the same way.  Poisoned
+ * and skipped points are deliberately not recorded: a resume retries
+ * them.
  *
  * Search work counters (SearchStats) are not checkpointed: a restored
  * point was not searched in the resuming run, so it contributes no
@@ -98,13 +101,14 @@ class CheckpointSink;
 /**
  * Resume the sweep of @p model under @p options from the checkpoint at
  * @p path: move every recorded task of @p tasks into @p outcomes (same
- * indexing), marked restored, and seed @p sink with it.  Returns the
- * number of points restored.  Throws the load's StatusError, or
- * FAILED_PRECONDITION when the checkpoint belongs to another sweep.
- * A fingerprint from before the model-text digest (keyed by the
- * model's name) is accepted only for an unedited zoo model at batch 1,
- * the one case the name identified; a checkpoint of the retired
- * anneal search is refused.  The sweep driver
+ * indexing), marked restored, keep the ledgers of the restored
+ * winners only (keepWinnerLedgers()), and seed @p sink with them.
+ * Returns the number of points restored.  Throws the load's
+ * StatusError, or FAILED_PRECONDITION when the checkpoint belongs to
+ * another sweep.  A fingerprint from before the model-text digest
+ * (keyed by the model's name) is accepted only for an unedited zoo
+ * model at batch 1, the one case the name identified; a checkpoint of
+ * the retired anneal search is refused.  The sweep driver
  * (dse/driver.hpp) calls this for local and distributed sweeps alike.
  */
 int64_t restoreSweepCheckpoint(const std::string &path,

@@ -1,7 +1,6 @@
 #include "dse/explorer.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hpp"
 #include "common/trace.hpp"
@@ -15,20 +14,14 @@ namespace {
  *  a lease should only outlast the slowest unit, not ever expire. */
 constexpr double kLocalLeaseSeconds = 24 * 3600.0;
 
-/** Index of the first point with the least @p score, if any. */
-template <typename Score>
-std::optional<size_t>
-argmin(const std::vector<DesignPoint> &points, Score score)
+/** The winners of @p points, offered in order. */
+SweepWinners
+winnersOf(const std::vector<DesignPoint> &points)
 {
-    std::optional<size_t> best;
-    double bestScore = std::numeric_limits<double>::max();
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (score(points[i]) < bestScore) {
-            bestScore = score(points[i]);
-            best = i;
-        }
-    }
-    return best;
+    SweepWinners winners;
+    for (size_t i = 0; i < points.size(); ++i)
+        winners.offer(i, points[i]);
+    return winners;
 }
 
 } // namespace
@@ -53,18 +46,31 @@ DesignPoint::toString() const
         cost.energyMj(), runtimeMs());
 }
 
+void
+SweepWinners::offer(size_t index, const DesignPoint &point)
+{
+    const double edp = point.edp();
+    if (edp < edpScore_) {
+        edpScore_ = edp;
+        edp_ = index;
+    }
+    const double energy = point.cost.energy.total();
+    if (energy < energyScore_) {
+        energyScore_ = energy;
+        energy_ = index;
+    }
+}
+
 std::optional<size_t>
 DseResult::bestEdp() const
 {
-    return argmin(points, [](const DesignPoint &p) { return p.edp(); });
+    return winnersOf(points).edp();
 }
 
 std::optional<size_t>
 DseResult::bestEnergy() const
 {
-    return argmin(points, [](const DesignPoint &p) {
-        return p.cost.energy.total();
-    });
+    return winnersOf(points).energy();
 }
 
 DseResult

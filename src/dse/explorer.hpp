@@ -9,6 +9,8 @@
 #ifndef NNBATON_DSE_EXPLORER_HPP
 #define NNBATON_DSE_EXPLORER_HPP
 
+#include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,7 +25,12 @@
 
 namespace nnbaton {
 
-/** One evaluated hardware design. */
+/**
+ * One evaluated hardware design.  A sweep ranks designs by their model
+ * totals; cost.layers, the per-layer ledger, is kept only for the
+ * sweep's bestEdp() and bestEnergy() points (see SweepWinners) and is
+ * empty on every other point of a DseResult.
+ */
 struct DesignPoint
 {
     ComputeAllocation compute;
@@ -40,6 +47,36 @@ struct DesignPoint
 
     /** e.g. "2-8-16-16 | A-L1 32K W-L1 144K A-L2 64K | 2.86mm2". */
     std::string toString() const;
+};
+
+/**
+ * The two winners among design points offered in sweep order: the
+ * first point with the least EDP and the first with the least energy.
+ * A later point wins only on a strictly smaller score, so a tie goes
+ * to the earlier point.  DseResult::bestEdp() and bestEnergy() and the
+ * sweep lanes, which keep a per-layer ledger for these points only,
+ * apply this one rule.
+ */
+class SweepWinners
+{
+  public:
+    /** Offer the point at @p index; indices must increase. */
+    void offer(size_t index, const DesignPoint &point);
+
+    std::optional<size_t> edp() const { return edp_; }
+    std::optional<size_t> energy() const { return energy_; }
+
+    /** True when the point at @p index is either winner. */
+    bool has(size_t index) const
+    {
+        return edp_ == index || energy_ == index;
+    }
+
+  private:
+    std::optional<size_t> edp_;
+    std::optional<size_t> energy_;
+    double edpScore_ = std::numeric_limits<double>::max();
+    double energyScore_ = std::numeric_limits<double>::max();
 };
 
 /** The search effort a sweep runs at: Fast under proportional memory
@@ -129,7 +166,10 @@ struct PoisonedPoint
 /** Sweep result. */
 struct DseResult
 {
-    std::vector<DesignPoint> points; //!< valid designs
+    /** Valid designs in sweep order.  Only the bestEdp() and
+     *  bestEnergy() points carry a per-layer ledger, whatever the lane
+     *  count, unit size or resume split. */
+    std::vector<DesignPoint> points;
     int64_t swept = 0;               //!< combos considered
     int64_t areaRejected = 0;        //!< failed the area budget
     int64_t infeasible = 0;          //!< no legal mapping for a layer

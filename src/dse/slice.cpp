@@ -1,5 +1,7 @@
 #include "dse/slice.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
@@ -99,6 +101,20 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     return out;
 }
 
+void
+keepWinnerLedgers(std::span<SweepPointOutcome> outcomes)
+{
+    SweepWinners winners;
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].kind == SweepPointOutcome::Valid)
+            winners.offer(i, outcomes[i].point);
+    }
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        if (!winners.has(i)) // move-assigned, so the storage is freed
+            outcomes[i].point.cost.layers = std::vector<LayerCost>();
+    }
+}
+
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
@@ -132,6 +148,7 @@ evaluateSweepSlice(const Model &model, const DseOptions &options,
         }
         verif::notifyPointCompleted(options.cancel);
     }
+    keepWinnerLedgers(outcomes);
     return outcomes;
 }
 
@@ -140,7 +157,12 @@ collectSweepOutcomes(const std::vector<SweepTask> &tasks,
                      std::vector<SweepPointOutcome> &outcomes)
 {
     NNBATON_TRACE_SCOPE("dse.collect");
+    keepWinnerLedgers(outcomes);
     DseResult result;
+    result.points.reserve(static_cast<size_t>(
+        std::count_if(outcomes.begin(), outcomes.end(), [](const auto &o) {
+            return o.kind == SweepPointOutcome::Valid;
+        })));
     for (size_t i = 0; i < outcomes.size(); ++i) {
         SweepPointOutcome &out = outcomes[i];
         ++result.swept;

@@ -84,7 +84,8 @@ struct WorkUnit
  *  parallel or distributed collection is bit-identical to serial.
  *  The one record of a settled point: checkpoints and the fabric's
  *  sweepUnit replies carry it through writeSweepOutcomeJson()
- *  (dse/checkpoint.hpp). */
+ *  (dse/checkpoint.hpp), with a per-layer ledger only where
+ *  keepWinnerLedgers() left one. */
 struct SweepPointOutcome
 {
     enum Kind
@@ -103,7 +104,8 @@ struct SweepPointOutcome
 };
 
 /**
- * Evaluate one task.  Propagates exceptions (the caller owns
+ * Evaluate one task; a Valid outcome carries the point's full
+ * per-layer ledger.  Propagates exceptions (the caller owns
  * quarantine policy); honours options.cancel through the mapping
  * search.
  */
@@ -114,6 +116,15 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      MappingCache &cache);
 
 /**
+ * Drop the per-layer ledger of every Valid outcome of @p outcomes but
+ * the SweepWinners among them, offered in slot order.  The sweep's
+ * first minimum is the first minimum of any run of outcomes that
+ * holds it, so a slice, a resume's restored set or a whole sweep
+ * trimmed this way never loses a ledger the whole sweep keeps.
+ */
+void keepWinnerLedgers(std::span<SweepPointOutcome> outcomes);
+
+/**
  * Evaluate a contiguous slice of the sweep serially: @p slice holds
  * tasks [begin, begin + slice.size()), and slot k of the result holds
  * task begin + k's outcome, under the sweep's fault policy, so a
@@ -122,7 +133,10 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
  * sweep index.  A Cancelled or DeadlineExceeded error marks it
  * Skipped; any other error is rethrown under options.strict and
  * otherwise quarantines the point as Poisoned with its status text.
- * A fired options.cancel marks the remaining slots Skipped.
+ * A fired options.cancel marks the remaining slots Skipped.  Valid
+ * outcomes carry their totals; only the slice's first min-EDP and
+ * first min-energy points keep their per-layer ledger
+ * (keepWinnerLedgers()), so a slice returns at most two.
  */
 std::vector<SweepPointOutcome>
 evaluateSweepSlice(const Model &model, const DseOptions &options,
@@ -133,9 +147,10 @@ evaluateSweepSlice(const Model &model, const DseOptions &options,
 /**
  * Fold a full outcome vector (one slot per task, sweep order) into a
  * DseResult: points, classification counters, poisoned list, summed
- * SearchStats and the complete flag.  cacheEntries / elapsedSeconds
- * are the caller's to fill.  Consumes the outcomes (points are moved
- * out).
+ * SearchStats and the complete flag.  Only the result's bestEdp() and
+ * bestEnergy() points keep a per-layer ledger (keepWinnerLedgers()).
+ * cacheEntries / elapsedSeconds are the caller's to fill.  Consumes
+ * the outcomes (points are moved out).
  */
 DseResult collectSweepOutcomes(const std::vector<SweepTask> &tasks,
                                std::vector<SweepPointOutcome> &outcomes);

@@ -317,6 +317,10 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
     // effort to the shape, keys the memo.
     std::vector<std::pair<MappingCache::Key, std::optional<MappingChoice>>>
         memo;
+    const size_t layers = model.layers().size();
+    memo.reserve(layers);
+    result.choices.reserve(layers);
+    result.cost.layers.reserve(layers);
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &m_hits = reg.counter("mapper.cache.hits");

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The fig15 sweep (DarkNet-19 under a 4096-MAC, 3 mm^2 budget: 45,000
 # design points), checkpointed at the default --checkpoint-every,
-# finishes inside a 300 s deadline and exports the bytes of the same
-# sweep run without a checkpoint; a resume from that checkpoint
-# exports them again.  Checkpoints that rewrite the whole file at
-# every flush cost quadratic time and cannot finish this sweep.
+# finishes inside a 300 s deadline, journals under 30 MB and exports
+# the bytes of the same sweep run without a checkpoint; a resume from
+# that checkpoint exports them again.  Checkpoints that rewrite the
+# whole file at every flush cost quadratic time and cannot finish this
+# sweep.
 #
 # Usage: fig15_checkpoint.sh <path-to-nn-baton>
 set -euo pipefail
@@ -47,6 +48,12 @@ run checkpointed "$BIN" "${SWEEP[@]}" --checkpoint "$DIR/sweep.ckpt" \
     --deadline 300 --json "$DIR/checkpointed.json"
 cmp "$DIR/plain.json" "$DIR/checkpointed.json" \
     || fail "the checkpointed sweep's export differs from the plain one"
+
+# The journal records each point's totals and a per-layer ledger only
+# for each unit's min-EDP and min-energy points: about 22 MB.
+JOURNAL_BYTES=$(stat -c %s "$DIR/sweep.ckpt")
+(( JOURNAL_BYTES <= 30000000 )) \
+    || fail "the journal is $JOURNAL_BYTES bytes, over 30 MB"
 
 # 3. Resumed from the full checkpoint: every point restored, same
 # bytes.

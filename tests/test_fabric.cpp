@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_ledgers.hpp"
+
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -919,6 +921,27 @@ TEST(Fabric, DistributedSweepMatchesSerialBitForBit)
     EXPECT_EQ(stats.unitsCompleted, stats.units);
     EXPECT_EQ(stats.localFallbackUnits, 0);
     EXPECT_EQ(stats.workersQuarantined, 0);
+}
+
+/**
+ * Workers reply with totals plus the ledgers of their unit's winners
+ * only, and the merged sweep keeps exactly its own winners' ledgers,
+ * as the local sweep does.
+ */
+TEST(Fabric, DistributedSweepKeepsOnlyTheWinnersLedgers)
+{
+    Fleet fleet(2);
+    FabricOptions fab;
+    fab.workers = fleet.endpoints;
+    fab.unitPoints = 3;
+    FabricStats stats;
+    const Model model = tinyModel();
+    const DseResult r = coordinateSweep(model, sweepOptions(),
+                                        defaultTech(), fab, &stats);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(stats.localFallbackUnits, 0);
+    EXPECT_EQ(leanPreBytes(r), serialBaseline());
+    expectLedgersOnlyOnWinners(r, model, sweepOptions(), defaultTech());
 }
 
 /**

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_ledgers.hpp"
 #include "expect_status.hpp"
 
 #include <algorithm>
@@ -14,7 +15,9 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -966,8 +969,145 @@ TEST(Checkpoint, RecordsKeepTheVectorEnergyTerm)
          ++i) {
         EXPECT_EQ(again.points[i].cost.energy.vector,
                   fresh.points[i].cost.energy.vector);
-        EXPECT_EQ(again.points[i].cost.layers[0].energy.vector,
-                  fresh.points[i].cost.layers[0].energy.vector);
+    }
+    // Only the winners keep a per-layer ledger; theirs keep the term.
+    for (const std::optional<size_t> best :
+         {fresh.bestEdp(), fresh.bestEnergy()}) {
+        ASSERT_TRUE(best.has_value());
+        ASSERT_LT(*best, again.points.size());
+        const LayerCost &kept = again.points[*best].cost.layers.at(0);
+        EXPECT_GT(kept.energy.vector, 0.0);
+        EXPECT_EQ(kept.energy.vector,
+                  fresh.points[*best].cost.layers.at(0).energy.vector);
     }
     std::remove(path.c_str());
+}
+
+/**
+ * A sweep ranks its points by their totals and keeps a per-layer
+ * ledger for its bestEdp() and bestEnergy() points only, on one lane
+ * or four.  Every valid point used to carry one: about 4 KB each in
+ * the fig15 journal and in every sweepUnit reply.
+ */
+TEST(SweepLedgers, OnlyTheWinnersKeepALedger)
+{
+    const Model model = miniModel();
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        DseOptions opt = sweepOptions();
+        opt.threads = threads;
+        const DseResult r = explore(model, opt, defaultTech());
+        ASSERT_GT(r.points.size(), 2u);
+        expectLedgersOnlyOnWinners(r, model, opt, defaultTech());
+    }
+}
+
+/** A slice keeps the ledgers of its own first min-EDP and first
+ *  min-energy points, at most two, whatever its width. */
+TEST(SweepLedgers, ASliceReturnsAtMostTwoLedgers)
+{
+    const Model model = miniModel();
+    const DseOptions opt = sweepOptions();
+    const std::vector<SweepTask> tasks = enumerateSweepTasks(opt);
+    MappingCache cache;
+    for (const size_t width : {tasks.size(), size_t{5}}) {
+        for (size_t begin = 0; begin < tasks.size(); begin += width) {
+            const size_t n = std::min(width, tasks.size() - begin);
+            SCOPED_TRACE(testing::Message() << "tasks [" << begin << ", "
+                                            << begin + n << ")");
+            const std::vector<SweepPointOutcome> outcomes =
+                evaluateSweepSlice(model, opt, defaultTech(),
+                                   std::span(tasks).subspan(begin, n),
+                                   static_cast<int64_t>(begin), cache);
+            std::optional<size_t> edp;
+            std::optional<size_t> energy;
+            for (size_t k = 0; k < n; ++k) {
+                const DesignPoint &p = outcomes[k].point;
+                if (outcomes[k].kind != SweepPointOutcome::Valid)
+                    continue;
+                if (!edp || p.edp() < outcomes[*edp].point.edp())
+                    edp = k;
+                if (!energy || p.cost.energy.total() <
+                                   outcomes[*energy].point.cost.energy.total())
+                    energy = k;
+            }
+            int ledgers = 0;
+            for (size_t k = 0; k < n; ++k) {
+                const bool kept = !outcomes[k].point.cost.layers.empty();
+                ledgers += kept ? 1 : 0;
+                EXPECT_EQ(kept, k == edp || k == energy) << "slot " << k;
+                if (kept) {
+                    expectLedgerOfFreshMapping(outcomes[k].point, model,
+                                               opt, defaultTech());
+                }
+            }
+            EXPECT_LE(ledgers, 2);
+        }
+    }
+}
+
+/**
+ * A resume keeps the same two ledgers: from a journal this build
+ * wrote, from half of it, and from a journal with a ledger on every
+ * valid point, as earlier builds wrote.  A checkpointing resume of the
+ * latter journals only the restored winners' ledgers.
+ */
+TEST(SweepLedgers, ResumedSweepsKeepOnlyTheWinnersLedgers)
+{
+    const Model model = miniModel();
+    const DseOptions opt = sweepOptions();
+    const std::string path = tmpPath("ckpt_ledgers.json");
+    const DseResult fresh = journalledSweep(path);
+    ASSERT_TRUE(fresh.complete);
+
+    const DseResult whole = resumeSweep(path);
+    EXPECT_EQ(whole.resumed, fresh.swept);
+    expectSameResult(fresh, whole);
+    expectLedgersOnlyOnWinners(whole, model, opt, defaultTech());
+
+    // The header and the first half of the records.
+    const std::vector<std::string> lines = splitLines(readFile(path));
+    ASSERT_GT(lines.size(), 4u);
+    std::string half;
+    for (size_t i = 0; i < 1 + (lines.size() - 2) / 2; ++i)
+        half += lines[i] + "\n";
+    writeFile(path, half);
+    const DseResult split = resumeSweep(path);
+    EXPECT_GT(split.resumed, 0);
+    EXPECT_LT(split.resumed, fresh.swept);
+    expectSameResult(fresh, split);
+    expectLedgersOnlyOnWinners(split, model, opt, defaultTech());
+
+    std::remove(path.c_str());
+    {
+        CheckpointSink sink(path, 1, sweepFingerprint(model, opt));
+        MappingCache cache;
+        for (const SweepTask &task : enumerateSweepTasks(opt)) {
+            sink.record(task, evaluateSweepPoint(model, opt, defaultTech(),
+                                                 task, cache));
+        }
+        sink.finish(true);
+    }
+    const SweepCheckpoint everyLedger = loadSweepCheckpoint(path).value();
+    for (const auto &[key, out] : everyLedger.entries) {
+        if (out.kind == SweepPointOutcome::Valid)
+            EXPECT_EQ(out.point.cost.layers.size(), model.layers().size());
+    }
+    const std::string rewritten = tmpPath("ckpt_ledgers_again.json");
+    std::remove(rewritten.c_str());
+    DseOptions resume = opt;
+    resume.resumePath = path;
+    resume.checkpointPath = rewritten;
+    const DseResult old = explore(model, resume, defaultTech());
+    EXPECT_EQ(old.resumed, fresh.swept);
+    expectSameResult(fresh, old);
+    expectLedgersOnlyOnWinners(old, model, opt, defaultTech());
+    const SweepCheckpoint winnersOnly = loadSweepCheckpoint(rewritten).value();
+    int ledgers = 0;
+    for (const auto &[key, out] : winnersOnly.entries)
+        ledgers += out.point.cost.layers.empty() ? 0 : 1;
+    EXPECT_GE(ledgers, 1);
+    EXPECT_LE(ledgers, 2);
+    std::remove(path.c_str());
+    std::remove(rewritten.c_str());
 }
