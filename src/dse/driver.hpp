@@ -84,9 +84,10 @@ class SweepDriver
     /**
      * Settle finished @p unit: unless an earlier completion did (then
      * false), take @p outcomes (slot k holds task unit.begin + k) into
-     * the sweep, checkpoint them and count them, Skipped points
-     * excepted, as progress.  @p carried holds search counters the
-     * outcomes do not (a remote unit's aggregate).
+     * the sweep with the ledgers of the unit's winners only
+     * (keepWinnerLedgers()), checkpoint them and count them, Skipped
+     * points excepted, as progress.  @p carried holds search counters
+     * the outcomes do not (a remote unit's aggregate).
      */
     bool settle(const WorkUnit &unit,
                 std::vector<SweepPointOutcome> outcomes,

@@ -1,6 +1,7 @@
 #include "mapper/bound.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/util.hpp"
 #include "cost/energy.hpp"
@@ -156,6 +157,19 @@ priceLowerBound(const BoundTerms &terms, const AcceleratorConfig &cfg,
     return energy * cycleFloor(cfg, tech,
                                static_cast<double>(terms.computeCycles),
                                terms.floor.dram, terms.floor.d2d);
+}
+
+bool
+boundIsMonotone(const TechnologyModel &tech)
+{
+    const auto factor = [](double v) { return std::isfinite(v) && v >= 0; };
+    return factor(tech.dramEnergyPerBit) && factor(tech.d2dEnergyPerBit) &&
+           factor(tech.nocEnergyPerBit) && factor(tech.rfEnergyPerBitRmw) &&
+           factor(tech.macEnergyPerOp) &&
+           factor(tech.vectorOpEnergyPerOp) &&
+           factor(tech.sramEnergyPerBitKb.offset) &&
+           factor(tech.sramEnergyPerBitKb.slope) &&
+           tech.dramBitsPerCycle > 0 && tech.d2dBitsPerCycle > 0;
 }
 
 double

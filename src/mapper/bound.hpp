@@ -86,6 +86,18 @@ double priceLowerBound(const BoundTerms &terms,
                        const BufferRates &rates, Objective objective);
 
 /**
+ * True when priceLowerBound() at @p tech never falls as a field of its
+ * terms grows, at any configuration: every energy it multiplies a
+ * floor by is finite and non-negative, the SRAM per-bit energy does
+ * not fall with size (the O-L2 floor is priced at its own size), and
+ * both port widths are positive.  Then the component-wise minimum of
+ * several terms prices at or below each of them, which lets a search
+ * plan prune a block after one price.  Requests always meet it, since
+ * they refuse non-positive technology numbers.
+ */
+bool boundIsMonotone(const TechnologyModel &tech);
+
+/**
  * Lower bound on the pickBest() score of @p mapping:
  * priceLowerBound() of boundTerms() on deriveShapes()' shapes.
  */

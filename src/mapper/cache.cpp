@@ -143,10 +143,11 @@ MappingCache::tableView(const ConvLayer &layer,
     }
 
     // Enumerate outside the shard lock (the table serialises its own
-    // growth), then charge whatever the table grew by.
-    int64_t leaves_added = 0;
-    const MemoryAxisTable::View &view = table->view(cfg, &leaves_added);
-    {
+    // growth), then charge whatever the table grew by.  Its bytes
+    // change only with a new legality key.
+    MemoryAxisTable::Growth grew;
+    const MemoryAxisTable::View &view = table->view(cfg, &grew);
+    if (grew.key) {
         std::lock_guard<std::mutex> lock(shard.m);
         const auto it = shard.tables.find(tkey);
         if (it != shard.tables.end() && it->second.table == table) {
@@ -159,7 +160,7 @@ MappingCache::tableView(const ConvLayer &layer,
     }
     tableHits_.fetch_add(1, std::memory_order_relaxed);
     cacheMetrics().tableHits->add();
-    cacheMetrics().tableLeaves->add(leaves_added);
+    cacheMetrics().tableLeaves->add(grew.leaves);
     return std::shared_ptr<const MemoryAxisTable::View>(std::move(table),
                                                         &view);
 }

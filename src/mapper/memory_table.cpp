@@ -1,9 +1,11 @@
 #include "mapper/memory_table.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <unordered_map>
 
 #include "common/logging.hpp"
@@ -212,6 +214,140 @@ place(const T *p, size_t count,
     return {nullptr, it->second};
 }
 
+/** One block of a plan, cut from its members. */
+struct BlockCut
+{
+    BoundTerms floor;
+    const MemoryAxisTable::Terms *terms[kPruneBlock];
+    uint8_t termMembers[kPruneBlock];
+    size_t termCount = 0;
+    MemoryAxisTable::Plan::Group groups[kPruneBlock];
+    size_t groupCount = 0;
+};
+
+/** Cut the block of the @p count candidates at @p members, the first
+ *  of them at view index @p base. */
+void
+cutBlock(const MemoryAxisTable::Candidate *const *members, size_t count,
+         size_t base, BlockCut &cut)
+{
+    static_assert(kPruneBlock <= 32, "a block's Terms slots fit a mask");
+    cut.termCount = 0;
+    cut.groupCount = 0;
+    cut.floor = members[0]->terms->bound;
+    EnergyCharges &f = cut.floor.floor;
+    for (size_t k = 0; k < count; ++k) {
+        const MemoryAxisTable::Candidate &c = *members[k];
+        const BoundTerms &b = c.terms->bound;
+        f.dram = std::min(f.dram, b.floor.dram);
+        f.d2d = std::min(f.d2d, b.floor.d2d);
+        f.noc = std::min(f.noc, b.floor.noc);
+        f.al2 = std::min(f.al2, b.floor.al2);
+        f.al1 = std::min(f.al1, b.floor.al1);
+        f.wl1 = std::min(f.wl1, b.floor.wl1);
+        f.ol1 = std::min(f.ol1, b.floor.ol1);
+        f.ol2 = std::min(f.ol2, b.floor.ol2);
+        f.mac = std::min(f.mac, b.floor.mac);
+        f.vector = std::min(f.vector, b.floor.vector);
+        f.ol2Bytes = std::min(f.ol2Bytes, b.floor.ol2Bytes);
+        cut.floor.computeCycles =
+            std::min(cut.floor.computeCycles, b.computeCycles);
+
+        size_t t = 0;
+        while (t < cut.termCount && cut.terms[t] != c.terms)
+            ++t;
+        if (t == cut.termCount) {
+            cut.terms[cut.termCount] = c.terms;
+            cut.termMembers[cut.termCount++] = 0;
+        }
+        ++cut.termMembers[t];
+
+        size_t g = 0;
+        while (g < cut.groupCount &&
+               !members[cut.groups[g].first - base]->sharesScore(c))
+            ++g;
+        if (g == cut.groupCount) {
+            cut.groups[cut.groupCount++] = {static_cast<uint32_t>(base + k),
+                                            static_cast<uint16_t>(t), 0};
+        }
+        ++cut.groups[g].count;
+    }
+}
+
+/**
+ * The view of the @p n candidates candidateAt(0..n-1) with its plan:
+ * one pass counts each plan array's entries, so a second fills them
+ * and the order in one allocation of their exact total size.
+ */
+template <typename CandidateAt>
+std::unique_ptr<const MemoryAxisTable::View>
+viewOf(size_t n, const CandidateAt &candidateAt)
+{
+    using Table = MemoryAxisTable;
+    using Plan = Table::Plan;
+    if (n > std::numeric_limits<uint32_t>::max())
+        panic("memory-axis table: a view of %zu candidates", n);
+    auto view = std::make_unique<Table::View>();
+    Plan &plan = view->plan;
+    plan.blockCount = (n + kPruneBlock - 1) / kPruneBlock;
+    const Table::Candidate *members[kPruneBlock];
+    BlockCut cut;
+    const auto cutAt = [&](size_t b) {
+        const size_t base = b * kPruneBlock;
+        const size_t count = std::min(kPruneBlock, n - base);
+        for (size_t k = 0; k < count; ++k)
+            members[k] = candidateAt(base + k);
+        cutBlock(members, count, base, cut);
+        return count;
+    };
+    for (size_t b = 0; b < plan.blockCount; ++b) {
+        cutAt(b);
+        plan.termCount += cut.termCount;
+        plan.groupCount += cut.groupCount;
+    }
+
+    // The order, blocks, Terms pointers, groups and member counts: each
+    // array's alignment divides the size of every one before it.
+    static_assert(alignof(Plan::Block) == alignof(Table::Candidate *) &&
+                  sizeof(Plan::Block) % alignof(Table::Candidate *) == 0 &&
+                  alignof(Plan::Group) <= alignof(Table::Candidate *));
+    const size_t blocks_at = n * sizeof(Table::Candidate *);
+    const size_t terms_at = blocks_at + plan.blockCount * sizeof(Plan::Block);
+    const size_t groups_at =
+        terms_at + plan.termCount * sizeof(Table::Terms *);
+    const size_t members_at =
+        groups_at + plan.groupCount * sizeof(Plan::Group);
+    view->storageBytes = members_at + plan.termCount;
+    view->storage = std::make_unique<std::byte[]>(view->storageBytes);
+    std::byte *const at = view->storage.get();
+    auto *order = reinterpret_cast<const Table::Candidate **>(at);
+    auto *blocks = reinterpret_cast<Plan::Block *>(at + blocks_at);
+    auto *terms = reinterpret_cast<const Table::Terms **>(at + terms_at);
+    auto *groups = reinterpret_cast<Plan::Group *>(at + groups_at);
+    auto *termMembers = reinterpret_cast<uint8_t *>(at + members_at);
+    view->order = order;
+    view->count = n;
+    plan.blocks = blocks;
+    plan.terms = terms;
+    plan.groups = groups;
+    plan.termMembers = termMembers;
+
+    size_t t = 0;
+    size_t g = 0;
+    for (size_t b = 0; b < plan.blockCount; ++b) {
+        const size_t count = cutAt(b);
+        std::copy_n(members, count, order + b * kPruneBlock);
+        std::copy_n(cut.terms, cut.termCount, terms + t);
+        std::copy_n(cut.termMembers, cut.termCount, termMembers + t);
+        std::copy_n(cut.groups, cut.groupCount, groups + g);
+        t += cut.termCount;
+        g += cut.groupCount;
+        new (&blocks[b]) Plan::Block{cut.floor, static_cast<uint32_t>(t),
+                                     static_cast<uint32_t>(g)};
+    }
+    return view;
+}
+
 } // namespace
 
 AccessCounts
@@ -248,7 +384,7 @@ MemoryAxisTable::MemoryAxisTable(const ConvLayer &layer,
     recount();
 }
 
-MemoryAxisTable::View
+std::unique_ptr<const MemoryAxisTable::View>
 MemoryAxisTable::intern(const std::vector<Mapping> &candidates,
                         const AcceleratorConfig &cfg)
 {
@@ -339,22 +475,19 @@ MemoryAxisTable::intern(const std::vector<Mapping> &candidates,
         }
     }
 
-    View order;
-    order.reserve(candidates.size());
-    for (const Mapping &m : candidates)
-        order.push_back(stored.at(m));
-    return order;
+    return viewOf(candidates.size(),
+                  [&](size_t i) { return stored.at(candidates[i]); });
 }
 
 const MemoryAxisTable::View &
-MemoryAxisTable::view(const AcceleratorConfig &cfg, int64_t *leaves_added)
+MemoryAxisTable::view(const AcceleratorConfig &cfg, Growth *grew)
 {
     const LegalityKey key{
         cfg.core.ol1Bytes, cfg.core.al1Bytes,
         cfg.core.wl1Bytes >=
             static_cast<int64_t>(cfg.core.lanes) * cfg.core.vectorSize};
-    if (leaves_added)
-        *leaves_added = 0;
+    if (grew)
+        *grew = Growth{};
     std::lock_guard<std::mutex> lock(m_);
     for (const auto &[k, v] : keys_) {
         if (k == key)
@@ -375,13 +508,14 @@ MemoryAxisTable::view(const AcceleratorConfig &cfg, int64_t *leaves_added)
     }
     const size_t chunks = chunks_.size();
     if (!shared) {
-        views_.push_back(
-            std::make_unique<const View>(intern(candidates, cfg)));
-        shared = views_.back().get();
+        shared = views_.emplace_back(intern(candidates, cfg)).get();
     }
     keys_.emplace_back(key, shared);
-    if (leaves_added && chunks_.size() > chunks)
-        *leaves_added = static_cast<int64_t>(chunks_.back().size);
+    if (grew) {
+        grew->key = true;
+        if (chunks_.size() > chunks)
+            grew->leaves = static_cast<int64_t>(chunks_.back().size);
+    }
     recount();
     return *shared;
 }
@@ -391,7 +525,7 @@ MemoryAxisTable::recount()
 {
     // The table with its shared_ptr control block, the three
     // directories, each chunk's candidate, step and Terms arrays, and
-    // each distinct view with its order.
+    // each distinct view with its order and plan.
     int64_t n =
         heapBlockBytes(sizeof(MemoryAxisTable) + 2 * sizeof(void *)) +
         heapBlockBytes(
@@ -411,8 +545,7 @@ MemoryAxisTable::recount()
     }
     for (const auto &v : views_) {
         n += heapBlockBytes(sizeof(View)) +
-             heapBlockBytes(static_cast<int64_t>(
-                 v->capacity() * sizeof(const Candidate *)));
+             heapBlockBytes(static_cast<int64_t>(v->storageBytes));
     }
     bytes_ = n;
 }

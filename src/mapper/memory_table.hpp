@@ -30,15 +30,18 @@
  * enumerator's ordering rules (the core-tile planes' sort and cap, the
  * full-lane filter, ordinal order) are reused rather than re-derived.
  *
- * MappingCache owns the tables and decides when one is worth building
- * (mapper/cache.hpp); pickBest() prices a view's candidates'
- * bounds with priceLowerBound() and their scores with Terms::score().
+ * Each distinct order also carries its search plan (Plan): pickBest()
+ * walks it, pricing block floors and distinct Terms with
+ * priceLowerBound() and score groups with Terms::score().  MappingCache
+ * owns the tables and decides when one is worth building
+ * (mapper/cache.hpp).
  */
 
 #ifndef NNBATON_MAPPER_MEMORY_TABLE_HPP
 #define NNBATON_MAPPER_MEMORY_TABLE_HPP
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,9 +81,13 @@ class MemoryAxisTable
             uint32_t field = 0; //!< AccessCounts field, in declaration order
             uint32_t fill = 0;  //!< 0 = W-L1, 1 = A-L1, 2 = A-L2
         };
-        /** Most access counts never read a fill: room for the nonzero
-         *  slopes the accounting has, with a little to spare. */
-        static constexpr size_t kMaxSlopes = 12;
+        /** Most access counts never read a fill.  The accounting has
+         *  at most seven nonzero slopes: three per W-L1 or A-L2 byte
+         *  (DRAM read, L1/L2 write and, for the rotated tensor of a
+         *  multi-chiplet package, the ring) and two per A-L1 byte
+         *  (A-L2 read, A-L1 write); only one of weights and
+         *  activations rotates. */
+        static constexpr size_t kMaxSlopes = 7;
 
         /** The access counts at zero fills, and the nonzero slopes:
          *  countsAt() equals composeAccessAnalysis()' counts at any
@@ -141,11 +148,80 @@ class MemoryAxisTable
                     al1Fill(cfg.core.al1Bytes),
                     al2Fill(cfg.chiplet.al2Bytes)};
         }
+
+        /** True when @p o has the same Terms, step runs and pw, so the
+         *  same fills and score at every configuration.  Interned runs
+         *  and Terms compare by address. */
+        bool sharesScore(const Candidate &o) const
+        {
+            return terms == o.terms && wl1Steps == o.wl1Steps &&
+                   al1Steps == o.al1Steps && al2Steps == o.al2Steps &&
+                   mapping.chipSplit.parts() == o.mapping.chipSplit.parts();
+        }
     };
 
-    /** The candidate order of one legality key: exactly the sequence
-     *  enumerateCandidates() returns for a configuration with it. */
-    using View = std::vector<const Candidate *>;
+    /**
+     * How pickBest() walks a view: the view cut into kPruneBlock
+     * candidate blocks, the blocks pruning decisions are frozen over.
+     * Per block it stores the component-wise minimum of the members'
+     * bound terms (the floor), the members' distinct Terms with their
+     * member counts, and the groups of members that share a score
+     * (Candidate::sharesScore()), in first-member order.  Members that
+     * share Terms share a prune decision within a block, and members of
+     * a group share their fills and score, so a block costs one price
+     * per floor, distinct Terms and group instead of one per member.
+     */
+    struct Plan
+    {
+        struct Block
+        {
+            BoundTerms floor;       //!< members' component-wise minimum
+            uint32_t termsEnd = 0;  //!< its Terms end here in terms
+            uint32_t groupsEnd = 0; //!< its groups end here in groups
+        };
+        struct Group
+        {
+            uint32_t first = 0; //!< view index of the first member
+            uint16_t terms = 0; //!< its Terms' slot within the block
+            uint16_t count = 0; //!< members
+        };
+
+        const Block *blocks = nullptr;
+        size_t blockCount = 0;
+        /** Each block's distinct Terms, blocks in order, and the number
+         *  of members that have each. */
+        const Terms *const *terms = nullptr;
+        const uint8_t *termMembers = nullptr;
+        size_t termCount = 0;
+        const Group *groups = nullptr;
+        size_t groupCount = 0;
+    };
+
+    /** The candidate order of one legality key, exactly the sequence
+     *  enumerateCandidates() returns for a configuration with it, and
+     *  its search plan.  The order and the plan's arrays share one
+     *  allocation of their exact total size. */
+    struct View
+    {
+        const Candidate *const *order = nullptr;
+        size_t count = 0;
+        Plan plan;
+        std::unique_ptr<std::byte[]> storage;
+        size_t storageBytes = 0;
+
+        size_t size() const { return count; }
+        bool empty() const { return count == 0; }
+        const Candidate *operator[](size_t i) const { return order[i]; }
+        const Candidate *const *begin() const { return order; }
+        const Candidate *const *end() const { return order + count; }
+    };
+
+    /** What one view() call added to the table. */
+    struct Growth
+    {
+        bool key = false;   //!< a legality key, so bytes() changed
+        int64_t leaves = 0; //!< distinct candidates
+    };
 
     /** An empty table for @p layer's shape at @p effort; views fill it
      *  on demand. */
@@ -156,11 +232,9 @@ class MemoryAxisTable
      * bytes, W-L1 >= L*P), enumerated on first use.  @p cfg must have
      * the compute geometry this table was built for.  Thread-safe; the
      * view and the candidates it points at live as long as the table.
-     * @p leaves_added, when non-null, receives the number of distinct
-     * candidates this call added.
+     * @p grew, when non-null, receives what this call added.
      */
-    const View &view(const AcceleratorConfig &cfg,
-                     int64_t *leaves_added = nullptr);
+    const View &view(const AcceleratorConfig &cfg, Growth *grew = nullptr);
 
     /** Resident bytes, counted from what the table holds. */
     int64_t bytes() const;
@@ -195,10 +269,10 @@ class MemoryAxisTable
         size_t termCount = 0;
     };
 
-    /** @p candidates in order: stored ones reused, new ones analysed
-     *  into one new chunk.  Caller holds m_. */
-    View intern(const std::vector<Mapping> &candidates,
-                const AcceleratorConfig &cfg);
+    /** The view of @p candidates in order: stored ones reused, new
+     *  ones analysed into one new chunk.  Caller holds m_. */
+    std::unique_ptr<const View> intern(const std::vector<Mapping> &candidates,
+                                       const AcceleratorConfig &cfg);
 
     /** Recount bytes_ from the containers.  Caller holds m_. */
     void recount();

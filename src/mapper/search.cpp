@@ -32,15 +32,6 @@ evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
 
 namespace {
 
-/**
- * Candidates are consumed in fixed blocks: pruning decisions use the
- * incumbent frozen at the block boundary, and cancellation is polled
- * once per block.  The block size fixes the `evaluated` and `pruned`
- * counters that the golden files and perfbench pins record, so it
- * must stay a constant.
- */
-constexpr size_t kPruneBlock = 32;
-
 /** Relative slack before a bound may prune, absorbing the rounding
  *  difference between the bound's and the accounting's float paths
  *  when a floor is exactly tight. */
@@ -91,6 +82,26 @@ checkTableBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
     }
 }
 
+/** Panics unless table candidate @p c of a block pruned on its floor
+ *  priced at @p floor has a scoreLowerBound() at or above both the
+ *  floor and the prune @p threshold. */
+void
+checkFloorPrune(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech,
+                const MemoryAxisTable::Candidate &c, Objective objective,
+                double floor, double threshold)
+{
+    const double fresh =
+        scoreLowerBound(layer, cfg, tech, c.mapping, objective);
+    if (!(fresh >= floor && fresh >= threshold)) {
+        panic("memory-axis table floor cross-check divergence on %s %s "
+              "(%s): block floor %.17g, threshold %.17g, "
+              "scoreLowerBound %.17g",
+              layer.name.c_str(), c.mapping.toString().c_str(),
+              cfg.toString().c_str(), floor, threshold, fresh);
+    }
+}
+
 /** Panics unless @p fills and @p score, table candidate @p c's fills
  *  and its score as pickBest() priced or reused it, equal
  *  evaluateMapping()'s bit for bit. */
@@ -120,140 +131,217 @@ checkTableScore(const ConvLayer &layer, const AcceleratorConfig &cfg,
 }
 
 /**
- * The exhaustive search over one candidate sequence: @p table's view
- * when the cache supplied one, else @p candidates.  Table candidates
- * are bounded and scored from their stored terms at this search's
- * buffer rates, the others through scoreLowerBound() and
- * evaluateMapping(); either way only the winner is materialised, so
- * both sources return the same winner and the same work counters.
+ * Cancellation granularity: one poll per prune block, so a fired
+ * deadline stops even a single huge layer search within ~kPruneBlock
+ * evaluations.  Unwinding here is safe: no result outlives its
+ * mapModel() call, so a later (post-resume) search recomputes it.
  */
-std::optional<MappingChoice>
-pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
-         const TechnologyModel &tech,
-         const std::vector<Mapping> &candidates,
-         const MemoryAxisTable::View *table, Objective objective,
-         const SearchOptions &search, SearchStats *stats)
+void
+pollBlock(const SearchOptions &search)
 {
-    NNBATON_TRACE_SCOPE("mapper.pick_best");
+    if (search.cancel && search.cancel->cancelled())
+        throwStatus(search.cancel->toStatus());
+    if (verif::faultPlanArmed())
+        verif::injectSearchBlockFault();
+}
 
-    SearchStats local;
-    SearchStats &st = stats ? *stats : local;
-    const bool prune = search.boundPruning;
-    int64_t evaluated_here = 0;
-    int64_t pruned_here = 0;
-
+/** A search's best candidate so far.  Offered in candidate order,
+ *  strict '<' keeps the earliest candidate on score ties. */
+struct Incumbent
+{
     bool found = false;
-    size_t best_index = 0;
-    double best_score = std::numeric_limits<double>::max();
+    size_t index = 0;
+    double score = std::numeric_limits<double>::max();
 
-    const bool cross_check = table && tableCrossCheck();
-    const BufferRates rates = table ? bufferRates(cfg, tech) : BufferRates{};
-
-    // A table bound reads only the candidate's Terms, and a table score
-    // only its Terms and fills: the configuration, technology, rates
-    // and objective are fixed for the call.  Loop-order variants sit
-    // next to each other in a view and share one Terms, so a candidate
-    // whose key equals the last priced one's takes that value, with
-    // the same bits, and a run of them is priced once.
-    const MemoryAxisTable::Terms *bound_terms = nullptr;
-    double last_bound = 0;
-    const MemoryAxisTable::Terms *score_terms = nullptr;
-    MemoryAxisTable::Fills score_fills{};
-    double last_score = 0;
-
-    const auto bound_of = [&](size_t i) {
-        if (!table)
-            return scoreLowerBound(layer, cfg, tech, candidates[i],
-                                   objective);
-        const MemoryAxisTable::Candidate &c = *(*table)[i];
-        if (c.terms != bound_terms) {
-            bound_terms = c.terms;
-            last_bound =
-                priceLowerBound(c.terms->bound, cfg, tech, rates, objective);
+    void offer(size_t i, double s)
+    {
+        if (!found || s < score) {
+            found = true;
+            index = i;
+            score = s;
         }
-        if (cross_check)
-            checkTableBound(layer, cfg, tech, c, objective, last_bound);
-        return last_bound;
-    };
-    const auto score_of = [&](size_t i) {
-        if (!table)
-            return scoreOf(evaluateMapping(layer, cfg, tech, candidates[i]),
-                           objective);
-        const MemoryAxisTable::Candidate &c = *(*table)[i];
-        const MemoryAxisTable::Fills fills = c.fills(cfg);
-        if (c.terms != score_terms || fills != score_fills) {
-            score_terms = c.terms;
-            score_fills = fills;
-            last_score = c.terms->score(fills, cfg, tech, rates, objective);
-        }
-        if (cross_check)
-            checkTableScore(layer, cfg, tech, c, objective, fills,
-                            last_score);
-        return last_score;
-    };
-
-    const size_t n = table ? table->size() : candidates.size();
-    size_t survivors[kPruneBlock];
-
-    for (size_t base = 0; base < n; base += kPruneBlock) {
-        // Cancellation granularity: one poll per prune block, so a
-        // fired deadline stops even a single huge layer search within
-        // ~kPruneBlock evaluations.  Unwinding here is safe: no result
-        // outlives its mapModel() call, so a later (post-resume)
-        // search recomputes it.
-        if (search.cancel && search.cancel->cancelled())
-            throwStatus(search.cancel->toStatus());
-        if (verif::faultPlanArmed())
-            verif::injectSearchBlockFault();
-
-        const size_t count = std::min(kPruneBlock, n - base);
-        size_t survivor_count = 0;
-
-        // Pruning pass against the block-boundary incumbent.
-        for (size_t i = base; i < base + count; ++i) {
-            if (prune && found &&
-                bound_of(i) >= best_score * kPruneMargin) {
-                ++pruned_here;
-                continue;
-            }
-            survivors[survivor_count++] = i;
-        }
-
-        // Score the survivors in candidate order and reduce as we go;
-        // strict '<' keeps the earliest candidate on score ties.
-        for (size_t j = 0; j < survivor_count; ++j) {
-            const size_t i = survivors[j];
-            const double score = score_of(i);
-            if (!found || score < best_score) {
-                found = true;
-                best_index = i;
-                best_score = score;
-            }
-        }
-        evaluated_here += static_cast<int64_t>(survivor_count);
     }
+};
+
+/** Count a finished search's work into @p stats and the registry's
+ *  mirrors of it (totals stay equal by construction), and evaluate its
+ *  @p winner, if any. */
+std::optional<MappingChoice>
+finishSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
+             const TechnologyModel &tech, const Mapping *winner,
+             int64_t evaluated, int64_t pruned, SearchStats *stats)
+{
     std::optional<MappingChoice> best;
-    if (found) {
-        best = evaluateMapping(layer, cfg, tech,
-                               table ? (*table)[best_index]->mapping
-                                     : candidates[best_index]);
+    if (winner)
+        best = evaluateMapping(layer, cfg, tech, *winner);
+    if (stats) {
+        stats->evaluated += evaluated;
+        stats->pruned += pruned;
     }
-
-    st.evaluated += evaluated_here;
-    st.pruned += pruned_here;
-
-    // Mirror the SearchStats work counters into the metrics registry
-    // (totals stay equal by construction).
     static obs::Counter &m_evaluated =
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.evaluated");
     static obs::Counter &m_pruned =
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.pruned");
-    m_evaluated.add(evaluated_here);
-    m_pruned.add(pruned_here);
-
+    m_evaluated.add(evaluated);
+    m_pruned.add(pruned);
     return best;
+}
+
+/**
+ * The exhaustive search over enumerated @p candidates, bounded through
+ * scoreLowerBound() and scored through evaluateMapping(): only the
+ * winner is materialised.
+ */
+std::optional<MappingChoice>
+pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
+         const TechnologyModel &tech,
+         const std::vector<Mapping> &candidates, Objective objective,
+         const SearchOptions &search, SearchStats *stats)
+{
+    NNBATON_TRACE_SCOPE("mapper.pick_best");
+    int64_t evaluated = 0;
+    int64_t pruned = 0;
+    Incumbent best;
+    size_t survivors[kPruneBlock];
+    for (size_t base = 0; base < candidates.size(); base += kPruneBlock) {
+        pollBlock(search);
+        const size_t end = std::min(candidates.size(), base + kPruneBlock);
+
+        // Pruning pass against the block-boundary incumbent.
+        const bool bounded = search.boundPruning && best.found;
+        const double threshold = best.score * kPruneMargin;
+        size_t survivor_count = 0;
+        for (size_t i = base; i < end; ++i) {
+            if (bounded && scoreLowerBound(layer, cfg, tech, candidates[i],
+                                           objective) >= threshold) {
+                ++pruned;
+                continue;
+            }
+            survivors[survivor_count++] = i;
+        }
+
+        // Score the survivors in candidate order.
+        for (size_t j = 0; j < survivor_count; ++j) {
+            const size_t i = survivors[j];
+            best.offer(i, scoreOf(evaluateMapping(layer, cfg, tech,
+                                                  candidates[i]),
+                                  objective));
+        }
+        evaluated += static_cast<int64_t>(survivor_count);
+    }
+    return finishSearch(layer, cfg, tech,
+                        best.found ? &candidates[best.index] : nullptr,
+                        evaluated, pruned, stats);
+}
+
+/**
+ * pickBest() over a memory-axis @p view, walking its plan
+ * (MemoryAxisTable::Plan) at this search's buffer rates.  Per block,
+ * once an incumbent exists, one price of the block's floor prunes all
+ * its members while @p tech keeps the bound monotone
+ * (boundIsMonotone()); otherwise one price per distinct Terms prunes
+ * or keeps that Terms' members.  Each surviving group is scored once
+ * and offered as its first member.  The incumbent is frozen over a
+ * block and a group's members score alike, so the winner, its score
+ * and the counters are those of pickBest() over the same candidates.
+ */
+std::optional<MappingChoice>
+walkPlan(const ConvLayer &layer, const AcceleratorConfig &cfg,
+         const TechnologyModel &tech, const MemoryAxisTable::View &view,
+         Objective objective, const SearchOptions &search,
+         SearchStats *stats)
+{
+    NNBATON_TRACE_SCOPE("mapper.pick_best");
+    using Table = MemoryAxisTable;
+    const Table::Plan &plan = view.plan;
+    const BufferRates rates = bufferRates(cfg, tech);
+    const bool floors = boundIsMonotone(tech);
+    const bool cross_check = tableCrossCheck();
+    int64_t evaluated = 0;
+    int64_t pruned = 0;
+    Incumbent best;
+
+    // A bound reads only its Terms, and a score only its Terms and
+    // fills: the configuration, technology, rates and objective are
+    // fixed for the call.  Neighbouring blocks often share Terms, so
+    // a price whose key equals the last one's takes its value, with
+    // the same bits.
+    const Table::Terms *bound_terms = nullptr;
+    double last_bound = 0;
+    const Table::Terms *score_terms = nullptr;
+    Table::Fills score_fills{};
+    double last_score = 0;
+
+    for (size_t b = 0; b < plan.blockCount; ++b) {
+        pollBlock(search);
+        const Table::Plan::Block &block = plan.blocks[b];
+        const size_t t0 = b ? plan.blocks[b - 1].termsEnd : 0;
+        const size_t g0 = b ? plan.blocks[b - 1].groupsEnd : 0;
+        const size_t base = b * kPruneBlock;
+        const size_t end = std::min(view.size(), base + kPruneBlock);
+
+        // Bit k set: the block's k-th distinct Terms survives.
+        uint32_t kept = ~uint32_t{0};
+        if (search.boundPruning && best.found) {
+            const double threshold = best.score * kPruneMargin;
+            if (floors) {
+                const double floor = priceLowerBound(block.floor, cfg, tech,
+                                                     rates, objective);
+                if (floor >= threshold) {
+                    pruned += static_cast<int64_t>(end - base);
+                    for (size_t i = base; cross_check && i < end; ++i) {
+                        checkFloorPrune(layer, cfg, tech, *view[i],
+                                        objective, floor, threshold);
+                    }
+                    continue;
+                }
+            }
+            kept = 0;
+            for (size_t t = t0; t < block.termsEnd; ++t) {
+                if (plan.terms[t] != bound_terms) {
+                    bound_terms = plan.terms[t];
+                    last_bound = priceLowerBound(bound_terms->bound, cfg,
+                                                 tech, rates, objective);
+                }
+                if (last_bound >= threshold)
+                    pruned += plan.termMembers[t];
+                else
+                    kept |= uint32_t{1} << (t - t0);
+                for (size_t i = base; cross_check && i < end; ++i) {
+                    if (view[i]->terms == bound_terms)
+                        checkTableBound(layer, cfg, tech, *view[i],
+                                        objective, last_bound);
+                }
+            }
+        }
+
+        // Score the surviving groups in first-member order.
+        for (size_t g = g0; g < block.groupsEnd; ++g) {
+            const Table::Plan::Group &group = plan.groups[g];
+            if (!(kept >> group.terms & 1))
+                continue;
+            const Table::Candidate &c = *view[group.first];
+            const Table::Fills fills = c.fills(cfg);
+            if (c.terms != score_terms || fills != score_fills) {
+                score_terms = c.terms;
+                score_fills = fills;
+                last_score =
+                    c.terms->score(fills, cfg, tech, rates, objective);
+            }
+            for (size_t i = base; cross_check && i < end; ++i) {
+                if (view[i]->sharesScore(c))
+                    checkTableScore(layer, cfg, tech, *view[i], objective,
+                                    fills, last_score);
+            }
+            evaluated += group.count;
+            best.offer(group.first, last_score);
+        }
+    }
+    return finishSearch(layer, cfg, tech,
+                        best.found ? &view[best.index]->mapping : nullptr,
+                        evaluated, pruned, stats);
 }
 
 /**
@@ -266,13 +354,14 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
                Objective objective, const SearchOptions &search,
                SearchStats *stats, const MemoryAxisTable::View *table)
 {
+    if (table)
+        return walkPlan(layer, cfg, tech, *table, objective, search, stats);
     std::vector<Mapping> candidates;
-    if (!table) {
+    {
         NNBATON_TRACE_SCOPE("mapper.candidates");
         candidates = enumerateCandidates(layer, cfg, effort);
     }
-    return pickBest(layer, cfg, tech, candidates, table, objective,
-                    search, stats);
+    return pickBest(layer, cfg, tech, candidates, objective, search, stats);
 }
 
 } // namespace
@@ -296,8 +385,8 @@ searchLayerWithSpatial(const ConvLayer &layer,
 {
     const std::vector<Mapping> candidates =
         enumerateCandidatesFor(layer, cfg, effort, pkg, chip);
-    return pickBest(layer, cfg, tech, candidates, /*table=*/nullptr,
-                    objective, SearchOptions{}, /*stats=*/nullptr);
+    return pickBest(layer, cfg, tech, candidates, objective, SearchOptions{},
+                    /*stats=*/nullptr);
 }
 
 ModelMappingResult

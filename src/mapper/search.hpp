@@ -8,6 +8,7 @@
 #ifndef NNBATON_MAPPER_SEARCH_HPP
 #define NNBATON_MAPPER_SEARCH_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -27,6 +28,16 @@
 namespace nnbaton {
 
 class MappingCache; // mapper/cache.hpp
+
+/**
+ * Candidates are searched in fixed blocks: pruning decisions use the
+ * incumbent frozen at the block boundary, and cancellation is polled
+ * once per block.  The block size fixes the `evaluated` and `pruned`
+ * counters that the golden files and perfbench pins record, so it
+ * must stay a constant.  Memory-axis search plans are cut at the same
+ * boundaries (MemoryAxisTable::Plan).
+ */
+inline constexpr size_t kPruneBlock = 32;
 
 /** Search objective. */
 enum class Objective

@@ -3,22 +3,28 @@
  * Memory-axis tables (mapper/memory_table.hpp): the fill step
  * functions against the reference (quadratic) buffer scan, table-served
  * searches against fresh ones field by field, the second-miss build
- * rule on a zoo `post` and a figure 15 sweep window, and the mapper
- * table counters as observation only.
+ * rule on a zoo `post` and a figure 15 sweep window, the mapper table
+ * counters as observation only, and the search plans: block floors
+ * against their members' bounds, and the plan walk against a
+ * per-candidate reference loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "arch/area.hpp"
+#include "common/cancel.hpp"
+#include "common/status.hpp"
 #include "common/util.hpp"
 #include "baton/baton.hpp"
 #include "c3p/analysis.hpp"
@@ -34,6 +40,7 @@
 #include "mapper/search.hpp"
 #include "nn/model.hpp"
 #include "tech/technology.hpp"
+#include "verif/fault.hpp"
 #include "verif/interpreter.hpp"
 
 using namespace nnbaton;
@@ -764,5 +771,373 @@ TEST(MemoryAxisTable, CountersAreObservationOnly)
             expectSameChoice(plain[i].choices[0], observed[i].choices[0],
                              "config " + std::to_string(i));
         }
+    }
+}
+
+namespace {
+
+/** A technology a request could carry: every number positive and
+ *  finite, each double scaled by a random factor. */
+TechnologyModel
+requestValidTech(std::mt19937 &g)
+{
+    TechnologyModel t = defaultTech();
+    std::uniform_real_distribution<double> scale(0.1, 10.0);
+    forEachTechParameter(t, [&](const char *, auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            v *= scale(g);
+    });
+    t.dramBitsPerCycle = pick(g, std::vector<int>{32, 128, 512});
+    t.d2dBitsPerCycle = pick(g, std::vector<int>{16, 64, 256});
+    return t;
+}
+
+/** What a search returned, or the per-candidate reference loop. */
+struct Searched
+{
+    bool found = false;
+    size_t index = 0; //!< into the enumeration (= the view's order)
+    double score = 0;
+    int64_t evaluated = 0;
+    int64_t pruned = 0;
+};
+
+/**
+ * The exhaustive search written out per candidate: blocks of
+ * kPruneBlock candidates, each pruned against the incumbent frozen at
+ * its start with pickBest()'s margin, survivors scored by
+ * evaluateMapping() and reduced with strict '<'.  @p blocks receives
+ * the number of blocks.
+ */
+Searched
+referenceSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
+                const TechnologyModel &tech,
+                const std::vector<Mapping> &candidates, Objective objective,
+                bool prune, size_t *blocks = nullptr)
+{
+    Searched r;
+    size_t n = 0;
+    for (size_t base = 0; base < candidates.size(); base += kPruneBlock) {
+        ++n;
+        const bool bounded = prune && r.found;
+        const double threshold = r.score * (1.0 + 1e-9);
+        for (size_t i = base;
+             i < std::min(candidates.size(), base + kPruneBlock); ++i) {
+            if (bounded && scoreLowerBound(layer, cfg, tech, candidates[i],
+                                           objective) >= threshold) {
+                ++r.pruned;
+                continue;
+            }
+            const MappingChoice c =
+                evaluateMapping(layer, cfg, tech, candidates[i]);
+            const double score = objective == Objective::MinEnergy
+                                     ? c.energy.total()
+                                     : c.edp();
+            ++r.evaluated;
+            if (!r.found || score < r.score) {
+                r.found = true;
+                r.index = i;
+                r.score = score;
+            }
+        }
+    }
+    if (blocks)
+        *blocks = n;
+    return r;
+}
+
+/** A search of @p layer at @p cfg served by a table view: the cache
+ *  has seen the key once already, so mapModel() walks its plan. */
+Searched
+tableSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
+            const TechnologyModel &tech, SearchEffort effort,
+            Objective objective, bool prune,
+            const std::vector<Mapping> &candidates)
+{
+    MappingCache cache;
+    EXPECT_FALSE(cache.tableView(layer, cfg, effort));
+    SearchOptions search;
+    search.boundPruning = prune;
+    const ModelMappingResult r = mapModel(oneLayerModel(layer), cfg, tech,
+                                          effort, objective, search, &cache);
+    EXPECT_EQ(cache.tableHits(), 1);
+    Searched out;
+    out.found = r.feasible;
+    out.evaluated = r.stats.evaluated;
+    out.pruned = r.stats.pruned;
+    if (r.feasible) {
+        const MappingChoice &c = r.choices[0];
+        out.index = static_cast<size_t>(
+            std::find(candidates.begin(), candidates.end(), c.mapping) -
+            candidates.begin());
+        out.score = objective == Objective::MinEnergy ? c.energy.total()
+                                                      : c.edp();
+    }
+    return out;
+}
+
+void
+expectSameSearch(const Searched &walk, const Searched &ref,
+                 const std::string &ctx)
+{
+    ASSERT_EQ(walk.found, ref.found) << ctx;
+    EXPECT_EQ(walk.evaluated, ref.evaluated) << ctx;
+    EXPECT_EQ(walk.pruned, ref.pruned) << ctx;
+    if (ref.found) {
+        EXPECT_EQ(walk.index, ref.index) << ctx;
+        EXPECT_EQ(std::bit_cast<uint64_t>(walk.score),
+                  std::bit_cast<uint64_t>(ref.score))
+            << ctx;
+    }
+}
+
+/** Random (layer, configuration) pairs across the four layer kinds. */
+std::vector<std::pair<ConvLayer, AcceleratorConfig>>
+randomSearches(std::mt19937 &g, int layers, size_t computes)
+{
+    std::vector<std::pair<ConvLayer, AcceleratorConfig>> out;
+    for (int kind = 0; kind < layers; ++kind) {
+        const ConvLayer layer = randomLayer(g, kind);
+        for (const ComputeAllocation &compute : someComputes(g, computes))
+            out.emplace_back(layer, randomConfig(g, compute));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SearchPlan, BlocksCoverTheViewAndFloorEveryMembersBound)
+{
+    // Every block of a plan accounts for each of its members once, in
+    // one distinct Terms and one score group whose first member it
+    // shares fills with, and its floor prices at or below each
+    // member's scoreLowerBound() for any request-valid technology.
+    std::mt19937 g(20261021);
+    int64_t members_checked = 0;
+    int64_t strict = 0;
+    for (const auto &[layer, cfg] : randomSearches(g, 8, 3)) {
+        for (const SearchEffort effort :
+             {SearchEffort::Sketch, SearchEffort::Fast}) {
+            MemoryAxisTable table(layer, effort);
+            const MemoryAxisTable::View &view = table.view(cfg);
+            const MemoryAxisTable::Plan &plan = view.plan;
+            ASSERT_EQ(plan.blockCount,
+                      (view.size() + kPruneBlock - 1) / kPruneBlock);
+            const TechnologyModel techs[] = {defaultTech(),
+                                             requestValidTech(g),
+                                             requestValidTech(g)};
+            for (size_t b = 0; b < plan.blockCount; ++b) {
+                const size_t base = b * kPruneBlock;
+                const size_t end = std::min(view.size(), base + kPruneBlock);
+                const size_t t0 = b ? plan.blocks[b - 1].termsEnd : 0;
+                const size_t g0 = b ? plan.blocks[b - 1].groupsEnd : 0;
+                const MemoryAxisTable::Plan::Block &block = plan.blocks[b];
+                int64_t in_terms = 0;
+                for (size_t t = t0; t < block.termsEnd; ++t)
+                    in_terms += plan.termMembers[t];
+                int64_t in_groups = 0;
+                for (size_t k = g0; k < block.groupsEnd; ++k) {
+                    const MemoryAxisTable::Plan::Group &grp = plan.groups[k];
+                    ASSERT_GE(grp.first, base);
+                    ASSERT_LT(grp.first, end);
+                    if (k > g0) {
+                        EXPECT_GT(grp.first, plan.groups[k - 1].first);
+                    }
+                    ASSERT_LT(t0 + grp.terms, block.termsEnd);
+                    EXPECT_EQ(plan.terms[t0 + grp.terms],
+                              view[grp.first]->terms);
+                    in_groups += grp.count;
+                }
+                EXPECT_EQ(in_terms, static_cast<int64_t>(end - base));
+                EXPECT_EQ(in_groups, static_cast<int64_t>(end - base));
+                for (size_t i = base; i < end; ++i) {
+                    int groups = 0;
+                    for (size_t k = g0; k < block.groupsEnd; ++k) {
+                        const size_t first = plan.groups[k].first;
+                        groups += view[first]->sharesScore(*view[i]) &&
+                                  first <= i;
+                    }
+                    EXPECT_EQ(groups, 1) << "member " << i;
+                    EXPECT_EQ(std::count(&plan.terms[t0],
+                                         &plan.terms[block.termsEnd],
+                                         view[i]->terms),
+                              1);
+                }
+                for (const TechnologyModel &tech : techs) {
+                    ASSERT_TRUE(boundIsMonotone(tech));
+                    const BufferRates rates = bufferRates(cfg, tech);
+                    for (const Objective objective :
+                         {Objective::MinEnergy, Objective::MinEdp}) {
+                        const double floor = priceLowerBound(
+                            block.floor, cfg, tech, rates, objective);
+                        for (size_t i = base; i < end; ++i) {
+                            const double bound =
+                                scoreLowerBound(layer, cfg, tech,
+                                                view[i]->mapping, objective);
+                            ASSERT_LE(floor, bound)
+                                << layer.toString() << " "
+                                << cfg.toString() << " "
+                                << view[i]->mapping.toString();
+                            strict += floor < bound;
+                            ++members_checked;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(members_checked, 100000);
+    EXPECT_GT(strict, 0);
+}
+
+TEST(SearchPlan, WalkMatchesAPerCandidateReference)
+{
+    // The plan walk returns the reference loop's winner index, score
+    // bits and counters at every effort, both objectives, with and
+    // without pruning, under the default and random request-valid
+    // technologies.
+    std::mt19937 g(4242);
+    int64_t searched = 0;
+    int64_t pruned = 0;
+    for (const SearchEffort effort :
+         {SearchEffort::Sketch, SearchEffort::Fast,
+          SearchEffort::Exhaustive}) {
+        const bool exhaustive = effort == SearchEffort::Exhaustive;
+        for (const auto &[layer, cfg] :
+             randomSearches(g, exhaustive ? 2 : 6, exhaustive ? 1 : 2)) {
+            const std::vector<Mapping> candidates =
+                enumerateCandidates(layer, cfg, effort);
+            const TechnologyModel techs[] = {defaultTech(),
+                                             requestValidTech(g)};
+            for (const TechnologyModel &tech : techs) {
+                for (const Objective objective :
+                     {Objective::MinEnergy, Objective::MinEdp}) {
+                    for (const bool prune : {true, false}) {
+                        const std::string ctx =
+                            layer.toString() + " " + cfg.toString() +
+                            " effort " +
+                            std::to_string(static_cast<int>(effort)) +
+                            (objective == Objective::MinEdp ? " edp"
+                                                            : " energy") +
+                            (prune ? " pruned" : " unpruned");
+                        const Searched ref = referenceSearch(
+                            layer, cfg, tech, candidates, objective, prune);
+                        expectSameSearch(tableSearch(layer, cfg, tech,
+                                                     effort, objective,
+                                                     prune, candidates),
+                                         ref, ctx);
+                        if (HasFailure())
+                            return;
+                        ++searched;
+                        pruned += ref.pruned;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(searched, 100);
+    EXPECT_GT(pruned, 0);
+}
+
+TEST(SearchPlan, WalkStopsAtTheBlockItIsAbortedAt)
+{
+    // The walk polls once per block, before the block's work, as the
+    // candidate loop does: a fault armed for poll k aborts a search of
+    // more than k blocks, with no counter counted, and a search of k
+    // blocks or fewer returns the reference loop's answer.  (A fired
+    // cancellation token is the same poll, which mapModel() also makes
+    // between layers.)
+    const ConvLayer layer = makeConv("c", 28, 28, 256, 128, 3, 3, 1);
+    const AcceleratorConfig cfg = caseStudyConfig();
+    const std::vector<Mapping> candidates =
+        enumerateCandidates(layer, cfg, SearchEffort::Fast);
+    size_t blocks = 0;
+    const Searched ref =
+        referenceSearch(layer, cfg, defaultTech(), candidates,
+                        Objective::MinEdp, true, &blocks);
+    ASSERT_GT(blocks, 3u);
+    obs::Counter &evaluated =
+        obs::MetricsRegistry::instance().counter(
+            "mapper.candidates.evaluated");
+    for (const size_t k : {size_t{0}, size_t{1}, blocks / 2, blocks - 1,
+                           blocks, blocks + 1}) {
+        SCOPED_TRACE(k);
+        verif::FaultPlan plan;
+        plan.failAtSearchBlock = static_cast<int64_t>(k);
+        verif::armFaultPlan(plan);
+        const int64_t before = evaluated.value();
+        if (k < blocks) {
+            EXPECT_THROW(tableSearch(layer, cfg, defaultTech(),
+                                     SearchEffort::Fast, Objective::MinEdp,
+                                     true, candidates),
+                         StatusError);
+            EXPECT_EQ(evaluated.value(), before);
+        } else {
+            expectSameSearch(tableSearch(layer, cfg, defaultTech(),
+                                         SearchEffort::Fast,
+                                         Objective::MinEdp, true,
+                                         candidates),
+                             ref, "unfired");
+        }
+        verif::disarmFaultPlan();
+    }
+
+    // A token that has fired stops the search before any block.
+    CancelToken token;
+    token.requestCancel();
+    MappingCache cache;
+    cache.tableView(layer, cfg, SearchEffort::Fast);
+    SearchOptions search;
+    search.cancel = &token;
+    EXPECT_THROW(mapModel(oneLayerModel(layer), cfg, defaultTech(),
+                          SearchEffort::Fast, Objective::MinEdp, search,
+                          &cache),
+                 StatusError);
+}
+
+TEST(SearchPlan, NonMonotoneTechnologiesFallBackToTermsDecisions)
+{
+    // A library technology with a negative energy, or an SRAM energy
+    // that falls with size, breaks the floor's guarantee: some block
+    // floor then prices above a member's bound.  The walk must then
+    // decide per distinct Terms and still match the reference loop.
+    TechnologyModel negative_dram = defaultTech();
+    negative_dram.dramEnergyPerBit = -2.0;
+    TechnologyModel falling_sram = defaultTech();
+    falling_sram.sramEnergyPerBitKb = {2.0, -0.004};
+    std::mt19937 g(99);
+    const auto searches = randomSearches(g, 6, 2);
+    for (const TechnologyModel &tech : {negative_dram, falling_sram}) {
+        EXPECT_FALSE(boundIsMonotone(tech));
+        int64_t floor_above_a_member = 0;
+        for (const auto &[layer, cfg] : searches) {
+            MemoryAxisTable table(layer, SearchEffort::Fast);
+            const MemoryAxisTable::View &view = table.view(cfg);
+            const BufferRates rates = bufferRates(cfg, tech);
+            for (size_t b = 0; b < view.plan.blockCount; ++b) {
+                const double floor =
+                    priceLowerBound(view.plan.blocks[b].floor, cfg, tech,
+                                    rates, Objective::MinEnergy);
+                for (size_t i = b * kPruneBlock;
+                     i < std::min(view.size(), (b + 1) * kPruneBlock); ++i) {
+                    floor_above_a_member +=
+                        floor > scoreLowerBound(layer, cfg, tech,
+                                                view[i]->mapping,
+                                                Objective::MinEnergy);
+                }
+            }
+            const std::vector<Mapping> candidates =
+                enumerateCandidates(layer, cfg, SearchEffort::Fast);
+            for (const Objective objective :
+                 {Objective::MinEnergy, Objective::MinEdp}) {
+                expectSameSearch(
+                    tableSearch(layer, cfg, tech, SearchEffort::Fast,
+                                objective, true, candidates),
+                    referenceSearch(layer, cfg, tech, candidates, objective,
+                                    true),
+                    layer.toString() + " " + cfg.toString());
+            }
+        }
+        EXPECT_GT(floor_above_a_member, 0);
     }
 }

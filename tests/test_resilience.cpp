@@ -27,6 +27,7 @@
 #include "common/status.hpp"
 #include "common/trace.hpp"
 #include "dse/checkpoint.hpp"
+#include "dse/driver.hpp"
 #include "dse/explorer.hpp"
 #include "dse/slice.hpp"
 #include "mapper/cache.hpp"
@@ -1110,4 +1111,74 @@ TEST(SweepLedgers, ResumedSweepsKeepOnlyTheWinnersLedgers)
     EXPECT_LE(ledgers, 2);
     std::remove(path.c_str());
     std::remove(rewritten.c_str());
+}
+
+/**
+ * A unit settled with a ledger on every valid point, as a worker of an
+ * earlier build replies, keeps only its winners' ledgers, in the sweep
+ * and in the journal, and the sweep collects what one whose units this
+ * build's lanes settled does.  The coordinator used to hold every
+ * ledger of such a fleet until collection.
+ */
+TEST(SweepLedgers, SettledUnitsKeepOnlyTheirWinnersLedgers)
+{
+    const Model model = miniModel();
+    DseOptions opt = sweepOptions();
+    opt.threads = 1;
+    const DseResult local = explore(model, opt, defaultTech());
+    const std::vector<SweepTask> tasks = enumerateSweepTasks(opt);
+
+    const std::string path = tmpPath("ckpt_settle.json");
+    std::remove(path.c_str());
+    DseOptions journalled = opt;
+    journalled.checkpointPath = path;
+    std::vector<WorkUnit> units;
+    int fullUnits = 0;
+    DseResult settled;
+    {
+        SweepDriver driver(model, journalled, defaultTech(),
+                           /*unitPoints=*/5, /*lanes=*/1,
+                           /*leaseSeconds=*/600);
+        MappingCache cache;
+        while (const std::optional<WorkUnit> unit =
+                   driver.leases().tryClaim()) {
+            std::vector<SweepPointOutcome> outcomes;
+            int ledgers = 0;
+            for (int64_t i = unit->begin; i < unit->end; ++i) {
+                outcomes.push_back(evaluateSweepPoint(
+                    model, opt, defaultTech(), tasks[i], cache));
+                const SweepPointOutcome &out = outcomes.back();
+                if (out.kind == SweepPointOutcome::Valid) {
+                    EXPECT_EQ(out.point.cost.layers.size(),
+                              model.layers().size());
+                    ++ledgers;
+                }
+            }
+            fullUnits += ledgers > 2 ? 1 : 0;
+            EXPECT_TRUE(driver.settle(*unit, std::move(outcomes)));
+            units.push_back(*unit);
+        }
+        settled = driver.finish();
+    }
+    EXPECT_GT(fullUnits, 0);
+    EXPECT_EQ(settled.resumed, 0);
+    expectSameResult(local, settled);
+    EXPECT_EQ(settled.search.evaluated, local.search.evaluated);
+    EXPECT_EQ(settled.search.pruned, local.search.pruned);
+    expectLedgersOnlyOnWinners(settled, model, opt, defaultTech());
+
+    // Each unit journalled at most two ledgers.
+    const SweepCheckpoint journal = loadSweepCheckpoint(path).value();
+    EXPECT_TRUE(journal.complete);
+    for (const WorkUnit &unit : units) {
+        int ledgers = 0;
+        for (int64_t i = unit.begin; i < unit.end; ++i) {
+            const auto it = journal.entries.find(
+                designPointKey(tasks[i].compute, tasks[i].memory));
+            if (it != journal.entries.end())
+                ledgers += it->second.point.cost.layers.empty() ? 0 : 1;
+        }
+        EXPECT_LE(ledgers, 2) << "unit " << unit.id;
+    }
+    std::remove(path.c_str());
 }
